@@ -1,5 +1,7 @@
 """Block-structured trace codes: geometry checks, round trips, hardening."""
 
+import dataclasses
+import hashlib
 import json
 import math
 import warnings
@@ -394,6 +396,74 @@ class TestOuterCode:
         assert trace_rs_message_len(p1, 3) == 10 * 112
         with pytest.raises(ValueError):
             trace_rs_message_len(p1, 8)
+
+
+
+@pytest.fixture(scope="module")
+def p8():
+    return derive_trace_params(8640, 1, L_min=90, L_over=85, I=4, r_I=16, K=8)
+
+
+def _damaged_trace(p, w, seed, junk_share=0.05):
+    """One strand flip, up to e random flips per read, every read starting
+    in one random group dropped, and random junk reads mixed in."""
+    rng = np.random.default_rng(seed)
+    cfg = ChannelConfig(
+        L_min=p.L_min, L_over=p.L_over, e=p.e, error_mode="pre-sequencing",
+        tau=1, seed=seed, max_len=p.L_min + 30,
+    )
+    reads = corrupt(fragment(w, cfg), cfg)
+    reads = corrupt(reads, dataclasses.replace(cfg, error_mode="random"))
+    g = int(rng.integers(p.group_count))
+    lo = p.cum_blocks(g) * p.L_min
+    hi = lo + p.cnt(g) * p.L_min
+    kept = [f for f in reads.fragments if not lo <= f.start < hi]
+    junk = [
+        Fragment(BitSeq.random(int(rng.integers(p.L_min, p.L_min + 31)), rng))
+        for _ in range(round(junk_share * len(kept)))
+    ]
+    pool = kept + junk
+    order = rng.permutation(len(pool))
+    return dataclasses.replace(reads, fragments=tuple(pool[int(i)] for i in order))
+
+
+class TestPlacementRegression:
+    """Placement outputs pinned so that a faster placement must reproduce
+    them exactly: offsets, skip decisions and per-read error counts."""
+
+    def test_lenient_damaged_trace_is_pinned(self, p1, book1):
+        tau = 3
+        m = BitSeq.random(trace_rs_message_len(p1, tau), np.random.default_rng(17))
+        w = encode_trace_rs(m, p1, tau, book1)
+        tr = _damaged_trace(p1, w, seed=7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            rep = reconstruct_trace_rs(tr.strip_truth(), p1, tau, book1)
+        skipped = [i for i, (off, _) in enumerate(rep.located) if off is None]
+        junk = {i for i, f in enumerate(tr.fragments) if f.start is None}
+        # 19 junk reads plus read 161, a true read that placement skips
+        assert skipped == [100, 115, 116, 131, 143, 153, 156, 158, 161, 170,
+                           200, 202, 204, 268, 282, 286, 287, 350, 360, 398]
+        assert set(skipped) - junk == {161}
+        assert all(off == tr.fragments[i].start
+                   for i, (off, _) in enumerate(rep.located) if off is not None)
+        assert sum(err for _, err in rep.located if err is not None) == 185
+        digest = hashlib.sha256(repr(rep.located).encode()).hexdigest()
+        assert digest == "7b9ea62861b595b92f2fdb7eeb5c57f82812282c4821aa48be9fa161713a5261"
+        assert rep.tie_positions == (19,)
+        assert rep.reliable is False
+        assert rep.message == m
+
+    def test_reliable_traces_place_exactly_at_8640(self, p8):
+        book = trace_book(p8)
+        m = BitSeq.random(trace_message_len(p8), np.random.default_rng(8))
+        w = encode_trace(m, p8, book)
+        for seed in range(3):
+            cfg = reliable_cfg(p8, seed)
+            tr = corrupt(fragment(w, cfg), cfg)
+            rep = reconstruct_trace(tr.strip_truth(), p8, book)
+            assert rep.message == m and rep.reliable, f"seed {seed}"
+            assert [o for o, _ in rep.located] == [f.start for f in tr.fragments]
 
 
 @pytest.fixture(scope="module")
