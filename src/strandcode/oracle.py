@@ -48,10 +48,9 @@ def check_sd_exhaustive(x: BitSeq, L: int, d: int) -> bool:
     """All pairs of distinct length-L windows are at Hamming distance >= d.
 
     Short inputs get the literal character-by-character double loop.  Longer
-    inputs use a complete pigeonhole search: split each window into d
-    disjoint parts; any two windows at distance < d agree exactly on at
-    least one part, so grouping windows by each part's content finds every
-    offending pair.  Both routes examine the property exhaustively.
+    inputs get the blocked all-pairs distance scan, which compares every
+    pair of windows and shares nothing with the pigeonhole close-pair
+    search of the encoders.  Both routes examine the property exhaustively.
     """
     n = len(x)
     if n - L + 1 <= 1:
@@ -65,17 +64,15 @@ def check_sd_exhaustive(x: BitSeq, L: int, d: int) -> bool:
                 if dist < d:
                     return False
         return True
-    from ._bitops import close_pairs, seq_bits
-
-    return not close_pairs(seq_bits(x), L, d - 1)
+    return sd_min_pair_distance(x, L)[0] >= d
 
 
 def sd_min_pair_distance(x: BitSeq, L: int) -> tuple[int, tuple[int, int]]:
     """Exact minimum distance over all pairs of length-L windows, with a
     witnessing pair of start offsets."""
-    from ._bitops import min_pair_distance, seq_bits
+    from ._bitops import min_pair_distance, packed_windows, seq_bits
 
-    return min_pair_distance(seq_bits(x), L)
+    return min_pair_distance(packed_windows(seq_bits(x), L))
 
 
 def check_modular_rps(w: BitSeq, period: int, d: int) -> bool:

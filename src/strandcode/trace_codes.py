@@ -24,6 +24,8 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -537,9 +539,9 @@ def _block_table(params: TraceParams) -> _Blocks:
 
 
 @lru_cache(maxsize=None)
-def _vmask_global(params) -> np.ndarray:
-    lay = _trace_layout(params) if isinstance(params, TraceParams) else _gamma0_layout(params)
-    return np.resize(lay.kind == _V, params.n)
+def _payload_positions(params: TraceParams) -> np.ndarray:
+    """Sorted positions of the codeword that carry payload bits."""
+    return np.flatnonzero(np.resize(_trace_layout(params).kind == _V, params.n))
 
 
 def _layover_v_counts(params, layout: _Layout) -> int:
@@ -917,20 +919,17 @@ def _candidate_offsets(info: _FragInfo, params: TraceParams) -> list[int]:
 
 def _overlap_matches(
     a_arr: np.ndarray, a_off: int, b_arr: np.ndarray, b_off: int, params
-) -> bool | None:
-    """Compare two placements on the payload positions they share.
+) -> bool:
+    """Compare two placements that overlap by at least L_over positions.
 
-    Returns None when the overlap is shorter than L_over (no information),
-    else whether the payload disagreement stays within the 2e error budget.
-    A wrong alignment differs from the truth on a full substring-distant
-    window and cannot pass.
+    Returns whether their disagreement on the payload positions they share
+    stays within the 2e error budget.  A wrong alignment differs from the
+    truth on a full substring-distant window and cannot pass.
     """
     lo = max(a_off, b_off)
     hi = min(a_off + len(a_arr), b_off + len(b_arr))
-    if hi - lo < params.L_over:
-        return None
-    vmask = _vmask_global(params)
-    pos = np.flatnonzero(vmask[lo:hi]) + lo
+    vpos = _payload_positions(params)
+    pos = vpos[np.searchsorted(vpos, lo) : np.searchsorted(vpos, hi)]
     dist = int((a_arr[pos - a_off] != b_arr[pos - b_off]).sum())
     return dist <= 2 * params.e
 
@@ -938,14 +937,33 @@ def _overlap_matches(
 def _place_all(
     infos: list[_FragInfo], params: TraceParams, lenient: bool
 ) -> tuple[dict[int, int], set[int]]:
-    L_min = params.L_min
+    """Place reads by overlap matching, starting from the self-evident ones.
+
+    A read whose candidate offsets are already decided (one candidate, or one
+    confirmed by overlap) is placed; every placed read then checks the
+    pending candidates it overlaps, confirming or discarding them, until no
+    placement changes.
+
+    The sweep indexes each pending candidate ``(idx, off)`` under every
+    L_min block its span ``[off, off + len)`` covers, so a placed read visits
+    only the candidates in its own blocks instead of every pending read, and
+    checks those it overlaps by at least L_over positions.  Entries of
+    discarded candidates and settled reads are dropped lazily when their
+    block is next visited.  Outputs match a scan over all pending reads
+    exactly: a placed read's hits are handled by ascending read index
+    (``infos`` arrive in that order), then by ascending offset, and each
+    read is settled after all of its hits.  The cost is
+    O(reads * candidates * blocks per read).
+    """
+    L_min, L_over = params.L_min, params.L_over
     placed: dict[int, int] = {}
     skipped: set[int] = set()
     arrs = {info.idx: info.arr for info in infos}
 
     # candidate state: per pending read a dict offset -> anchored flag
     pending: dict[int, dict[int, bool]] = {}
-    verified: set[tuple[int, int, int]] = set()
+    # block -> (idx, off, end, first block) of each candidate span over it
+    by_block: dict[int, list[tuple[int, int, int, int]]] = {}
     queue: list[int] = []
 
     def settle(idx: int) -> None:
@@ -982,36 +1000,43 @@ def _place_all(
     for info in infos:
         cands = _candidate_offsets(info, params)
         pending[info.idx] = {off: False for off in cands}
+        for off in cands:
+            end = off + len(info.arr)
+            first = off // L_min
+            for b in range(first, (end - 1) // L_min + 1):
+                by_block.setdefault(b, []).append((info.idx, off, end, first))
     for idx in list(pending):
         if idx in pending:
             settle(idx)
 
     while queue:
         z = queue.pop()
-        z_arr, z_off = arrs[z], placed[z]
-        z_lo, z_hi = z_off, z_off + len(z_arr)
-        for idx in list(pending):
-            if idx not in pending:
+        z_arr, z_lo = arrs[z], placed[z]
+        z_hi = z_lo + len(z_arr)
+        b_lo = z_lo // L_min
+        hits: list[tuple[int, int]] = []
+        for b in range(b_lo, (z_hi - 1) // L_min + 1):
+            entries = by_block.get(b)
+            if not entries:
                 continue
+            live = [e for e in entries if e[1] in pending.get(e[0], ())]
+            by_block[b] = live
+            for idx, off, end, first in live:
+                # a candidate over several of z's blocks is taken at the first
+                if first != b and b != b_lo:
+                    continue
+                # an overlap shorter than L_over carries no information
+                if (end if end < z_hi else z_hi) - (off if off > z_lo else z_lo) >= L_over:
+                    hits.append((idx, off))
+        hits.sort()
+        for idx, group in groupby(hits, key=itemgetter(0)):
             cands = pending[idx]
-            changed = False
-            for off in list(cands):
-                key = (idx, off, z)
-                if key in verified:
-                    continue
-                if off >= z_hi or off + len(arrs[idx]) <= z_lo:
-                    continue
-                res = _overlap_matches(arrs[idx], off, z_arr, z_off, params)
-                verified.add(key)
-                if res is None:
-                    continue
-                if res:
+            for _, off in group:
+                if _overlap_matches(arrs[idx], off, z_arr, z_lo, params):
                     cands[off] = True
                 else:
                     del cands[off]
-                changed = True
-            if changed:
-                settle(idx)
+            settle(idx)
 
     if pending:
         if not lenient:
@@ -1127,6 +1152,7 @@ def _reconstruct(tr: Trace, params: TraceParams, book: IndexBook, lenient: bool)
             infos.append(info)
     placed, skipped = _place_all(infos, params, lenient)
     skipped |= unlocated
+    arrs = {info.idx: info.arr for info in infos}
 
     merged, tie_pos, gaps = _merge_placed(tr, placed, params.n, lenient)
     payloads, corrupted = _extract_group_payloads(merged, params, lenient)
@@ -1136,7 +1162,7 @@ def _reconstruct(tr: Trace, params: TraceParams, book: IndexBook, lenient: bool)
     for idx in range(len(tr.fragments)):
         if idx in placed:
             off = placed[idx]
-            arr = tr.fragments[idx].bits.to_numpy()
+            arr = arrs[idx]
             err = int((arr != merged[off : off + len(arr)]).sum())
             max_err = max(max_err, err)
             located.append((off, err))

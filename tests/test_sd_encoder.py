@@ -12,7 +12,7 @@ from strandcode import _bitops
 from strandcode.bitseq import BitSeq, is_sd, is_wwl
 from strandcode.constrained import auto_cyclic
 from strandcode.errors import DecodeFailure, InfeasibleParameters
-from strandcode.oracle import check_p123, check_sd_exhaustive
+from strandcode.oracle import check_p123, check_sd_exhaustive, sd_min_pair_distance
 from strandcode.sd_encoder import (
     _inner_codec,
     build_scaffold,
@@ -306,3 +306,31 @@ class TestFullPipeline:
         m = BitSeq.random(sd_message_len(n, d), np.random.default_rng(0))
         for seed in (0, 1, 7):
             assert decode_sd(encode_sd(m, n, d, seed=seed), n, d) == m
+
+
+def _planted_close_pair(n=4000, L=64, seed=3):
+    """A random string and a copy with window 100 repeated at 3000 up to one
+    flipped bit; random windows of length 64 are otherwise far apart."""
+    bits = np.random.default_rng(seed).integers(0, 2, n).astype(np.uint8)
+    planted = bits.copy()
+    planted[3000 : 3000 + L] = bits[100 : 100 + L]
+    planted[3000 + L // 2] ^= 1
+    return BitSeq.from_numpy(bits), BitSeq.from_numpy(planted), L
+
+
+class TestSDOracle:
+    def test_long_input_check_does_not_use_close_pairs(self, monkeypatch):
+        clean, planted, L = _planted_close_pair()
+
+        def fast_path(*args, **kwargs):
+            raise AssertionError("the oracle called the search it checks")
+
+        monkeypatch.setattr(_bitops, "close_pairs", fast_path)
+        assert check_sd_exhaustive(clean, L, 3)
+        assert not check_sd_exhaustive(planted, L, 3)
+
+    def test_min_pair_distance_finds_the_planted_pair(self):
+        clean, planted, L = _planted_close_pair()
+        dist, (i, j) = sd_min_pair_distance(planted, L)
+        assert dist == 1 and j - i == 2900
+        assert sd_min_pair_distance(clean, L)[0] >= 3

@@ -33,7 +33,15 @@ from strandcode.trace_codes import (
     trace_message_len,
     trace_rs_message_len,
 )
-from strandcode.trace_codes import _rs_decode, _rs_encode, _trace_layout
+from strandcode.trace_codes import (
+    _analyze_read,
+    _candidate_offsets,
+    _overlap_matches,
+    _place_all,
+    _rs_decode,
+    _rs_encode,
+    _trace_layout,
+)
 
 
 @pytest.fixture(scope="module")
@@ -404,6 +412,13 @@ def p8():
     return derive_trace_params(8640, 1, L_min=90, L_over=85, I=4, r_I=16, K=8)
 
 
+@pytest.fixture(scope="module")
+def coded8(p8):
+    book = trace_book(p8)
+    m = BitSeq.random(trace_message_len(p8), np.random.default_rng(8))
+    return book, m, encode_trace(m, p8, book)
+
+
 def _damaged_trace(p, w, seed, junk_share=0.05):
     """One strand flip, up to e random flips per read, every read starting
     in one random group dropped, and random junk reads mixed in."""
@@ -454,16 +469,131 @@ class TestPlacementRegression:
         assert rep.reliable is False
         assert rep.message == m
 
-    def test_reliable_traces_place_exactly_at_8640(self, p8):
-        book = trace_book(p8)
-        m = BitSeq.random(trace_message_len(p8), np.random.default_rng(8))
-        w = encode_trace(m, p8, book)
+    def test_reliable_traces_place_exactly_at_8640(self, p8, coded8):
+        book, m, w = coded8
         for seed in range(3):
             cfg = reliable_cfg(p8, seed)
             tr = corrupt(fragment(w, cfg), cfg)
             rep = reconstruct_trace(tr.strip_truth(), p8, book)
             assert rep.message == m and rep.reliable, f"seed {seed}"
             assert [o for o, _ in rep.located] == [f.start for f in tr.fragments]
+
+    def test_sweep_matches_plain_scan(self, p8, coded8):
+        # at n=8640 groups span six blocks, so many reads keep several
+        # candidate offsets until overlap matching decides them
+        book, _, w = coded8
+        lay = _trace_layout(p8)
+        vmask = np.resize(lay.kind == 2, p8.n)
+        cfg = ChannelConfig(
+            L_min=p8.L_min, L_over=p8.L_over, e=p8.e, seed=0,
+            strategy="adversarial-min", error_mode="overlap-concentrated",
+        )
+        adversarial = corrupt(fragment(w, cfg), cfg)
+        # some reads get four extra payload flips, past the overlap budget:
+        # lenient placement skips reads, strict placement fails
+        cfg = reliable_cfg(p8, 0)
+        reliable = corrupt(fragment(w, cfg), cfg)
+        rng = np.random.default_rng(100)
+        frags = []
+        for f in reliable.fragments:
+            if rng.random() < 0.04:
+                arr = f.bits.to_numpy().copy()
+                where = np.flatnonzero(vmask[f.start : f.start + len(arr)])
+                arr[rng.choice(where[where >= 30], size=4, replace=False)] ^= 1
+                f = dataclasses.replace(f, bits=BitSeq.from_numpy(arr))
+            frags.append(f)
+        flipped = dataclasses.replace(reliable, fragments=tuple(frags))
+        cases = [
+            (adversarial, (True,)),
+            (_damaged_trace(p8, w, 0), (True,)),
+            (flipped, (True, False)),
+        ]
+        for t, (tr, modes) in enumerate(cases):
+            infos = [
+                info
+                for idx, f in enumerate(tr.strip_truth().fragments)
+                if (info := _analyze_read(idx, f.bits, p8, book, lay, True)) is not None
+            ]
+            for lenient in modes:
+                outcomes = []
+                for place in (_place_all, _place_all_by_scan):
+                    try:
+                        placed, skipped = place(infos, p8, lenient)
+                        outcomes.append((list(placed.items()), skipped))
+                    except DecodeFailure as exc:
+                        outcomes.append(str(exc))
+                assert outcomes[0] == outcomes[1], f"case {t}, lenient={lenient}"
+
+
+def _place_all_by_scan(infos, params, lenient):
+    """Reference placement: every placed read rescans every pending read and
+    every one of its candidate offsets."""
+    placed, skipped, queue = {}, set(), []
+    arrs = {info.idx: info.arr for info in infos}
+    pending = {
+        info.idx: {off: False for off in _candidate_offsets(info, params)}
+        for info in infos
+    }
+
+    def settle(idx):
+        cands = pending[idx]
+        if not cands:
+            if lenient:
+                skipped.add(idx)
+                del pending[idx]
+                return
+            raise DecodeFailure(
+                "a read admits no placement consistent with the others; "
+                "the trace violates its error budget"
+            )
+        anchored = [off for off, a in cands.items() if a]
+        chosen = None
+        if len(cands) == 1:
+            chosen = next(iter(cands))
+        elif len(anchored) == 1:
+            chosen = anchored[0]
+        elif len(anchored) > 1:
+            if lenient:
+                skipped.add(idx)
+                del pending[idx]
+                return
+            raise DecodeFailure(
+                "read placement is ambiguous; distinct positions matched "
+                "within the error budget"
+            )
+        if chosen is not None:
+            placed[idx] = chosen
+            del pending[idx]
+            queue.append(idx)
+
+    for idx in list(pending):
+        settle(idx)
+    while queue:
+        z = queue.pop()
+        z_arr, z_off = arrs[z], placed[z]
+        for idx in list(pending):
+            cands = pending[idx]
+            changed = False
+            for off in list(cands):
+                lo = max(off, z_off)
+                hi = min(off + len(arrs[idx]), z_off + len(z_arr))
+                if hi - lo < params.L_over:
+                    continue
+                if _overlap_matches(arrs[idx], off, z_arr, z_off, params):
+                    cands[off] = True
+                else:
+                    del cands[off]
+                changed = True
+            if changed:
+                settle(idx)
+    if pending:
+        if not lenient:
+            raise DecodeFailure(
+                "some reads could not be anchored by overlap matching; "
+                "the trace does not cover the string contiguously"
+            )
+        skipped.update(pending)
+    return placed, skipped
 
 
 @pytest.fixture(scope="module")
