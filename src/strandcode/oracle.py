@@ -49,8 +49,8 @@ def check_sd_exhaustive(x: BitSeq, L: int, d: int) -> bool:
 
     Short inputs get the literal character-by-character double loop.  Longer
     inputs get the blocked all-pairs distance scan, which compares every
-    pair of windows and shares nothing with the pigeonhole close-pair
-    search of the encoders.  Both routes examine the property exhaustively.
+    pair of windows rather than relying on the pigeonhole close-pair search
+    the encoders use.  Both routes examine the property exhaustively.
     """
     n = len(x)
     if n - L + 1 <= 1:

@@ -406,7 +406,6 @@ class TestOuterCode:
             trace_rs_message_len(p1, 8)
 
 
-
 @pytest.fixture(scope="module")
 def p8():
     return derive_trace_params(8640, 1, L_min=90, L_over=85, I=4, r_I=16, K=8)
@@ -419,9 +418,9 @@ def coded8(p8):
     return book, m, encode_trace(m, p8, book)
 
 
-def _damaged_trace(p, w, seed, junk_share=0.05):
+def _damaged_trace(p, w, seed):
     """One strand flip, up to e random flips per read, every read starting
-    in one random group dropped, and random junk reads mixed in."""
+    in one random group dropped, and 5 % random junk reads mixed in."""
     rng = np.random.default_rng(seed)
     cfg = ChannelConfig(
         L_min=p.L_min, L_over=p.L_over, e=p.e, error_mode="pre-sequencing",
@@ -435,7 +434,7 @@ def _damaged_trace(p, w, seed, junk_share=0.05):
     kept = [f for f in reads.fragments if not lo <= f.start < hi]
     junk = [
         Fragment(BitSeq.random(int(rng.integers(p.L_min, p.L_min + 31)), rng))
-        for _ in range(round(junk_share * len(kept)))
+        for _ in range(round(0.05 * len(kept)))
     ]
     pool = kept + junk
     order = rng.permutation(len(pool))
