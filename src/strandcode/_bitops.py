@@ -91,7 +91,9 @@ def close_pairs(bits: np.ndarray, L: int, rho: int) -> list[tuple[int, int, int]
 
     Complete by the pigeonhole argument: a pair within distance rho agrees
     exactly on at least one of rho+1 parts of the window, so it is found
-    when grouping by that part.
+    when grouping by that part.  Within each sort by a part, rows ``s``
+    apart with equal keys are paired for s = 1, 2, ... until no equal keys
+    remain, so the cost is the number of candidate pairs, all vectorized.
     """
     n = bits.size
     m = n - L + 1
@@ -99,31 +101,27 @@ def close_pairs(bits: np.ndarray, L: int, rho: int) -> list[tuple[int, int, int]
         return []
     wins = packed_windows(bits, L)
     view = np.lib.stride_tricks.sliding_window_view(bits, L)
-    candidates: set[tuple[int, int]] = set()
+    found = []
     for lo, hi in _part_slices(L, rho + 1):
         part = pack_rows(np.ascontiguousarray(view[:, lo:hi]))
         order = np.lexsort(part.T[::-1])
         sorted_part = part[order]
-        same = np.all(sorted_part[1:] == sorted_part[:-1], axis=1)
-        # group boundaries over the sorted order
-        run_start = 0
-        for t in range(m):
-            is_end = t == m - 1 or not same[t]
-            if is_end:
-                group = order[run_start : t + 1]
-                if group.size > 1:
-                    g = np.sort(group)
-                    for ai in range(g.size):
-                        for bi in range(ai + 1, g.size):
-                            candidates.add((int(g[ai]), int(g[bi])))
-                run_start = t + 1
-    out = []
-    for i, j in candidates:
-        dist = int(np.bitwise_count(wins[i] ^ wins[j]).sum())
-        if dist <= rho:
-            out.append((i, j, dist))
-    out.sort(key=lambda p: (p[1], p[0]))
-    return out
+        # rows t whose key still equals the key s rows further on
+        live = np.arange(m - 1)
+        s = 1
+        while live.size:
+            live = live[np.all(sorted_part[live] == sorted_part[live + s], axis=1)]
+            a, b = order[live], order[live + s]
+            # filtered per shift, so memory stays O(m) however many pairs
+            dist = np.bitwise_count(wins[a] ^ wins[b]).sum(axis=1, dtype=np.int64)
+            close = dist <= rho
+            a, b = a[close], b[close]
+            found.append(np.stack([np.maximum(a, b), np.minimum(a, b), dist[close]], axis=1))
+            s += 1
+            live = live[live + s < m]
+    # a pair found through several parts is kept once, ordered by (j, i)
+    rows = np.unique(np.concatenate(found), axis=0)
+    return [(i, j, dist) for j, i, dist in rows.tolist()]
 
 
 def window_weights(bits: np.ndarray, L: int) -> np.ndarray:

@@ -16,7 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .bitseq import BitSeq, hamming
+from . import _bitops
+from .bitseq import BitSeq
 from .constrained import auto_cyclic
 from .errors import DecodeFailure, LayoutError, SearchExhausted
 from .oracle import check_p123, check_sd_exhaustive
@@ -84,11 +85,26 @@ class IndexBook:
         return out
 
     @cached_property
-    def _concat_windows_np(self) -> np.ndarray:
-        """All aligned-and-straddle windows of the concatenation, one row
-        per start offset, as uint8 bits."""
-        bits = self.concat.to_numpy()
-        return np.lib.stride_tricks.sliding_window_view(bits, self.codeword_len)
+    def _pigeonhole(self) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
+        """Multi-index table over all aligned-and-straddle windows of the
+        concatenation.
+
+        The codeword width is cut into max(e + 1, ceil(width / 64)) parts,
+        so each part fits one uint64 key.  Per part: its bit range
+        (lo, hi), the part values of every window in ascending order, and
+        the start offset of the window each value came from.
+        """
+        width = self.codeword_len
+        view = np.lib.stride_tricks.sliding_window_view(self.concat.to_numpy(), width)
+        table = []
+        for lo, hi in _bitops._part_slices(width, max(self.e + 1, -(-width // 64))):
+            if hi > lo:
+                keys = _bitops.pack_rows(np.ascontiguousarray(view[:, lo:hi]))[:, 0]
+            else:  # width <= e leaves empty parts, which match every window
+                keys = np.zeros(len(view), dtype=np.uint64)
+            offsets = np.argsort(keys, kind="stable")
+            table.append((lo, hi, keys[offsets], offsets))
+        return table
 
     @cached_property
     def _marker_np(self) -> np.ndarray:
@@ -131,18 +147,20 @@ def build_index_book(
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, I, d, K_marker, r_I)))
     codewords: list[BitSeq] = []
-    # windows of the concatenation built so far, as packed ints
-    windows: list[list[int]] = []  # windows contributed per accepted codeword
+    # windows of the concatenation built so far, as packed ints: the first
+    # codeword adds one window and every later one adds ``width``
+    windows = np.empty(1 + (count - 1) * width, dtype=np.uint64 if width <= 64 else object)
+    fill = 0
     restarts = 0
     while len(codewords) < count:
         placed = False
         for _ in range(max_tries):
             cand = BitSeq.random(width, rng)
             new_wins = _new_windows(codewords, cand, width)
-            flat = [w for ws in windows for w in ws]
-            if _all_far(new_wins, flat, d, width):
+            if _all_far(new_wins, windows[:fill], d, width):
                 codewords.append(cand)
-                windows.append(new_wins)
+                windows[fill : fill + len(new_wins)] = new_wins
+                fill += len(new_wins)
                 placed = True
                 break
         if not placed:
@@ -152,8 +170,8 @@ def build_index_book(
                     f"no index book found at I={I}, d={d}, r_I={r_I}; "
                     "increase r_I and retry"
                 )
+            fill -= width if len(codewords) > 1 else 1
             codewords.pop()
-            windows.pop()
     book = IndexBook(I, r_I, d, K_marker, tuple(codewords), marker)
     _certify(book)
     return book
@@ -170,18 +188,17 @@ def _new_windows(codewords: list[BitSeq], cand: BitSeq, width: int) -> list[int]
     return wins
 
 
-def _all_far(new_wins: list[int], old_wins: list[int], d: int, width: int) -> bool:
-    if new_wins and width <= 64:
+def _all_far(new_wins: list[int], old_wins: np.ndarray, d: int, width: int) -> bool:
+    if width <= 64:
         a = np.array(new_wins, dtype=np.uint64)
         pair = np.bitwise_count(a[:, None] ^ a[None, :])
         pair[np.diag_indices(len(a))] = 64
         if pair.min() < d:
             return False
-        if old_wins:
-            b = np.array(old_wins, dtype=np.uint64)
-            if np.bitwise_count(a[:, None] ^ b[None, :]).min() < d:
-                return False
+        if old_wins.size and np.bitwise_count(a[:, None] ^ old_wins[None, :]).min() < d:
+            return False
         return True
+    old_wins = old_wins.tolist()
     for i, a in enumerate(new_wins):
         for b in new_wins[i + 1 :]:
             if (a ^ b).bit_count() < d:
@@ -193,7 +210,6 @@ def _all_far(new_wins: list[int], old_wins: list[int], d: int, width: int) -> bo
 
 
 _CERTIFY_FULL_LIMIT = 6
-_CERTIFY_SAMPLES = 10_000
 
 
 def certify_book(book: IndexBook) -> None:
@@ -207,7 +223,13 @@ def certify_book(book: IndexBook) -> None:
 
 
 def _certify(book: IndexBook) -> None:
-    """Check the book invariants; exhaustively for small I, sampled above."""
+    """Check the book invariants exactly, at every I.
+
+    Every codeword must pass its window weight check and the concatenation
+    must be (I + r_I, d)-substring distant: for I <= 6 through the oracle's
+    exhaustive scan, above through the pigeonhole close-pair search.  The
+    piece-family conditions (P1-P3) are checked only for I <= 6.
+    """
     width = book.codeword_len
     wwl_window = 3 * math.ceil(1.5 * math.log2(width)) + len(book.marker) - book.K_marker
     from .bitseq import is_wwl
@@ -220,18 +242,8 @@ def _certify(book: IndexBook) -> None:
             raise SearchExhausted("book concatenation fails the exhaustive SD check")
         if not check_p123(book.codewords, wwl_window, book.d):
             raise SearchExhausted("book family fails the piece-family conditions")
-    else:
-        rng = np.random.default_rng(0xB00C)
-        concat = book.concat
-        top = len(concat) - width + 1
-        for _ in range(_CERTIFY_SAMPLES):
-            i, j = rng.integers(0, top, 2)
-            if i == j:
-                continue
-            a = concat.window(int(i), width)
-            b = concat.window(int(j), width)
-            if hamming(a, b) < book.d:
-                raise SearchExhausted("book concatenation fails a sampled SD check")
+    elif _bitops.close_pairs(book.concat.to_numpy(), width, book.d - 1):
+        raise SearchExhausted("book concatenation fails the SD check")
 
 
 def find_marker(y: BitSeq, book: IndexBook, e: int) -> int:
@@ -265,20 +277,35 @@ def locate_index(y: BitSeq, book: IndexBook) -> int:
 
     ``y`` is an (I + r_I)-bit window: either a codeword c_i or a suffix of
     c_i followed by the matching prefix of c_{i+1}, with at most
-    ``book.e`` substitutions.  Slides ``y`` along the concatenation; the
-    substring-distant property makes the sub-``e`` alignment unique.
+    ``book.e`` substitutions.  Finds every window of the concatenation
+    within ``e`` of ``y``; the substring-distant property makes the
+    sub-``e`` alignment unique.
+
+    Pigeonhole invariant: ``y`` and a window within ``e`` flips of it agree
+    exactly on at least one of the e + 1 (or more) parts of
+    ``book._pigeonhole``, so the exact part matches, found by binary
+    search, hold every such window.  Each candidate is then checked over
+    the full width.  Cost: O(e + 1) lookups plus the candidates checked.
     """
     width = book.codeword_len
     if len(y) != width:
         raise ValueError(f"window must have {width} bits")
     e = book.e
-    dists = (book._concat_windows_np != y.to_numpy()).sum(axis=1)
-    hits = np.flatnonzero(dists <= e)
-    if len(hits) == 0:
+    v = y.value
+    candidates: set[int] = set()
+    for lo, hi, keys, offsets in book._pigeonhole:
+        key = np.uint64((v >> lo) & ((1 << (hi - lo)) - 1))
+        a = keys.searchsorted(key)
+        b = keys.searchsorted(key, side="right")
+        candidates.update(offsets[a:b].tolist())
+    concat = book.concat.value
+    mask = (1 << width) - 1
+    hits = [t for t in sorted(candidates) if (((concat >> t) & mask) ^ v).bit_count() <= e]
+    if not hits:
         raise DecodeFailure(f"no index alignment within {e} errors")
     if len(hits) > 1:
-        raise DecodeFailure(f"ambiguous index alignment at offsets {hits.tolist()}")
-    return int(hits[0]) // width
+        raise DecodeFailure(f"ambiguous index alignment at offsets {hits}")
+    return hits[0] // width
 
 
 def book_to_json(book: IndexBook) -> str:

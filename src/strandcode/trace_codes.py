@@ -22,6 +22,7 @@ import hashlib
 import json
 import math
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
@@ -459,7 +460,7 @@ def _check_trace_meta(tr: Trace, params) -> None:
 # Block layout
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # hashed by identity, as a cache key
 class _Layout:
     kind: np.ndarray
     csub: np.ndarray
@@ -520,8 +521,12 @@ def _gamma0_layout(params: "Gamma0Params") -> _Layout:
 @dataclass(frozen=True)
 class _Blocks:
     total: int
-    group: np.ndarray
-    is_start: np.ndarray
+    group: list[int]  # non-decreasing: each group is a run of blocks
+    is_start: list[bool]
+
+    def span(self, g: int) -> tuple[int, int]:
+        """First block of group g and the block after its last."""
+        return bisect_left(self.group, g), bisect_right(self.group, g)
 
 
 @lru_cache(maxsize=None)
@@ -535,13 +540,13 @@ def _block_table(params: TraceParams) -> _Blocks:
         is_start[lo] = True
     if not params.divisible:
         group[params.n_L] = params.group_count - 1
-    return _Blocks(total=total, group=group, is_start=is_start)
+    return _Blocks(total=total, group=group.tolist(), is_start=is_start.tolist())
 
 
 @lru_cache(maxsize=None)
-def _payload_positions(params: TraceParams) -> np.ndarray:
-    """Sorted positions of the codeword that carry payload bits."""
-    return np.flatnonzero(np.resize(_trace_layout(params).kind == _V, params.n))
+def _payload_mask(params: TraceParams) -> np.ndarray:
+    """Whether each position of the codeword carries a payload bit."""
+    return np.resize(_trace_layout(params).kind == _V, params.n)
 
 
 def _layover_v_counts(params, layout: _Layout) -> int:
@@ -758,25 +763,25 @@ def _split_index_window(win: BitSeq, q: int, lay: _Layout, width: int) -> tuple[
     suffix of its index codeword (S); positions after carry a prefix of the
     next one (P).  Returns (S, P, len(P)).
     """
-    L_min = len(lay.kind)
+    s_pos, p_pos = _index_positions(lay, q, width)
     arr = win.to_numpy()
+    return BitSeq.from_numpy(arr[s_pos]), BitSeq.from_numpy(arr[p_pos]), len(p_pos)
+
+
+@lru_cache(maxsize=None)
+def _index_positions(lay: _Layout, q: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Window positions of S and of P, each in codeword order, for a
+    window whose block boundary is at q."""
+    L_min = len(lay.kind)
     offs = (np.arange(L_min) - q) % L_min
     sel = lay.kind[offs] == _C
     tpos = np.flatnonzero(sel)
     subs = lay.csub[offs[sel]]
     at = tpos >= q
-    p_bits = arr[tpos[at]]
-    s_bits = arr[tpos[~at]]
     mu = int(at.sum())
     assert np.array_equal(np.sort(subs[at]), np.arange(mu))
     assert np.array_equal(np.sort(subs[~at]), np.arange(mu, width))
-    order_p = np.argsort(subs[at])
-    order_s = np.argsort(subs[~at])
-    return (
-        BitSeq.from_numpy(s_bits[order_s]),
-        BitSeq.from_numpy(p_bits[order_p]),
-        mu,
-    )
+    return tpos[~at][np.argsort(subs[~at])], tpos[at][np.argsort(subs[at])]
 
 
 def _read_flag(y: BitSeq, b: int, params: TraceParams) -> int | None:
@@ -877,23 +882,25 @@ def _analyze_read(
 
 
 def _candidate_offsets(info: _FragInfo, params: TraceParams) -> list[int]:
+    """Ascending offsets at which the read's boundaries, flags and known
+    groups all agree with the block table.  Only the blocks of one group
+    are tried, so the cost does not grow with the number of groups."""
     blocks = _block_table(params)
     L_min = params.L_min
     ln = len(info.arr)
     known = [
         (b, g) for b, g in zip(info.boundaries, info.groups) if g is not None
     ]
-    raw: set[int] = set()
     if known:
         b_ref, g_ref = known[0]
-        for B in np.flatnonzero(blocks.group == g_ref):
-            raw.add(int(B) * L_min - b_ref)
+        first, end = blocks.span(g_ref)
+        shift = -b_ref
     else:
         # only the block ending at the anchor is identified
-        for B in np.flatnonzero(blocks.group == info.anchor_group):
-            raw.add((int(B) + 1) * L_min - info.anchor_pos)
+        first, end = blocks.span(info.anchor_group)
+        shift = L_min - info.anchor_pos
     out = []
-    for off in sorted(raw):
+    for off in range(first * L_min + shift, end * L_min + shift, L_min):
         if off < 0 or off + ln > params.n:
             continue
         ok = True
@@ -902,10 +909,10 @@ def _candidate_offsets(info: _FragInfo, params: TraceParams) -> list[int]:
             if B >= blocks.total:
                 ok = False
                 break
-            if f is not None and (f == 0) != bool(blocks.is_start[B]):
+            if f is not None and (f == 0) != blocks.is_start[B]:
                 ok = False
                 break
-            if g is not None and int(blocks.group[B]) != g:
+            if g is not None and blocks.group[B] != g:
                 ok = False
                 break
         if ok:
@@ -928,10 +935,8 @@ def _overlap_matches(
     """
     lo = max(a_off, b_off)
     hi = min(a_off + len(a_arr), b_off + len(b_arr))
-    vpos = _payload_positions(params)
-    pos = vpos[np.searchsorted(vpos, lo) : np.searchsorted(vpos, hi)]
-    dist = int((a_arr[pos - a_off] != b_arr[pos - b_off]).sum())
-    return dist <= 2 * params.e
+    differ = a_arr[lo - a_off : hi - a_off] != b_arr[lo - b_off : hi - b_off]
+    return np.count_nonzero(differ & _payload_mask(params)[lo:hi]) <= 2 * params.e
 
 
 def _place_all(

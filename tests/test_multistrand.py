@@ -1,5 +1,6 @@
 """Multi-strand codes: wrapped slicing, indexed strands, outer protection."""
 
+import hashlib
 import json
 import warnings
 
@@ -385,6 +386,21 @@ class TestMultiGamma0:
         wrong_k = Trace(mt.n, mt.L_min, 0, 0, mt.fragments, k=3)
         with pytest.raises(LayoutError):
             multi_gamma0_decode(wrong_k, gp2, gbook2)
+
+    def test_k16_decode_report_is_pinned(self):
+        # I = 8: reads are placed through the index-book lookup alone
+        p = derive_multi_gamma0_params(1100, 16, 1, L_min=110, K=32, r_I=18)
+        book = multi_gamma0_book(p)
+        rng = np.random.default_rng(5)
+        per = multi_gamma0_message_len(p) // p.k
+        msgs = tuple(BitSeq.random(per, rng) for _ in range(p.k))
+        ss = multi_gamma0_encode(msgs, p, book)
+        mt = fragment_strands(ss, gamma_cfg(p, 11)).strip_truth()
+        got, rep = multi_gamma0_decode(mt, p, book)
+        assert p.I == 8 and len(mt.fragments) == 242
+        assert got == msgs
+        digest = hashlib.sha256(repr(rep).encode()).hexdigest()
+        assert digest == "e2e5d10ff2b70ad6a66c99f7be2a8c8be45e55ac488bd3b581050bd652d6a423"
 
     def test_unplaceable_read_fails_strict_decoding(self, gp2, gbook2, gcoded2):
         _, ss = gcoded2

@@ -1,13 +1,21 @@
+import contextlib
+import hashlib
+import io
+import json
+
 import numpy as np
 import pytest
 
 from strandcode.bitseq import BitSeq
+from strandcode.cli import main
 from strandcode.errors import DecodeFailure, LayoutError, SearchExhausted
 from strandcode.oracle import check_p123, check_sd_exhaustive
 from strandcode.positioning import (
+    IndexBook,
     book_from_json,
     book_to_json,
     build_index_book,
+    certify_book,
     find_marker,
     locate_index,
 )
@@ -115,3 +123,102 @@ def test_build_is_deterministic():
     a = build_index_book(I=3, d=3, K_marker=8, r_I=16, seed=42)
     b = build_index_book(I=3, d=3, K_marker=8, r_I=16, seed=42)
     assert a.codewords == b.codewords
+
+
+# the greedy search's random draws, and so the books, are part of the
+# format: a book is rebuilt from its parameters and seed
+@pytest.mark.parametrize(
+    "I, seed, K, r_I, digest",
+    [
+        (4, 0, 8, 16, "664232cbdec787c9ba1968a122519b4bb26ccea5fefc8f6bd3006594a07f21d9"),
+        (4, 1, 8, 16, "4506a0518ca9e24b2762f077f892a37c14af4e53e414cc03d44837d2ac51c2ae"),
+        (3, 42, 8, 16, "8616a4c6ce6d93afb20c9aa6725a295468d515d5800e94b245ab6f1cd6b75c64"),
+        (7, 0, 32, 18, "8f3a150f2de295cb98b61a888ff029c1db8022ff6e82a6602e1983771110ef4a"),
+        (9, 0, 32, 18, "7f9ff9e5cdcbe2e5a3e22f2ed87b57c4b83e11175775c3394687500b9aea0fa8"),
+    ],
+)
+def test_build_draws_are_pinned(I, seed, K, r_I, digest):
+    b = build_index_book(I=I, d=3, K_marker=K, r_I=r_I, seed=seed)
+    text = "".join(c.to_text() for c in b.codewords)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.fixture(scope="module")
+def book7():
+    return build_index_book(I=7, d=3, K_marker=32, r_I=18, seed=0)
+
+
+@pytest.fixture(scope="module")
+def planted7(book7):
+    """An I=7 book whose codewords 5 and 9 are at distance 1."""
+    cw = list(book7.codewords)
+    cw[5] = cw[9].with_bit(0, not cw[9][0])
+    return IndexBook(book7.I, book7.r_I, book7.d, book7.K_marker, tuple(cw), book7.marker)
+
+
+def test_certify_rejects_close_pair_above_exhaustive_limit(planted7):
+    # above I = 6 the concatenation is too long for the oracle's scan,
+    # and a sampled pair check can miss the one close pair
+    with pytest.raises(SearchExhausted):
+        certify_book(planted7)
+
+
+def test_verify_book_cli_rejects_close_pair(planted7, tmp_path):
+    path = tmp_path / "planted.json"
+    path.write_text(book_to_json(planted7))
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["verify", "book", "--in", str(path)])
+    row = json.loads(buf.getvalue().splitlines()[-1])
+    assert code == 1 and row["ok"] is False
+
+
+def _locate_by_scan(y, book):
+    """Reference: compare ``y`` with every window of the concatenation."""
+    width = book.codeword_len
+    wins = np.lib.stride_tricks.sliding_window_view(book.concat.to_numpy(), width)
+    hits = np.flatnonzero((wins != y.to_numpy()).sum(axis=1) <= book.e)
+    if len(hits) == 0:
+        raise DecodeFailure(f"no index alignment within {book.e} errors")
+    if len(hits) > 1:
+        raise DecodeFailure(f"ambiguous index alignment at offsets {hits.tolist()}")
+    return int(hits[0]) // width
+
+
+def _outcome(fn, y, book):
+    try:
+        return fn(y, book)
+    except DecodeFailure as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("which", ["I0", "I0-narrow", "I4", "I7", "planted"])
+def test_locate_matches_plain_scan(which, book, book7, planted7):
+    b = {
+        "I0": build_index_book(I=0, d=3, K_marker=8, r_I=10, seed=0),
+        # 2-bit codewords at e = 4: some pigeonhole parts are empty
+        "I0-narrow": build_index_book(I=0, d=9, K_marker=4, r_I=2, seed=0),
+        "I4": book,
+        "I7": book7,
+        "planted": planted7,
+    }[which]
+    W = b.codeword_len
+    concat = b.concat
+    rng = np.random.default_rng(8)
+    windows = list(b.codewords)
+    for trial in range(600):
+        if trial % 6 == 5:
+            y = BitSeq.random(W, rng)
+        else:
+            y = concat.window(int(rng.integers(0, len(concat) - W + 1)), W)
+            for p in rng.choice(W, size=min(W, trial % (b.e + 2)), replace=False):
+                y = y.with_bit(int(p), not y[int(p)])
+        windows.append(y)
+    outcomes = [_outcome(locate_index, y, b) for y in windows]
+    assert outcomes == [_outcome(_locate_by_scan, y, b) for y in windows]
+    assert any(isinstance(o, int) for o in outcomes)
+    assert any(str(o).startswith("no index") for o in outcomes) or which == "I0-narrow"
+    if which == "planted":
+        assert outcomes[5] == outcomes[9] == (
+            f"ambiguous index alignment at offsets {[5 * W, 9 * W]}"
+        )

@@ -14,6 +14,7 @@ from strandcode.constrained import auto_cyclic
 from strandcode.errors import DecodeFailure, InfeasibleParameters
 from strandcode.oracle import check_p123, check_sd_exhaustive, sd_min_pair_distance
 from strandcode.sd_encoder import (
+    _close_pairs_naive,
     _inner_codec,
     build_scaffold,
     contract_from_length,
@@ -334,3 +335,48 @@ class TestSDOracle:
         dist, (i, j) = sd_min_pair_distance(planted, L)
         assert dist == 1 and j - i == 2900
         assert sd_min_pair_distance(clean, L)[0] >= 3
+
+
+class TestClosePairs:
+    """The pigeonhole search against the textbook all-pairs scan."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_inputs(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            n = int(rng.integers(2, 300))
+            L = int(rng.integers(3, 40))
+            rho = int(rng.integers(0, 3))
+            bits = rng.integers(0, 2, n).astype(np.uint8)
+            assert _bitops.close_pairs(bits, L, rho) == _close_pairs_naive(bits, L, rho)
+
+    def test_planted_pairs(self):
+        rng = np.random.default_rng(9)
+        for L, rho in [(24, 2), (40, 1), (30, 0)]:
+            bits = rng.integers(0, 2, 500).astype(np.uint8)
+            for src, dst, flips in [(10, 200, rho), (50, 420, 0), (300, 330, rho)]:
+                bits[dst : dst + L] = bits[src : src + L]
+                bits[dst + rng.choice(L, size=flips, replace=False)] ^= 1
+            got = _bitops.close_pairs(bits, L, rho)
+            assert got == _close_pairs_naive(bits, L, rho)
+            assert len(got) >= 3
+
+    def test_duplicate_windows_at_rho_zero(self):
+        # periodic and sparse strings repeat windows many times over, so the
+        # equal-key runs are long
+        periodic = np.tile(np.array([1, 0, 0, 1, 1], dtype=np.uint8), 40)
+        sparse = (np.random.default_rng(2).random(300) < 0.03).astype(np.uint8)
+        for bits in (periodic, sparse):
+            got = _bitops.close_pairs(bits, 12, 0)
+            assert got == _close_pairs_naive(bits, 12, 0)
+            assert len(got) > 100
+
+    def test_windows_spanning_several_words(self):
+        rng = np.random.default_rng(4)
+        bits = rng.integers(0, 2, 700).astype(np.uint8)
+        bits[500:630] = bits[20:150]
+        bits[[510, 600]] ^= 1
+        for L, rho in [(65, 2), (130, 2), (150, 3)]:
+            got = _bitops.close_pairs(bits, L, rho)
+            assert got == _close_pairs_naive(bits, L, rho)
+        assert (20, 500, 2) in _bitops.close_pairs(bits, 130, 2)

@@ -35,6 +35,7 @@ from strandcode.trace_codes import (
 )
 from strandcode.trace_codes import (
     _analyze_read,
+    _block_table,
     _candidate_offsets,
     _overlap_matches,
     _place_all,
@@ -522,6 +523,51 @@ class TestPlacementRegression:
                     except DecodeFailure as exc:
                         outcomes.append(str(exc))
                 assert outcomes[0] == outcomes[1], f"case {t}, lenient={lenient}"
+
+
+    def test_candidate_offsets_match_block_scan(self, p8, coded8):
+        book, _, w = coded8
+        lay = _trace_layout(p8)
+        cfg = ChannelConfig(
+            L_min=p8.L_min, L_over=p8.L_over, e=p8.e, seed=1,
+            strategy="adversarial-min", error_mode="overlap-concentrated",
+        )
+        checked = 0
+        for tr in (corrupt(fragment(w, cfg), cfg), _damaged_trace(p8, w, 3)):
+            for idx, f in enumerate(tr.strip_truth().fragments):
+                info = _analyze_read(idx, f.bits, p8, book, lay, True)
+                if info is not None:
+                    assert _candidate_offsets(info, p8) == _candidate_offsets_by_scan(info, p8)
+                    checked += 1
+        assert checked > 1000
+
+
+def _candidate_offsets_by_scan(info, params):
+    """Reference: try every block of the whole table that belongs to the
+    read's reference group."""
+    blocks = _block_table(params)
+    group = np.array(blocks.group)
+    L_min = params.L_min
+    known = [(b, g) for b, g in zip(info.boundaries, info.groups) if g is not None]
+    if known:
+        b_ref, g_ref = known[0]
+        raw = {int(B) * L_min - b_ref for B in np.flatnonzero(group == g_ref)}
+    else:
+        raw = {(int(B) + 1) * L_min - info.anchor_pos
+               for B in np.flatnonzero(group == info.anchor_group)}
+    out = []
+    for off in sorted(raw):
+        if off < 0 or off + len(info.arr) > params.n:
+            continue
+        Bs = [(off + b) // L_min for b in info.boundaries]
+        if all(
+            B < blocks.total
+            and (f is None or (f == 0) == blocks.is_start[B])
+            and (g is None or blocks.group[B] == g)
+            for B, f, g in zip(Bs, info.flags, info.groups)
+        ):
+            out.append(off)
+    return out
 
 
 def _place_all_by_scan(infos, params, lenient):
