@@ -21,6 +21,7 @@ from .bitseq import BitSeq
 
 __all__ = [
     "auto_cyclic",
+    "ceil_log2",
     "enc_dist",
     "apply_dist",
     "ConstrainedCodec",
@@ -50,7 +51,7 @@ def auto_cyclic(d: int) -> BitSeq:
     if d < 1:
         raise ValueError("d must be positive")
     pieces = [BitSeq.ones(d)]
-    top = _ceil_log2(d)
+    top = ceil_log2(d)
     for i in range(top + 1):
         half = 1 << i
         pattern = (([1] * half) + ([0] * half)) * d
@@ -61,7 +62,7 @@ def auto_cyclic(d: int) -> BitSeq:
     return out
 
 
-def _ceil_log2(x: int) -> int:
+def ceil_log2(x: int) -> int:
     if x < 1:
         raise ValueError("log of non-positive value")
     return (x - 1).bit_length()
@@ -81,7 +82,7 @@ def enc_dist(x: BitSeq, y: BitSeq, L: int, rho: int) -> BitSeq:
     """
     if len(x) != L or len(y) != L:
         raise ValueError("both windows must have length L")
-    field = _ceil_log2(L + 1)
+    field = ceil_log2(L + 1)
     diff = x.value ^ y.value
     positions = []
     while diff:
@@ -101,7 +102,7 @@ def apply_dist(x: BitSeq, diff: BitSeq, L: int, rho: int) -> BitSeq:
     """Invert :func:`enc_dist`: recover the second window from the first."""
     if len(x) != L:
         raise ValueError("window must have length L")
-    field = _ceil_log2(L + 1)
+    field = ceil_log2(L + 1)
     if len(diff) != rho * field:
         raise ValueError(f"difference record must have length {rho * field}")
     val = x.value
@@ -388,8 +389,8 @@ def wwl_decode(x: BitSeq, K: int, d: int, chunk: int = 512) -> BitSeq:
 @lru_cache(maxsize=64)
 def _index_codec(n: int, d: int) -> tuple[int, ConstrainedCodec]:
     """Field length and codec carrying ``n`` distinct weight-limited indices."""
-    c = _ceil_log2(n)
-    llog = _ceil_log2(c)
+    c = ceil_log2(n)
+    llog = ceil_log2(c)
     window = d * llog
     length = c + d
     codec = ConstrainedCodec(window, d, length)

@@ -9,7 +9,11 @@ superstring and decodes with the ordinary machinery.  The interleaved
 family keeps the strands disjoint and instead gives every block of every
 strand an absolute index from one shared book, so a single read names its
 (strand, offset) pair outright; an outer MDS layer across strands then
-buys back wholly corrupted or missing strands.
+buys back wholly corrupted or missing strands.  This module holds the strand
+sets, the wrapped family and the interleaved family's params and entry
+points; the interleaved family runs on the indexed core of
+:mod:`strandcode.blocks`, shared with the single-strand γ=0 code, and its
+outer layer on the lanes of :mod:`strandcode.outer`.
 
 Strand sets are multisets: order never matters, duplicates are counted.
 """
@@ -20,36 +24,26 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .bitseq import BitSeq
-from .channel import ChannelConfig, Fragment, Trace, fragment
-from .constrained import auto_cyclic
-from .errors import DecodeFailure, InfeasibleParameters, LayoutError, SearchExhausted
-from .positioning import IndexBook, build_index_book, default_r_I, find_marker, locate_index
-from .trace_codes import (
+from .blocks import (
+    BlockGeometry,
     ReconReport,
-    TraceParams,
-    encode_trace,
-    encode_trace_nondiv,
-    reconstruct_trace,
-    _C,
-    _MARK,
-    _V,
-    _block_bytes,
-    _build_layout,
-    _check_book,
-    _codec,
-    _Layout,
-    _marker_offenders,
-    _merge_placed,
-    _rs_decode,
-    _rs_encode,
-    _split_index_window,
+    indexed_book,
+    indexed_encode,
+    indexed_geometry,
+    indexed_locate,
+    indexed_reconstruct,
+    require_feasible,
 )
+from .channel import ChannelConfig, Fragment, Trace, fragment
+from .errors import DecodeFailure, LayoutError
+from .outer import lane_decode, lane_encode, lane_message_len
+from .positioning import IndexBook
+from .trace_codes import TraceParams, encode_trace, encode_trace_nondiv, reconstruct_trace
 
 __all__ = [
     "StrandSet",
@@ -273,11 +267,12 @@ def wrap_decode(
 # reads v . p . c_{i*n_bar} . v . p . c_{i*n_bar+1} . ... . tail: each
 # L_min-period carries a payload slice first and its marker and absolute
 # index at the end, so every length-L_min window covers one whole
-# marker-index pair, cut cyclically at worst.
+# marker-index pair, cut cyclically at worst.  Encoding, location and
+# decoding are the indexed core's (blocks.py) with marker phase m'.
 
 
 @dataclass(frozen=True)
-class MultiGamma0Params:
+class MultiGamma0Params(BlockGeometry):
     """Geometry for k disjoint strands with globally indexed blocks."""
 
     n: int
@@ -293,10 +288,6 @@ class MultiGamma0Params:
     w_window: int
     w_floor: int
     violations: tuple[str, ...] = ()
-
-    @property
-    def marker_len(self) -> int:
-        return self.K + self.ell
 
     @property
     def L_over(self) -> int:
@@ -316,8 +307,16 @@ class MultiGamma0Params:
         return self.k * self.n_bar
 
     @property
-    def feasible(self) -> bool:
-        return not self.violations
+    def strand_blocks(self) -> int:
+        return self.n_bar
+
+    @property
+    def message_blocks(self) -> int:
+        return self.n_bar
+
+    @property
+    def marker_phase(self) -> int:
+        return self.m_prime
 
     @property
     def rate(self) -> float:
@@ -353,41 +352,18 @@ def derive_multi_gamma0_params(
         L_min = math.ceil(a * lognk)
     if n < L_min:
         raise ValueError("strands must hold at least one block")
-    d = 2 * e + 1
-    ell = len(auto_cyclic(d))
     L_star = wrap_remainder(n, L_min, 0)
     n_bar = (n - L_star) // L_min
     I = max(1, math.ceil(math.log2(n_bar * k))) if n_bar * k > 1 else 1
     if K is None:
         K = math.ceil(math.sqrt(lognk))
-    if r_I is None:
-        r_I = default_r_I(I, d)
-    m_prime = L_min - (I + r_I + K + ell)
+    geometry = indexed_geometry(L_min, e, I, K, r_I)
+    if L_star > max(geometry["m_prime"], 0):
+        geometry["violations"] += ("tail-window",)
 
-    violations: list[str] = []
-    if m_prime < d + 1:
-        violations.append("payload-space")
-    if K // 4 >= d:
-        w_window, w_floor = K // 4, d
-    elif K >= d:
-        w_window, w_floor = K, d
-    else:
-        violations.append("weight-window")
-        w_window, w_floor = max(K, 1), 1
-    if m_prime >= d + 1:
-        cap = _codec(w_window, w_floor, m_prime, 512).msg_len
-        if cap < m_prime - d:
-            violations.append("payload-capacity")
-    if L_star > max(m_prime, 0):
-        violations.append("tail-window")
-
-    params = MultiGamma0Params(
-        n=n, k=k, e=e, L_min=L_min, d=d, ell=ell, I=I, r_I=r_I, K=K,
-        m_prime=m_prime, w_window=w_window, w_floor=w_floor,
-        violations=tuple(violations),
-    )
-    if strict and violations:
-        raise InfeasibleParameters("infeasible block geometry: " + ", ".join(violations))
+    params = MultiGamma0Params(n=n, k=k, e=e, L_min=L_min, I=I, K=K, **geometry)
+    if strict:
+        require_feasible(params, "infeasible block geometry")
     return params
 
 
@@ -396,25 +372,7 @@ def multi_gamma0_message_len(params: MultiGamma0Params) -> int:
     return params.index_count * (params.m_prime - params.d)
 
 
-def multi_gamma0_book(params: MultiGamma0Params, seed: int = 0) -> IndexBook:
-    return build_index_book(params.I, params.d, params.K, r_I=params.r_I, seed=seed)
-
-
-@lru_cache(maxsize=None)
-def _multi_layout(params: MultiGamma0Params) -> _Layout:
-    width = params.I + params.r_I
-    segs = [(_MARK, params.marker_len), (_C, width), (_V, params.m_prime)]
-    return _build_layout(params.L_min, segs)
-
-
-@lru_cache(maxsize=None)
-def _multi_tail(params: MultiGamma0Params) -> BitSeq:
-    # never decoded; it only has to respect the weight constraint so that
-    # no window over the strand tail can fake a marker
-    if params.L_star == 0:
-        return BitSeq.zeros(0)
-    codec = _codec(params.w_window, params.w_floor, params.L_star, 512)
-    return codec.encode(BitSeq.zeros(codec.msg_len))
+multi_gamma0_book = indexed_book
 
 
 def multi_gamma0_encode(
@@ -426,64 +384,7 @@ def multi_gamma0_encode(
     decoder needs no overlap between reads, and no two blocks anywhere in
     the set look alike.
     """
-    if not params.feasible:
-        raise InfeasibleParameters(
-            "cannot encode with violated geometry: " + ", ".join(params.violations)
-        )
-    book = book if book is not None else multi_gamma0_book(params)
-    _check_book(params, book, params.d)
-    if len(messages) != params.k:
-        raise ValueError(f"need {params.k} strand messages, got {len(messages)}")
-    body = params.m_prime - params.d
-    want = params.n_bar * body
-    codec = _codec(params.w_window, params.w_floor, params.m_prime, 512)
-    pad = BitSeq.zeros(codec.msg_len - body)
-    tail = _multi_tail(params).to_numpy()
-    marker = book.marker.to_numpy()
-    width = params.I + params.r_I
-    L_min = params.L_min
-    strands = []
-    for i, m_i in enumerate(messages):
-        if len(m_i) != want:
-            raise ValueError(f"strand {i} message must have {want} bits, got {len(m_i)}")
-        arr = np.zeros(params.n, dtype=np.uint8)
-        for j in range(params.n_bar):
-            v = codec.encode(m_i.window(j * body, body) + pad)
-            base = j * L_min
-            arr[base : base + params.m_prime] = v.to_numpy()
-            mk = base + params.m_prime
-            arr[mk : mk + params.marker_len] = marker
-            cw = book.codewords[i * params.n_bar + j]
-            arr[mk + params.marker_len : mk + params.marker_len + width] = cw.to_numpy()
-        if params.L_star:
-            arr[params.n_bar * L_min :] = tail
-        if _marker_offenders(arr, L_min, params.d, marker, params.n_bar, phase0=params.m_prime):
-            raise SearchExhausted(
-                f"payload bits of strand {i} collided with the marker pattern"
-            )
-        strands.append(BitSeq.from_numpy(arr))
-    return StrandSet(params.n, tuple(strands))
-
-
-def _locate_multi(
-    y: BitSeq, s: int, params: MultiGamma0Params, book: IndexBook, lay: _Layout
-) -> tuple[int, int]:
-    """(strand, in-strand offset) of a read, from its window at s alone."""
-    width = params.I + params.r_I
-    win = y.window(s, params.L_min)
-    q = find_marker(win, book, params.e)
-    S, P, mu = _split_index_window(win, q, lay, width)
-    if mu == width:
-        abs_i = locate_index(P, book)
-    else:
-        abs_i = locate_index(S + P, book) + 1
-    if abs_i >= params.index_count:
-        raise DecodeFailure("block index runs past the last block")
-    strand, j = divmod(abs_i, params.n_bar)
-    off = params.m_prime + j * params.L_min - (s + q)
-    if off < 0 or off + len(y) > params.n:
-        raise DecodeFailure("located read does not fit inside its strand")
-    return strand, off
+    return StrandSet(params.n, indexed_encode(messages, params, book))
 
 
 def multi_gamma0_locate(
@@ -493,90 +394,7 @@ def multi_gamma0_locate(
     if len(y) < params.L_min:
         raise LayoutError("a read is shorter than the block length")
     book = book if book is not None else multi_gamma0_book(params)
-    return _locate_multi(y, 0, params, book, _multi_layout(params))
-
-
-def _check_multi_meta(mt: Trace, params: MultiGamma0Params) -> None:
-    if mt.k != params.k:
-        raise LayoutError(f"trace header says k={mt.k}, expected {params.k}")
-    if mt.n != params.n or mt.L_min != params.L_min or mt.L_over != 0:
-        raise LayoutError("trace geometry does not match the code parameters")
-    if mt.e > params.e:
-        raise LayoutError("trace error budget exceeds the code tolerance")
-
-
-def _multi_reconstruct(
-    mt: Trace, params: MultiGamma0Params, book: IndexBook, lenient: bool
-) -> tuple[tuple[BitSeq, ...], ReconReport, set[int]]:
-    _check_multi_meta(mt, params)
-    _check_book(params, book, params.d)
-    lay = _multi_layout(params)
-    placed: dict[int, int] = {}
-    skipped: set[int] = set()
-    for idx, frag in enumerate(mt.fragments):
-        y = frag.bits
-        if len(y) < params.L_min:
-            raise LayoutError("a read is shorter than the block length")
-        last: Exception | None = None
-        for s in range(len(y) - params.L_min + 1) if lenient else range(1):
-            try:
-                strand, off = _locate_multi(y, s, params, book, lay)
-            except (LayoutError, DecodeFailure) as exc:
-                last = exc
-                continue
-            placed[idx] = strand * params.n + off
-            break
-        else:
-            if not lenient:
-                raise DecodeFailure(f"read {idx} cannot be located") from last
-            skipped.add(idx)
-
-    merged, tie_pos, gaps = _merge_placed(mt, placed, params.k * params.n, lenient)
-
-    codec = _codec(params.w_window, params.w_floor, params.m_prime, 512)
-    body = params.m_prime - params.d
-    messages: list[BitSeq] = []
-    damaged: set[int] = set()
-    for i in range(params.k):
-        m_i = BitSeq.zeros(0)
-        for j in range(params.n_bar):
-            base = i * params.n + j * params.L_min
-            w_ij = BitSeq.from_numpy(merged[base : base + params.m_prime])
-            try:
-                plain = codec.decode(w_ij)
-            except ValueError:
-                # a corrupted or missing span leaves the constrained code;
-                # report zeros and let the outer layer or the reliability
-                # audit deal with it
-                damaged.add(i)
-                plain = BitSeq.zeros(codec.msg_len)
-            m_i = m_i + plain.window(0, body)
-        messages.append(m_i)
-
-    located: list[tuple[int | None, int | None]] = []
-    max_err = 0
-    for idx in range(len(mt.fragments)):
-        if idx in placed:
-            off = placed[idx]
-            arr = mt.fragments[idx].bits.to_numpy()
-            err = int((arr != merged[off : off + len(arr)]).sum())
-            max_err = max(max_err, err)
-            located.append((off, err))
-        else:
-            located.append((None, None))
-    reliable = (
-        not skipped and not gaps and not tie_pos and not damaged and max_err <= params.e
-    )
-    full = BitSeq.zeros(0)
-    for m_i in messages:
-        full = full + m_i
-    report = ReconReport(
-        message=full,
-        located=tuple(located),
-        tie_positions=tie_pos,
-        reliable=reliable,
-    )
-    return tuple(messages), report, damaged
+    return indexed_locate(y, 0, params, book)
 
 
 def multi_gamma0_decode(
@@ -588,30 +406,21 @@ def multi_gamma0_decode(
     the union may arrive in any order.  Reported offsets are flattened as
     ``strand * n + offset``.
     """
-    book = book if book is not None else multi_gamma0_book(params)
-    messages, report, _ = _multi_reconstruct(mt, params, book, lenient=False)
+    messages, report, _ = indexed_reconstruct(mt, params, book, lenient=False)
     return messages, report
 
 
 # ---------------------------------------------------------------------------
-# Outer MDS layer across strands
+# Outer MDS layer across strands: the k strand payloads are the blocks of
+# the outer lanes (see outer.py), so any tau bad strands are recoverable.
 
 
-def _multi_rs_geometry(params: MultiGamma0Params, tau: int) -> tuple[int, int]:
-    if tau < 0 or 2 * tau >= params.k:
-        raise ValueError("need 0 <= 2 * tau < k")
-    if params.k > 255:
-        raise InfeasibleParameters("outer code length k exceeds the field size")
-    per = params.n_bar * (params.m_prime - params.d)
-    lane_bytes = per // 8
-    if lane_bytes < 1:
-        raise InfeasibleParameters("strand payload too small for one outer symbol")
-    return lane_bytes, 8 * lane_bytes
+def _strand_payload_bits(params: MultiGamma0Params) -> int:
+    return params.n_bar * (params.m_prime - params.d)
 
 
 def multi_gamma0_rs_message_len(params: MultiGamma0Params, tau: int) -> int:
-    _, block_bits = _multi_rs_geometry(params, tau)
-    return (params.k - 2 * tau) * block_bits
+    return lane_message_len(params.k, tau, _strand_payload_bits(params))
 
 
 def encode_multi_gamma0_rs(
@@ -623,25 +432,7 @@ def encode_multi_gamma0_rs(
     corrupted strand costs one symbol per lane and any tau strands are
     recoverable.
     """
-    lane_bytes, block_bits = _multi_rs_geometry(params, tau)
-    want = multi_gamma0_rs_message_len(params, tau)
-    if len(m) != want:
-        raise ValueError(f"message must have {want} bits, got {len(m)}")
-    data = [m.window(i * block_bits, block_bits) for i in range(params.k - 2 * tau)]
-    lanes = [_block_bytes(b, lane_bytes) for b in data]
-    parity = [[0] * lane_bytes for _ in range(2 * tau)]
-    for s in range(lane_bytes):
-        word = _rs_encode([lanes[i][s] for i in range(len(data))], 2 * tau)
-        for j in range(2 * tau):
-            parity[j][s] = word[len(data) + j]
-    blocks = list(data)
-    for j in range(2 * tau):
-        bits = BitSeq.zeros(0)
-        for s in range(lane_bytes):
-            bits = bits + BitSeq.from_int(parity[j][s], 8)
-        blocks.append(bits)
-    per = params.n_bar * (params.m_prime - params.d)
-    messages = [b + BitSeq.zeros(per - block_bits) for b in blocks]
+    messages = lane_encode(m, params.k, tau, _strand_payload_bits(params))
     return multi_gamma0_encode(messages, params, book)
 
 
@@ -654,26 +445,12 @@ def reconstruct_multi_gamma0_rs(
     filled, so a corrupted or lost strand surfaces as one bad outer symbol
     per lane rather than aborting the decode.  More than tau bad strands
     is reported as a failure, by lane decode failure or by the corrected
-    positions outnumbering tau.
+    positions outnumbering tau.  Any outer correction makes the result
+    unreliable.
     """
-    lane_bytes, block_bits = _multi_rs_geometry(params, tau)
-    book = book if book is not None else multi_gamma0_book(params)
-    raw, report, damaged = _multi_reconstruct(mt, params, book, lenient=True)
-    words = [_block_bytes(m_i.window(0, block_bits), lane_bytes) for m_i in raw]
-    bad: set[int] = set(damaged)
-    fixed = [list(w) for w in words]
-    for s in range(lane_bytes):
-        word = [words[i][s] for i in range(params.k)]
-        out, positions = _rs_decode(word, 2 * tau)
-        bad.update(positions)
-        for i in range(params.k):
-            fixed[i][s] = out[i]
-    if len(bad) > tau:
-        raise DecodeFailure(
-            f"{len(bad)} corrupted strands exceed the outer budget {tau}"
-        )
-    message = BitSeq.zeros(0)
-    for i in range(params.k - 2 * tau):
-        for s in range(lane_bytes):
-            message = message + BitSeq.from_int(fixed[i][s], 8)
-    return dataclasses.replace(report, message=message)
+    multi_gamma0_rs_message_len(params, tau)  # checks the outer geometry first
+    raw, report, damaged = indexed_reconstruct(mt, params, book, lenient=True)
+    message, corrected = lane_decode(raw, tau, damaged)
+    return dataclasses.replace(
+        report, message=message, reliable=report.reliable and not corrected
+    )

@@ -20,7 +20,7 @@ from . import _bitops
 from .bitseq import BitSeq
 from .constrained import auto_cyclic
 from .errors import DecodeFailure, LayoutError, SearchExhausted
-from .oracle import check_p123, check_sd_exhaustive
+from .oracle import check_p123
 
 __all__ = [
     "IndexBook",
@@ -226,9 +226,10 @@ def _certify(book: IndexBook) -> None:
     """Check the book invariants exactly, at every I.
 
     Every codeword must pass its window weight check and the concatenation
-    must be (I + r_I, d)-substring distant: for I <= 6 through the oracle's
-    exhaustive scan, above through the pigeonhole close-pair search.  The
-    piece-family conditions (P1-P3) are checked only for I <= 6.
+    must be (I + r_I, d)-substring distant, checked by the exact pigeonhole
+    close-pair search; the oracle's independent scans stay free to check
+    this code.  The piece-family conditions (P1-P3) are checked only for
+    I <= 6.
     """
     width = book.codeword_len
     wwl_window = 3 * math.ceil(1.5 * math.log2(width)) + len(book.marker) - book.K_marker
@@ -237,13 +238,10 @@ def _certify(book: IndexBook) -> None:
     for c in book.codewords:
         if not is_wwl(c, wwl_window, book.d):
             raise SearchExhausted("book codeword fails its window weight invariant")
-    if book.I <= _CERTIFY_FULL_LIMIT:
-        if not check_sd_exhaustive(book.concat, width, book.d):
-            raise SearchExhausted("book concatenation fails the exhaustive SD check")
-        if not check_p123(book.codewords, wwl_window, book.d):
-            raise SearchExhausted("book family fails the piece-family conditions")
-    elif _bitops.close_pairs(book.concat.to_numpy(), width, book.d - 1):
+    if _bitops.close_pairs(book.concat.to_numpy(), width, book.d - 1):
         raise SearchExhausted("book concatenation fails the SD check")
+    if book.I <= _CERTIFY_FULL_LIMIT and not check_p123(book.codewords, wwl_window, book.d):
+        raise SearchExhausted("book family fails the piece-family conditions")
 
 
 def find_marker(y: BitSeq, book: IndexBook, e: int) -> int:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _bitops
 from .bitseq import BitSeq, is_sd, is_wwl
-from .constrained import ConstrainedCodec, _ceil_log2, apply_dist, auto_cyclic, enc_dist
+from .constrained import ConstrainedCodec, ceil_log2, apply_dist, auto_cyclic, enc_dist
 from .errors import DecodeFailure, InfeasibleParameters, SearchExhausted, StrandcodeError
 
 __all__ = [
@@ -75,12 +75,12 @@ class SdParams:
 
     @property
     def log_n(self) -> int:
-        return _ceil_log2(self.n)
+        return ceil_log2(self.n)
 
     @property
     def llog(self) -> int:
         """ceil(log ceil(log n)), the base unit of all marker lengths."""
-        return _ceil_log2(_ceil_log2(self.n))
+        return ceil_log2(ceil_log2(self.n))
 
     @property
     def zero_len(self) -> int:
@@ -95,12 +95,12 @@ class SdParams:
     @property
     def diff_len(self) -> int:
         """Width of the fixed-size record of up to d-1 differing positions."""
-        return (self.d - 1) * _ceil_log2(self.L1 + 1)
+        return (self.d - 1) * ceil_log2(self.L1 + 1)
 
     @property
     def tail_len(self) -> int:
         """Width of the field distinguishing the two rewrite branches."""
-        return _ceil_log2(self.d + 1)
+        return ceil_log2(self.d + 1)
 
     @property
     def insert_len(self) -> int:
@@ -141,14 +141,14 @@ def derive_sd_params(n: int, d: int, strict: bool = True) -> SdParams:
     """
     if n < 4 or d < 1:
         raise ValueError("require n >= 4 and d >= 1")
-    log_n = _ceil_log2(n)
-    llog = _ceil_log2(log_n)
-    L1 = log_n + (2 * d - 1) * llog + 6 * d + _ceil_log2(d + 1)
+    log_n = ceil_log2(n)
+    llog = ceil_log2(log_n)
+    L1 = log_n + (2 * d - 1) * llog + 6 * d + ceil_log2(d + 1)
     K1 = d * llog + d
     L2 = log_n + (3 * d + 7) * llog
     # K2 = 3 * ceil(1.5 * log2(L2)), computed exactly in integer arithmetic
-    K2 = 3 * ((_ceil_log2(L2**3) + 1) // 2)
-    ell = d * _ceil_log2(d) + 2 * d
+    K2 = 3 * ((ceil_log2(L2**3) + 1) // 2)
+    ell = d * ceil_log2(d) + 2 * d
     K_max = max(K1, K2)
     L = max(L1 + K2 + K_max + ell, L2 + 2 * K1 + K_max + ell)
 
@@ -158,8 +158,8 @@ def derive_sd_params(n: int, d: int, strict: bool = True) -> SdParams:
         if not ok:
             bad.append(f"{name}: {detail}")
 
-    diff_len = (d - 1) * _ceil_log2(L1 + 1)
-    tail_len = _ceil_log2(d + 1)
+    diff_len = (d - 1) * ceil_log2(L1 + 1)
+    tail_len = ceil_log2(d + 1)
     insert_len = 4 * d + d * llog + (log_n + d) + diff_len + tail_len
     check(
         insert_len <= L1 - 1,
@@ -389,7 +389,7 @@ def restore_close_pairs(wbar: BitSeq, params: SdParams) -> BitSeq:
     p = params
     d = p.d
     pos_codec = _pos_codec(p.n, d)
-    field = _ceil_log2(p.L1 + 1)
+    field = ceil_log2(p.L1 + 1)
     cur = wbar
     while True:
         j = _rightmost_marker(cur, d, p.zero_len)

@@ -12,16 +12,20 @@ many positions while the right one disagrees on few.  The positionwise
 majority over the placed fragments is then inverted back to the message.
 
 Also here: the length-truncating variant for block counts that do not divide
-the string length, an outer MDS layer that survives whole-block corruption,
-and the non-overlapping family whose blocks carry absolute indices.
+the string length, the outer Reed-Solomon hardening across groups that
+survives whole-group corruption (lanes in :mod:`strandcode.outer`), and the
+params and entry points of the non-overlapping family whose blocks carry
+absolute indices.  That family runs on the indexed core of
+:mod:`strandcode.blocks`, shared with the interleaved multi-strand family;
+the layout, index split, marker scan, majority merge and
+:class:`ReconReport` come from there too.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
-import json
 import math
-import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -30,10 +34,33 @@ from operator import itemgetter
 
 import numpy as np
 
-from .bitseq import BitSeq, is_sd, majority_merge
+from .bitseq import BitSeq, is_sd
+from .blocks import (
+    FLAG,
+    MARK,
+    C,
+    V,
+    BlockGeometry,
+    Layout,
+    ReconReport,
+    build_layout,
+    check_book,
+    check_trace,
+    codec,
+    indexed_book,
+    indexed_encode,
+    indexed_geometry,
+    indexed_reconstruct,
+    make_report,
+    marker_offenders,
+    merge_placed,
+    require_feasible,
+    split_index_window,
+)
 from .channel import Trace
 from .constrained import ConstrainedCodec, auto_cyclic
 from .errors import DecodeFailure, InfeasibleParameters, LayoutError, SearchExhausted
+from .outer import lane_decode, lane_encode, lane_message_len
 from .positioning import IndexBook, build_index_book, default_r_I, find_marker, locate_index
 
 __all__ = [
@@ -59,189 +86,15 @@ __all__ = [
 SALT_BITS = 8
 _SALT_TRIES = 1 << SALT_BITS
 _CERT_ROUNDS = 8
-
-# in-block position kinds
-_MARK, _FLAG, _V, _C = 0, 1, 2, 3
-
-
-# ---------------------------------------------------------------------------
-# GF(256) arithmetic and a small Reed-Solomon lane codec.  Lanes run across
-# the per-group payload blocks: byte s of every block forms one codeword, so
-# corrupting a whole block corrupts at most one symbol per lane.
-
-_GF_EXP = [0] * 512
-_GF_LOG = [0] * 256
-
-
-def _gf_init() -> None:
-    x = 1
-    for i in range(255):
-        _GF_EXP[i] = x
-        _GF_LOG[x] = i
-        x <<= 1
-        if x & 0x100:
-            x ^= 0x11D
-    for i in range(255, 512):
-        _GF_EXP[i] = _GF_EXP[i - 255]
-
-
-_gf_init()
-
-
-def _gf_mul(a: int, b: int) -> int:
-    if a == 0 or b == 0:
-        return 0
-    return _GF_EXP[_GF_LOG[a] + _GF_LOG[b]]
-
-
-def _gf_inv(a: int) -> int:
-    if a == 0:
-        raise ZeroDivisionError("no inverse of zero")
-    return _GF_EXP[255 - _GF_LOG[a]]
-
-
-def _poly_eval(coeffs: list[int], x: int) -> int:
-    """Evaluate sum(coeffs[i] * x^i)."""
-    acc = 0
-    xp = 1
-    for c in coeffs:
-        acc ^= _gf_mul(c, xp)
-        xp = _gf_mul(xp, x)
-    return acc
-
-
-def _rs_encode(data: list[int], nsym: int) -> list[int]:
-    """Systematic encoding: return data followed by nsym parity symbols."""
-    if nsym == 0:
-        return list(data)
-    gen = [1]
-    for i in range(nsym):
-        nxt = [0] * (len(gen) + 1)
-        for j, g in enumerate(gen):
-            nxt[j] ^= _gf_mul(g, _GF_EXP[i])
-            nxt[j + 1] ^= g
-        gen = nxt
-    # synthetic division of data * x^nsym by the (monic) generator
-    rem = [0] * nsym
-    for d in data:
-        factor = d ^ rem[-1]
-        rem = [0] + rem[:-1]
-        if factor:
-            for j in range(nsym):
-                rem[j] ^= _gf_mul(gen[j], factor)
-    return list(data) + rem[::-1]
-
-
-def _rs_syndromes(word: list[int], nsym: int) -> list[int]:
-    n = len(word)
-    # word[j] is the coefficient of x^(n-1-j)
-    return [_poly_eval(word[::-1], _GF_EXP[i]) for i in range(nsym)]
-
-
-def _rs_decode(word: list[int], nsym: int) -> tuple[list[int], list[int]]:
-    """Correct up to nsym // 2 symbol errors; return (fixed, error positions).
-
-    Locator from Berlekamp-Massey, roots by scanning the field, magnitudes by
-    solving the syndrome equations directly and checking every equation.
-    """
-    n = len(word)
-    synd = _rs_syndromes(word, nsym)
-    if not any(synd):
-        return list(word), []
-    # Berlekamp-Massey for the error locator (lowest degree first)
-    lam = [1]
-    prev = [1]
-    l_count = 0
-    m = 1
-    b = 1
-    for i in range(nsym):
-        delta = synd[i]
-        for j in range(1, l_count + 1):
-            if j < len(lam):
-                delta ^= _gf_mul(lam[j], synd[i - j])
-        if delta == 0:
-            m += 1
-        elif 2 * l_count <= i:
-            old = list(lam)
-            scale = _gf_mul(delta, _gf_inv(b))
-            shifted = [0] * m + prev
-            lam = [a ^ _gf_mul(scale, c) for a, c in _zip_pad(lam, shifted)]
-            l_count = i + 1 - l_count
-            prev = old
-            b = delta
-            m = 1
-        else:
-            scale = _gf_mul(delta, _gf_inv(b))
-            shifted = [0] * m + prev
-            lam = [a ^ _gf_mul(scale, c) for a, c in _zip_pad(lam, shifted)]
-            m += 1
-    if l_count * 2 > nsym:
-        raise DecodeFailure("too many symbol errors for the outer code")
-    # roots of the locator give the error location values X = alpha^(n-1-pos)
-    positions = []
-    for log_x in range(255):
-        x = _GF_EXP[log_x]
-        if _poly_eval(lam, _gf_inv(x)) == 0:
-            pos = n - 1 - log_x
-            if not 0 <= pos < n:
-                raise DecodeFailure("outer code error location out of range")
-            positions.append(pos)
-    if len(positions) != l_count:
-        raise DecodeFailure("outer code locator roots do not match its degree")
-    # solve for magnitudes: synd[i] = sum_k e_k X_k^i
-    xs = [_GF_EXP[(n - 1 - p) % 255] for p in positions]
-    mags = _solve_vandermonde(xs, synd[: len(xs)])
-    for i in range(nsym):
-        check = 0
-        for xk, ek in zip(xs, mags):
-            check ^= _gf_mul(ek, _gf_pow(xk, i))
-        if check != synd[i]:
-            raise DecodeFailure("outer code syndrome equations are inconsistent")
-    fixed = list(word)
-    for p, ek in zip(positions, mags):
-        fixed[p] ^= ek
-    return fixed, sorted(positions)
-
-
-def _zip_pad(a: list[int], b: list[int]):
-    la, lb = len(a), len(b)
-    if la < lb:
-        a = a + [0] * (lb - la)
-    elif lb < la:
-        b = b + [0] * (la - lb)
-    return zip(a, b)
-
-
-def _gf_pow(a: int, p: int) -> int:
-    if a == 0:
-        return 0 if p else 1
-    return _GF_EXP[(_GF_LOG[a] * p) % 255]
-
-
-def _solve_vandermonde(xs: list[int], rhs: list[int]) -> list[int]:
-    """Gaussian elimination for sum_k e_k xs[k]^i = rhs[i]."""
-    t = len(xs)
-    mat = [[_gf_pow(x, i) for x in xs] + [rhs[i]] for i in range(t)]
-    for col in range(t):
-        pivot = next((r for r in range(col, t) if mat[r][col]), None)
-        if pivot is None:
-            raise DecodeFailure("outer code magnitude system is singular")
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        inv = _gf_inv(mat[col][col])
-        mat[col] = [_gf_mul(v, inv) for v in mat[col]]
-        for r in range(t):
-            if r != col and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [v ^ _gf_mul(f, w) for v, w in zip(mat[r], mat[col])]
-    return [mat[r][t] for r in range(t)]
-
+# the shared codec table; perfbench checks its misses under this name
+_codec = codec
 
 # ---------------------------------------------------------------------------
 # Parameters
 
 
 @dataclass(frozen=True)
-class TraceParams:
+class TraceParams(BlockGeometry):
     """Geometry of the block layout for one (n, e, L_min, L_over) choice."""
 
     n: int
@@ -267,10 +120,6 @@ class TraceParams:
         return self.I + self.r_I + self.K + self.ell + self.d1
 
     @property
-    def marker_len(self) -> int:
-        return self.K + self.ell
-
-    @property
     def group_count(self) -> int:
         return 1 << self.I
 
@@ -285,10 +134,6 @@ class TraceParams:
     @property
     def divisible(self) -> bool:
         return self.n % self.L_min == 0
-
-    @property
-    def feasible(self) -> bool:
-        return not self.violations
 
     def cnt(self, i: int) -> int:
         """Blocks carried by group i; earlier groups take the remainder."""
@@ -412,21 +257,14 @@ def derive_trace_params(
         I=I, r_I=r_I, K=K, F=F, L=L, v_window=v_window, v_floor=v_floor,
         a=a_eff, gamma=g_eff, violations=tuple(violations),
     )
-    if strict and violations:
-        raise InfeasibleParameters(
-            "infeasible block geometry: " + ", ".join(violations)
-        )
+    if strict:
+        require_feasible(params, "infeasible block geometry")
     return params
-
-
-@lru_cache(maxsize=None)
-def _codec(window: int, floor: int, n_out: int, chunk: int) -> ConstrainedCodec:
-    return ConstrainedCodec(window, floor, n_out, chunk=chunk)
 
 
 def _group_codec(params: TraceParams, i: int, ext: bool = False) -> ConstrainedCodec:
     n_out = params.N(i) + (params.v_per_block if ext else 0)
-    return _codec(params.v_window, params.v_floor, n_out, params.v_per_block)
+    return codec(params.v_window, params.v_floor, n_out, params.v_per_block)
 
 
 def _group_payload_len(params: TraceParams, i: int) -> int:
@@ -442,31 +280,8 @@ def trace_book(params: TraceParams, seed: int = 0) -> IndexBook:
     return build_index_book(params.I, params.d1, params.K, r_I=params.r_I, seed=seed)
 
 
-def _check_book(params, book: IndexBook, d: int) -> None:
-    if (book.I, book.r_I, book.d, book.K_marker) != (params.I, params.r_I, d, params.K):
-        raise ValueError("index book does not match the parameters")
-
-
-def _check_trace_meta(tr: Trace, params) -> None:
-    if tr.k != 1:
-        raise LayoutError("expected a single-strand trace")
-    if tr.n != params.n or tr.L_min != params.L_min or tr.L_over != params.L_over:
-        raise LayoutError("trace geometry does not match the code parameters")
-    if tr.e > params.e:
-        raise LayoutError("trace error budget exceeds the code tolerance")
-
-
 # ---------------------------------------------------------------------------
 # Block layout
-
-
-@dataclass(frozen=True, eq=False)  # hashed by identity, as a cache key
-class _Layout:
-    kind: np.ndarray
-    csub: np.ndarray
-    vsub: np.ndarray
-    v_offsets: np.ndarray
-    c_offsets: np.ndarray
 
 
 def _split_widths(total: int, parts: int) -> list[int]:
@@ -474,48 +289,16 @@ def _split_widths(total: int, parts: int) -> list[int]:
     return [base + 1 if h < extra else base for h in range(parts)]
 
 
-def _build_layout(L_min: int, segments: list[tuple[int, int]]) -> _Layout:
-    kind = np.full(L_min, -1, dtype=np.int8)
-    csub = np.full(L_min, -1, dtype=np.int32)
-    vsub = np.full(L_min, -1, dtype=np.int32)
-    pos = 0
-    nc = nv = 0
-    for k, width in segments:
-        kind[pos : pos + width] = k
-        if k == _C:
-            csub[pos : pos + width] = np.arange(nc, nc + width)
-            nc += width
-        elif k == _V:
-            vsub[pos : pos + width] = np.arange(nv, nv + width)
-            nv += width
-        pos += width
-    assert pos == L_min
-    return _Layout(
-        kind=kind,
-        csub=csub,
-        vsub=vsub,
-        v_offsets=np.flatnonzero(kind == _V),
-        c_offsets=np.flatnonzero(kind == _C),
-    )
-
-
 @lru_cache(maxsize=None)
-def _trace_layout(params: TraceParams) -> _Layout:
+def _trace_layout(params: TraceParams) -> Layout:
     width = params.I + params.r_I
     vw = _split_widths(params.v_per_block, params.F)
     cw = _split_widths(width, params.F)
-    segs = [(_MARK, params.marker_len), (_FLAG, params.d1)]
+    segs = [(MARK, params.marker_len), (FLAG, params.d1)]
     for h in range(params.F):
-        segs.append((_V, vw[h]))
-        segs.append((_C, cw[h]))
-    return _build_layout(params.L_min, segs)
-
-
-@lru_cache(maxsize=None)
-def _gamma0_layout(params: "Gamma0Params") -> _Layout:
-    width = params.I + params.r_I
-    segs = [(_MARK, params.marker_len), (_C, width), (_V, params.m_prime)]
-    return _build_layout(params.L_min, segs)
+        segs.append((V, vw[h]))
+        segs.append((C, cw[h]))
+    return build_layout(params.L_min, segs)
 
 
 @dataclass(frozen=True)
@@ -546,17 +329,7 @@ def _block_table(params: TraceParams) -> _Blocks:
 @lru_cache(maxsize=None)
 def _payload_mask(params: TraceParams) -> np.ndarray:
     """Whether each position of the codeword carries a payload bit."""
-    return np.resize(_trace_layout(params).kind == _V, params.n)
-
-
-def _layover_v_counts(params, layout: _Layout) -> int:
-    """Smallest number of payload positions seen by any L_over window."""
-    vmask = np.resize(layout.kind == _V, params.n)
-    if params.L_over <= 0 or params.n < params.L_over:
-        return 0
-    csum = np.concatenate([[0], np.cumsum(vmask)])
-    counts = csum[params.L_over :] - csum[: params.n - params.L_over + 1]
-    return int(counts.min())
+    return np.resize(_trace_layout(params).kind == V, params.n)
 
 
 # ---------------------------------------------------------------------------
@@ -624,47 +397,9 @@ def _assemble(params: TraceParams, book: IndexBook, vs: dict[int, np.ndarray]) -
     return out[: params.n]
 
 
-def _marker_offenders(
-    w: np.ndarray,
-    L_min: int,
-    dmin: int,
-    marker: np.ndarray,
-    blocks_total: int,
-    phase0: int = 0,
-) -> set[int]:
-    """Block indices whose windows break the cyclic marker uniqueness rule.
-
-    Every aligned window must match the marker exactly at its true phase and
-    differ in at least dmin places at every other phase; anything less would
-    let a noisy window report a second marker position.  ``phase0`` shifts
-    the grid for layouts whose markers sit at positions congruent to it
-    rather than to zero.
-    """
-    ml = len(marker)
-    wins = np.lib.stride_tricks.sliding_window_view(w, L_min)
-    rows = wins.shape[0]
-    starts = np.arange(rows)
-    bad_rows: set[int] = set()
-    for phase in range(L_min):
-        cols = (phase + np.arange(ml)) % L_min
-        dist = (wins[:, cols] != marker).sum(axis=1)
-        true_phase = (starts + phase) % L_min == phase0 % L_min
-        assert not np.any(true_phase & (dist != 0)), "marker bits were not written"
-        for s in np.flatnonzero(~true_phase & (dist < dmin)):
-            bad_rows.add(int(s))
-    out: set[int] = set()
-    for s in bad_rows:
-        out.add(s // L_min)
-        out.add(min(blocks_total - 1, (s + L_min - 1) // L_min))
-    return out
-
-
 def _encode(m: BitSeq, params: TraceParams, book: IndexBook, extend: bool) -> BitSeq:
-    if not params.feasible:
-        raise InfeasibleParameters(
-            "cannot encode with violated geometry: " + ", ".join(params.violations)
-        )
-    _check_book(params, book, params.d1)
+    require_feasible(params)
+    check_book(params, book, params.d1)
     if tuple(book.segment_widths) != tuple(
         _split_widths(params.I + params.r_I, params.F)
     ):
@@ -695,7 +430,7 @@ def _encode(m: BitSeq, params: TraceParams, book: IndexBook, extend: bool) -> Bi
         build(g, 0)
     for _ in range(_CERT_ROUNDS):
         w = _assemble(params, book, vs)
-        offenders = _marker_offenders(
+        offenders = marker_offenders(
             w, params.L_min, params.d1, book.marker.to_numpy(), blocks.total
         )
         groups = {int(blocks.group[b]) for b in offenders}
@@ -712,10 +447,7 @@ def encode_trace(m: BitSeq, params: TraceParams, book: IndexBook | None = None) 
     Requires the block length to divide n; see encode_trace_nondiv for the
     truncating variant.
     """
-    if not params.feasible:
-        raise InfeasibleParameters(
-            "cannot encode with violated geometry: " + ", ".join(params.violations)
-        )
+    require_feasible(params)
     if params.n % params.L_min:
         raise ValueError("block length does not divide n; use the truncating encoder")
     book = book if book is not None else trace_book(params)
@@ -756,34 +488,6 @@ class _FragInfo:
     anchor_at: bool
 
 
-def _split_index_window(win: BitSeq, q: int, lay: _Layout, width: int) -> tuple[BitSeq, BitSeq, int]:
-    """Index bits of an aligned window split at the block boundary.
-
-    Positions before the boundary belong to the previous block and carry a
-    suffix of its index codeword (S); positions after carry a prefix of the
-    next one (P).  Returns (S, P, len(P)).
-    """
-    s_pos, p_pos = _index_positions(lay, q, width)
-    arr = win.to_numpy()
-    return BitSeq.from_numpy(arr[s_pos]), BitSeq.from_numpy(arr[p_pos]), len(p_pos)
-
-
-@lru_cache(maxsize=None)
-def _index_positions(lay: _Layout, q: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Window positions of S and of P, each in codeword order, for a
-    window whose block boundary is at q."""
-    L_min = len(lay.kind)
-    offs = (np.arange(L_min) - q) % L_min
-    sel = lay.kind[offs] == _C
-    tpos = np.flatnonzero(sel)
-    subs = lay.csub[offs[sel]]
-    at = tpos >= q
-    mu = int(at.sum())
-    assert np.array_equal(np.sort(subs[at]), np.arange(mu))
-    assert np.array_equal(np.sort(subs[~at]), np.arange(mu, width))
-    return tpos[~at][np.argsort(subs[~at])], tpos[at][np.argsort(subs[at])]
-
-
 def _read_flag(y: BitSeq, b: int, params: TraceParams) -> int | None:
     start = b + params.marker_len
     if start + params.d1 > len(y):
@@ -793,12 +497,12 @@ def _read_flag(y: BitSeq, b: int, params: TraceParams) -> int | None:
 
 
 def _anchor_trace(
-    y: BitSeq, s: int, q: int, params: TraceParams, book: IndexBook, lay: _Layout
+    y: BitSeq, s: int, q: int, params: TraceParams, book: IndexBook, lay: Layout
 ) -> tuple[int, bool, int, int | None]:
     """Identify the group at (or just before) the boundary seen at s + q."""
     width = params.I + params.r_I
     win = y.window(s, params.L_min)
-    S, P, mu = _split_index_window(win, q, lay, width)
+    S, P, mu = split_index_window(win, q, lay, width)
     pos = s + q
     flag = _read_flag(y, pos, params)
     if mu == width:
@@ -825,7 +529,7 @@ def _analyze_read(
     y: BitSeq,
     params: TraceParams,
     book: IndexBook,
-    lay: _Layout,
+    lay: Layout,
     lenient: bool,
 ) -> _FragInfo | None:
     """Locate block boundaries, flags, and the anchor group inside one read.
@@ -1054,56 +758,7 @@ def _place_all(
 
 
 # ---------------------------------------------------------------------------
-# Majority merge and report
-
-
-@dataclass(frozen=True)
-class ReconReport:
-    """Outcome of one reconstruction: placements, merged string, message."""
-
-    message: BitSeq
-    located: tuple[tuple[int | None, int | None], ...]
-    tie_positions: tuple[int, ...]
-    reliable: bool
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "located": [
-                    {"offset": off, "errors_corrected": err}
-                    for off, err in self.located
-                ],
-                "tie_positions": list(self.tie_positions),
-                "reliable": self.reliable,
-                "message_hex": self.message.to_hex(),
-            }
-        )
-
-
-def _merge_placed(
-    tr: Trace, placed: dict[int, int], n: int, lenient: bool
-) -> tuple[np.ndarray, tuple[int, ...], bool]:
-    votes = np.zeros((n, 2), dtype=np.int64)
-    for idx, off in placed.items():
-        arr = tr.fragments[idx].bits.to_numpy()
-        votes[off : off + len(arr), 1] += arr
-        votes[off : off + len(arr), 0] += 1 - arr
-    covered = votes.sum(axis=1) > 0
-    gaps = bool(np.any(~covered))
-    if gaps:
-        if not lenient:
-            missing = int((~covered).sum())
-            raise DecodeFailure(
-                f"{missing} positions are uncovered; the trace is incomplete"
-            )
-        votes[~covered, 0] = 1
-    merged, ties = majority_merge(votes)
-    tie_pos = tuple(int(i) for i in np.flatnonzero(ties.to_numpy()))
-    if tie_pos:
-        warnings.warn(
-            f"{len(tie_pos)} majority ties resolved toward zero", stacklevel=3
-        )
-    return merged.to_numpy(), tie_pos, gaps
+# Payload extraction and report
 
 
 def _extract_group_payloads(
@@ -1131,25 +786,18 @@ def _extract_group_payloads(
     return payloads, corrupted
 
 
-@dataclass
-class _ReconState:
-    merged: np.ndarray
-    located: tuple[tuple[int | None, int | None], ...]
-    tie_positions: tuple[int, ...]
-    payloads: list[BitSeq]
-    corrupted_groups: set[int]
-    skipped: set[int]
-    gaps: bool
-    max_err: int
-
-
-def _reconstruct(tr: Trace, params: TraceParams, book: IndexBook, lenient: bool) -> _ReconState:
+def _reconstruct(
+    tr: Trace, params: TraceParams, book: IndexBook | None, lenient: bool
+) -> tuple[list[BitSeq], ReconReport, set[int]]:
+    """Place, merge and decode; return the group payloads, the report and
+    the groups whose payload did not decode (lenient decoding only)."""
+    book = book if book is not None else trace_book(params)
+    check_trace(tr, params, 1)
+    check_book(params, book, params.d1)
     lay = _trace_layout(params)
     infos: list[_FragInfo] = []
     unlocated: set[int] = set()
     for idx, frag in enumerate(tr.fragments):
-        if len(frag.bits) < params.L_min:
-            raise LayoutError("a read is shorter than the block length")
         info = _analyze_read(idx, frag.bits, params, book, lay, lenient)
         if info is None:
             unlocated.add(idx)
@@ -1159,30 +807,13 @@ def _reconstruct(tr: Trace, params: TraceParams, book: IndexBook, lenient: bool)
     skipped |= unlocated
     arrs = {info.idx: info.arr for info in infos}
 
-    merged, tie_pos, gaps = _merge_placed(tr, placed, params.n, lenient)
+    merged, tie_pos, gaps = merge_placed(arrs, placed, params.n, lenient)
     payloads, corrupted = _extract_group_payloads(merged, params, lenient)
-
-    located = []
-    max_err = 0
-    for idx in range(len(tr.fragments)):
-        if idx in placed:
-            off = placed[idx]
-            arr = arrs[idx]
-            err = int((arr != merged[off : off + len(arr)]).sum())
-            max_err = max(max_err, err)
-            located.append((off, err))
-        else:
-            located.append((None, None))
-    return _ReconState(
-        merged=merged,
-        located=tuple(located),
-        tie_positions=tie_pos,
-        payloads=payloads,
-        corrupted_groups=corrupted,
-        skipped=skipped,
-        gaps=gaps,
-        max_err=max_err,
+    report = make_report(
+        sum(payloads, BitSeq.zeros(0)), len(tr.fragments), arrs, placed, merged,
+        tie_pos, not skipped and not gaps and not corrupted, params.e,
     )
+    return payloads, report, corrupted
 
 
 def reconstruct_trace(
@@ -1196,87 +827,32 @@ def reconstruct_trace(
     the input trace is reliable the merged string is the codeword and the
     returned message is exact.
     """
-    book = book if book is not None else trace_book(params)
-    _check_trace_meta(tr, params)
-    _check_book(params, book, params.d1)
-    st = _reconstruct(tr, params, book, lenient=False)
-    message = BitSeq.zeros(0)
-    for p in st.payloads:
-        message = message + p
-    reliable = (
-        not st.skipped
-        and not st.gaps
-        and not st.tie_positions
-        and st.max_err <= params.e
-    )
-    return ReconReport(
-        message=message,
-        located=st.located,
-        tie_positions=st.tie_positions,
-        reliable=reliable,
-    )
+    return _reconstruct(tr, params, book, lenient=False)[1]
 
 
 # ---------------------------------------------------------------------------
-# Outer MDS hardening.  The per-group payloads are rounded down to whole
-# bytes; byte s across the groups forms one Reed-Solomon lane of length 2^I
-# with 2 * tau parity symbols, so tau whole-group corruptions cost each lane
-# at most tau symbols, and the union of corrected positions over the lanes
-# recovers which groups were bad.
+# Outer MDS hardening.  The 2^I group payloads are the blocks of the outer
+# lanes (see outer.py), so tau wholly corrupted groups are recoverable.
 
 
-def _rs_geometry(params: TraceParams, tau: int) -> tuple[int, int, int]:
-    G = params.group_count
-    if tau < 0 or 2 * tau >= G:
-        raise ValueError("need 0 <= 2 * tau < 2^I")
-    if G > 255:
-        raise InfeasibleParameters("outer code length 2^I exceeds the field size")
-    if params.n_L % G:
+def _outer_payload_bits(params: TraceParams) -> int:
+    if params.n_L % params.group_count:
         raise InfeasibleParameters(
             "outer code needs uniform groups: 2^I must divide the block count"
         )
-    payload = _group_payload_len(params, 0)
-    lane_bytes = payload // 8
-    if lane_bytes < 1:
-        raise InfeasibleParameters("group payload too small for one outer symbol")
-    return G, lane_bytes, lane_bytes * 8
+    return _group_payload_len(params, 0)
 
 
 def trace_rs_message_len(params: TraceParams, tau: int) -> int:
-    G, _, block_bits = _rs_geometry(params, tau)
-    return (G - 2 * tau) * block_bits
-
-
-def _block_bytes(block: BitSeq, lane_bytes: int) -> list[int]:
-    return [block.window_int(8 * s, 8) for s in range(lane_bytes)]
+    return lane_message_len(params.group_count, tau, _outer_payload_bits(params))
 
 
 def encode_trace_rs(
     m: BitSeq, params: TraceParams, tau: int, book: IndexBook | None = None
 ) -> BitSeq:
     """Encode with 2 * tau parity groups protecting against block corruption."""
-    G, lane_bytes, block_bits = _rs_geometry(params, tau)
-    want = trace_rs_message_len(params, tau)
-    if len(m) != want:
-        raise ValueError(f"message must have {want} bits, got {len(m)}")
-    data = [m.window(i * block_bits, block_bits) for i in range(G - 2 * tau)]
-    lanes = [_block_bytes(b, lane_bytes) for b in data]
-    parity_bytes = [[0] * lane_bytes for _ in range(2 * tau)]
-    for s in range(lane_bytes):
-        word = _rs_encode([lanes[i][s] for i in range(len(data))], 2 * tau)
-        for j in range(2 * tau):
-            parity_bytes[j][s] = word[len(data) + j]
-    blocks = list(data)
-    for j in range(2 * tau):
-        bits = BitSeq.zeros(0)
-        for s in range(lane_bytes):
-            bits = bits + BitSeq.from_int(parity_bytes[j][s], 8)
-        blocks.append(bits)
-    pad = _group_payload_len(params, 0) - block_bits
-    full = BitSeq.zeros(0)
-    for b in blocks:
-        full = full + b + BitSeq.zeros(pad)
-    book = book if book is not None else trace_book(params)
+    blocks = lane_encode(m, params.group_count, tau, _outer_payload_bits(params))
+    full = sum(blocks, BitSeq.zeros(0))
     if params.divisible:
         return encode_trace(full, params, book)
     return encode_trace_nondiv(full, params, book)
@@ -1291,54 +867,25 @@ def reconstruct_trace_rs(
     coverage gaps and undecodable groups then surface as block errors for
     the outer code.  More than tau bad groups is reported as a failure, by
     lane decode failure or by the corrected positions outnumbering tau.
+    Any outer correction makes the result unreliable.
     """
-    G, lane_bytes, block_bits = _rs_geometry(params, tau)
-    book = book if book is not None else trace_book(params)
-    _check_trace_meta(tr, params)
-    _check_book(params, book, params.d1)
-    st = _reconstruct(tr, params, book, lenient=True)
-
-    words = [_block_bytes(p.window(0, block_bits), lane_bytes) for p in st.payloads]
-    bad: set[int] = set(st.corrupted_groups)
-    fixed = [list(w) for w in words]
-    for s in range(lane_bytes):
-        word = [words[i][s] for i in range(G)]
-        out, positions = _rs_decode(word, 2 * tau)
-        bad.update(positions)
-        for i in range(G):
-            fixed[i][s] = out[i]
-    if len(bad) > tau:
-        raise DecodeFailure(
-            f"{len(bad)} corrupted payload groups exceed the outer budget {tau}"
-        )
-    message = BitSeq.zeros(0)
-    for i in range(G - 2 * tau):
-        for s in range(lane_bytes):
-            message = message + BitSeq.from_int(fixed[i][s], 8)
-    reliable = (
-        not st.skipped
-        and not st.gaps
-        and not st.tie_positions
-        and not st.corrupted_groups
-        and not bad
-        and st.max_err <= params.e
-    )
-    return ReconReport(
-        message=message,
-        located=st.located,
-        tie_positions=st.tie_positions,
-        reliable=reliable,
+    trace_rs_message_len(params, tau)  # checks the outer geometry first
+    payloads, report, corrupted = _reconstruct(tr, params, book, lenient=True)
+    message, corrected = lane_decode(payloads, tau, corrupted)
+    return dataclasses.replace(
+        report, message=message, reliable=report.reliable and not corrected
     )
 
 
 # ---------------------------------------------------------------------------
 # Non-overlapping family: every block carries its own absolute index, so a
 # read is located from its leading window alone and no overlap matching is
-# needed.
+# needed.  It is the one-strand case of the indexed core in blocks.py,
+# with the marker opening each block.
 
 
 @dataclass(frozen=True)
-class Gamma0Params:
+class Gamma0Params(BlockGeometry):
     """Geometry for the non-overlapping (L_over = 0) block family."""
 
     n: int
@@ -1354,10 +901,6 @@ class Gamma0Params:
     w_floor: int
     a: float
     violations: tuple[str, ...] = ()
-
-    @property
-    def marker_len(self) -> int:
-        return self.K + self.ell
 
     @property
     def L_over(self) -> int:
@@ -1376,8 +919,16 @@ class Gamma0Params:
         return self.n_L if self.divisible else self.n_L - 1
 
     @property
-    def feasible(self) -> bool:
-        return not self.violations
+    def k(self) -> int:
+        return 1
+
+    @property
+    def strand_blocks(self) -> int:
+        return self.n_L
+
+    @property
+    def marker_phase(self) -> int:
+        return 0
 
     @property
     def rate(self) -> float:
@@ -1403,41 +954,16 @@ def derive_gamma0_params(
         L_min = math.ceil(a * logn)
     if n < 2 * L_min:
         raise ValueError("need at least two blocks")
-    d = 2 * e + 1
-    ell = len(auto_cyclic(d))
-    n_L = math.ceil(n / L_min)
-    I = max(1, math.ceil(math.log2(n_L)))
+    I = max(1, math.ceil(math.log2(math.ceil(n / L_min))))
     if K is None:
         K = math.ceil(math.sqrt(logn))
-    if r_I is None:
-        r_I = default_r_I(I, d)
-    m_prime = L_min - (I + r_I + K + ell)
-
-    violations: list[str] = []
-    if m_prime < d + 1:
-        violations.append("payload-space")
-    if K // 4 >= d:
-        w_window, w_floor = K // 4, d
-    elif K >= d:
-        w_window, w_floor = K, d
-    else:
-        violations.append("weight-window")
-        w_window, w_floor = max(K, 1), 1
-    if m_prime >= d + 1:
-        cap = _codec(w_window, w_floor, m_prime, 512).msg_len
-        if cap < m_prime - d:
-            violations.append("payload-capacity")
-
     params = Gamma0Params(
-        n=n, e=e, L_min=L_min, d=d, ell=ell, I=I, r_I=r_I, K=K,
-        m_prime=m_prime, w_window=w_window, w_floor=w_floor,
+        n=n, e=e, L_min=L_min, I=I, K=K,
         a=a if a is not None else L_min / logn,
-        violations=tuple(violations),
+        **indexed_geometry(L_min, e, I, K, r_I),
     )
-    if strict and violations:
-        raise InfeasibleParameters(
-            "infeasible block geometry: " + ", ".join(violations)
-        )
+    if strict:
+        require_feasible(params, "infeasible block geometry")
     return params
 
 
@@ -1445,12 +971,7 @@ def gamma0_message_len(params: Gamma0Params) -> int:
     return params.message_blocks * (params.m_prime - params.d)
 
 
-def gamma0_book(params: Gamma0Params, seed: int = 0) -> IndexBook:
-    return build_index_book(params.I, params.d, params.K, r_I=params.r_I, seed=seed)
-
-
-def _gamma0_codec(params: Gamma0Params) -> ConstrainedCodec:
-    return _codec(params.w_window, params.w_floor, params.m_prime, 512)
+gamma0_book = indexed_book
 
 
 def encode_gamma0(m: BitSeq, params: Gamma0Params, book: IndexBook | None = None) -> BitSeq:
@@ -1459,103 +980,11 @@ def encode_gamma0(m: BitSeq, params: Gamma0Params, book: IndexBook | None = None
     For lengths not divisible by the block size the final block carries a
     fixed all-zero message and is truncated.
     """
-    if not params.feasible:
-        raise InfeasibleParameters(
-            "cannot encode with violated geometry: " + ", ".join(params.violations)
-        )
-    book = book if book is not None else gamma0_book(params)
-    _check_book(params, book, params.d)
-    want = gamma0_message_len(params)
-    if len(m) != want:
-        raise ValueError(f"message must have {want} bits, got {len(m)}")
-    codec = _gamma0_codec(params)
-    body = params.m_prime - params.d
-    pad = BitSeq.zeros(codec.msg_len - body)
-    lay = _gamma0_layout(params)
-    out = np.zeros(params.n_L * params.L_min, dtype=np.uint8)
-    marker = book.marker.to_numpy()
-    for i in range(params.n_L):
-        if i < params.message_blocks:
-            m_i = m.window(i * body, body)
-        else:
-            m_i = BitSeq.zeros(body)
-        w_i = codec.encode(m_i + pad)
-        base = i * params.L_min
-        out[base : base + params.marker_len] = marker
-        out[base + lay.c_offsets] = book.codewords[i].to_numpy()
-        out[base + lay.v_offsets] = w_i.to_numpy()
-    w = out[: params.n]
-    offenders = _marker_offenders(w, params.L_min, params.d, marker, params.n_L)
-    if offenders:
-        raise SearchExhausted(
-            "weight-limited payload still collided with the marker pattern"
-        )
-    return BitSeq.from_numpy(w)
-
-
-def _locate_read_gamma0(
-    y: BitSeq, params: Gamma0Params, book: IndexBook, lay: _Layout
-) -> int:
-    """Absolute offset of one read, from its leading window alone."""
-    width = params.I + params.r_I
-    q = find_marker(y.window(0, params.L_min), book, params.e)
-    S, P, mu = _split_index_window(y.window(0, params.L_min), q, lay, width)
-    if mu == width:
-        i_at = locate_index(P, book)
-    else:
-        i_at = locate_index(S + P, book) + 1
-    if i_at >= params.n_L:
-        raise DecodeFailure("block index runs past the last block")
-    off = i_at * params.L_min - q
-    if off < 0 or off + len(y) > params.n:
-        raise DecodeFailure("located read does not fit inside the string")
-    return off
+    return indexed_encode((m,), params, book)[0]
 
 
 def reconstruct_gamma0(
     tr: Trace, params: Gamma0Params, book: IndexBook | None = None
 ) -> ReconReport:
     """Place every read independently, merge, and decode the block payloads."""
-    book = book if book is not None else gamma0_book(params)
-    _check_trace_meta(tr, params)
-    _check_book(params, book, params.d)
-    lay = _gamma0_layout(params)
-    placed: dict[int, int] = {}
-    for idx, frag in enumerate(tr.fragments):
-        if len(frag.bits) < params.L_min:
-            raise LayoutError("a read is shorter than the block length")
-        placed[idx] = _locate_read_gamma0(frag.bits, params, book, lay)
-    merged, tie_pos, _gaps = _merge_placed(tr, placed, params.n, lenient=False)
-
-    codec = _gamma0_codec(params)
-    body = params.m_prime - params.d
-    message = BitSeq.zeros(0)
-    damaged = False
-    for i in range(params.message_blocks):
-        base = i * params.L_min
-        w_i = BitSeq.from_numpy(merged[base + lay.v_offsets])
-        try:
-            plain = codec.decode(w_i)
-        except ValueError:
-            # corrupted payload bits can leave the constrained code; the
-            # block's location is still known, so report zeros and let the
-            # reliability audit fail rather than abort
-            damaged = True
-            plain = BitSeq.zeros(codec.msg_len)
-        message = message + plain.window(0, body)
-
-    located = []
-    max_err = 0
-    for idx in range(len(tr.fragments)):
-        off = placed[idx]
-        arr = tr.fragments[idx].bits.to_numpy()
-        err = int((arr != merged[off : off + len(arr)]).sum())
-        max_err = max(max_err, err)
-        located.append((off, err))
-    reliable = not tie_pos and not damaged and max_err <= params.e
-    return ReconReport(
-        message=message,
-        located=tuple(located),
-        tie_positions=tie_pos,
-        reliable=reliable,
-    )
+    return indexed_reconstruct(tr, params, book, lenient=False)[1]

@@ -469,6 +469,26 @@ class TestMultiGamma0Outer:
         assert rep.message == m
         assert not rep.reliable
 
+    def test_outer_correction_is_never_reliable(self, gp4, gbook4):
+        # m2 differs from m by 1 in every byte of data strand 0 and by 3 in
+        # every byte of data strand 1, a difference whose parity leaves
+        # strand 3 unchanged; strands 0-1 of m2 with strands 2-3 of m then
+        # sit one outer symbol per lane from m2's codeword
+        rng = np.random.default_rng(53)
+        m = BitSeq.random(multi_gamma0_rs_message_len(gp4, 1), rng)
+        nb = len(m) // 16
+        delta = BitSeq.from_int(int.from_bytes(bytes([1] * nb + [3] * nb), "little"), len(m))
+        m2 = m.xor(delta)
+        ss = encode_multi_gamma0_rs(m, gp4, 1, gbook4)
+        ss2 = encode_multi_gamma0_rs(m2, gp4, 1, gbook4)
+        assert ss2.strands[3] == ss.strands[3]
+        mixed = StrandSet(gp4.n, ss2.strands[:2] + ss.strands[2:])
+        for seed in range(3):
+            mt = fragment_strands(mixed, gamma_cfg(gp4, seed))
+            rep = reconstruct_multi_gamma0_rs(mt, gp4, 1, gbook4)
+            assert rep.message == m2
+            assert not rep.reliable
+
     def test_budget_overflow_is_detected(self, gp4, gbook4):
         rng = np.random.default_rng(47)
         m = BitSeq.random(multi_gamma0_rs_message_len(gp4, 1), rng)

@@ -148,19 +148,24 @@ def book7():
     return build_index_book(I=7, d=3, K_marker=32, r_I=18, seed=0)
 
 
+def _planted(b):
+    """``b`` with codeword 5 moved to distance 1 from codeword 9."""
+    cw = list(b.codewords)
+    cw[5] = cw[9].with_bit(0, not cw[9][0])
+    return IndexBook(b.I, b.r_I, b.d, b.K_marker, tuple(cw), b.marker)
+
+
 @pytest.fixture(scope="module")
 def planted7(book7):
-    """An I=7 book whose codewords 5 and 9 are at distance 1."""
-    cw = list(book7.codewords)
-    cw[5] = cw[9].with_bit(0, not cw[9][0])
-    return IndexBook(book7.I, book7.r_I, book7.d, book7.K_marker, tuple(cw), book7.marker)
+    return _planted(book7)
 
 
-def test_certify_rejects_close_pair_above_exhaustive_limit(planted7):
-    # above I = 6 the concatenation is too long for the oracle's scan,
-    # and a sampled pair check can miss the one close pair
-    with pytest.raises(SearchExhausted):
-        certify_book(planted7)
+def test_certify_rejects_close_pair_above_exhaustive_limit(planted7, book):
+    # a sampled pair check can miss the one close pair; the exact search
+    # must find it at every I, above and below the piece-family limit
+    for planted in (_planted(book), planted7):
+        with pytest.raises(SearchExhausted):
+            certify_book(planted)
 
 
 def test_verify_book_cli_rejects_close_pair(planted7, tmp_path):

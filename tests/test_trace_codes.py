@@ -39,10 +39,9 @@ from strandcode.trace_codes import (
     _candidate_offsets,
     _overlap_matches,
     _place_all,
-    _rs_decode,
-    _rs_encode,
     _trace_layout,
 )
+from strandcode.outer import _rs_decode, _rs_encode
 
 
 @pytest.fixture(scope="module")
