@@ -1,8 +1,11 @@
-"""Pinned codewords and decode reports of the indexed and RS-hardened codes.
+"""Pinned codewords and decode reports of the indexed, RS-hardened, trace
+and SD codes.
 
 Each case encodes (or decodes) fixed-seed inputs and hashes the result, so
 any change to a codeword bit, a decoded message or a placement shows up as
-a digest mismatch.
+a digest mismatch.  The trace cases also pin every marker scan of the
+re-salting loop, so a change to which blocks a scan reports, to the number
+of scans or to where the encoder gives up shows up too.
 """
 
 import functools
@@ -11,6 +14,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from strandcode import trace_codes
 from strandcode.bitseq import BitSeq
 from strandcode.channel import ChannelConfig, Trace, corrupt, fragment
 from strandcode.multistrand import (
@@ -23,15 +27,19 @@ from strandcode.multistrand import (
     multi_gamma0_rs_message_len,
     reconstruct_multi_gamma0_rs,
 )
+from strandcode.errors import SearchExhausted
+from strandcode.sd_encoder import encode_sd, scaffold_for, sd_message_len
 from strandcode.trace_codes import (
     derive_gamma0_params,
     derive_trace_params,
     encode_gamma0,
+    encode_trace,
     encode_trace_rs,
     gamma0_book,
     gamma0_message_len,
     reconstruct_gamma0,
     trace_book,
+    trace_message_len,
     trace_rs_message_len,
 )
 
@@ -110,6 +118,15 @@ def multi_rs_missing_strand_report():
     return repr(reconstruct_multi_gamma0_rs(short, p, 1, book))
 
 
+def sd_65537():
+    m = BitSeq.random(sd_message_len(65537, 3), np.random.default_rng(7))
+    return encode_sd(m, 65537, 3).to_text()
+
+
+def scaffold_65537():
+    return scaffold_for(65537, 3).sbar.to_text()
+
+
 PINNED = {
     gamma0_9856: "703c9e1e76877c34eea7e86d3f1a51cf4d540f04490ff37ddcdf277ce90567cd",
     gamma0_9800: "b0bfc7faefca41e7d37257c0fc5444e58cda3c8f727e879a5c382cdbb7e60a08",
@@ -119,6 +136,8 @@ PINNED = {
     multi_rs_gp4: "bf4934955560098b29e0454e43ceb0223e9ababa80d0e05475c394cc25b69e09",
     gamma0_report: "eb2ffd7fe11d3c5591ffc3a3ce4f00d4c8716aee8790295ca9a719ec9a5d2046",
     multi_rs_missing_strand_report: "a30780c4e4e2ae671762eb1d798aefb209df553a5f144918a8dfaa4ad33af0f5",
+    sd_65537: "4910c994e6d10b651fe6cce111067fa34e9683f5db533a28b720692749fce7e0",
+    scaffold_65537: "5206f2a8b6e47055fa97301c15b94dd3f139239808e4be11c2e394ab209abb41",
 }
 
 
@@ -126,3 +145,53 @@ PINNED = {
 @pytest.mark.parametrize("case", list(PINNED), ids=lambda f: f.__name__)
 def test_output_is_pinned(case):
     assert hashlib.sha256(case().encode()).hexdigest() == PINNED[case]
+
+
+@functools.cache
+def _trace_8640():
+    # the trace-scale benchmark geometry at its largest size
+    p = derive_trace_params(8640, 1, L_min=90, L_over=85, I=4, r_I=16, K=8)
+    return p, trace_book(p)
+
+
+# seed -> (marker scans, digest of the sorted offender blocks of every scan,
+# codeword digest or None for SearchExhausted after the last scan)
+TRACE_SCANS = {
+    1: (
+        6,
+        "2d6080405a6e1f7a16a50c82a89defe30551c13e61cb73d4491a924093c7aa33",
+        "5cc5eb52f08f524017ee301e3b3cf882e5860810646b5108c485b3aff0bb607c",
+    ),
+    39: (
+        8,
+        "64960909355ef8beb2607c523901e0d1edd5a6204f5f718579302f6dbe64aab8",
+        "867c07f631ec93b672a99f6e56f8f02591d9dea7d63ea95b9b6c2d69df89bd55",
+    ),
+    40: (8, "56f94c5f995b958b80da5c6156f52114d47865a348b00e865c0750ca548fb773", None),
+    60: (8, "52f96bafc66dc25250f1ddaae319349b4ac7f7e45c8412cf70fdf7d3bd1b8c3e", None),
+    65: (8, "6fe42adef32bea011c03dea0f07d1e0429833e50b2c10f14a8b52b0713d5b273", None),
+}
+
+
+@pytest.mark.parametrize("seed", list(TRACE_SCANS))
+def test_trace_encode_is_pinned(seed, monkeypatch):
+    p, book = _trace_8640()
+    scans = []
+    scan = trace_codes.marker_offenders
+
+    def recording(*args, **kwargs):
+        out = scan(*args, **kwargs)
+        scans.append(sorted(out))
+        return out
+
+    monkeypatch.setattr(trace_codes, "marker_offenders", recording)
+    m = BitSeq.random(trace_message_len(p), np.random.default_rng(seed))
+    n_scans, scans_digest, word_digest = TRACE_SCANS[seed]
+    if word_digest is None:
+        with pytest.raises(SearchExhausted):
+            encode_trace(m, p, book)
+    else:
+        w = encode_trace(m, p, book)
+        assert hashlib.sha256(w.to_text().encode()).hexdigest() == word_digest
+    assert len(scans) == n_scans
+    assert hashlib.sha256(repr(scans).encode()).hexdigest() == scans_digest
