@@ -4,13 +4,19 @@ Everything here is exact.  The close-pair search uses the pigeonhole split:
 two windows differing in at most ``rho`` positions must agree exactly on one
 of ``rho + 1`` parts, so grouping windows by each part in turn finds every
 close pair without comparing all pairs.
+
+The module works on 0/1 ``uint8`` arrays and packed ``uint64`` words only,
+so :mod:`strandcode.bitseq` can build its predicates on it.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from .bitseq import BitSeq
+if TYPE_CHECKING:
+    from .bitseq import BitSeq
 
 
 def seq_bits(x: BitSeq) -> np.ndarray:
@@ -130,9 +136,23 @@ def window_weights(bits: np.ndarray, L: int) -> np.ndarray:
     return c[L:] - c[:-L]
 
 
-def min_window_weight(x: BitSeq, L: int) -> int:
-    """Smallest weight over all length-L windows; large when none exist."""
-    if len(x) < L:
-        return 1 << 30
-    w = window_weights(x.to_numpy(), L)
-    return int(w.min())
+def marker_mismatches(bits: np.ndarray, marker: np.ndarray) -> np.ndarray:
+    """Running mismatch counts of the marker laid at every start of ``bits``.
+
+    Returns an (ml + 1, n - ml + 1) int16 table T, ml = len(marker): T[t, a]
+    counts the j < t with bits[a + j] != marker[j].  So row ml holds the
+    Hamming distance between the marker and the window at every start a,
+    T[t, a] that of the marker's first t bits from the t bits at a, and
+    T[ml, a] - T[t, a] that of its last ml - t bits from the bits at a + t.
+    A window cut by a block boundary, with the marker's head at the block's
+    end and its tail at the block's start, is the sum of one head and one
+    tail term.  Cost: ml vector additions of length n.
+    """
+    ml = marker.size
+    if ml >= 1 << 15:
+        raise ValueError("marker too long for 16-bit counts")
+    starts = bits.size - ml + 1
+    table = np.zeros((ml + 1, starts), dtype=np.int16)
+    for j in range(ml):
+        np.add(table[j], bits[j : j + starts] != marker[j], out=table[j + 1])
+    return table

@@ -7,7 +7,14 @@ sequence; the text form writes position 0 first.
 
 The module-level predicates defined here are the fast paths used throughout
 the package.  Each has an independently written counterpart in
-:mod:`strandcode.oracle` used for differential testing.
+:mod:`strandcode.oracle` used for differential testing.  The two constraint
+checks every encoder runs, :func:`is_wwl` and :func:`is_sd`, pick between
+two exact routes by input size: a packed-integer loop or an all-pairs
+popcount on small inputs, where numpy's fixed cost would dominate, and a
+vectorized scan from :mod:`strandcode._bitops` on large ones
+(``window_weights``, one prefix-sum pass, or ``close_pairs``, the complete
+pigeonhole search).  Both routes evaluate the definition on every window or
+pair, so the answer never depends on the route.
 """
 
 from __future__ import annotations
@@ -16,6 +23,8 @@ from collections import Counter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+
+from . import _bitops
 
 __all__ = [
     "BitSeq",
@@ -241,11 +250,25 @@ def hamming(x: BitSeq, y: BitSeq) -> int:
     return (x.value ^ y.value).bit_count()
 
 
+# below these many windows the packed-integer loop (is_wwl) and the
+# all-pairs popcount (is_sd) beat the vectorized route; both are exact
+_WWL_LOOP_WINDOWS = 128
+_SD_ALL_PAIRS_WINDOWS = 384
+
+
 def is_wwl(x: BitSeq, L: int, d: int) -> bool:
     """True when every length-``L`` window of ``x`` has weight at least ``d``.
 
     Windows longer than the sequence are not considered, so any sequence
     shorter than ``L`` passes vacuously.
+
+    Up to ``_WWL_LOOP_WINDOWS`` windows, each window is cut out of the
+    packed integer and popcounted, with early exit; a shift of an n-bit
+    integer costs O(n / 64), so this loop grows as n^2 and serves short
+    inputs only, where it skips numpy's fixed cost (about 5 µs against
+    16 µs on a 56-bit input).  Longer inputs take the minimum of
+    :func:`_bitops.window_weights`, one prefix-sum pass in O(n).  Both
+    compute every window's weight exactly.
     """
     if L <= 0:
         raise ValueError("window length must be positive")
@@ -254,6 +277,8 @@ def is_wwl(x: BitSeq, L: int, d: int) -> bool:
     n = len(x)
     if n < L or d == 0:
         return True
+    if n - L + 1 > _WWL_LOOP_WINDOWS:
+        return int(_bitops.window_weights(x.to_numpy(), L).min()) >= d
     mask = (1 << L) - 1
     v = x.value
     for i in range(n - L + 1):
@@ -266,23 +291,38 @@ def is_sd(x: BitSeq, L: int, d: int) -> bool:
     """True when every pair of distinct length-``L`` windows differs in
     at least ``d`` positions.
 
-    This is the all-pairs definition evaluated directly on packed windows
-    with early exit at the first violating pair.
+    Pairs are pairs of start positions, so a repeated window fails any
+    ``d >= 1``.  Up to ``_SD_ALL_PAIRS_WINDOWS`` windows, every pair of
+    packed windows is XORed and popcounted, in row blocks of at most 2^16
+    pairs so memory stays bounded: O(m^2 * L / 64) word operations for m
+    windows, about 0.5 ms for a 282-bit input at L=34.  Longer inputs ask
+    :func:`_bitops.close_pairs` for the pairs within ``d - 1``; that search
+    is complete by the pigeonhole argument and costs about the number of
+    candidate pairs, so it serves the certify checks at n = 131k.  When
+    ``d > L`` every pair is too close, and the answer is whether there is
+    a pair at all.
     """
     if L <= 0:
         raise ValueError("window length must be positive")
     n = len(x)
     if n < L or d <= 0:
         return True
-    mask = (1 << L) - 1
-    v = x.value
-    wins = [(v >> i) & mask for i in range(n - L + 1)]
-    m = len(wins)
-    for i in range(m):
-        wi = wins[i]
-        for j in range(i + 1, m):
-            if (wi ^ wins[j]).bit_count() < d:
-                return False
+    m = n - L + 1
+    if m > _SD_ALL_PAIRS_WINDOWS:
+        if d > L:
+            return False
+        return not _bitops.close_pairs(x.to_numpy(), L, d - 1)
+    wins = _bitops.packed_windows(x.to_numpy(), L)
+    step = max(1, (1 << 16) // m)
+    acc = np.uint8 if L < 256 else np.int32
+    for i0 in range(0, m - 1, step):
+        # rows i0.. against columns i0..; pair (i, j) sits above the diagonal
+        a, b = wins[i0 : i0 + step], wins[i0:]
+        dist = np.bitwise_count(a[:, None, 0] ^ b[None, :, 0]).astype(acc, copy=False)
+        for k in range(1, wins.shape[1]):
+            dist += np.bitwise_count(a[:, None, k] ^ b[None, :, k])
+        if np.triu(dist < d, 1).any():
+            return False
     return True
 
 

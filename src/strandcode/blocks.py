@@ -30,6 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _bitops
 from .bitseq import BitSeq, majority_merge
 from .channel import Trace
 from .constrained import ConstrainedCodec, auto_cyclic
@@ -154,24 +155,59 @@ def marker_offenders(
     let a noisy window report a second marker position.  ``phase0`` shifts
     the grid for layouts whose markers sit at positions congruent to it
     rather than to zero.
+
+    The length-``L_min`` window at s, read cyclically from phase p, meets
+    the marker at w[s + p:] when p <= L_min - ml.  That is the plain
+    distance at a = s + p, the same for every (s, p) with that sum, and the
+    phase is true iff a = phase0 mod L_min.  So one distance per absolute
+    position and a range-any over the L_min - ml + 1 phases of each s decide
+    these phases.  Only the ml - 1 wrapping phases p = L_min - t, 0 < t <
+    ml, split the marker: its first t bits meet w[s + L_min - t:] and its
+    last ml - t bits meet w[s:], one head and one tail term of
+    :func:`_bitops.marker_mismatches`, read for all (t, s) at once as
+    skewed views of the table.  Each window has at most one true wrapping
+    phase, t = s - phase0 mod L_min.  The offenders and the assertion are
+    those a per-phase compare of every window gives, at O(n * ml) cost
+    instead of O(n * L_min * ml).
     """
-    ml = len(marker)
-    wins = np.lib.stride_tricks.sliding_window_view(w, L_min)
-    rows = wins.shape[0]
-    starts = np.arange(rows)
-    bad_rows: set[int] = set()
-    for phase in range(L_min):
-        cols = (phase + np.arange(ml)) % L_min
-        dist = (wins[:, cols] != marker).sum(axis=1)
-        true_phase = (starts + phase) % L_min == phase0 % L_min
-        assert not np.any(true_phase & (dist != 0)), "marker bits were not written"
-        for s in np.flatnonzero(~true_phase & (dist < dmin)):
-            bad_rows.add(int(s))
-    out: set[int] = set()
-    for s in bad_rows:
-        out.add(s // L_min)
-        out.add(min(blocks_total - 1, (s + L_min - 1) // L_min))
-    return out
+    n, ml = w.size, marker.size
+    rows = n - L_min + 1
+    if rows < 1 or not 1 < ml <= L_min:
+        raise ValueError("strand shorter than a block, or marker not 2 to L_min bits")
+    true_at = phase0 % L_min
+    # column c of the table is the start c - pad; the pad bits only ever
+    # enter both terms of a difference or lie past a counted prefix
+    pad = ml - 1
+    zeros = np.zeros(pad, dtype=w.dtype)
+    table = _bitops.marker_mismatches(np.concatenate([zeros, w, zeros]), marker)
+    dist = table[ml, pad : pad + n - ml + 1]
+    true_a = np.arange(dist.size) % L_min == true_at
+    assert not np.any(true_a & (dist != 0)), "marker bits were not written"
+    close = np.concatenate([[0], np.cumsum(~true_a & (dist < dmin))])
+    span = L_min - ml + 1
+    bad = close[span : span + rows] > close[:rows]
+    # T[t, c + k - t] sits at flat index t * (cols - 1) + c + k, so reshaping
+    # the flat table to rows of cols - 1 shifts row t by -t
+    cols = table.shape[1]
+    flat = table.ravel()
+
+    def skewed(k: int) -> np.ndarray:  # [t - 1, s] -> row t, column s + k - t
+        return flat[k : k + ml * (cols - 1)].reshape(ml, cols - 1)[1:, :rows]
+
+    wrap = np.lib.stride_tricks.sliding_window_view(table[ml, : rows + pad - 1], rows)[::-1]
+    wrap = wrap - skewed(pad)  # tails: T[ml, a] - T[t, a] at start a = s - t
+    wrap += skewed(L_min + pad)  # heads: T[t, a] at start a = s + L_min - t
+    s = np.arange(rows)
+    t = (s - true_at) % L_min
+    has_true = (t >= 1) & (t < ml)
+    s, t = s[has_true], t[has_true]
+    assert not np.any(wrap[t - 1, s]), "marker bits were not written"
+    close_wrap = wrap < dmin
+    close_wrap[t - 1, s] = False
+    bad |= close_wrap.any(axis=0)
+    starts = np.flatnonzero(bad)
+    ends = np.minimum(blocks_total - 1, (starts + L_min - 1) // L_min)
+    return {int(b) for b in np.concatenate([starts // L_min, ends])}
 
 
 # ---------------------------------------------------------------------------

@@ -460,6 +460,25 @@ def _piece_windows(concat_val: int, t: int, piece_len: int) -> list[tuple[int, i
     return [(q, (concat_val >> q) & mask) for q in range(lo, hi + 1)]
 
 
+def _splices_wwl(cand: BitSeq, prev: BitSeq, K: int, d: int) -> bool:
+    """Whether every splice cand[:j] + prev[j:], 0 < j < Ls, is (K, d)-weight
+    limited, as :func:`is_wwl` would find each of them.
+
+    The length-K window at a of splice j holds cand's bits over [a, c) and
+    prev's over [c, a + K), c = clip(j, a, a + K), so the prefix sums of the
+    two pieces give the weight of every window of every splice at once: one
+    (Ls - 1, Ls - K + 1) array instead of Ls - 1 window scans.
+    """
+    Ls = len(cand)
+    if Ls < max(K, 2):
+        return True
+    cc = np.concatenate([[0], np.cumsum(cand.to_numpy(), dtype=np.int64)])
+    cp = np.concatenate([[0], np.cumsum(prev.to_numpy(), dtype=np.int64)])
+    a = np.arange(Ls - K + 1)
+    cut = np.clip(np.arange(1, Ls)[:, None], a, a + K)
+    return int((cc[cut] - cc[a] + cp[a + K] - cp[cut]).min()) >= d
+
+
 def build_scaffold(params: SdParams, seed: int = 0, max_tries: int = 200) -> Scaffold:
     """Draw the scaffold piece family for params and frame it.
 
@@ -496,15 +515,8 @@ def build_scaffold(params: SdParams, seed: int = 0, max_tries: int = 200) -> Sca
             )
         idx = int.from_bytes(rng.bytes(16), "little") % cap
         cand = codec.unrank_from_start(idx, Ls)
-        if pieces:
-            prev = pieces[-1]
-            ok = True
-            for jj in range(1, Ls):
-                if not is_wwl(cand.window(0, jj) + prev.window(jj, Ls - jj), p.K2, p.d):
-                    ok = False
-                    break
-            if not ok:
-                continue
+        if pieces and not _splices_wwl(cand, pieces[-1], p.K2, p.d):
+            continue
         t = len(pieces)
         trial_val = concat_val | (cand.value << concat_len)
         new_wins = _piece_windows(trial_val, t, Ls)
