@@ -5,8 +5,8 @@ two windows differing in at most ``rho`` positions must agree exactly on one
 of ``rho + 1`` parts, so grouping windows by each part in turn finds every
 close pair without comparing all pairs.
 
-The module works on 0/1 ``uint8`` arrays and packed ``uint64`` words only,
-so :mod:`strandcode.bitseq` can build its predicates on it.
+It imports nothing from the package at run time, so
+:mod:`strandcode.bitseq` can build its predicates on it.
 """
 
 from __future__ import annotations

@@ -129,7 +129,7 @@ class TestMarkerOffenders:
     @pytest.mark.parametrize("phase0", [0, 17, 36])
     def test_planted_near_markers_at_every_phase(self, phase0):
         rng = np.random.default_rng(phase0)
-        L_min, ml, dmin = 40, 8, 3
+        L_min, dmin = 40, 3
         n = 8 * L_min + 13
         marker = np.array([1, 1, 1, 0, 0, 0, 0, 1], dtype=np.uint8)
         w = with_markers(rng.integers(0, 2, n).astype(np.uint8), L_min, marker, phase0)
