@@ -97,9 +97,11 @@ def close_pairs(bits: np.ndarray, L: int, rho: int) -> list[tuple[int, int, int]
 
     Complete by the pigeonhole argument: a pair within distance rho agrees
     exactly on at least one of rho+1 parts of the window, so it is found
-    when grouping by that part.  Within each sort by a part, rows ``s``
-    apart with equal keys are paired for s = 1, 2, ... until no equal keys
-    remain, so the cost is the number of candidate pairs, all vectorized.
+    when grouping by that part; when rho >= L, empty parts group all
+    windows together and every pair is returned.  Within each sort by a
+    part, rows ``s`` apart with equal keys are paired for s = 1, 2, ...
+    until no equal keys remain, so the cost is the number of candidate
+    pairs, all vectorized.
     """
     n = bits.size
     m = n - L + 1
@@ -110,7 +112,8 @@ def close_pairs(bits: np.ndarray, L: int, rho: int) -> list[tuple[int, int, int]
     found = []
     for lo, hi in _part_slices(L, rho + 1):
         part = pack_rows(np.ascontiguousarray(view[:, lo:hi]))
-        order = np.lexsort(part.T[::-1])
+        # when rho >= L some parts are empty: every pair agrees on them
+        order = np.lexsort(part.T[::-1]) if hi > lo else np.arange(m)
         sorted_part = part[order]
         # rows t whose key still equals the key s rows further on
         live = np.arange(m - 1)

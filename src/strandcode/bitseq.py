@@ -8,13 +8,12 @@ sequence; the text form writes position 0 first.
 The module-level predicates defined here are the fast paths used throughout
 the package.  Each has an independently written counterpart in
 :mod:`strandcode.oracle` used for differential testing.  The two constraint
-checks every encoder runs, :func:`is_wwl` and :func:`is_sd`, pick between
-two exact routes by input size: a packed-integer loop or an all-pairs
-popcount on small inputs, where numpy's fixed cost would dominate, and a
-vectorized scan from :mod:`strandcode._bitops` on large ones
-(``window_weights``, one prefix-sum pass, or ``close_pairs``, the complete
-pigeonhole search).  Both routes evaluate the definition on every window or
-pair, so the answer never depends on the route.
+checks every encoder runs are vectorized over packed windows with
+:mod:`strandcode._bitops`: :func:`is_wwl` takes one prefix-sum pass
+(``window_weights``), and :func:`is_sd` picks by input size between an
+all-pairs popcount, cheapest on small inputs, and ``close_pairs``, the
+complete pigeonhole search, on large ones.  Each evaluates the definition
+on every window or pair, so the answer never depends on the route.
 """
 
 from __future__ import annotations
@@ -250,10 +249,9 @@ def hamming(x: BitSeq, y: BitSeq) -> int:
     return (x.value ^ y.value).bit_count()
 
 
-# below these many windows the packed-integer loop (is_wwl) and the
-# all-pairs popcount (is_sd) beat the vectorized route; both are exact
-_WWL_LOOP_WINDOWS = 128
-_SD_ALL_PAIRS_WINDOWS = 384
+# is_sd compares all pairs of its m windows while m^2 * L stays within this
+# budget, where that beats close_pairs (measured, see is_sd); both are exact
+_SD_ALL_PAIRS_BITS = 6_000_000
 
 
 def is_wwl(x: BitSeq, L: int, d: int) -> bool:
@@ -262,29 +260,19 @@ def is_wwl(x: BitSeq, L: int, d: int) -> bool:
     Windows longer than the sequence are not considered, so any sequence
     shorter than ``L`` passes vacuously.
 
-    Up to ``_WWL_LOOP_WINDOWS`` windows, each window is cut out of the
-    packed integer and popcounted, with early exit; a shift of an n-bit
-    integer costs O(n / 64), so this loop grows as n^2 and serves short
-    inputs only, where it skips numpy's fixed cost (about 5 µs against
-    16 µs on a 56-bit input).  Longer inputs take the minimum of
-    :func:`_bitops.window_weights`, one prefix-sum pass in O(n).  Both
-    compute every window's weight exactly.
+    Takes the minimum of :func:`_bitops.window_weights`, which computes the
+    weight of every window exactly from one prefix sum: O(n), about 15 µs
+    of numpy overhead on short inputs.  The encoders' checks of short
+    words return before it (``n < L``), and the scaffold checks its
+    splices in one array of its own (``sd_encoder._splices_wwl``).
     """
     if L <= 0:
         raise ValueError("window length must be positive")
     if d < 0:
         raise ValueError("weight floor must be non-negative")
-    n = len(x)
-    if n < L or d == 0:
+    if len(x) < L or d == 0:
         return True
-    if n - L + 1 > _WWL_LOOP_WINDOWS:
-        return int(_bitops.window_weights(x.to_numpy(), L).min()) >= d
-    mask = (1 << L) - 1
-    v = x.value
-    for i in range(n - L + 1):
-        if ((v >> i) & mask).bit_count() < d:
-            return False
-    return True
+    return int(_bitops.window_weights(x.to_numpy(), L).min()) >= d
 
 
 def is_sd(x: BitSeq, L: int, d: int) -> bool:
@@ -292,25 +280,34 @@ def is_sd(x: BitSeq, L: int, d: int) -> bool:
     at least ``d`` positions.
 
     Pairs are pairs of start positions, so a repeated window fails any
-    ``d >= 1``.  Up to ``_SD_ALL_PAIRS_WINDOWS`` windows, every pair of
-    packed windows is XORed and popcounted, in row blocks of at most 2^16
-    pairs so memory stays bounded: O(m^2 * L / 64) word operations for m
-    windows, about 0.5 ms for a 282-bit input at L=34.  Longer inputs ask
-    :func:`_bitops.close_pairs` for the pairs within ``d - 1``; that search
-    is complete by the pigeonhole argument and costs about the number of
-    candidate pairs, so it serves the certify checks at n = 131k.  When
-    ``d > L`` every pair is too close, and the answer is whether there is
-    a pair at all.
+    ``d >= 1``, and any two windows differ in at most ``L`` positions, so
+    ``d > L`` fails whenever there are two windows.  Otherwise, with m
+    windows and m^2 * L up to ``_SD_ALL_PAIRS_BITS``, every pair of packed
+    windows is XORed and popcounted, in row blocks of at most 2^16 pairs
+    so memory stays bounded: O(m^2 * L / 64) word operations, about
+    0.3 ms for a 282-bit trace payload at L=34.  Larger inputs ask
+    :func:`_bitops.close_pairs` for the pairs within ``d - 1``; that
+    search is complete by the pigeonhole argument and costs about the
+    number of candidate pairs: the ``certify`` checks of ``encode_sd`` at
+    n = 131073 (L = 63 and 176) take 0.09 and 0.14 s, where all pairs
+    would take about 30 and 90 s.
+    On random passing inputs at d=3 the two routes cost the same at
+    m = 460 for L=34, 290 for L=62, 200 for L=175 and 150 for L=300,
+    which m^2 * L = 6e6 fits within 10 %.
+
+    Both routes cut windows with :func:`_bitops.packed_windows`, as does
+    the oracle's blocked scan above 3000 bits; the differential tests
+    therefore compare with the oracle's character loop, which shares no
+    code with either route.
     """
     if L <= 0:
         raise ValueError("window length must be positive")
-    n = len(x)
-    if n < L or d <= 0:
+    m = len(x) - L + 1
+    if m < 2 or d <= 0:
         return True
-    m = n - L + 1
-    if m > _SD_ALL_PAIRS_WINDOWS:
-        if d > L:
-            return False
+    if d > L:
+        return False
+    if m * m * L > _SD_ALL_PAIRS_BITS:
         return not _bitops.close_pairs(x.to_numpy(), L, d - 1)
     wins = _bitops.packed_windows(x.to_numpy(), L)
     step = max(1, (1 << 16) // m)

@@ -2,10 +2,13 @@
 
 ``marker_offenders`` is compared with the per-phase scan it replaced, kept
 here as the reference: every phase of every aligned window is compared
-with the marker bit by bit.  ``is_sd`` and ``is_wwl`` are compared with the
-literal checkers of :mod:`strandcode.oracle` on both sides of their size
-cutoffs, and the scaffold's splice check with one ``is_wwl`` per splice.
+with the marker bit by bit.  ``is_sd`` is compared with the character loop of
+:func:`strandcode.oracle.check_sd_exhaustive` on both sides of its size
+cutoff, ``is_wwl`` with :func:`~strandcode.oracle.check_wwl_exhaustive`,
+and the scaffold's splice check with one ``is_wwl`` per splice.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from strandcode.multistrand import (
     multi_gamma0_message_len,
 )
 from strandcode.oracle import check_sd_exhaustive, check_wwl_exhaustive
-from strandcode.sd_encoder import _splices_wwl
+from strandcode.sd_encoder import _close_pairs_naive, _splices_wwl
 from strandcode.trace_codes import (
     derive_gamma0_params,
     derive_trace_params,
@@ -249,6 +252,23 @@ class TestMarkerOffenders:
                     scan(bad, L_min, 3, marker, -(-n // L_min), phase0)
 
 
+def _no_packing(*args, **kwargs):
+    raise AssertionError("the reference packed windows")
+
+
+def reference_sd(x, L, d):
+    """``check_sd_exhaustive`` held to its character loop, which shares no
+    code with ``is_sd``: packing windows raises."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_bitops, "packed_windows", _no_packing)
+        return check_sd_exhaustive(x, L, d)
+
+
+def all_pairs_limit(L):
+    """The most windows of length L that ``is_sd`` compares all pairs of."""
+    return math.isqrt(bitseq._SD_ALL_PAIRS_BITS // L)
+
+
 def _sd_cases(rng, windows, L):
     """Random inputs with ``windows`` windows of length L, one with a
     planted repeat at distance 1 and one periodic."""
@@ -262,43 +282,58 @@ def _sd_cases(rng, windows, L):
 
 
 class TestIsSd:
-    @pytest.mark.parametrize(
-        "windows", [2, 61, bitseq._SD_ALL_PAIRS_WINDOWS, bitseq._SD_ALL_PAIRS_WINDOWS + 1]
-    )
+    @pytest.mark.parametrize("side", ["small", "cutoff", "above"])
     @pytest.mark.parametrize("L", [5, 34, 70])
-    def test_matches_oracle_across_cutoff(self, windows, L):
+    def test_matches_oracle_across_cutoff(self, side, L):
+        windows = {"small": 61, "cutoff": all_pairs_limit(L), "above": all_pairs_limit(L) + 1}[side]
         rng = np.random.default_rng(windows * 100 + L)
         answers = set()
         for x in _sd_cases(rng, windows, L):
             for d in (1, 3, 6):
-                want = check_sd_exhaustive(x, L, d)
+                want = reference_sd(x, L, d)
                 assert is_sd(x, L, d) == want
                 answers.add(want)
-        assert answers == {True, False} or L == 5 or windows == 2
+        assert answers == {True, False} or L == 5
 
-    @pytest.mark.parametrize("windows", [10, bitseq._SD_ALL_PAIRS_WINDOWS + 50])
+    def test_two_windows(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            x = BitSeq.random(9, rng)
+            for d in range(0, 10):
+                assert is_sd(x, 8, d) == reference_sd(x, 8, d)
+
+    @pytest.mark.parametrize("windows", [10, 2000])
     def test_d_above_window_length(self, windows):
         x = BitSeq.random(windows + 3, np.random.default_rng(0))
         assert is_sd(x, 4, 5) is False
-        assert is_sd(x, 4, 5) == check_sd_exhaustive(x, 4, 5)
+        assert is_sd(x, 4, 5) == reference_sd(x, 4, 5)
         assert is_sd(x.window(0, 4), 4, 5) is True
+
+    def test_d_above_window_length_lists_no_pairs(self, monkeypatch):
+        # close_pairs would list all m(m-1)/2 pairs of a long input
+        def listing(*args, **kwargs):
+            raise AssertionError("is_sd listed close pairs")
+
+        monkeypatch.setattr(_bitops, "close_pairs", listing)
+        x = BitSeq.random(100_000, np.random.default_rng(1))
+        assert is_sd(x, 30, 31) is False
 
     def test_windows_wider_than_a_byte_of_distance(self):
         # distances above 255 do not fit the narrow accumulator
         rng = np.random.default_rng(8)
         for x in _sd_cases(rng, 30, 300):
             for d in (3, 140, 280):
-                assert is_sd(x, 300, d) == check_sd_exhaustive(x, 300, d)
+                assert is_sd(x, 300, d) == reference_sd(x, 300, d)
 
         # adjacent windows of an alternating string differ everywhere
         x = BitSeq.from_text("01" * 150 + "0")
-        assert is_sd(x, 300, 280) and check_sd_exhaustive(x, 300, 280)
+        assert is_sd(x, 300, 280) and reference_sd(x, 300, 280)
 
     def test_edges(self):
         x = BitSeq.from_text("0000")
-        assert is_sd(x, 5, 3) and check_sd_exhaustive(x, 5, 3)
+        assert is_sd(x, 5, 3) and reference_sd(x, 5, 3)
         for d in (0, -2):
-            assert is_sd(x, 2, d) and check_sd_exhaustive(x, 2, d)
+            assert is_sd(x, 2, d) and reference_sd(x, 2, d)
         for L in (0, -1):
             with pytest.raises(ValueError):
                 is_sd(x, L, 1)
@@ -309,18 +344,33 @@ class TestIsSd:
 
         monkeypatch.setattr(_bitops, "min_pair_distance", oracle_scan)
         rng = np.random.default_rng(4)
-        for windows in (100, bitseq._SD_ALL_PAIRS_WINDOWS + 100):
+        for windows in (100, all_pairs_limit(40) + 100):
             clean, close, _ = _sd_cases(rng, windows, 40)
             assert is_sd(clean, 40, 3)
             assert not is_sd(close, 40, 3)
 
+    def test_reference_does_not_pack(self):
+        x = BitSeq.random(100, np.random.default_rng(5))
+        assert reference_sd(x, 20, 2) == check_sd_exhaustive(x, 20, 2)
+        with pytest.raises(AssertionError, match="packed"):
+            reference_sd(BitSeq.random(3001, np.random.default_rng(5)), 20, 2)
+
+
+@pytest.mark.parametrize("L, rho", [(5, 5), (5, 9), (1, 1), (4, 3)])
+def test_close_pairs_at_radius_of_the_window_length(L, rho):
+    # rho >= L leaves some pigeonhole parts empty; every pair is close
+    rng = np.random.default_rng(L * 10 + rho)
+    bits = rng.integers(0, 2, 40).astype(np.uint8)
+    got = _bitops.close_pairs(bits, L, rho)
+    assert got == _close_pairs_naive(bits, L, rho)
+    if rho >= L:
+        assert len(got) == (41 - L) * (40 - L) // 2
+
 
 class TestIsWwl:
-    @pytest.mark.parametrize(
-        "windows", [1, 40, bitseq._WWL_LOOP_WINDOWS, bitseq._WWL_LOOP_WINDOWS + 1, 3000]
-    )
+    @pytest.mark.parametrize("windows", [1, 40, 200, 3000])
     @pytest.mark.parametrize("L", [1, 9, 30, 80])
-    def test_matches_oracle_across_cutoff(self, windows, L):
+    def test_matches_oracle(self, windows, L):
         rng = np.random.default_rng(windows * 100 + L)
         n = windows + L - 1
         answers = set()
@@ -333,7 +383,7 @@ class TestIsWwl:
                 answers.add(want)
         assert answers == {True, False}
 
-    @pytest.mark.parametrize("windows", [bitseq._WWL_LOOP_WINDOWS, bitseq._WWL_LOOP_WINDOWS + 1])
+    @pytest.mark.parametrize("windows", [1, 30, 500])
     def test_light_window_at_either_end(self, windows):
         L = 20
         n = windows + L - 1
