@@ -26,6 +26,8 @@ from strandcode.multistrand import (
     multi_gamma0_message_len,
     multi_gamma0_rs_message_len,
     reconstruct_multi_gamma0_rs,
+    wrap_encode,
+    wrap_length,
 )
 from strandcode.errors import SearchExhausted
 from strandcode.sd_encoder import encode_sd, scaffold_for, sd_message_len
@@ -34,6 +36,7 @@ from strandcode.trace_codes import (
     derive_trace_params,
     encode_gamma0,
     encode_trace,
+    encode_trace_nondiv,
     encode_trace_rs,
     gamma0_book,
     gamma0_message_len,
@@ -93,6 +96,34 @@ def trace_rs_p1():
     return encode_trace_rs(m, p, 1, trace_book(p)).to_text()
 
 
+@functools.cache
+def _trace_4365():
+    # 4365 = 48.5 blocks of 90: the last block is written whole and cut
+    p = derive_trace_params(4365, 1, L_min=90, L_over=85, I=4, r_I=16, K=8)
+    return p, trace_book(p)
+
+
+def trace_4365():
+    p, book = _trace_4365()
+    m = BitSeq.random(trace_message_len(p), np.random.default_rng(29))
+    return encode_trace_nondiv(m, p, book).to_text()
+
+
+def trace_rs_4365():
+    p, book = _trace_4365()
+    m = BitSeq.random(trace_rs_message_len(p, 1), np.random.default_rng(31))
+    return encode_trace_rs(m, p, 1, book).to_text()
+
+
+def wrap_1165_k4():
+    p = derive_trace_params(
+        wrap_length(1165, 4, 85), 1, L_min=90, L_over=85, I=4, r_I=16, K=8
+    )
+    m = BitSeq.random(trace_message_len(p), np.random.default_rng(41))
+    ss = wrap_encode(m, 1165, 4, p, trace_book(p))
+    return "".join(s.to_text() for s in ss.strands)
+
+
 def multi_rs_gp4():
     p = _gp4()
     m = BitSeq.random(multi_gamma0_rs_message_len(p, 1), np.random.default_rng(43))
@@ -123,6 +154,11 @@ def sd_65537():
     return encode_sd(m, 65537, 3).to_text()
 
 
+def sd_2048_zeros():
+    # 94 close-pair rewrites, so the window index field is written
+    return encode_sd(BitSeq.zeros(sd_message_len(2048, 1)), 2048, 1).to_text()
+
+
 def scaffold_65537():
     return scaffold_for(65537, 3).sbar.to_text()
 
@@ -133,10 +169,14 @@ PINNED = {
     multi_k2: "8d557a15a86275aace91f1d1398aa8a6f7aa245c4fdd7c2bfb4f2aa9dfcd00dc",
     multi_k8: "19f33b91d57e954e61e0982c79335d8261a7a74aaf887329eb93a81dd8b1b0df",
     trace_rs_p1: "08bbb59ad40b2176e8459c6b1c1a7b66355c6b068a371a5544fa2495d7ea036f",
+    trace_4365: "db3ddfa67de0fc999200b5b2bfa8ec2ebe608978fb2f5f8bbfa513cc09c59ca9",
+    trace_rs_4365: "3a113b579b643f0e374805cd72d99dbed5c3f8d091fbabe335302d916630a541",
+    wrap_1165_k4: "76ed15ee43bba2fa415f248bd6f07adeadb6e7d2353746f28894a838ccacb8ca",
     multi_rs_gp4: "bf4934955560098b29e0454e43ceb0223e9ababa80d0e05475c394cc25b69e09",
     gamma0_report: "eb2ffd7fe11d3c5591ffc3a3ce4f00d4c8716aee8790295ca9a719ec9a5d2046",
     multi_rs_missing_strand_report: "a30780c4e4e2ae671762eb1d798aefb209df553a5f144918a8dfaa4ad33af0f5",
     sd_65537: "4910c994e6d10b651fe6cce111067fa34e9683f5db533a28b720692749fce7e0",
+    sd_2048_zeros: "6c510a0dff3980888eafcb90ea2aeaeb4a61590d066f199f8e039f976c88f46d",
     scaffold_65537: "5206f2a8b6e47055fa97301c15b94dd3f139239808e4be11c2e394ab209abb41",
 }
 
