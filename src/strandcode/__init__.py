@@ -104,7 +104,6 @@ from .trace_codes import (
     derive_trace_params,
     encode_gamma0,
     encode_trace,
-    encode_trace_nondiv,
     encode_trace_rs,
     gamma0_book,
     gamma0_message_len,

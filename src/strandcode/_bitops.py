@@ -11,16 +11,7 @@ It imports nothing from the package at run time, so
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
-
-if TYPE_CHECKING:
-    from .bitseq import BitSeq
-
-
-def seq_bits(x: BitSeq) -> np.ndarray:
-    return x.to_numpy()
 
 
 def packed_windows(bits: np.ndarray, L: int) -> np.ndarray:

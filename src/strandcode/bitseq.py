@@ -190,9 +190,6 @@ class BitSeq:
             raise ValueError("length mismatch")
         return BitSeq(self._val ^ other._val, self._len)
 
-    def reversed(self) -> "BitSeq":
-        return BitSeq.from_bits(reversed(list(self)))
-
     # ------------------------------------------------------------------
     # conversions
 

@@ -57,7 +57,6 @@ from .trace_codes import (
     derive_trace_params,
     encode_gamma0,
     encode_trace,
-    encode_trace_nondiv,
     encode_trace_rs,
     gamma0_book,
     gamma0_message_len,
@@ -247,7 +246,7 @@ def _cmd_trace_encode(args) -> int:
     family, p = _load_params(args.params)
     _expect_family(family, "trace")
     m = _read_bits(args.infile)
-    w = encode_trace(m, p) if p.divisible else encode_trace_nondiv(m, p)
+    w = encode_trace(m, p)
     _write_bits(args.out, w)
     _emit({"command": "trace encode", "n": p.n, "message_len": len(m)})
     _note(f"encoded {len(m)} bits into {p.n} symbols ({p.n_L} blocks)")
@@ -541,7 +540,7 @@ def _bench_trial(family, p, book, args, trial: int) -> bool:
         return got == msgs
     m = BitSeq.random(_family_message_len(family, p), rng)
     if family == "trace":
-        w = encode_trace(m, p, book) if p.divisible else encode_trace_nondiv(m, p, book)
+        w = encode_trace(m, p, book)
         decode = reconstruct_trace
     else:
         w = encode_gamma0(m, p, book)

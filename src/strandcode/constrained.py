@@ -263,10 +263,6 @@ class ConstrainedCodec:
         auto = _automaton(self._cw, self._cf)
         return _count_table(self._cw, self._cf, length)[auto.init_id][length]
 
-    def capacity_from_start(self, length: int) -> int:
-        """log2 of the number of valid strings of ``length`` symbols."""
-        return self.count(length).bit_length() - 1
-
     def unrank_from_start(self, index: int, length: int) -> BitSeq:
         """Map an integer below ``count(length)`` to a valid string."""
         auto = _automaton(self._cw, self._cf)
@@ -305,22 +301,6 @@ class ConstrainedCodec:
             index, state = self._rank(x.window(pos, B), state)
             if index >> cap:
                 raise ValueError("constrained string outside the message range")
-            pos += B
-            out = out + BitSeq.from_int(index, cap)
-        return out
-
-    def decode_prefix(self, x: BitSeq, nbits: int) -> BitSeq:
-        """Decode only the message bits carried by the first ``nbits``
-        whole chunks' worth of output symbols."""
-        auto = _automaton(self._cw, self._cf)
-        caps = self._caps()
-        state = auto.init_id
-        out = BitSeq.zeros(0)
-        pos = 0
-        for B, cap in zip(self.chunk_lengths, caps):
-            if pos + B > nbits:
-                break
-            index, state = self._rank(x.window(pos, B), state)
             pos += B
             out = out + BitSeq.from_int(index, cap)
         return out

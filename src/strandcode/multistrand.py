@@ -43,7 +43,7 @@ from .channel import ChannelConfig, Fragment, Trace, fragment
 from .errors import DecodeFailure, LayoutError
 from .outer import lane_decode, lane_encode, lane_message_len
 from .positioning import IndexBook
-from .trace_codes import TraceParams, encode_trace, encode_trace_nondiv, reconstruct_trace
+from .trace_codes import TraceParams, encode_trace, reconstruct_trace, trace_book
 
 __all__ = [
     "StrandSet",
@@ -218,11 +218,7 @@ def wrap_encode(
     so consecutive strands agree on their seams by construction.
     """
     _check_wrap_geometry(n, k, params)
-    if params.divisible:
-        w = encode_trace(m, params, book)
-    else:
-        w = encode_trace_nondiv(m, params, book)
-    return _slice_strands(w, n, k, params.L_over)
+    return _slice_strands(encode_trace(m, params, book), n, k, params.L_over)
 
 
 def wrap_reconstruct(
@@ -254,11 +250,9 @@ def wrap_decode(
     mt: Trace, n: int, k: int, params: TraceParams, book: IndexBook | None = None
 ) -> tuple[StrandSet, BitSeq]:
     """Recover the strand multiset and the message from a pooled read set."""
+    book = book if book is not None else trace_book(params)
     rep = wrap_reconstruct(mt, n, k, params, book)
-    if params.divisible:
-        w = encode_trace(rep.message, params, book)
-    else:
-        w = encode_trace_nondiv(rep.message, params, book)
+    w = encode_trace(rep.message, params, book)
     return _slice_strands(w, n, k, params.L_over), rep.message
 
 

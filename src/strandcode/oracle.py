@@ -70,9 +70,9 @@ def check_sd_exhaustive(x: BitSeq, L: int, d: int) -> bool:
 def sd_min_pair_distance(x: BitSeq, L: int) -> tuple[int, tuple[int, int]]:
     """Exact minimum distance over all pairs of length-L windows, with a
     witnessing pair of start offsets."""
-    from ._bitops import min_pair_distance, packed_windows, seq_bits
+    from ._bitops import min_pair_distance, packed_windows
 
-    return min_pair_distance(packed_windows(seq_bits(x), L))
+    return min_pair_distance(packed_windows(x.to_numpy(), L))
 
 
 def check_modular_rps(w: BitSeq, period: int, d: int) -> bool:

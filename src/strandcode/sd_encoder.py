@@ -22,7 +22,15 @@ import numpy as np
 
 from . import _bitops
 from .bitseq import BitSeq, is_sd, is_wwl
-from .constrained import ConstrainedCodec, ceil_log2, apply_dist, auto_cyclic, enc_dist
+from .constrained import (
+    ConstrainedCodec,
+    apply_dist,
+    auto_cyclic,
+    ceil_log2,
+    enc_dist,
+    index_wwl,
+    index_wwl_decode,
+)
 from .errors import DecodeFailure, InfeasibleParameters, SearchExhausted, StrandcodeError
 
 __all__ = [
@@ -215,12 +223,6 @@ def _inner_codec(n: int, d: int) -> ConstrainedCodec:
     return ConstrainedCodec(d * p.llog, d, p.inner_len)
 
 
-@functools.lru_cache(maxsize=128)
-def _pos_codec(n: int, d: int) -> ConstrainedCodec:
-    p = derive_sd_params(n, d)
-    return ConstrainedCodec(d * p.llog, d, p.pos_len)
-
-
 # ----------------------------------------------------------------------
 # stage two: close-pair elimination
 
@@ -261,21 +263,11 @@ def _close_pairs_naive(bits: np.ndarray, L: int, rho: int) -> list[tuple[int, in
     return out
 
 
-def _find_close_pairs(x: BitSeq, L: int, rho: int, search: str) -> list[tuple[int, int, int]]:
-    bits = x.to_numpy()
-    if search == "pigeonhole":
-        return _bitops.close_pairs(bits, L, rho)
-    if search == "naive":
-        return _close_pairs_naive(bits, L, rho)
-    raise ValueError(f"unknown search mode {search!r}")
-
-
 def eliminate_close_pairs(
     w: BitSeq,
     params: SdParams,
     *,
     trace: list | None = None,
-    search: str = "pigeonhole",
     certify: bool = False,
 ) -> BitSeq:
     """Rewrite w until no two L1-windows are within distance d-1.
@@ -288,8 +280,7 @@ def eliminate_close_pairs(
     record's marker rightmost, which is what the inverse exploits.
 
     ``trace``, if given, collects one dict per replacement with keys i, j,
-    branch, len_after and marker_at, serialisable as JSON.  ``search``
-    selects the complete pigeonhole pair scan or a naive quadratic one.
+    branch, len_after and marker_at, serialisable as JSON.
     """
     p = params
     d = p.d
@@ -299,13 +290,12 @@ def eliminate_close_pairs(
         raise ValueError(f"expected input of length {p.inner_len}, got {len(w)}")
     if not is_wwl(w, p.zero_len, d):
         raise ValueError("input is not weight limited at the required window")
-    pos_codec = _pos_codec(p.n, d)
     wbar = w
     j_p = 0
     count = 0
     max_repl = len(w) - p.L1 + 1
     while True:
-        pairs = _find_close_pairs(wbar, p.L1, d - 1, search)
+        pairs = _bitops.close_pairs(wbar.to_numpy(), p.L1, d - 1)
         if not pairs:
             break
         i, j, _ = pairs[0]
@@ -324,7 +314,7 @@ def eliminate_close_pairs(
             BitSeq.ones(d)
             + BitSeq.zeros(p.zero_len)
             + BitSeq.ones(d)
-            + pos_codec.unrank_from_start(i, p.pos_len)
+            + index_wwl(i, p.n, d)
             + BitSeq.ones(d)
             + enc_dist(x_i, x_j, p.L1, d - 1)
             + tail
@@ -355,7 +345,7 @@ def eliminate_close_pairs(
     return wbar
 
 
-def _parse_record(cur: BitSeq, j: int, p: SdParams, pos_codec: ConstrainedCodec):
+def _parse_record(cur: BitSeq, j: int, p: SdParams):
     """Split the rewrite record starting at j into (i, diff-mask, branch tag)."""
     d = p.d
     if j + p.insert_len > len(cur):
@@ -368,7 +358,7 @@ def _parse_record(cur: BitSeq, j: int, p: SdParams, pos_codec: ConstrainedCodec)
         raise DecodeFailure("rewrite record framing damaged")
     off = j + 2 * d + p.zero_len
     try:
-        i = pos_codec.rank_from_start(cur.window(off, p.pos_len))
+        i = index_wwl_decode(cur.window(off, p.pos_len), p.n, d)
     except ValueError as exc:
         raise DecodeFailure(f"window index field invalid: {exc}") from None
     off += p.pos_len + d
@@ -388,7 +378,6 @@ def restore_close_pairs(wbar: BitSeq, params: SdParams) -> BitSeq:
     """
     p = params
     d = p.d
-    pos_codec = _pos_codec(p.n, d)
     field = ceil_log2(p.L1 + 1)
     cur = wbar
     while True:
@@ -397,7 +386,7 @@ def restore_close_pairs(wbar: BitSeq, params: SdParams) -> BitSeq:
             if _has_zero_run(cur, p.zero_len):
                 raise DecodeFailure("stray zero run without a marker")
             break
-        i, diff, v = _parse_record(cur, j, p, pos_codec)
+        i, diff, v = _parse_record(cur, j, p)
         if not 0 <= i < j:
             raise DecodeFailure(f"recorded window index {i} not left of {j}")
         mask = 0

@@ -11,11 +11,10 @@ the payload strings are substring distant, so a wrong alignment disagrees on
 many positions while the right one disagrees on few.  The positionwise
 majority over the placed fragments is then inverted back to the message.
 
-Also here: the length-truncating variant for block counts that do not divide
-the string length, the outer Reed-Solomon hardening across groups that
-survives whole-group corruption (lanes in :mod:`strandcode.outer`), and the
-params and entry points of the non-overlapping family whose blocks carry
-absolute indices.  That family runs on the indexed core of
+Also here: the outer Reed-Solomon hardening across groups that survives
+whole-group corruption (lanes in :mod:`strandcode.outer`), and the params
+and entry points of the non-overlapping family whose blocks carry absolute
+indices.  That family runs on the indexed core of
 :mod:`strandcode.blocks`, shared with the interleaved multi-strand family;
 the layout, index split, marker scan, majority merge and
 :class:`ReconReport` come from there too.
@@ -71,7 +70,6 @@ __all__ = [
     "trace_message_len",
     "trace_book",
     "encode_trace",
-    "encode_trace_nondiv",
     "reconstruct_trace",
     "trace_rs_message_len",
     "encode_trace_rs",
@@ -397,8 +395,17 @@ def _assemble(params: TraceParams, book: IndexBook, vs: dict[int, np.ndarray]) -
     return out[: params.n]
 
 
-def _encode(m: BitSeq, params: TraceParams, book: IndexBook, extend: bool) -> BitSeq:
+def encode_trace(m: BitSeq, params: TraceParams, book: IndexBook | None = None) -> BitSeq:
+    """Encode a message into one block-structured string of length n.
+
+    When the block length does not divide n, the last group's payload is
+    extended by one redundant block worth of constrained symbols, a full
+    extra block is appended, and the result is cut back to n bits; every
+    message bit stays inside the surviving whole blocks, so the decoder
+    never needs the cut tail.
+    """
     require_feasible(params)
+    book = book if book is not None else trace_book(params)
     check_book(params, book, params.d1)
     if tuple(book.segment_widths) != tuple(
         _split_widths(params.I + params.r_I, params.F)
@@ -421,7 +428,7 @@ def _encode(m: BitSeq, params: TraceParams, book: IndexBook, extend: bool) -> Bi
     vs: dict[int, np.ndarray] = {}
 
     def build(g: int, start: int) -> None:
-        ext = extend and g == G - 1
+        ext = g == G - 1 and not params.divisible
         v, t = _encode_group(pieces[g], g, params, start, ext)
         vs[g] = v.to_numpy()
         salts[g] = t
@@ -435,41 +442,11 @@ def _encode(m: BitSeq, params: TraceParams, book: IndexBook, extend: bool) -> Bi
         )
         groups = {int(blocks.group[b]) for b in offenders}
         if not groups:
+            assert w.size == params.n
             return BitSeq.from_numpy(w)
         for g in sorted(groups):
             build(g, salts[g] + 1)
     raise SearchExhausted("marker uniqueness not reached after re-salting")
-
-
-def encode_trace(m: BitSeq, params: TraceParams, book: IndexBook | None = None) -> BitSeq:
-    """Encode a message into one block-structured string of length n.
-
-    Requires the block length to divide n; see encode_trace_nondiv for the
-    truncating variant.
-    """
-    require_feasible(params)
-    if params.n % params.L_min:
-        raise ValueError("block length does not divide n; use the truncating encoder")
-    book = book if book is not None else trace_book(params)
-    w = _encode(m, params, book, extend=False)
-    assert len(w) == params.n
-    return w
-
-
-def encode_trace_nondiv(m: BitSeq, params: TraceParams, book: IndexBook | None = None) -> BitSeq:
-    """Truncating encoder for block lengths that do not divide n.
-
-    The last group's payload is extended by one redundant block worth of
-    constrained symbols, a full extra block is appended, and the result is
-    cut back to n bits; every message bit stays inside the surviving whole
-    blocks, so the decoder never needs the cut tail.
-    """
-    if params.n % params.L_min == 0:
-        raise ValueError("block length divides n; use the plain encoder")
-    book = book if book is not None else trace_book(params)
-    w = _encode(m, params, book, extend=True)
-    assert len(w) == params.n
-    return w
 
 
 # ---------------------------------------------------------------------------
@@ -852,10 +829,7 @@ def encode_trace_rs(
 ) -> BitSeq:
     """Encode with 2 * tau parity groups protecting against block corruption."""
     blocks = lane_encode(m, params.group_count, tau, _outer_payload_bits(params))
-    full = sum(blocks, BitSeq.zeros(0))
-    if params.divisible:
-        return encode_trace(full, params, book)
-    return encode_trace_nondiv(full, params, book)
+    return encode_trace(sum(blocks, BitSeq.zeros(0)), params, book)
 
 
 def reconstruct_trace_rs(

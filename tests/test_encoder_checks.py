@@ -28,7 +28,7 @@ from strandcode.trace_codes import (
     derive_gamma0_params,
     derive_trace_params,
     encode_gamma0,
-    encode_trace_nondiv,
+    encode_trace,
     gamma0_book,
     gamma0_message_len,
     trace_book,
@@ -226,7 +226,7 @@ class TestMarkerOffenders:
         assert p.n % p.L_min
         book = trace_book(p)
         m = BitSeq.random(trace_message_len(p), np.random.default_rng(9))
-        w = encode_trace_nondiv(m, p, book).to_numpy()
+        w = encode_trace(m, p, book).to_numpy()
         total = trace_codes._block_table(p).total
         marker = book.marker.to_numpy()
         for dmin in (p.d1 - 1, p.d1, p.d1 + 4):

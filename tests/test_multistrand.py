@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from strandcode import trace_codes
 from strandcode.bitseq import BitSeq
 from strandcode.channel import (
     ChannelConfig,
@@ -43,7 +44,6 @@ from strandcode.multistrand import (
 from strandcode.trace_codes import (
     derive_trace_params,
     encode_trace,
-    encode_trace_nondiv,
     trace_book,
     trace_message_len,
 )
@@ -226,7 +226,7 @@ class TestWrap:
 
     def test_strands_are_slices_of_the_superstring(self, wp4, wbook4, wcoded4):
         m, ss = wcoded4
-        w = encode_trace_nondiv(m, wp4, wbook4)
+        w = encode_trace(m, wp4, wbook4)
         stride = WRAP_N - WRAP_OVER
         for i, s in enumerate(ss.strands):
             assert s == w.window(i * stride, WRAP_N)
@@ -253,6 +253,21 @@ class TestWrap:
         )
         _, got_m = wrap_decode(shuffled, WRAP_N, 4, wp4, wbook4)
         assert got_m == m
+
+    def test_decode_without_a_book_builds_it_once(self, wp4, wcoded4, monkeypatch):
+        m, ss = wcoded4
+        mt = fragment_strands(ss, ChannelConfig(L_min=90, L_over=WRAP_OVER, seed=6), N=wp4.n)
+        builds = []
+        build = trace_codes.build_index_book
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(trace_codes, "build_index_book", counting)
+        got_ss, got_m = wrap_decode(mt.strip_truth(), WRAP_N, 4, wp4)
+        assert (got_ss, got_m) == (ss, m)
+        assert len(builds) == 1
 
     def test_duplicate_strand_reads_do_not_disturb_decoding(self, wp4, wbook4, wcoded4):
         m, ss = wcoded4

@@ -36,7 +36,6 @@ from strandcode.trace_codes import (
     derive_trace_params,
     encode_gamma0,
     encode_trace,
-    encode_trace_nondiv,
     encode_trace_rs,
     gamma0_book,
     gamma0_message_len,
@@ -106,7 +105,7 @@ def _trace_4365():
 def trace_4365():
     p, book = _trace_4365()
     m = BitSeq.random(trace_message_len(p), np.random.default_rng(29))
-    return encode_trace_nondiv(m, p, book).to_text()
+    return encode_trace(m, p, book).to_text()
 
 
 def trace_rs_4365():

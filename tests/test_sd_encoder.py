@@ -173,7 +173,7 @@ class TestRewriteLoop:
         assert all(e["marker_at"] == e["j"] for e in trace)
         assert restore_close_pairs(wbar, p) == w
 
-    def test_search_modes_agree(self):
+    def test_search_modes_agree(self, monkeypatch):
         cases = [_planted_branch2()[0]]
         p = derive_sd_params(128, 1)
         cases.append(BitSeq.ones(p.inner_len))
@@ -181,8 +181,10 @@ class TestRewriteLoop:
         cases += [_random_inner(128, 1, rng) for _ in range(10)]
         for w in cases:
             ta, tb = [], []
-            wa = eliminate_close_pairs(w, p, trace=ta, search="pigeonhole")
-            wb = eliminate_close_pairs(w, p, trace=tb, search="naive")
+            wa = eliminate_close_pairs(w, p, trace=ta)
+            with monkeypatch.context() as mp:
+                mp.setattr(_bitops, "close_pairs", _close_pairs_naive)
+                wb = eliminate_close_pairs(w, p, trace=tb)
             assert wa == wb and ta == tb
 
     def test_rejects_non_wwl_input(self):

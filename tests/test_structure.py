@@ -1,6 +1,7 @@
 """Module boundaries of the package."""
 
 import ast
+import re
 from pathlib import Path
 
 import strandcode
@@ -35,3 +36,52 @@ def test_no_module_imports_private_names_from_a_sibling():
         if (names := _private_sibling_imports(path))
     }
     assert offenders == {}
+
+
+REPO = Path(__file__).resolve().parents[1]
+_DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+
+
+def _trees(*dirs: str):
+    for d in dirs:
+        for path in sorted((REPO / d).rglob("*.py")):
+            yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def _references(tree: ast.AST) -> set[str]:
+    """Every name a module could reach a function by: bare names, attributes,
+    imported names and their aliases, and the parts of dotted string
+    constants (``__all__`` entries, perfbench's layer paths)."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.update(node.name.split("."))
+            if node.asname:
+                refs.add(node.asname)
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and _DOTTED.fullmatch(node.value)
+        ):
+            refs.update(node.value.split("."))
+    return refs
+
+
+def test_every_function_in_the_package_is_referenced():
+    refs = set()
+    defined = []
+    for path, tree in _trees("src", "tests", "perfbench"):
+        refs |= _references(tree)
+        if path.parent == REPO / "src" / "strandcode":
+            defined += [
+                f"{path.name}:{node.lineno} {node.name}"
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (node.name.startswith("__") and node.name.endswith("__"))
+            ]
+    unused = [d for d in defined if d.rpartition(" ")[2] not in refs]
+    assert unused == []

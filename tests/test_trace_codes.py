@@ -22,7 +22,6 @@ from strandcode.trace_codes import (
     derive_trace_params,
     encode_gamma0,
     encode_trace,
-    encode_trace_nondiv,
     encode_trace_rs,
     gamma0_book,
     gamma0_message_len,
@@ -301,13 +300,13 @@ def pn():
 class TestNondivisible:
     def test_output_length_is_n(self, pn, book1):
         m = BitSeq.random(trace_message_len(pn), np.random.default_rng(9))
-        w = encode_trace_nondiv(m, pn, book1)
+        w = encode_trace(m, pn, book1)
         assert len(w) == pn.n == 4365
         assert pn.n % pn.L_min != 0
 
     def test_roundtrip_through_reconstruct(self, pn, book1):
         m = BitSeq.random(trace_message_len(pn), np.random.default_rng(10))
-        w = encode_trace_nondiv(m, pn, book1)
+        w = encode_trace(m, pn, book1)
         for seed in range(5):
             cfg = reliable_cfg(pn, seed)
             tr = corrupt(fragment(w, cfg), cfg)
@@ -319,11 +318,6 @@ class TestNondivisible:
         target = (1 - 1 / pn.a) / (1 - pn.gamma)
         print(f"truncated-length rate {rate:.4f} vs asymptotic form {target:.4f}")
         assert 0 < rate < 1
-
-    def test_divisible_length_rejected(self, p1, book1):
-        m = BitSeq.zeros(trace_message_len(p1))
-        with pytest.raises(ValueError):
-            encode_trace_nondiv(m, p1, book1)
 
 
 def _flip_group_payload(arr, p, g, rng, density=0.5):
