@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -318,6 +319,27 @@ class TestNondivisible:
         target = (1 - 1 / pn.a) / (1 - pn.gamma)
         print(f"truncated-length rate {rate:.4f} vs asymptotic form {target:.4f}")
         assert 0 < rate < 1
+
+
+@pytest.fixture(scope="module")
+def p17():
+    return derive_trace_params(17280, 1, L_min=90, L_over=85, I=4, r_I=16, K=8)
+
+
+class TestResaltLoop:
+    # each of these messages needs more than 8 marker scans before every
+    # near-marker is salted away
+    @pytest.mark.parametrize("seed", [2, 4, 5])
+    def test_long_words_encode_and_decode(self, p17, seed):
+        book = trace_book(p17)
+        m = BitSeq.random(trace_message_len(p17), np.random.default_rng(seed))
+        start = time.perf_counter()
+        w = encode_trace(m, p17, book)
+        assert time.perf_counter() - start < 1.0
+        cfg = reliable_cfg(p17, seed)
+        tr = corrupt(fragment(w, cfg), cfg)
+        rep = reconstruct_trace(tr.strip_truth(), p17, book)
+        assert rep.message == m and rep.reliable
 
 
 def _flip_group_payload(arr, p, g, rng, density=0.5):
