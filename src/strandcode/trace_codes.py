@@ -83,7 +83,6 @@ __all__ = [
 
 SALT_BITS = 8
 _SALT_TRIES = 1 << SALT_BITS
-_CERT_ROUNDS = 8
 # the shared codec table; perfbench checks its misses under this name
 _codec = codec
 
@@ -361,7 +360,8 @@ def _encode_group(
         if is_sd(v, params.L, params.d2):
             return v, t
     raise SearchExhausted(
-        f"no salt yields a substring-distant payload for group {group}"
+        f"group {group} used up its {_SALT_TRIES} salts: the marker repair "
+        f"rejected salts below {start_t}, the SD check every salt from there on"
     )
 
 
@@ -403,6 +403,15 @@ def encode_trace(m: BitSeq, params: TraceParams, book: IndexBook | None = None) 
     extra block is appended, and the result is cut back to n bits; every
     message bit stays inside the surviving whole blocks, so the decoder
     never needs the cut tail.
+
+    Each group's payload is scrambled with the first salt whose encoding is
+    substring distant.  The assembled word is then scanned for near-markers
+    away from the block starts, and every group holding one is re-encoded
+    from its next salt; the scan repeats until it comes back clean.  The
+    loop has no round cap: each round moves at least one group to a higher
+    salt, so a word takes at most 2^I * 2^SALT_BITS rounds, and the encoder
+    raises ``SearchExhausted`` only when some group runs out of its
+    2^SALT_BITS salts.
     """
     require_feasible(params)
     book = book if book is not None else trace_book(params)
@@ -435,7 +444,7 @@ def encode_trace(m: BitSeq, params: TraceParams, book: IndexBook | None = None) 
 
     for g in range(G):
         build(g, 0)
-    for _ in range(_CERT_ROUNDS):
+    while True:
         w = _assemble(params, book, vs)
         offenders = marker_offenders(
             w, params.L_min, params.d1, book.marker.to_numpy(), blocks.total
@@ -446,7 +455,6 @@ def encode_trace(m: BitSeq, params: TraceParams, book: IndexBook | None = None) 
             return BitSeq.from_numpy(w)
         for g in sorted(groups):
             build(g, salts[g] + 1)
-    raise SearchExhausted("marker uniqueness not reached after re-salting")
 
 
 # ---------------------------------------------------------------------------
