@@ -30,6 +30,7 @@ from .constrained import (
     enc_dist,
     index_wwl,
     index_wwl_decode,
+    index_wwl_len,
 )
 from .errors import DecodeFailure, InfeasibleParameters, SearchExhausted, StrandcodeError
 
@@ -180,13 +181,10 @@ def derive_sd_params(n: int, d: int, strict: bool = True) -> SdParams:
         f"difference and branch fields span {diff_len + tail_len} bits, "
         f"enough to fake the {d * llog}-zero marker",
     )
-    pos_codec = ConstrainedCodec(d * llog, d, log_n + d)
-    cap = pos_codec.count(log_n + d)
-    check(
-        cap >= n,
-        "position-encoding capacity",
-        f"only {cap} weight-limited index fields of width {log_n + d} exist, need {n}",
-    )
+    try:
+        index_wwl_len(n, d)
+    except ValueError as exc:
+        check(False, "position-encoding capacity", str(exc))
     check(
         ell < K2 and K2 + ell < L2,
         "scaffold-geometry",
