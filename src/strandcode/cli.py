@@ -15,6 +15,7 @@ import dataclasses
 import json
 import sys
 import time
+from collections.abc import Callable
 
 import numpy as np
 
@@ -65,7 +66,6 @@ from .trace_codes import (
     reconstruct_trace_rs,
     trace_book,
     trace_message_len,
-    trace_rs_message_len,
 )
 
 # ---------------------------------------------------------------------------
@@ -98,34 +98,107 @@ def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-_FAMILIES = {
-    "sd": SdParams,
-    "trace": TraceParams,
-    "gamma0": Gamma0Params,
-    "multi-gamma0": MultiGamma0Params,
-}
+def _sd_trial(p, book, rng, cfg_seed: int, e: int) -> bool:
+    m = BitSeq.random(p.n_prime, rng)
+    return decode_sd(encode_sd(m, p.n, p.d), p.n, p.d) == m
+
+
+def _strand_trial(message_len, encode, decode):
+    """Trial of a single-strand read code: reads of at most L_min + 30
+    symbols, with up to ``e`` reliability-preserving flips each."""
+
+    def trial(p, book, rng, cfg_seed: int, e: int) -> bool:
+        m = BitSeq.random(message_len(p), rng)
+        cfg = ChannelConfig(
+            L_min=p.L_min, L_over=p.L_over, e=e,
+            error_mode="reliable-preserving" if e else "random",
+            seed=cfg_seed, max_len=p.L_min + 30,
+        )
+        tr = corrupt(fragment(encode(m, p, book), cfg), cfg)
+        return decode(tr.strip_truth(), p, book).message == m
+
+    return trial
+
+
+def _multi_gamma0_trial(p, book, rng, cfg_seed: int, e: int) -> bool:
+    per = multi_gamma0_message_len(p) // p.k
+    msgs = tuple(BitSeq.random(per, rng) for _ in range(p.k))
+    ss = multi_gamma0_encode(msgs, p, book)
+    cfg = ChannelConfig(L_min=p.L_min, L_over=0, seed=cfg_seed)
+    got, _rep = multi_gamma0_decode(fragment_strands(ss, cfg).strip_truth(), p, book)
+    return got == msgs
+
+
+def _derive_multi_gamma0(args, d: int, e: int, **kwargs):
+    if args.k is None:
+        raise ValueError("family 'multi-gamma0' needs --k")
+    return derive_multi_gamma0_params(args.n, args.k, e, **kwargs)
+
+
+@dataclasses.dataclass(frozen=True)
+class Family:
+    """One params family, as ``params derive`` writes it and every command
+    that reads a params file or benchmarks a preset uses it."""
+
+    params: type
+    overrides: frozenset[str]  # ``params derive`` geometry flags it accepts
+    derive: Callable  # (args, d, e, strict=..., **overrides) -> params
+    message_len: Callable  # params -> message bits
+    preset: Callable  # () -> the ``bench roundtrip`` params
+    trial: Callable  # (params, book, rng, channel seed, e) -> round trip ok
+    book: Callable = lambda p: None
+    symbols: Callable = lambda p: p.n  # output symbols over all strands
+    no_errors: str = ""  # why ``bench roundtrip`` refuses --e, if it does
+
 
 _OVERRIDES = ("a", "gamma", "eps", "L_min", "L_over", "I", "r_I", "K", "F", "L")
-_ALLOWED_OVERRIDES = {
-    "sd": frozenset(),
-    "trace": frozenset(_OVERRIDES),
-    "gamma0": frozenset({"a", "L_min", "K", "r_I"}),
-    "multi-gamma0": frozenset({"a", "L_min", "K", "r_I"}),
+_INDEXED_OVERRIDES = frozenset({"a", "L_min", "K", "r_I"})
+_NO_OVERLAP_ERRORS = (
+    "no-overlap families guarantee read placement under errors, not "
+    "payload majority; bench their message round trip with --e 0"
+)
+
+FAMILIES = {
+    "sd": Family(
+        params=SdParams,
+        overrides=frozenset(),
+        derive=lambda args, d, e, **kw: derive_sd_params(args.n, d, **kw),
+        message_len=lambda p: p.n_prime,
+        preset=lambda: derive_sd_params(2048, 1),
+        trial=_sd_trial,
+        no_errors="the sd benchmark round-trips the codec itself; --e does not apply",
+    ),
+    "trace": Family(
+        params=TraceParams,
+        overrides=frozenset(_OVERRIDES),
+        derive=lambda args, d, e, **kw: derive_trace_params(args.n, e, **kw),
+        message_len=trace_message_len,
+        preset=lambda: derive_trace_params(4320, 1, L_min=90, L_over=85, I=4, r_I=16, K=8),
+        trial=_strand_trial(trace_message_len, encode_trace, reconstruct_trace),
+        book=trace_book,
+    ),
+    "gamma0": Family(
+        params=Gamma0Params,
+        overrides=_INDEXED_OVERRIDES,
+        derive=lambda args, d, e, **kw: derive_gamma0_params(args.n, e, **kw),
+        message_len=gamma0_message_len,
+        preset=lambda: derive_gamma0_params(9856, 1, L_min=154, K=64, r_I=12),
+        trial=_strand_trial(gamma0_message_len, encode_gamma0, reconstruct_gamma0),
+        book=gamma0_book,
+        no_errors=_NO_OVERLAP_ERRORS,
+    ),
+    "multi-gamma0": Family(
+        params=MultiGamma0Params,
+        overrides=_INDEXED_OVERRIDES,
+        derive=_derive_multi_gamma0,
+        message_len=multi_gamma0_message_len,
+        preset=lambda: derive_multi_gamma0_params(1030, 2, 1, L_min=100, K=32, r_I=12),
+        trial=_multi_gamma0_trial,
+        book=multi_gamma0_book,
+        symbols=lambda p: p.k * p.n,
+        no_errors=_NO_OVERLAP_ERRORS,
+    ),
 }
-
-
-def _family_message_len(family: str, p) -> int:
-    if family == "sd":
-        return p.n_prime
-    if family == "trace":
-        return trace_message_len(p)
-    if family == "gamma0":
-        return gamma0_message_len(p)
-    return multi_gamma0_message_len(p)
-
-
-def _family_symbols(family: str, p) -> int:
-    return p.k * p.n if family == "multi-gamma0" else p.n
 
 
 def _params_row(family: str, p) -> dict:
@@ -134,32 +207,30 @@ def _params_row(family: str, p) -> dict:
     row["violations"] = list(p.violations)
     row["feasible"] = p.feasible
     if p.feasible:
-        msg = _family_message_len(family, p)
-        sym = _family_symbols(family, p)
+        msg = FAMILIES[family].message_len(p)
+        sym = FAMILIES[family].symbols(p)
         row["message_len"] = msg
         row["output_len"] = sym
         row["rate"] = msg / sym
     return row
 
 
-def _load_params(path: str):
-    """Parse a ``params derive`` output file back into its dataclass."""
+def _load_params(path: str, want: str | None = None):
+    """Parse a ``params derive`` output file back into its dataclass,
+    checking that it is of family ``want`` when one is given."""
     obj = json.loads(_read_text(path))
     family = obj.get("family")
-    cls = _FAMILIES.get(family)
-    if cls is None:
+    if family not in FAMILIES:
         raise ValueError(f"params file has unknown family {family!r}")
+    if want is not None and family != want:
+        raise ValueError(f"params file is for family {family!r}, this command needs {want!r}")
+    cls = FAMILIES[family].params
     kwargs = {}
     for field in dataclasses.fields(cls):
         if field.name in obj:
             val = obj[field.name]
             kwargs[field.name] = tuple(val) if field.name == "violations" else val
     return family, cls(**kwargs)
-
-
-def _expect_family(got: str, want: str) -> None:
-    if got != want:
-        raise ValueError(f"params file is for family {got!r}, this command needs {want!r}")
 
 
 def _resolve_d_e(args) -> tuple[int, int]:
@@ -172,6 +243,12 @@ def _resolve_d_e(args) -> tuple[int, int]:
     return args.d, (args.d - 1) // 2
 
 
+def _summary(row: dict) -> str:
+    return f"{row['command']}: " + ", ".join(
+        f"{key}={val}" for key, val in row.items() if key != "command"
+    )
+
+
 # ---------------------------------------------------------------------------
 # params
 
@@ -180,22 +257,12 @@ def _cmd_params_derive(args) -> int:
     family = args.family
     d, e = _resolve_d_e(args)
     given = {name for name in _OVERRIDES if getattr(args, name) is not None}
-    bad = given - _ALLOWED_OVERRIDES[family]
+    bad = given - FAMILIES[family].overrides
     if bad:
         flags = ", ".join("--" + name.replace("_", "-") for name in sorted(bad))
         raise ValueError(f"{flags} do not apply to family {family!r}")
     kwargs = {name: getattr(args, name) for name in given}
-    strict = not args.lenient
-    if family == "sd":
-        p = derive_sd_params(args.n, d, strict=strict)
-    elif family == "trace":
-        p = derive_trace_params(args.n, e, strict=strict, **kwargs)
-    elif family == "gamma0":
-        p = derive_gamma0_params(args.n, e, strict=strict, **kwargs)
-    else:
-        if args.k is None:
-            raise ValueError("family 'multi-gamma0' needs --k")
-        p = derive_multi_gamma0_params(args.n, args.k, e, strict=strict, **kwargs)
+    p = FAMILIES[family].derive(args, d, e, strict=not args.lenient, **kwargs)
     row = _params_row(family, p)
     _emit(row)
     if p.feasible:
@@ -209,7 +276,7 @@ def _cmd_params_derive(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# single strand codecs
+# sd codec
 
 
 def _cmd_sd_encode(args) -> int:
@@ -230,164 +297,131 @@ def _cmd_sd_decode(args) -> int:
     return 0
 
 
-def _decode_report(command: str, rep) -> dict:
-    placed = sum(1 for off, _ in rep.located if off is not None)
-    return {
-        "command": command,
+# ---------------------------------------------------------------------------
+# codecs that read a params file
+
+
+def _reported(rep, **extra) -> tuple[BitSeq, dict]:
+    """The message and decode-row fields of a reconstruction report."""
+    return rep.message, {
         "reliable": rep.reliable,
         "reads": len(rep.located),
-        "placed": placed,
+        "placed": sum(1 for off, _ in rep.located if off is not None),
         "tie_positions": len(rep.tie_positions),
         "message_len": len(rep.message),
+        **extra,
     }
 
 
-def _cmd_trace_encode(args) -> int:
-    family, p = _load_params(args.params)
-    _expect_family(family, "trace")
-    m = _read_bits(args.infile)
-    w = encode_trace(m, p)
-    _write_bits(args.out, w)
-    _emit({"command": "trace encode", "n": p.n, "message_len": len(m)})
-    _note(f"encoded {len(m)} bits into {p.n} symbols ({p.n_L} blocks)")
-    return 0
-
-
-def _cmd_trace_decode(args) -> int:
-    family, p = _load_params(args.params)
-    _expect_family(family, "trace")
-    tr = trace_from_text(_read_text(args.infile))
-    rep = reconstruct_trace(tr, p)
-    _write_bits(args.out, rep.message)
-    row = _decode_report("trace decode", rep)
-    _emit(row)
-    _note(f"placed {row['placed']}/{row['reads']} reads, reliable={rep.reliable}")
-    return 0
-
-
-def _cmd_trace_rs_encode(args) -> int:
-    family, p = _load_params(args.params)
-    _expect_family(family, "trace")
-    m = _read_bits(args.infile)
-    w = encode_trace_rs(m, p, args.tau)
-    _write_bits(args.out, w)
-    _emit({"command": "trace-rs encode", "n": p.n, "tau": args.tau, "message_len": len(m)})
-    _note(f"encoded {len(m)} bits with budget for {args.tau} corrupted groups")
-    return 0
-
-
-def _cmd_trace_rs_decode(args) -> int:
-    family, p = _load_params(args.params)
-    _expect_family(family, "trace")
-    tr = trace_from_text(_read_text(args.infile))
-    rep = reconstruct_trace_rs(tr, p, args.tau)
-    _write_bits(args.out, rep.message)
-    row = _decode_report("trace-rs decode", rep)
-    row["tau"] = args.tau
-    _emit(row)
-    _note(f"placed {row['placed']}/{row['reads']} reads, reliable={rep.reliable}")
-    return 0
-
-
-def _cmd_gamma0_encode(args) -> int:
-    family, p = _load_params(args.params)
-    _expect_family(family, "gamma0")
-    m = _read_bits(args.infile)
-    w = encode_gamma0(m, p)
-    _write_bits(args.out, w)
-    _emit({"command": "gamma0 encode", "n": p.n, "message_len": len(m)})
-    _note(f"encoded {len(m)} bits into {p.n} symbols (no overlap needed)")
-    return 0
-
-
-def _cmd_gamma0_decode(args) -> int:
-    family, p = _load_params(args.params)
-    _expect_family(family, "gamma0")
-    tr = trace_from_text(_read_text(args.infile))
-    rep = reconstruct_gamma0(tr, p)
-    _write_bits(args.out, rep.message)
-    row = _decode_report("gamma0 decode", rep)
-    _emit(row)
-    _note(f"placed {row['placed']}/{row['reads']} reads, reliable={rep.reliable}")
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# multi strand codecs
-
-
-def _cmd_multi_wrap_encode(args) -> int:
-    family, p = _load_params(args.params)
-    _expect_family(family, "trace")
-    m = _read_bits(args.infile)
-    ss = wrap_encode(m, args.n, args.k, p)
-    _write_text(args.out, strandset_to_json(ss) + "\n")
-    _emit(
-        {
-            "command": "multi wrap-encode",
-            "n": args.n,
-            "k": args.k,
-            "superstring_len": p.n,
-            "message_len": len(m),
-        }
-    )
-    _note(f"wrapped {len(m)} bits into {args.k} strands of {args.n} symbols")
-    return 0
-
-
-def _cmd_multi_wrap_decode(args) -> int:
-    family, p = _load_params(args.params)
-    _expect_family(family, "trace")
-    mt = trace_from_text(_read_text(args.infile))
-    ss, m = wrap_decode(mt, args.n, args.k, p)
-    _write_bits(args.out, m)
+def _wrap_decode(reads, p, args) -> tuple[BitSeq, dict]:
+    ss, m = wrap_decode(reads, args.n, args.k, p)
     if args.strands_out:
         _write_text(args.strands_out, strandset_to_json(ss) + "\n")
-    _emit(
-        {
-            "command": "multi wrap-decode",
-            "n": args.n,
-            "k": args.k,
-            "reads": len(mt.fragments),
-            "message_len": len(m),
-        }
-    )
-    _note(f"recovered {len(m)} bits and the {args.k}-strand multiset")
-    return 0
+    return m, {"n": args.n, "k": args.k, "reads": len(reads.fragments), "message_len": len(m)}
 
 
-def _cmd_multi_gamma0_encode(args) -> int:
-    family, p = _load_params(args.params)
-    _expect_family(family, "multi-gamma0")
-    m = _read_bits(args.infile)
+def _multi_gamma0_encode(m, p, args):
     per = multi_gamma0_message_len(p) // p.k
     if len(m) != per * p.k:
         raise ValueError(f"message must have {per * p.k} bits, got {len(m)}")
     msgs = tuple(m.window(i * per, per) for i in range(p.k))
-    ss = multi_gamma0_encode(msgs, p)
-    _write_text(args.out, strandset_to_json(ss) + "\n")
-    _emit(
-        {
-            "command": "multi gamma0-encode",
-            "n": p.n,
-            "k": p.k,
-            "message_len": len(m),
-        }
-    )
-    _note(f"encoded {len(m)} bits into {p.k} indexed strands of {p.n} symbols")
+    return multi_gamma0_encode(msgs, p), {"n": p.n, "k": p.k}
+
+
+def _wrap_flags(sp, kind: str) -> None:
+    sp.add_argument("--n", type=int, required=True, help="per-strand length")
+    sp.add_argument("--k", type=int, required=True, help="strand count")
+    if kind == "decode":
+        sp.add_argument(
+            "--strands-out", default=None, metavar="FILE",
+            help="also write the recovered strand set",
+        )
+
+
+@dataclasses.dataclass(frozen=True)
+class CodecCommand:
+    """An encode/decode subcommand pair over one params family."""
+
+    family: str
+    # (message, params, args) -> (codeword bits or strand set, JSON fields
+    # between "command" and "message_len")
+    encode: Callable
+    # (reads, params, args) -> (message, JSON fields after "command")
+    decode: Callable
+    strands: bool = False  # encode writes strand-set JSON, not bit text
+    flags: Callable = lambda sp, kind: None  # (subparser, "encode" or "decode")
+
+
+# (group, subcommand prefix) -> command pair
+CODEC_COMMANDS = {
+    ("trace", ""): CodecCommand(
+        "trace",
+        encode=lambda m, p, args: (encode_trace(m, p), {"n": p.n}),
+        decode=lambda reads, p, args: _reported(reconstruct_trace(reads, p)),
+    ),
+    ("trace-rs", ""): CodecCommand(
+        "trace",
+        encode=lambda m, p, args: (
+            encode_trace_rs(m, p, args.tau), {"n": p.n, "tau": args.tau}
+        ),
+        decode=lambda reads, p, args: _reported(
+            reconstruct_trace_rs(reads, p, args.tau), tau=args.tau
+        ),
+        flags=lambda sp, kind: sp.add_argument(
+            "--tau", type=int, required=True, help="corrupted group budget"
+        ),
+    ),
+    ("gamma0", ""): CodecCommand(
+        "gamma0",
+        encode=lambda m, p, args: (encode_gamma0(m, p), {"n": p.n}),
+        decode=lambda reads, p, args: _reported(reconstruct_gamma0(reads, p)),
+    ),
+    ("multi", "wrap-"): CodecCommand(
+        "trace",
+        encode=lambda m, p, args: (
+            wrap_encode(m, args.n, args.k, p),
+            {"n": args.n, "k": args.k, "superstring_len": p.n},
+        ),
+        decode=_wrap_decode,
+        strands=True,
+        flags=_wrap_flags,
+    ),
+    ("multi", "gamma0-"): CodecCommand(
+        "multi-gamma0",
+        encode=_multi_gamma0_encode,
+        decode=lambda reads, p, args: _reported(multi_gamma0_decode(reads, p)[1], k=p.k),
+        strands=True,
+    ),
+}
+
+_CODEC_GROUPS = {
+    "trace": "single strand reconstructible from reads",
+    "trace-rs": "trace code with outer symbol protection",
+    "gamma0": "indexed blocks, no overlap requirement",
+    "multi": "multi-strand codes",
+}
+
+
+def _cmd_encode(args) -> int:
+    _, p = _load_params(args.params, args.codec.family)
+    m = _read_bits(args.infile)
+    out, fields = args.codec.encode(m, p, args)
+    text = strandset_to_json(out) if args.codec.strands else out.to_text()
+    _write_text(args.out, text + "\n")
+    row = {"command": args.title, **fields, "message_len": len(m)}
+    _emit(row)
+    _note(_summary(row))
     return 0
 
 
-def _cmd_multi_gamma0_decode(args) -> int:
-    family, p = _load_params(args.params)
-    _expect_family(family, "multi-gamma0")
-    mt = trace_from_text(_read_text(args.infile))
-    msgs, rep = multi_gamma0_decode(mt, p)
-    _write_bits(args.out, rep.message)
-    row = _decode_report("multi gamma0-decode", rep)
-    row["k"] = p.k
+def _cmd_decode(args) -> int:
+    _, p = _load_params(args.params, args.codec.family)
+    reads = trace_from_text(_read_text(args.infile))
+    m, fields = args.codec.decode(reads, p, args)
+    _write_bits(args.out, m)
+    row = {"command": args.title, **fields}
     _emit(row)
-    _note(f"placed {row['placed']}/{row['reads']} reads, reliable={rep.reliable}")
+    _note(_summary(row))
     return 0
 
 
@@ -507,81 +541,27 @@ def _cmd_verify_trace_legal(args) -> int:
 # benchmarking
 
 
-_BENCH_PRESETS = {
-    "sd": lambda: ("sd", derive_sd_params(2048, 1)),
-    "trace": lambda: (
-        "trace",
-        derive_trace_params(4320, 1, L_min=90, L_over=85, I=4, r_I=16, K=8),
-    ),
-    "gamma0": lambda: (
-        "gamma0",
-        derive_gamma0_params(9856, 1, L_min=154, K=64, r_I=12),
-    ),
-    "multi-gamma0": lambda: (
-        "multi-gamma0",
-        derive_multi_gamma0_params(1030, 2, 1, L_min=100, K=32, r_I=12),
-    ),
-}
-
-
-def _bench_trial(family, p, book, args, trial: int) -> bool:
-    rng = np.random.default_rng([args.seed, trial])
-    cfg_seed = args.seed * 1_000_003 + trial
-    if family == "sd":
-        m = BitSeq.random(p.n_prime, rng)
-        return decode_sd(encode_sd(m, p.n, p.d), p.n, p.d) == m
-    mode = "reliable-preserving" if args.e else "random"
-    if family == "multi-gamma0":
-        per = multi_gamma0_message_len(p) // p.k
-        msgs = tuple(BitSeq.random(per, rng) for _ in range(p.k))
-        ss = multi_gamma0_encode(msgs, p, book)
-        cfg = ChannelConfig(L_min=p.L_min, L_over=0, seed=cfg_seed)
-        got, _rep = multi_gamma0_decode(fragment_strands(ss, cfg).strip_truth(), p, book)
-        return got == msgs
-    m = BitSeq.random(_family_message_len(family, p), rng)
-    if family == "trace":
-        w = encode_trace(m, p, book)
-        decode = reconstruct_trace
-    else:
-        w = encode_gamma0(m, p, book)
-        decode = reconstruct_gamma0
-    cfg = ChannelConfig(
-        L_min=p.L_min, L_over=p.L_over, e=args.e, error_mode=mode,
-        seed=cfg_seed, max_len=p.L_min + 30,
-    )
-    tr = corrupt(fragment(w, cfg), cfg)
-    return decode(tr.strip_truth(), p, book).message == m
-
-
 def _cmd_bench_roundtrip(args) -> int:
     if args.params:
         family, p = _load_params(args.params)
     else:
-        family, p = _BENCH_PRESETS[args.family]()
-    if family == "sd":
-        if args.e:
-            raise ValueError("the sd benchmark round-trips the codec itself; --e does not apply")
-    elif args.e and family in ("gamma0", "multi-gamma0"):
-        raise ValueError(
-            "no-overlap families guarantee read placement under errors, not "
-            "payload majority; bench their message round trip with --e 0"
-        )
-    elif args.e > p.e:
+        family, p = args.family, FAMILIES[args.family].preset()
+    fam = FAMILIES[family]
+    if args.e and fam.no_errors:
+        raise ValueError(fam.no_errors)
+    if args.e and args.e > p.e:
         raise ValueError(f"--e {args.e} exceeds the code tolerance {p.e}")
-    book = None
-    if family == "trace":
-        book = trace_book(p)
-    elif family == "gamma0":
-        book = gamma0_book(p)
-    elif family == "multi-gamma0":
-        book = multi_gamma0_book(p)
+    book = fam.book(p)
     start = time.perf_counter()
     successes = sum(
-        _bench_trial(family, p, book, args, t) for t in range(args.trials)
+        fam.trial(
+            p, book, np.random.default_rng([args.seed, t]), args.seed * 1_000_003 + t, args.e
+        )
+        for t in range(args.trials)
     )
     wall = time.perf_counter() - start
-    msg = _family_message_len(family, p)
-    sym = _family_symbols(family, p)
+    msg = fam.message_len(p)
+    sym = fam.symbols(p)
     report = {
         "family": family,
         "trials": args.trials,
@@ -605,41 +585,29 @@ def _cmd_bench_roundtrip(args) -> int:
 def _cmd_bounds(args) -> int:
     if args.regime == "single":
         r = bound_single(args.a, args.gamma)
-        row = {
-            "regime": "single strand",
-            "lower": str(r),
-            "upper": str(r),
-            "lower_float": float(r),
-            "upper_float": float(r),
-            "source": "overlap-fraction rate, matching directions",
-            "note": "leading term; vanishing residue dropped",
-        }
-    elif args.regime == "multi":
-        rep = bound_multi(args.a, args.gamma, args.kappa, args.lstar_frac)
-        row = {
-            "regime": rep["regime"],
-            "lower": str(rep.lower),
-            "upper": str(rep.upper),
-            "lower_float": float(rep.lower),
-            "upper_float": float(rep.upper),
-            "source": "wrapped multi-strand rate bounds",
-            "note": rep["note"],
-        }
+        regime, lower, upper = "single strand", r, r
+        source = "overlap-fraction rate, matching directions"
+        note = "leading term; vanishing residue dropped"
     else:
-        rep = bound_multi_gamma0(args.a, args.kappa, args.lstar_frac)
-        row = {
-            "regime": rep["regime"],
-            "lower": str(rep.lower),
-            "upper": str(rep.upper),
-            "lower_float": float(rep.lower),
-            "upper_float": float(rep.upper),
-            "source": "zero-overlap multi-strand rate, matching directions",
-            "note": rep["note"],
+        if args.regime == "multi":
+            rep = bound_multi(args.a, args.gamma, args.kappa, args.lstar_frac)
+            source = "wrapped multi-strand rate bounds"
+        else:
+            rep = bound_multi_gamma0(args.a, args.kappa, args.lstar_frac)
+            source = "zero-overlap multi-strand rate, matching directions"
+        regime, lower, upper, note = rep["regime"], rep.lower, rep.upper, rep["note"]
+    _emit(
+        {
+            "regime": regime,
+            "lower": str(lower),
+            "upper": str(upper),
+            "lower_float": float(lower),
+            "upper_float": float(upper),
+            "source": source,
+            "note": note,
         }
-    _emit(row)
-    _note(
-        f"{row['regime']}: rate in [{row['lower_float']:.6g}, {row['upper_float']:.6g}]"
     )
+    _note(f"{regime}: rate in [{float(lower):.6g}, {float(upper):.6g}]")
     return 0
 
 
@@ -670,12 +638,6 @@ def _io_flags(sp, out_help: str) -> None:
     sp.add_argument("--out", required=True, metavar="FILE", help=out_help)
 
 
-def _params_flag(sp) -> None:
-    sp.add_argument(
-        "--params", required=True, metavar="FILE", help="output of 'params derive'"
-    )
-
-
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="strandcode",
@@ -687,7 +649,7 @@ def _parser() -> argparse.ArgumentParser:
     g = groups.add_parser("params", help="derive and report code geometry")
     sub = g.add_subparsers(dest="command", required=True)
     sp = sub.add_parser("derive", help="resolve geometry and feasibility to JSON")
-    sp.add_argument("--family", choices=tuple(_FAMILIES), default="trace")
+    sp.add_argument("--family", choices=tuple(FAMILIES), default="trace")
     sp.add_argument("--n", type=int, required=True, help="output length per strand")
     sp.add_argument("--d", type=int, default=None, help="distance parameter (2e + 1)")
     sp.add_argument("--e", type=int, default=None, help="per-read error tolerance")
@@ -723,65 +685,24 @@ def _parser() -> argparse.ArgumentParser:
     _io_flags(sp, "message text file")
     sp.set_defaults(func=_cmd_sd_decode)
 
-    # trace ----------------------------------------------------------
-    g = groups.add_parser("trace", help="single strand reconstructible from reads")
-    sub = g.add_subparsers(dest="command", required=True)
-    sp = sub.add_parser("encode")
-    _params_flag(sp)
-    _io_flags(sp, "codeword text file")
-    sp.set_defaults(func=_cmd_trace_encode)
-    sp = sub.add_parser("decode")
-    _params_flag(sp)
-    _io_flags(sp, "message text file")
-    sp.set_defaults(func=_cmd_trace_decode)
-
-    g = groups.add_parser("trace-rs", help="trace code with outer symbol protection")
-    sub = g.add_subparsers(dest="command", required=True)
-    for name, handler in (("encode", _cmd_trace_rs_encode), ("decode", _cmd_trace_rs_decode)):
-        sp = sub.add_parser(name)
-        _params_flag(sp)
-        sp.add_argument("--tau", type=int, required=True, help="corrupted group budget")
-        _io_flags(sp, "codeword or message text file")
-        sp.set_defaults(func=handler)
-
-    # gamma0 ---------------------------------------------------------
-    g = groups.add_parser("gamma0", help="indexed blocks, no overlap requirement")
-    sub = g.add_subparsers(dest="command", required=True)
-    sp = sub.add_parser("encode")
-    _params_flag(sp)
-    _io_flags(sp, "codeword text file")
-    sp.set_defaults(func=_cmd_gamma0_encode)
-    sp = sub.add_parser("decode")
-    _params_flag(sp)
-    _io_flags(sp, "message text file")
-    sp.set_defaults(func=_cmd_gamma0_decode)
-
-    # multi ----------------------------------------------------------
-    g = groups.add_parser("multi", help="multi-strand codes")
-    sub = g.add_subparsers(dest="command", required=True)
-    for name, handler in (
-        ("wrap-encode", _cmd_multi_wrap_encode),
-        ("wrap-decode", _cmd_multi_wrap_decode),
-    ):
-        sp = sub.add_parser(name)
-        _params_flag(sp)
-        sp.add_argument("--n", type=int, required=True, help="per-strand length")
-        sp.add_argument("--k", type=int, required=True, help="strand count")
-        _io_flags(sp, "strand set JSON or message text file")
-        if name == "wrap-decode":
+    # codecs that read a params file ---------------------------------
+    codec_subs = {}
+    for (group, prefix), cmd in CODEC_COMMANDS.items():
+        if group not in codec_subs:
+            g = groups.add_parser(group, help=_CODEC_GROUPS[group])
+            codec_subs[group] = g.add_subparsers(dest="command", required=True)
+        for kind, handler in (("encode", _cmd_encode), ("decode", _cmd_decode)):
+            sp = codec_subs[group].add_parser(prefix + kind)
             sp.add_argument(
-                "--strands-out", default=None, metavar="FILE",
-                help="also write the recovered strand set",
+                "--params", required=True, metavar="FILE", help="output of 'params derive'"
             )
-        sp.set_defaults(func=handler)
-    for name, handler in (
-        ("gamma0-encode", _cmd_multi_gamma0_encode),
-        ("gamma0-decode", _cmd_multi_gamma0_decode),
-    ):
-        sp = sub.add_parser(name)
-        _params_flag(sp)
-        _io_flags(sp, "strand set JSON or message text file")
-        sp.set_defaults(func=handler)
+            cmd.flags(sp, kind)
+            if kind == "decode":
+                out_help = "message text file"
+            else:
+                out_help = "strand set JSON file" if cmd.strands else "codeword text file"
+            _io_flags(sp, out_help)
+            sp.set_defaults(func=handler, codec=cmd, title=f"{group} {prefix}{kind}")
 
     # channel --------------------------------------------------------
     g = groups.add_parser("channel", help="read-set simulation")
@@ -821,7 +742,7 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("roundtrip")
     sp.add_argument("--trials", type=int, default=10)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--family", choices=tuple(_BENCH_PRESETS), default="trace")
+    sp.add_argument("--family", choices=tuple(FAMILIES), default="trace")
     sp.add_argument("--params", default=None, metavar="FILE", help="override the preset")
     sp.add_argument("--e", type=int, default=0, help="per-read error budget to inject")
     sp.set_defaults(func=_cmd_bench_roundtrip)
@@ -842,10 +763,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except StrandcodeError as exc:
-        _note(f"error: {exc}")
-        return 1
-    except (ValueError, KeyError, OSError) as exc:
+    except (StrandcodeError, ValueError, KeyError, OSError) as exc:
         _note(f"error: {exc}")
         return 1
 
