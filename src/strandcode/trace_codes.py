@@ -360,8 +360,9 @@ def _encode_group(
         if is_sd(v, params.L, params.d2):
             return v, t
     raise SearchExhausted(
-        f"group {group} used up its {_SALT_TRIES} salts: the marker repair "
-        f"rejected salts below {start_t}, the SD check every salt from there on"
+        f"the marker repair used up the {_SALT_TRIES} salts of group {group}"
+        if start_t
+        else f"no salt yields a substring-distant payload for group {group}"
     )
 
 

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strandcode import trace_codes
 from strandcode.bitseq import BitSeq, is_sd, is_wwl
 from strandcode.channel import ChannelConfig, Fragment, Trace, corrupt, fragment, is_reliable
-from strandcode.errors import DecodeFailure, InfeasibleParameters, LayoutError
+from strandcode.errors import DecodeFailure, InfeasibleParameters, LayoutError, SearchExhausted
 from strandcode.trace_codes import (
     Gamma0Params,
     ReconReport,
@@ -340,6 +341,14 @@ class TestResaltLoop:
         tr = corrupt(fragment(w, cfg), cfg)
         rep = reconstruct_trace(tr.strip_truth(), p17, book)
         assert rep.message == m and rep.reliable
+
+    def test_repair_stops_when_a_group_runs_out_of_salts(self, p1, book1, monkeypatch):
+        # a scan that always flags block 0 moves group 0 to its next salt
+        # every round, until none is left
+        monkeypatch.setattr(trace_codes, "marker_offenders", lambda *args: [0])
+        m = BitSeq.random(trace_message_len(p1), np.random.default_rng(7))
+        with pytest.raises(SearchExhausted, match="marker repair used up the 256 salts"):
+            encode_trace(m, p1, book1)
 
 
 def _flip_group_payload(arr, p, g, rng, density=0.5):
