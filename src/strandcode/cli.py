@@ -98,17 +98,17 @@ def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _sd_trial(p, book, rng, cfg_seed: int, e: int) -> bool:
-    m = BitSeq.random(p.n_prime, rng)
+def _sd_trial(p, book, bits: int, rng, cfg_seed: int, e: int) -> bool:
+    m = BitSeq.random(bits, rng)
     return decode_sd(encode_sd(m, p.n, p.d), p.n, p.d) == m
 
 
-def _strand_trial(message_len, encode, decode):
+def _strand_trial(encode, decode):
     """Trial of a single-strand read code: reads of at most L_min + 30
     symbols, with up to ``e`` reliability-preserving flips each."""
 
-    def trial(p, book, rng, cfg_seed: int, e: int) -> bool:
-        m = BitSeq.random(message_len(p), rng)
+    def trial(p, book, bits: int, rng, cfg_seed: int, e: int) -> bool:
+        m = BitSeq.random(bits, rng)
         cfg = ChannelConfig(
             L_min=p.L_min, L_over=p.L_over, e=e,
             error_mode="reliable-preserving" if e else "random",
@@ -120,8 +120,8 @@ def _strand_trial(message_len, encode, decode):
     return trial
 
 
-def _multi_gamma0_trial(p, book, rng, cfg_seed: int, e: int) -> bool:
-    per = multi_gamma0_message_len(p) // p.k
+def _multi_gamma0_trial(p, book, bits: int, rng, cfg_seed: int, e: int) -> bool:
+    per = bits // p.k
     msgs = tuple(BitSeq.random(per, rng) for _ in range(p.k))
     ss = multi_gamma0_encode(msgs, p, book)
     cfg = ChannelConfig(L_min=p.L_min, L_over=0, seed=cfg_seed)
@@ -145,7 +145,7 @@ class Family:
     derive: Callable  # (args, d, e, strict=..., **overrides) -> params
     message_len: Callable  # params -> message bits
     preset: Callable  # () -> the ``bench roundtrip`` params
-    trial: Callable  # (params, book, rng, channel seed, e) -> round trip ok
+    trial: Callable  # (params, book, message bits, rng, channel seed, e) -> ok
     book: Callable = lambda p: None
     symbols: Callable = lambda p: p.n  # output symbols over all strands
     no_errors: str = ""  # why ``bench roundtrip`` refuses --e, if it does
@@ -174,7 +174,7 @@ FAMILIES = {
         derive=lambda args, d, e, **kw: derive_trace_params(args.n, e, **kw),
         message_len=trace_message_len,
         preset=lambda: derive_trace_params(4320, 1, L_min=90, L_over=85, I=4, r_I=16, K=8),
-        trial=_strand_trial(trace_message_len, encode_trace, reconstruct_trace),
+        trial=_strand_trial(encode_trace, reconstruct_trace),
         book=trace_book,
     ),
     "gamma0": Family(
@@ -183,7 +183,7 @@ FAMILIES = {
         derive=lambda args, d, e, **kw: derive_gamma0_params(args.n, e, **kw),
         message_len=gamma0_message_len,
         preset=lambda: derive_gamma0_params(9856, 1, L_min=154, K=64, r_I=12),
-        trial=_strand_trial(gamma0_message_len, encode_gamma0, reconstruct_gamma0),
+        trial=_strand_trial(encode_gamma0, reconstruct_gamma0),
         book=gamma0_book,
         no_errors=_NO_OVERLAP_ERRORS,
     ),
@@ -408,7 +408,7 @@ def _cmd_encode(args) -> int:
     out, fields = args.codec.encode(m, p, args)
     text = strandset_to_json(out) if args.codec.strands else out.to_text()
     _write_text(args.out, text + "\n")
-    row = {"command": args.title, **fields, "message_len": len(m)}
+    row = {"command": f"{args.group} {args.command}", **fields, "message_len": len(m)}
     _emit(row)
     _note(_summary(row))
     return 0
@@ -419,7 +419,7 @@ def _cmd_decode(args) -> int:
     reads = trace_from_text(_read_text(args.infile))
     m, fields = args.codec.decode(reads, p, args)
     _write_bits(args.out, m)
-    row = {"command": args.title, **fields}
+    row = {"command": f"{args.group} {args.command}", **fields}
     _emit(row)
     _note(_summary(row))
     return 0
@@ -552,16 +552,17 @@ def _cmd_bench_roundtrip(args) -> int:
     if args.e and args.e > p.e:
         raise ValueError(f"--e {args.e} exceeds the code tolerance {p.e}")
     book = fam.book(p)
+    msg = fam.message_len(p)
+    sym = fam.symbols(p)
     start = time.perf_counter()
     successes = sum(
         fam.trial(
-            p, book, np.random.default_rng([args.seed, t]), args.seed * 1_000_003 + t, args.e
+            p, book, msg, np.random.default_rng([args.seed, t]), args.seed * 1_000_003 + t,
+            args.e,
         )
         for t in range(args.trials)
     )
     wall = time.perf_counter() - start
-    msg = fam.message_len(p)
-    sym = fam.symbols(p)
     report = {
         "family": family,
         "trials": args.trials,
@@ -702,7 +703,7 @@ def _parser() -> argparse.ArgumentParser:
             else:
                 out_help = "strand set JSON file" if cmd.strands else "codeword text file"
             _io_flags(sp, out_help)
-            sp.set_defaults(func=handler, codec=cmd, title=f"{group} {prefix}{kind}")
+            sp.set_defaults(func=handler, codec=cmd)
 
     # channel --------------------------------------------------------
     g = groups.add_parser("channel", help="read-set simulation")

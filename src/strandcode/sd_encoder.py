@@ -184,7 +184,7 @@ def derive_sd_params(n: int, d: int, strict: bool = True) -> SdParams:
     try:
         index_wwl_len(n, d)
     except ValueError as exc:
-        check(False, "position-encoding capacity", str(exc))
+        bad.append(f"position-encoding capacity: {exc}")
     check(
         ell < K2 and K2 + ell < L2,
         "scaffold-geometry",
