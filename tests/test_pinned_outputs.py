@@ -161,6 +161,10 @@ def scaffold_65537():
     return scaffold_for(65537, 3).sbar.to_text()
 
 
+def scaffold_65537_d2():
+    return scaffold_for(65537, 2).sbar.to_text()
+
+
 PINNED = {
     gamma0_9856: "703c9e1e76877c34eea7e86d3f1a51cf4d540f04490ff37ddcdf277ce90567cd",
     gamma0_9800: "b0bfc7faefca41e7d37257c0fc5444e58cda3c8f727e879a5c382cdbb7e60a08",
@@ -176,6 +180,7 @@ PINNED = {
     sd_65537: "4910c994e6d10b651fe6cce111067fa34e9683f5db533a28b720692749fce7e0",
     sd_2048_zeros: "6c510a0dff3980888eafcb90ea2aeaeb4a61590d066f199f8e039f976c88f46d",
     scaffold_65537: "5206f2a8b6e47055fa97301c15b94dd3f139239808e4be11c2e394ab209abb41",
+    scaffold_65537_d2: "afa8a1b474dd782a951946eec40e320a3a09b98a5316b910165d34c52dbf4e29",
 }
 
 

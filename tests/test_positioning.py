@@ -127,18 +127,29 @@ def test_build_is_deterministic():
 
 # the greedy search's random draws, and so the books, are part of the
 # format: a book is rebuilt from its parameters and seed
+_BOOK_PINS = [
+    (4, 3, 0, 8, 16, "664232cbdec787c9ba1968a122519b4bb26ccea5fefc8f6bd3006594a07f21d9"),
+    (4, 3, 1, 8, 16, "4506a0518ca9e24b2762f077f892a37c14af4e53e414cc03d44837d2ac51c2ae"),
+    (3, 3, 42, 8, 16, "8616a4c6ce6d93afb20c9aa6725a295468d515d5800e94b245ab6f1cd6b75c64"),
+    (7, 3, 0, 32, 18, "8f3a150f2de295cb98b61a888ff029c1db8022ff6e82a6602e1983771110ef4a"),
+    (9, 3, 0, 32, 18, "7f9ff9e5cdcbe2e5a3e22f2ed87b57c4b83e11175775c3394687500b9aea0fa8"),
+    # e=2 at the default r_I: codewords of 66 and 72 bits, wider than a word
+    (6, 5, 0, 8, None, "5889d421af8866042770385b0bdec9be187f22c0c569278463ce95acd407474b"),
+    (7, 5, 0, 8, None, "4963d9715d3223220f63eec970c0a2055fcc9a00cfcfc1e44506e670faa2d7ba"),
+]
+
+
+# test ids name d only when it is not 3, the distance of the first rows
 @pytest.mark.parametrize(
-    "I, seed, K, r_I, digest",
-    [
-        (4, 0, 8, 16, "664232cbdec787c9ba1968a122519b4bb26ccea5fefc8f6bd3006594a07f21d9"),
-        (4, 1, 8, 16, "4506a0518ca9e24b2762f077f892a37c14af4e53e414cc03d44837d2ac51c2ae"),
-        (3, 42, 8, 16, "8616a4c6ce6d93afb20c9aa6725a295468d515d5800e94b245ab6f1cd6b75c64"),
-        (7, 0, 32, 18, "8f3a150f2de295cb98b61a888ff029c1db8022ff6e82a6602e1983771110ef4a"),
-        (9, 0, 32, 18, "7f9ff9e5cdcbe2e5a3e22f2ed87b57c4b83e11175775c3394687500b9aea0fa8"),
+    "I, d, seed, K, r_I, digest",
+    _BOOK_PINS,
+    ids=[
+        "-".join(map(str, (I, *([] if d == 3 else [f"d{d}"]), seed, K, r_I, h)))
+        for I, d, seed, K, r_I, h in _BOOK_PINS
     ],
 )
-def test_build_draws_are_pinned(I, seed, K, r_I, digest):
-    b = build_index_book(I=I, d=3, K_marker=K, r_I=r_I, seed=seed)
+def test_build_draws_are_pinned(I, d, seed, K, r_I, digest):
+    b = build_index_book(I=I, d=d, K_marker=K, r_I=r_I, seed=seed)
     text = "".join(c.to_text() for c in b.codewords)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
