@@ -44,6 +44,21 @@ def pack_rows(rows: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(packed).view(np.uint64).reshape(m, nwords)
 
 
+def row_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hamming distances between packed rows, broadcast over leading axes.
+
+    ``a`` and ``b`` are uint64 arrays of shape (..., words); the result has
+    the broadcast of their leading shapes.  Adds one word at a time, so no
+    (..., words) XOR array is held, in uint8 while a row has at most 3
+    words (192 bits) and in int32 above, where 256 would wrap.
+    """
+    acc = np.uint8 if a.shape[-1] <= 3 else np.int32
+    dist = np.bitwise_count(a[..., 0] ^ b[..., 0]).astype(acc, copy=False)
+    for k in range(1, a.shape[-1]):
+        dist += np.bitwise_count(a[..., k] ^ b[..., k])
+    return dist
+
+
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full (len(a), len(b)) Hamming distance matrix between packed rows."""
     diffs = a[:, None, :] ^ b[None, :, :]

@@ -308,13 +308,9 @@ def is_sd(x: BitSeq, L: int, d: int) -> bool:
         return not _bitops.close_pairs(x.to_numpy(), L, d - 1)
     wins = _bitops.packed_windows(x.to_numpy(), L)
     step = max(1, (1 << 16) // m)
-    acc = np.uint8 if L < 256 else np.int32
     for i0 in range(0, m - 1, step):
         # rows i0.. against columns i0..; pair (i, j) sits above the diagonal
-        a, b = wins[i0 : i0 + step], wins[i0:]
-        dist = np.bitwise_count(a[:, None, 0] ^ b[None, :, 0]).astype(acc, copy=False)
-        for k in range(1, wins.shape[1]):
-            dist += np.bitwise_count(a[:, None, k] ^ b[None, :, k])
+        dist = _bitops.row_distances(wins[i0 : i0 + step, None], wins[None, i0:])
         if np.triu(dist < d, 1).any():
             return False
     return True

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _bitops
-from .bitseq import BitSeq
+from .bitseq import BitSeq, is_wwl
 from .constrained import auto_cyclic
 from .errors import DecodeFailure, LayoutError, SearchExhausted
 from .oracle import check_p123
@@ -131,11 +131,15 @@ def build_index_book(
     """Randomized greedy search for an index book, certified before return.
 
     Draws codewords one at a time; a draw is kept when every window of the
-    concatenation built so far stays at distance >= d from all others.  When
-    a position exhausts its tries the previous codeword is discarded too and
-    the search resumes there, so hard corners get re-rolled.  Deterministic
-    for a given seed.  Raises when the budget runs out, which at fixed I
-    means r_I is too small.
+    concatenation built so far stays at distance >= d from all others.  The
+    check is exact: the ``width`` windows a draw adds (one for the first
+    codeword) are compared with each other and with every accepted window
+    by :func:`_bitops.row_distances`, so a try costs
+    O(width * (width + windows so far)) word XORs per 64 bits of width.
+    When a position exhausts its tries the previous codeword is discarded
+    too and the search resumes there, so hard corners get re-rolled.
+    Deterministic for a given seed.  Raises when the budget runs out, which
+    at fixed I means r_I is too small.
     """
     if I < 0 or d < 1 or K_marker < 0:
         raise ValueError("I and K_marker must be non-negative and d positive")
@@ -147,20 +151,25 @@ def build_index_book(
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, I, d, K_marker, r_I)))
     codewords: list[BitSeq] = []
-    # windows of the concatenation built so far, as packed ints: the first
-    # codeword adds one window and every later one adds ``width``
-    windows = np.empty(1 + (count - 1) * width, dtype=np.uint64 if width <= 64 else object)
+    # packed windows of the concatenation built so far: the first codeword
+    # adds one window and every later one the ``width`` that end in it
+    windows = np.empty((1 + (count - 1) * width, -(-width // 64)), dtype=np.uint64)
     fill = 0
     restarts = 0
     while len(codewords) < count:
         placed = False
         for _ in range(max_tries):
             cand = BitSeq.random(width, rng)
-            new_wins = _new_windows(codewords, cand, width)
-            if _all_far(new_wins, windows[:fill], d, width):
+            joint = codewords[-1] + cand if codewords else cand
+            new = _bitops.packed_windows(joint.to_numpy(), width)[-width:]
+            pair = _bitops.row_distances(new[:, None], new[None, :])
+            np.fill_diagonal(pair, d)
+            if pair.min() >= d and (
+                _bitops.row_distances(new[:, None], windows[None, :fill]).min(initial=d) >= d
+            ):
                 codewords.append(cand)
-                windows[fill : fill + len(new_wins)] = new_wins
-                fill += len(new_wins)
+                windows[fill : fill + len(new)] = new
+                fill += len(new)
                 placed = True
                 break
         if not placed:
@@ -175,38 +184,6 @@ def build_index_book(
     book = IndexBook(I, r_I, d, K_marker, tuple(codewords), marker)
     _certify(book)
     return book
-
-
-def _new_windows(codewords: list[BitSeq], cand: BitSeq, width: int) -> list[int]:
-    """Windows added to the concatenation by appending ``cand``: its own
-    content plus every straddle with the current last codeword."""
-    wins = [cand.value]
-    if codewords:
-        joint = codewords[-1] + cand
-        for mu in range(1, width):
-            wins.append(joint.window_int(mu, width))
-    return wins
-
-
-def _all_far(new_wins: list[int], old_wins: np.ndarray, d: int, width: int) -> bool:
-    if width <= 64:
-        a = np.array(new_wins, dtype=np.uint64)
-        pair = np.bitwise_count(a[:, None] ^ a[None, :])
-        pair[np.diag_indices(len(a))] = 64
-        if pair.min() < d:
-            return False
-        if old_wins.size and np.bitwise_count(a[:, None] ^ old_wins[None, :]).min() < d:
-            return False
-        return True
-    old_wins = old_wins.tolist()
-    for i, a in enumerate(new_wins):
-        for b in new_wins[i + 1 :]:
-            if (a ^ b).bit_count() < d:
-                return False
-        for b in old_wins:
-            if (a ^ b).bit_count() < d:
-                return False
-    return True
 
 
 _CERTIFY_FULL_LIMIT = 6
@@ -233,8 +210,6 @@ def _certify(book: IndexBook) -> None:
     """
     width = book.codeword_len
     wwl_window = 3 * math.ceil(1.5 * math.log2(width)) + len(book.marker) - book.K_marker
-    from .bitseq import is_wwl
-
     for c in book.codewords:
         if not is_wwl(c, wwl_window, book.d):
             raise SearchExhausted("book codeword fails its window weight invariant")

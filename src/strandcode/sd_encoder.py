@@ -439,14 +439,6 @@ class Scaffold:
     sbar: BitSeq
 
 
-def _piece_windows(concat_val: int, t: int, piece_len: int) -> list[tuple[int, int]]:
-    """(start, packed window) pairs newly created by appending piece t."""
-    lo = (t - 1) * piece_len + 1 if t > 0 else 0
-    hi = t * piece_len
-    mask = (1 << piece_len) - 1
-    return [(q, (concat_val >> q) & mask) for q in range(lo, hi + 1)]
-
-
 def _splices_wwl(cand: BitSeq, prev: BitSeq, K: int, d: int) -> bool:
     """Whether every splice cand[:j] + prev[j:], 0 < j < Ls, is (K, d)-weight
     limited, as :func:`is_wwl` would find each of them.
@@ -473,7 +465,11 @@ def build_scaffold(params: SdParams, seed: int = 0, max_tries: int = 200) -> Sca
     only if every splice with the previous piece stays weight limited and
     every same-phase window of the running concatenation stays at distance
     >= d from the new ones.  Those checks are exactly the family conditions
-    the framed concatenation needs in order to be substring distant.
+    the framed concatenation needs in order to be substring distant.  The
+    distance check is exact: a draw's Ls new windows, one per phase, are
+    compared with every stored window of their phase in one
+    :func:`_bitops.row_distances` call, so a try after t pieces costs
+    O(Ls * t) word XORs per 64 bits of Ls.
     """
     p = params
     if p.violations:
@@ -482,17 +478,10 @@ def build_scaffold(params: SdParams, seed: int = 0, max_tries: int = 200) -> Sca
     codec = ConstrainedCodec(p.K2, p.d, p.piece_len)
     cap = codec.count(p.piece_len)
     Ls = p.piece_len
-    use_np = Ls <= 64
-    # same-phase window store; one growing buffer per phase
-    cap_per_phase = p.n_pieces + 2
-    if use_np:
-        store = [np.empty(cap_per_phase, dtype=np.uint64) for _ in range(Ls)]
-    else:
-        store = [[] for _ in range(Ls)]
-    counts = [0] * Ls
+    # store[r, j]: the packed window at phase r that ends in piece j; at
+    # phase 0 that is piece j itself, and no other phase has one for j = 0
+    store = np.empty((Ls, p.n_pieces, -(-Ls // 64)), dtype=np.uint64)
     pieces: list[BitSeq] = []
-    concat_val = 0
-    concat_len = 0
     attempts = 0
     while len(pieces) < p.n_pieces:
         attempts += 1
@@ -502,37 +491,21 @@ def build_scaffold(params: SdParams, seed: int = 0, max_tries: int = 200) -> Sca
             )
         idx = int.from_bytes(rng.bytes(16), "little") % cap
         cand = codec.unrank_from_start(idx, Ls)
-        if pieces and not _splices_wwl(cand, pieces[-1], p.K2, p.d):
-            continue
         t = len(pieces)
-        trial_val = concat_val | (cand.value << concat_len)
-        new_wins = _piece_windows(trial_val, t, Ls)
-        ok = True
-        for q, wv in new_wins:
-            phase = q % Ls
-            m = counts[phase]
-            if m:
-                if use_np:
-                    old = store[phase][:m]
-                    if int(np.bitwise_count(old ^ np.uint64(wv)).min()) < p.d:
-                        ok = False
-                        break
-                else:
-                    if min((o ^ wv).bit_count() for o in store[phase]) < p.d:
-                        ok = False
-                        break
-        if not ok:
-            continue
-        for q, wv in new_wins:
-            phase = q % Ls
-            if use_np:
-                store[phase][counts[phase]] = wv
-            else:
-                store[phase].append(wv)
-            counts[phase] += 1
+        if t == 0:
+            store[0, 0] = _bitops.packed_windows(cand.to_numpy(), Ls)[0]
+        else:
+            if not _splices_wwl(cand, pieces[-1], p.K2, p.d):
+                continue
+            # the windows at starts 1..Ls of prev + cand, rolled to phase order
+            joint = (pieces[-1] + cand).to_numpy()
+            new = np.roll(_bitops.packed_windows(joint, Ls)[1:], 1, axis=0)
+            dist = _bitops.row_distances(new[:, None], store[:, :t])
+            dist[1:, 0] = p.d
+            if dist.min() < p.d:
+                continue
+            store[:, t] = new
         pieces.append(cand)
-        concat_val = trial_val
-        concat_len += Ls
     u = auto_cyclic(p.d)
     sbar = BitSeq.zeros(0)
     for piece in pieces:

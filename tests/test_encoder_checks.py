@@ -6,6 +6,8 @@ with the marker bit by bit.  ``is_sd`` is compared with the character loop of
 :func:`strandcode.oracle.check_sd_exhaustive` on both sides of its size
 cutoff, ``is_wwl`` with :func:`~strandcode.oracle.check_wwl_exhaustive`,
 and the scaffold's splice check with one ``is_wwl`` per splice.
+``_bitops.row_distances``, the distance check of ``is_sd`` and of the
+index-book and scaffold searches, is compared with popcounts of Python ints.
 """
 
 import math
@@ -22,7 +24,7 @@ from strandcode.multistrand import (
     multi_gamma0_encode,
     multi_gamma0_message_len,
 )
-from strandcode.oracle import check_sd_exhaustive, check_wwl_exhaustive
+from strandcode.oracle import check_sd_exhaustive, check_wwl_exhaustive, sd_min_pair_distance
 from strandcode.sd_encoder import _close_pairs_naive, _splices_wwl
 from strandcode.trace_codes import (
     derive_gamma0_params,
@@ -365,6 +367,60 @@ def test_close_pairs_at_radius_of_the_window_length(L, rho):
     assert got == _close_pairs_naive(bits, L, rho)
     if rho >= L:
         assert len(got) == (41 - L) * (40 - L) // 2
+
+
+def _words(values, width):
+    """Python ints as little-endian uint64 word rows, packed by shifts."""
+    nwords = -(-width // 64)
+    mask = (1 << 64) - 1
+    return np.array([[(v >> 64 * k) & mask for k in range(nwords)] for v in values], np.uint64)
+
+
+class TestRowDistances:
+    @pytest.mark.parametrize("width", [1, 63, 64, 65, 128, 192, 193, 255, 256])
+    def test_matches_int_popcount(self, width):
+        rng = np.random.default_rng(width)
+        ones = (1 << width) - 1
+        xs = [int.from_bytes(rng.bytes(32), "little") & ones for _ in range(12)]
+        xs += [0, ones, ones ^ 1]
+        got = _bitops.row_distances(_words(xs, width)[:, None], _words(xs, width)[None, :])
+        want = [[(x ^ y).bit_count() for y in xs] for x in xs]
+        assert got.tolist() == want
+        # all-ones against zero reaches the width itself, 255 and 256 included
+        assert got[len(xs) - 3, len(xs) - 2] == width
+
+    @pytest.mark.parametrize("width", [27, 130, 256])
+    def test_broadcast_shapes_of_its_callers(self, width):
+        rng = np.random.default_rng(width + 1)
+        ones = (1 << width) - 1
+        xs = [int.from_bytes(rng.bytes(32), "little") & ones for _ in range(24)]
+        rows = _words(xs, width)
+
+        def want(a, b):
+            return [(xs[i] ^ xs[j]).bit_count() for i, j in zip(a, b)]
+
+        # a book try: new windows against every stored window
+        got = _bitops.row_distances(rows[:5, None], rows[None, 5:])
+        assert got.shape == (5, 19)
+        assert got.ravel().tolist() == want(np.repeat(range(5), 19), np.tile(range(5, 24), 5))
+        # a scaffold try: one new window per phase against that phase's store
+        store = rows[6:].reshape(6, 3, -1)
+        got = _bitops.row_distances(rows[:6, None], store)
+        assert got.shape == (6, 3)
+        assert got.ravel().tolist() == want(np.repeat(range(6), 3), range(6, 24))
+        # an is_sd block: a block of rows against a later slice of them
+        got = _bitops.row_distances(rows[3:7, None], rows[None, 3:])
+        assert got.shape == (4, 21)
+        assert got.ravel().tolist() == want(np.repeat(range(3, 7), 21), np.tile(range(3, 24), 4))
+
+    def test_oracle_does_not_use_it(self, monkeypatch):
+        def fast_path(*args, **kwargs):
+            raise AssertionError("the oracle called row_distances")
+
+        monkeypatch.setattr(_bitops, "row_distances", fast_path)
+        x = BitSeq.random(3100, np.random.default_rng(6))
+        assert sd_min_pair_distance(x, 70)[0] >= 1
+        assert check_sd_exhaustive(x, 70, 3) == (sd_min_pair_distance(x, 70)[0] >= 3)
 
 
 class TestIsWwl:
