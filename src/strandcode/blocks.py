@@ -23,7 +23,6 @@ blocks ends in a weight-constrained tail; a shorter one cuts its last block.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -263,10 +262,6 @@ def merge_placed(
         votes[~covered, 0] = 1
     merged, ties = majority_merge(votes)
     tie_pos = tuple(int(i) for i in np.flatnonzero(ties.to_numpy()))
-    if tie_pos:
-        warnings.warn(
-            f"{len(tie_pos)} majority ties resolved toward zero", stacklevel=3
-        )
     return merged.to_numpy(), tie_pos, gaps
 
 

@@ -458,7 +458,6 @@ def test_every_step_is_pinned():
     assert list(PINNED) == list(STEPS)
 
 
-@pytest.mark.filterwarnings("ignore:.*majority ties")
 @pytest.mark.parametrize("step", list(STEPS))
 def test_step_output_is_pinned(step, outcomes):
     assert outcomes[step] == PINNED[step]

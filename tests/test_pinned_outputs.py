@@ -184,7 +184,6 @@ PINNED = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:.*majority ties")
 @pytest.mark.parametrize("case", list(PINNED), ids=lambda f: f.__name__)
 def test_output_is_pinned(case):
     assert hashlib.sha256(case().encode()).hexdigest() == PINNED[case]

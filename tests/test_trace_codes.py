@@ -220,9 +220,7 @@ class TestReconstruct:
                 strategy="adversarial-min", error_mode="overlap-concentrated",
             )
             tr = corrupt(fragment(w, cfg), cfg)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                rep = reconstruct_trace(tr.strip_truth(), p1, book1)
+            rep = reconstruct_trace(tr.strip_truth(), p1, book1)
             assert [o for o, _ in rep.located] == [f.start for f in tr.fragments]
             if is_reliable(tr, w):
                 assert rep.message == m and rep.reliable
@@ -243,17 +241,18 @@ class TestReconstruct:
         assert [o for o, _ in rep.located] == [shuffled.fragments[i].start
                                                for i in range(len(perm))]
 
-    def test_majority_tie_warns_and_is_recorded(self, p1, book1, coded1):
+    def test_majority_tie_is_recorded_without_a_warning(self, p1, book1, coded1):
         m, w = coded1
         lay = _trace_layout(p1)
         arr = w.to_numpy()
         # flip a payload bit whose true value is zero in one of two
         # identical full-length reads: the 1-1 vote ties, resolves to the
-        # true zero, and must be flagged
+        # true zero, and must be flagged on the report, not by a warning
         t = int(np.flatnonzero((np.resize(lay.kind == 2, p1.n)) & (arr == 0))[100])
         tr = Trace(n=p1.n, L_min=p1.L_min, L_over=p1.L_over, e=1,
                    fragments=(Fragment(w), Fragment(w.with_bit(t, 1))))
-        with pytest.warns(UserWarning, match="tie"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rep = reconstruct_trace(tr, p1, book1)
         assert rep.tie_positions == (t,)
         assert not rep.reliable
@@ -475,9 +474,7 @@ class TestPlacementRegression:
         m = BitSeq.random(trace_rs_message_len(p1, tau), np.random.default_rng(17))
         w = encode_trace_rs(m, p1, tau, book1)
         tr = _damaged_trace(p1, w, seed=7)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            rep = reconstruct_trace_rs(tr.strip_truth(), p1, tau, book1)
+        rep = reconstruct_trace_rs(tr.strip_truth(), p1, tau, book1)
         skipped = [i for i, (off, _) in enumerate(rep.located) if off is None]
         junk = {i for i, f in enumerate(tr.fragments) if f.start is None}
         # 19 junk reads plus read 161, a true read that placement skips
