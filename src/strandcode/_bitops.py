@@ -18,30 +18,21 @@ def packed_windows(bits: np.ndarray, L: int) -> np.ndarray:
     """All length-L windows of a 0/1 array, packed little-endian into uint64 words.
 
     Returns a (n-L+1, ceil(L/64)) uint64 array; row i is the window at i.
+    The windows are a strided view, as ``sliding_window_view`` would give,
+    without its argument checks, which cost more than packing a short input.
     """
-    n = bits.size
-    if L > n:
-        return np.zeros((0, (L + 63) // 64), dtype=np.uint64)
-    view = np.lib.stride_tricks.sliding_window_view(bits, L)
-    nwords = (L + 63) // 64
-    pad = nwords * 64 - L
-    if pad:
-        view = np.concatenate(
-            [view, np.zeros((view.shape[0], pad), dtype=bits.dtype)], axis=1
-        )
-    packed = np.packbits(view.astype(np.uint8), axis=1, bitorder="little")
-    return np.ascontiguousarray(packed).view(np.uint64).reshape(view.shape[0], nwords)
+    m = max(bits.size - L + 1, 0)
+    view = np.lib.stride_tricks.as_strided(bits, (m, L), bits.strides * 2, writeable=False)
+    return pack_rows(view)
 
 
 def pack_rows(rows: np.ndarray) -> np.ndarray:
     """Pack a (m, L) 0/1 array into (m, ceil(L/64)) uint64 words."""
     m, L = rows.shape
-    nwords = (L + 63) // 64
-    pad = nwords * 64 - L
-    if pad:
-        rows = np.concatenate([rows, np.zeros((m, pad), dtype=rows.dtype)], axis=1)
-    packed = np.packbits(rows.astype(np.uint8), axis=1, bitorder="little")
-    return np.ascontiguousarray(packed).view(np.uint64).reshape(m, nwords)
+    out = np.zeros((m, 8 * ((L + 63) // 64)), dtype=np.uint8)
+    packed = np.packbits(rows.astype(np.uint8, copy=False), axis=1, bitorder="little")
+    out[:, : packed.shape[1]] = packed
+    return out.view(np.uint64)
 
 
 def row_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -501,7 +501,7 @@ def build_scaffold(params: SdParams, seed: int = 0, max_tries: int = 200) -> Sca
             joint = (pieces[-1] + cand).to_numpy()
             new = np.roll(_bitops.packed_windows(joint, Ls)[1:], 1, axis=0)
             dist = _bitops.row_distances(new[:, None], store[:, :t])
-            dist[1:, 0] = p.d
+            dist[1:, 0] = p.d  # slots with no window, see ``store``
             if dist.min() < p.d:
                 continue
             store[:, t] = new
