@@ -6,8 +6,9 @@ with the marker bit by bit.  ``is_sd`` is compared with the character loop of
 :func:`strandcode.oracle.check_sd_exhaustive` on both sides of its size
 cutoff, ``is_wwl`` with :func:`~strandcode.oracle.check_wwl_exhaustive`,
 and the scaffold's splice check with one ``is_wwl`` per splice.
+``_bitops.packed_windows`` is compared with windows cut as Python ints, and
 ``_bitops.row_distances``, the distance check of ``is_sd`` and of the
-index-book and scaffold searches, is compared with popcounts of Python ints.
+index-book and scaffold searches, with popcounts of Python ints.
 """
 
 import math
@@ -374,6 +375,18 @@ def _words(values, width):
     nwords = -(-width // 64)
     mask = (1 << 64) - 1
     return np.array([[(v >> 64 * k) & mask for k in range(nwords)] for v in values], np.uint64)
+
+
+@pytest.mark.parametrize("L", [1, 27, 63, 64, 65, 129, 200])
+def test_packed_windows_match_int_windows(L):
+    rng = np.random.default_rng(L)
+    every_other = rng.integers(0, 2, 2 * (L + 40)).astype(np.uint8)[::2]
+    for bits in (every_other, np.ascontiguousarray(every_other), every_other[: L - 1]):
+        starts = range(bits.size - L + 1)
+        want = [sum(int(b) << j for j, b in enumerate(bits[i : i + L])) for i in starts]
+        got = _bitops.packed_windows(bits, L)
+        assert got.shape == (len(want), -(-L // 64))
+        assert np.array_equal(got, _words(want, L).reshape(got.shape))
 
 
 class TestRowDistances:
