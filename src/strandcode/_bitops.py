@@ -35,6 +35,25 @@ def pack_rows(rows: np.ndarray) -> np.ndarray:
     return out.view(np.uint64)
 
 
+def bit_field(rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Bits lo..hi - 1 of each packed row as one uint64, bit lo lowest.
+
+    ``rows`` is a (m, words) array as :func:`pack_rows` gives, and the
+    field is at most 64 bits wide; an empty field (hi == lo) reads 0.
+    """
+    if not 0 <= hi - lo <= 64:
+        raise ValueError("a field spans 0 to 64 bits")
+    word, shift = divmod(lo, 64)
+    if hi == lo:
+        return np.zeros(len(rows), dtype=np.uint64)
+    field = rows[:, word] >> np.uint64(shift)
+    if shift + hi - lo > 64:
+        field |= rows[:, word + 1] << np.uint64(64 - shift)
+    if hi - lo < 64:
+        field &= np.uint64((1 << (hi - lo)) - 1)
+    return field
+
+
 def row_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamming distances between packed rows, broadcast over leading axes.
 

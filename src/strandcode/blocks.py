@@ -111,32 +111,33 @@ def build_layout(L_min: int, segments: list[tuple[int, int]]) -> Layout:
     )
 
 
-def split_index_window(win: BitSeq, q: int, lay: Layout, width: int) -> tuple[BitSeq, BitSeq, int]:
-    """Index bits of an aligned window split at the block boundary.
-
-    Positions before the boundary belong to the previous block and carry a
-    suffix of its index codeword (S); positions after carry a prefix of the
-    next one (P).  Returns (S, P, len(P)).
-    """
-    s_pos, p_pos = _index_positions(lay, q, width)
-    arr = win.to_numpy()
-    return BitSeq.from_numpy(arr[s_pos]), BitSeq.from_numpy(arr[p_pos]), len(p_pos)
-
-
 @lru_cache(maxsize=None)
-def _index_positions(lay: Layout, q: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Window positions of S and of P, each in codeword order, for a
-    window whose block boundary is at q."""
+def index_orders(lay: Layout, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where an aligned window keeps its index bits, for every boundary phase.
+
+    Positions before a window's block boundary belong to the previous
+    block and carry a suffix S of its index codeword; positions after carry
+    a prefix P of the next one.  Row q is for a window whose boundary is at
+    q: ``mu[q]`` = len(P), ``sp[q]`` the window positions of S then P and
+    ``ps[q]`` those of P then S, each part in codeword order, so one
+    gather cuts either key from a batch of windows.
+    """
     L_min = len(lay.kind)
-    offs = (np.arange(L_min) - q) % L_min
-    sel = lay.kind[offs] == C
-    tpos = np.flatnonzero(sel)
-    subs = lay.csub[offs[sel]]
-    at = tpos >= q
-    mu = int(at.sum())
-    assert np.array_equal(np.sort(subs[at]), np.arange(mu))
-    assert np.array_equal(np.sort(subs[~at]), np.arange(mu, width))
-    return tpos[~at][np.argsort(subs[~at])], tpos[at][np.argsort(subs[at])]
+    mu = np.empty(L_min, dtype=np.int64)
+    sp = np.empty((L_min, width), dtype=np.int64)
+    ps = np.empty((L_min, width), dtype=np.int64)
+    for q in range(L_min):
+        offs = (np.arange(L_min) - q) % L_min
+        sel = lay.kind[offs] == C
+        tpos = np.flatnonzero(sel)
+        subs = lay.csub[offs[sel]]
+        at = tpos >= q
+        mu[q] = at.sum()
+        assert np.array_equal(np.sort(subs[at]), np.arange(mu[q]))
+        assert np.array_equal(np.sort(subs[~at]), np.arange(mu[q], width))
+        S, P = tpos[~at][np.argsort(subs[~at])], tpos[at][np.argsort(subs[at])]
+        sp[q], ps[q] = np.concatenate([S, P]), np.concatenate([P, S])
+    return mu, sp, ps
 
 
 def marker_offenders(
@@ -210,6 +211,56 @@ def marker_offenders(
 
 
 # ---------------------------------------------------------------------------
+# Reads as one batch
+
+
+@dataclass(frozen=True)
+class Reads:
+    """Every read of a trace, loaded once.
+
+    ``rows`` is a (reads, longest) 0/1 uint8 array holding read r in
+    ``rows[r, :lens[r]]`` and zeros after it; ``values`` keeps each read's
+    :attr:`BitSeq.value` for the overlap checks on Python ints.
+    """
+
+    rows: np.ndarray
+    lens: np.ndarray
+    values: list[int]
+
+    def windows(self, which: np.ndarray, s: np.ndarray, L: int) -> np.ndarray:
+        """The length-L window at s of read ``which[i]`` in row i."""
+        return self.rows[which[:, None], s[:, None] + np.arange(L)]
+
+
+def load_reads(bits: Sequence[BitSeq]) -> Reads:
+    """Unpack every read in one call, from the bytes of its int value."""
+    lens = np.array([len(b) for b in bits], dtype=np.int64)
+    longest = int(lens.max(initial=0))
+    nbytes = (longest + 7) // 8
+    raw = np.frombuffer(b"".join(b.value.to_bytes(nbytes, "little") for b in bits), np.uint8)
+    rows = np.unpackbits(raw.reshape(len(bits), nbytes), axis=1, bitorder="little")
+    return Reads(rows[:, :longest], lens, [b.value for b in bits])
+
+
+def retry_later_windows(reads: Reads, failed: np.ndarray, L_min: int, attempt):
+    """Try the windows s = 1, 2, ... of every failed read in one batch.
+
+    ``attempt(which, s)`` returns an ok mask over the windows and arrays of
+    per-window results.  Returns the reads that succeed at some window and
+    the results at the least such s of each.  Every later window is tried,
+    so the cost is one batch of sum(len - L_min) windows.
+    """
+    later = reads.lens[failed] - L_min
+    which = np.repeat(failed, later)
+    s = np.arange(len(which)) - np.repeat(np.cumsum(later) - later - 1, later)
+    ok, *results = attempt(which, s)
+    hit = np.flatnonzero(ok)
+    # windows run read by read in ascending s, so a read's first hit is its least s
+    found, first = np.unique(which[hit], return_index=True)
+    return found, [r[hit[first]] for r in results]
+
+
+# ---------------------------------------------------------------------------
 # Majority merge and report
 
 
@@ -236,21 +287,29 @@ class ReconReport:
         )
 
 
+def _placed_bits(reads: Reads, placed: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The positions and bits of the placed reads, concatenated in the
+    order of ``placed``."""
+    which = np.fromiter(placed, dtype=np.int64, count=len(placed))
+    offs = np.fromiter(placed.values(), dtype=np.int64, count=len(placed))
+    cols = np.arange(reads.rows.shape[1])
+    inside = cols < reads.lens[which, None]
+    return (offs[:, None] + cols)[inside], reads.rows[which][inside]
+
+
 def merge_placed(
-    arrs: dict[int, np.ndarray], placed: dict[int, int], n: int, lenient: bool
+    reads: Reads, placed: dict[int, int], n: int, lenient: bool
 ) -> tuple[np.ndarray, tuple[int, ...], bool]:
-    """Positionwise majority over ``n`` positions of the reads ``arrs``
-    placed at the offsets ``placed``.
+    """Positionwise majority over ``n`` positions of the reads placed at
+    the offsets ``placed`` (read -> offset).
 
     Returns the merged bits, the tie positions (resolved toward zero) and
     whether any position is uncovered; uncovered positions are an error
-    unless ``lenient``, which fills them with zeros.
+    unless ``lenient``, which fills them with zeros.  The votes are one
+    ``bincount`` of 2 * position + bit over every placed bit.
     """
-    votes = np.zeros((n, 2), dtype=np.int64)
-    for idx, off in placed.items():
-        arr = arrs[idx]
-        votes[off : off + len(arr), 1] += arr
-        votes[off : off + len(arr), 0] += 1 - arr
+    pos, bits = _placed_bits(reads, placed)
+    votes = np.bincount(2 * pos + bits, minlength=2 * n).reshape(n, 2)
     covered = votes.sum(axis=1) > 0
     gaps = bool(np.any(~covered))
     if gaps:
@@ -261,29 +320,27 @@ def merge_placed(
             )
         votes[~covered, 0] = 1
     merged, ties = majority_merge(votes)
-    tie_pos = tuple(int(i) for i in np.flatnonzero(ties.to_numpy()))
-    return merged.to_numpy(), tie_pos, gaps
+    return merged.to_numpy(), tuple(np.flatnonzero(ties.to_numpy()).tolist()), gaps
 
 
 def make_report(
-    message: BitSeq, reads: int, arrs: dict[int, np.ndarray], placed: dict[int, int],
+    message: BitSeq, reads: Reads, placed: dict[int, int],
     merged: np.ndarray, tie_pos: tuple[int, ...], intact: bool, e: int,
 ) -> ReconReport:
     """Report each read's (offset, disagreement with the merged string), or
     (None, None) when unplaced.  Reliable is a consistency audit: the decode
     was ``intact`` (every read placed, no gap, every payload decoded), no
     majority tie, and every disagreement within e."""
-    located: list[tuple[int | None, int | None]] = []
+    located: list[tuple[int | None, int | None]] = [(None, None)] * len(reads.lens)
     max_err = 0
-    for idx in range(reads):
-        if idx in placed:
-            off = placed[idx]
-            arr = arrs[idx]
-            err = int((arr != merged[off : off + len(arr)]).sum())
-            max_err = max(max_err, err)
-            located.append((off, err))
-        else:
-            located.append((None, None))
+    if placed:
+        pos, bits = _placed_bits(reads, placed)
+        lens = reads.lens[list(placed)]
+        starts = np.cumsum(lens) - lens
+        errs = np.add.reduceat(bits != merged[pos], starts, dtype=np.int64).tolist()
+        for (idx, off), err in zip(placed.items(), errs):
+            located[idx] = (off, err)
+        max_err = max(errs)
     reliable = intact and not tie_pos and max_err <= e
     return ReconReport(
         message=message, located=tuple(located), tie_positions=tie_pos, reliable=reliable
@@ -393,23 +450,30 @@ def indexed_encode(
     return tuple(strands)
 
 
-def indexed_locate(y: BitSeq, s: int, params, book: IndexBook) -> tuple[int, int]:
-    """(strand, in-strand offset) of a read, from its window at s alone."""
+def indexed_locate(
+    reads: Reads, which: np.ndarray, s: np.ndarray, params, book: IndexBook
+) -> np.ndarray:
+    """Placement of read ``which[i]`` from its window at ``s[i]`` alone, for
+    a batch: the flattened offset ``strand * n + offset``, or -1 where the
+    window names no marker, no index or a block the read cannot fit."""
     width = params.I + params.r_I
-    win = y.window(s, params.L_min)
+    win = reads.windows(which, s, params.L_min)
     q = find_marker(win, book, params.e)
-    S, P, mu = split_index_window(win, q, _layout(params), width)
-    if mu == width:
-        index = locate_index(P, book)
-    else:
-        index = locate_index(S + P, book) + 1
-    if index >= params.k * params.strand_blocks:
-        raise DecodeFailure("block index runs past the last block")
-    strand, j = divmod(index, params.strand_blocks)
-    off = params.marker_phase + j * params.L_min - (s + q)
-    if off < 0 or off + len(y) > params.n:
-        raise DecodeFailure("located read does not fit inside its strand")
-    return strand, off
+    at = np.flatnonzero(q >= 0)
+    q = q[at]
+    mu, sp, _ = index_orders(_layout(params), width)
+    index = locate_index(_bitops.pack_rows(np.take_along_axis(win[at], sp[q], axis=1)), book)
+    # a key of S then P names the block before the boundary
+    index += (index >= 0) & (mu[q] < width)
+    strand, j = np.divmod(index, params.strand_blocks)
+    off = params.marker_phase + j * params.L_min - (s[at] + q)
+    fits = (
+        (index >= 0) & (index < params.k * params.strand_blocks)
+        & (off >= 0) & (off + reads.lens[which[at]] <= params.n)
+    )
+    out = np.full(len(which), -1, dtype=np.int64)
+    out[at[fits]] = (strand * params.n + off)[fits]
+    return out
 
 
 def indexed_reconstruct(
@@ -419,33 +483,31 @@ def indexed_reconstruct(
 
     Strict decoding raises on a read it cannot place and on an uncovered
     position; lenient decoding tries every window of a read, drops reads it
-    cannot place and zero fills uncovered positions.  Returns the
-    per-strand messages, the report (offsets flattened as ``strand * n +
-    offset``) and the strands holding an undecodable payload block.
+    cannot place and zero fills uncovered positions.  Every read's leading
+    window is located in one batch, and the later windows of the reads
+    that failed in a second.  Returns the per-strand messages, the report
+    (offsets flattened as ``strand * n + offset``) and the strands holding
+    an undecodable payload block.
     """
     book = book if book is not None else indexed_book(params)
     check_trace(tr, params, params.k)
     check_book(params, book, params.d)
-    placed: dict[int, int] = {}
-    skipped: set[int] = set()
-    for idx, frag in enumerate(tr.fragments):
-        y = frag.bits
-        last: Exception | None = None
-        for s in range(len(y) - params.L_min + 1) if lenient else range(1):
-            try:
-                strand, off = indexed_locate(y, s, params, book)
-            except (LayoutError, DecodeFailure) as exc:
-                last = exc
-                continue
-            placed[idx] = strand * params.n + off
-            break
-        else:
-            if not lenient:
-                raise DecodeFailure(f"read {idx} cannot be located") from last
-            skipped.add(idx)
+    reads = load_reads([f.bits for f in tr.fragments])
+    every = np.arange(len(reads.lens))
+    at = indexed_locate(reads, every, np.zeros_like(every), params, book)
+    failed = np.flatnonzero(at < 0)
+    if failed.size and not lenient:
+        raise DecodeFailure(f"read {failed[0]} cannot be located")
+    if failed.size:
+        def attempt(which, s):
+            off = indexed_locate(reads, which, s, params, book)
+            return off >= 0, off
 
-    arrs = {idx: tr.fragments[idx].bits.to_numpy() for idx in placed}
-    merged, tie_pos, gaps = merge_placed(arrs, placed, params.k * params.n, lenient)
+        found, (off,) = retry_later_windows(reads, failed, params.L_min, attempt)
+        at[found] = off
+    placed = {idx: off for idx, off in enumerate(at.tolist()) if off >= 0}
+
+    merged, tie_pos, gaps = merge_placed(reads, placed, params.k * params.n, lenient)
 
     payload_codec = codec(params.w_window, params.w_floor, params.m_prime, 512)
     body = params.m_prime - params.d
@@ -468,7 +530,7 @@ def indexed_reconstruct(
         messages.append(m_i)
 
     report = make_report(
-        sum(messages, BitSeq.zeros(0)), len(tr.fragments), arrs, placed, merged,
-        tie_pos, not skipped and not gaps and not damaged, params.e,
+        sum(messages, BitSeq.zeros(0)), reads, placed, merged,
+        tie_pos, len(placed) == len(every) and not gaps and not damaged, params.e,
     )
     return tuple(messages), report, damaged

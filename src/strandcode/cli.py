@@ -314,10 +314,10 @@ def _reported(rep, **extra) -> tuple[BitSeq, dict]:
 
 
 def _wrap_decode(reads, p, args) -> tuple[BitSeq, dict]:
-    ss, m = wrap_decode(reads, args.n, args.k, p)
+    ss, rep = wrap_decode(reads, args.n, args.k, p)
     if args.strands_out:
         _write_text(args.strands_out, strandset_to_json(ss) + "\n")
-    return m, {"n": args.n, "k": args.k, "reads": len(reads.fragments), "message_len": len(m)}
+    return _reported(rep, n=args.n, k=args.k)
 
 
 def _multi_gamma0_encode(m, p, args):

@@ -37,6 +37,7 @@ from .blocks import (
     indexed_geometry,
     indexed_locate,
     indexed_reconstruct,
+    load_reads,
     require_feasible,
 )
 from .channel import ChannelConfig, Fragment, Trace, fragment
@@ -248,12 +249,13 @@ def wrap_reconstruct(
 
 def wrap_decode(
     mt: Trace, n: int, k: int, params: TraceParams, book: IndexBook | None = None
-) -> tuple[StrandSet, BitSeq]:
-    """Recover the strand multiset and the message from a pooled read set."""
+) -> tuple[StrandSet, ReconReport]:
+    """Recover the strand multiset and the reconstruction report, whose
+    message and reliability flag are those of the pooled read set."""
     book = book if book is not None else trace_book(params)
     rep = wrap_reconstruct(mt, n, k, params, book)
     w = encode_trace(rep.message, params, book)
-    return _slice_strands(w, n, k, params.L_over), rep.message
+    return _slice_strands(w, n, k, params.L_over), rep
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +390,11 @@ def multi_gamma0_locate(
     if len(y) < params.L_min:
         raise LayoutError("a read is shorter than the block length")
     book = book if book is not None else multi_gamma0_book(params)
-    return indexed_locate(y, 0, params, book)
+    start = np.zeros(1, dtype=np.int64)
+    (at,) = indexed_locate(load_reads([y]), start, start, params, book).tolist()
+    if at < 0:
+        raise DecodeFailure("the read's leading window names no block it fits")
+    return divmod(at, params.n)
 
 
 def multi_gamma0_decode(

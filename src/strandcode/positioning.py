@@ -5,6 +5,8 @@ concatenation is an (I + r_I, d)-substring-distant sequence, together with
 the marker p = 0^K followed by the auto-cyclic sequence for d.  Blocks of
 the trace codes carry the marker, an index codeword split into segments,
 and payload; the book is what lets a decoder place a corrupted window.
+:func:`find_marker` and :func:`locate_index` take a whole batch of windows
+at once, so a decoder places every read of a trace in a few calls.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from . import _bitops
 from .bitseq import BitSeq, is_wwl
 from .constrained import auto_cyclic
-from .errors import DecodeFailure, LayoutError, SearchExhausted
+from .errors import SearchExhausted
 from .oracle import check_p123
 
 __all__ = [
@@ -105,6 +107,11 @@ class IndexBook:
             offsets = np.argsort(keys, kind="stable")
             table.append((lo, hi, keys[offsets], offsets))
         return table
+
+    @cached_property
+    def _windows(self) -> np.ndarray:
+        """Every window of the concatenation, packed; row t starts at t."""
+        return _bitops.packed_windows(self.concat.to_numpy(), self.codeword_len)
 
     @cached_property
     def _marker_np(self) -> np.ndarray:
@@ -219,66 +226,80 @@ def _certify(book: IndexBook) -> None:
         raise SearchExhausted("book family fails the piece-family conditions")
 
 
-def find_marker(y: BitSeq, book: IndexBook, e: int) -> int:
-    """Cyclic offset of the marker inside one block-period window.
+# locate_index results for a key with no alignment within e, or several
+NOT_FOUND, AMBIGUOUS = -1, -2
 
-    ``y`` must be exactly one block long; the blocks of a codeword all carry
-    the marker at the same in-block position, so scanning ``y`` cyclically
-    finds the marker even when the window cuts it in two.  Exactly one
-    offset may match within ``e`` errors; zero or several mean ``y`` is not
-    a window of a legal codeword.
+
+def find_marker(windows: np.ndarray, book: IndexBook, e: int) -> np.ndarray:
+    """Cyclic offset of the marker inside each block-period window of a batch.
+
+    ``windows`` is a (rows, period) 0/1 uint8 array whose rows are each
+    exactly one block long; the blocks of a codeword all carry the marker
+    at the same in-block position, so scanning a row cyclically finds the
+    marker even when the window cuts it in two.  Exactly one offset may
+    match within ``e`` errors; zero or several mean the row is not a window
+    of a legal codeword, reported as -1 for that row.
+
+    Exact: the marker is compared at its full width with every cyclic
+    offset of every row.  Cost: one vector pass over the (rows, period)
+    distance table per marker bit, O(rows * period * len(marker)).
     """
     p = book._marker_np
     m = len(p)
-    period = len(y)
+    rows, period = windows.shape
     if period < m:
         raise ValueError("window shorter than the marker")
-    bits = y.to_numpy()
-    doubled = np.concatenate([bits, bits[: m - 1]])
-    wins = np.lib.stride_tricks.sliding_window_view(doubled, m)[:period]
-    dists = (wins != p).sum(axis=1)
-    hits = np.flatnonzero(dists <= e)
-    if len(hits) != 1:
-        raise LayoutError(
-            f"{len(hits)} marker positions within {e} errors; expected exactly 1"
-        )
-    return int(hits[0])
+    doubled = np.concatenate([windows, windows[:, : m - 1]], axis=1)
+    dist = np.zeros((rows, period), dtype=np.int16)
+    for j in range(m):
+        dist += doubled[:, j : j + period] ^ p[j]
+    hits = dist <= e
+    return np.where(hits.sum(axis=1) == 1, hits.argmax(axis=1), -1)
 
 
-def locate_index(y: BitSeq, book: IndexBook) -> int:
-    """Index of the codeword (or straddle pair) best matching ``y``.
+def locate_index(keys: np.ndarray, book: IndexBook) -> np.ndarray:
+    """Index of the codeword (or straddle pair) best matching each key.
 
-    ``y`` is an (I + r_I)-bit window: either a codeword c_i or a suffix of
-    c_i followed by the matching prefix of c_{i+1}, with at most
-    ``book.e`` substitutions.  Finds every window of the concatenation
-    within ``e`` of ``y``; the substring-distant property makes the
-    sub-``e`` alignment unique.
+    ``keys`` holds (I + r_I)-bit windows packed as by
+    :func:`_bitops.pack_rows`, one per row: each either a codeword c_i or
+    a suffix of c_i followed by the matching prefix of c_{i+1}, with at
+    most ``book.e`` substitutions.  Every window of the concatenation
+    within ``e`` of a key is found; the substring-distant property makes
+    the sub-``e`` alignment unique.  Returns i per row, or ``NOT_FOUND``
+    when no window is within ``e`` and ``AMBIGUOUS`` when several are.
 
-    Pigeonhole invariant: ``y`` and a window within ``e`` flips of it agree
-    exactly on at least one of the e + 1 (or more) parts of
-    ``book._pigeonhole``, so the exact part matches, found by binary
-    search, hold every such window.  Each candidate is then checked over
-    the full width.  Cost: O(e + 1) lookups plus the candidates checked.
+    Pigeonhole invariant: a key and a window within ``e`` flips of it
+    agree exactly on at least one of the e + 1 (or more) parts of
+    ``book._pigeonhole``, so the exact part matches, found by one
+    ``searchsorted`` per part over the whole batch, hold every such
+    window.  Each candidate is then checked at full width, so the answer
+    is exact.  Cost: O((e + 1) * rows * log(windows)) plus the candidates
+    checked, one word XOR per 64 bits of width each.
     """
     width = book.codeword_len
-    if len(y) != width:
-        raise ValueError(f"window must have {width} bits")
-    e = book.e
-    v = y.value
-    candidates: set[int] = set()
-    for lo, hi, keys, offsets in book._pigeonhole:
-        key = np.uint64((v >> lo) & ((1 << (hi - lo)) - 1))
-        a = keys.searchsorted(key)
-        b = keys.searchsorted(key, side="right")
-        candidates.update(offsets[a:b].tolist())
-    concat = book.concat.value
-    mask = (1 << width) - 1
-    hits = [t for t in sorted(candidates) if (((concat >> t) & mask) ^ v).bit_count() <= e]
-    if not hits:
-        raise DecodeFailure(f"no index alignment within {e} errors")
-    if len(hits) > 1:
-        raise DecodeFailure(f"ambiguous index alignment at offsets {hits}")
-    return hits[0] // width
+    rows = len(keys)
+    if keys.shape[1:] != (-(-width // 64),):
+        raise ValueError(f"keys must be packed {width}-bit windows")
+    count = len(book._windows)
+    pairs = []
+    for lo, hi, sorted_keys, offsets in book._pigeonhole:
+        part = _bitops.bit_field(keys, lo, hi)
+        a = sorted_keys.searchsorted(part)
+        n_hit = sorted_keys.searchsorted(part, side="right") - a
+        row = np.repeat(np.arange(rows), n_hit)
+        first = np.cumsum(n_hit) - n_hit
+        at = np.arange(len(row)) + np.repeat(a - first, n_hit)
+        pairs.append(row * count + offsets[at])
+    # a window found through several parts is checked once; rows ascend,
+    # and each row's windows by offset
+    row, t = np.divmod(np.unique(np.concatenate(pairs)), count)
+    close = _bitops.row_distances(keys[row], book._windows[t]) <= book.e
+    row, t = row[close], t[close]
+    hits = np.bincount(row, minlength=rows)
+    found = np.full(rows, NOT_FOUND, dtype=np.int64)
+    found[row] = t // width
+    found[hits > 1] = AMBIGUOUS
+    return found
 
 
 def book_to_json(book: IndexBook) -> str:

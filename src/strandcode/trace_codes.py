@@ -33,6 +33,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from . import _bitops
 from .bitseq import BitSeq, is_sd
 from .blocks import (
     FLAG,
@@ -42,25 +43,36 @@ from .blocks import (
     BlockGeometry,
     Layout,
     ReconReport,
+    Reads,
     build_layout,
     check_book,
     check_trace,
     codec,
+    index_orders,
     indexed_book,
     indexed_encode,
     indexed_geometry,
     indexed_reconstruct,
+    load_reads,
     make_report,
     marker_offenders,
     merge_placed,
     require_feasible,
-    split_index_window,
+    retry_later_windows,
 )
 from .channel import Trace
 from .constrained import ConstrainedCodec, auto_cyclic
 from .errors import DecodeFailure, InfeasibleParameters, LayoutError, SearchExhausted
 from .outer import lane_decode, lane_encode, lane_message_len
-from .positioning import IndexBook, build_index_book, default_r_I, find_marker, locate_index
+from .positioning import (
+    AMBIGUOUS,
+    NOT_FOUND,
+    IndexBook,
+    build_index_book,
+    default_r_I,
+    find_marker,
+    locate_index,
+)
 
 __all__ = [
     "TraceParams",
@@ -298,15 +310,13 @@ def _trace_layout(params: TraceParams) -> Layout:
     return build_layout(params.L_min, segs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Blocks:
     total: int
-    group: list[int]  # non-decreasing: each group is a run of blocks
-    is_start: list[bool]
-
-    def span(self, g: int) -> tuple[int, int]:
-        """First block of group g and the block after its last."""
-        return bisect_left(self.group, g), bisect_right(self.group, g)
+    group: np.ndarray  # group of each block, non-decreasing
+    is_start: np.ndarray
+    first: np.ndarray  # first block of each group
+    end: np.ndarray  # the block after each group's last
 
 
 @lru_cache(maxsize=None)
@@ -320,13 +330,11 @@ def _block_table(params: TraceParams) -> _Blocks:
         is_start[lo] = True
     if not params.divisible:
         group[params.n_L] = params.group_count - 1
-    return _Blocks(total=total, group=group.tolist(), is_start=is_start.tolist())
-
-
-@lru_cache(maxsize=None)
-def _payload_mask(params: TraceParams) -> np.ndarray:
-    """Whether each position of the codeword carries a payload bit."""
-    return np.resize(_trace_layout(params).kind == V, params.n)
+    groups = np.arange(params.group_count)
+    return _Blocks(
+        total=total, group=group, is_start=is_start,
+        first=group.searchsorted(groups), end=group.searchsorted(groups, side="right"),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -459,213 +467,235 @@ def encode_trace(m: BitSeq, params: TraceParams, book: IndexBook | None = None) 
 
 
 # ---------------------------------------------------------------------------
-# Fragment analysis
+# Read analysis, on every read of a trace at once
+
+# why a window fails to anchor, by failure code; 0 means it anchored
+_FAILURES = (
+    None,
+    (LayoutError, "no unique marker position within the error budget"),
+    (DecodeFailure, "no index alignment within the error budget"),
+    (DecodeFailure, "ambiguous index alignment"),
+    (DecodeFailure, "group index runs past the last group"),
+    (DecodeFailure, "group chain runs past the last group"),
+    (DecodeFailure, "group chain runs below the first group"),
+)
 
 
-@dataclass
-class _FragInfo:
-    idx: int
-    arr: np.ndarray
-    boundaries: list[int]
-    flags: list[int | None]
-    groups: list[int | None]
-    anchor_pos: int
-    anchor_group: int
-    anchor_at: bool
-
-
-def _read_flag(y: BitSeq, b: int, params: TraceParams) -> int | None:
+def _flags(reads: Reads, which: np.ndarray, b: np.ndarray, params: TraceParams) -> np.ndarray:
+    """Majority of the flag bits behind the boundaries ``b[i, :]`` of read
+    ``which[i]``: 1, 0, or -1 where the flag runs past the read's end."""
     start = b + params.marker_len
-    if start + params.d1 > len(y):
-        return None
-    ones = y.window(start, params.d1).weight()
-    return 1 if 2 * ones > params.d1 else 0
+    cols = np.minimum(start[..., None] + np.arange(params.d1), reads.rows.shape[1] - 1)
+    ones = reads.rows[which[:, None, None], cols].sum(axis=2, dtype=np.int64)
+    return np.where(start + params.d1 <= reads.lens[which, None], 2 * ones > params.d1, -1)
 
 
-def _anchor_trace(
-    y: BitSeq, s: int, q: int, params: TraceParams, book: IndexBook, lay: Layout
-) -> tuple[int, bool, int, int | None]:
-    """Identify the group at (or just before) the boundary seen at s + q."""
+def _anchors(
+    reads: Reads, which: np.ndarray, s: np.ndarray, params: TraceParams, book: IndexBook
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Anchor the window at ``s[i]`` of each read ``which[i]``.
+
+    Returns the boundary position the marker names, the group found there,
+    whether that group is the one of the block at the boundary (otherwise
+    it is the one of the block before it) and a failure code into
+    ``_FAILURES``.  The index bits are a suffix S of the codeword before the
+    boundary and a prefix P of the one after; when the flag says the
+    boundary opens a group, S then P is a straddle of two codewords and
+    names the group before, otherwise P then S is one codeword.
+    """
     width = params.I + params.r_I
-    win = y.window(s, params.L_min)
-    S, P, mu = split_index_window(win, q, lay, width)
+    win = reads.windows(which, s, params.L_min)
+    q = find_marker(win, book, params.e)
+    code = np.where(q < 0, 1, 0)
+    q = np.maximum(q, 0)
     pos = s + q
-    flag = _read_flag(y, pos, params)
-    if mu == width:
-        return pos, True, locate_index(P, book), flag
-    if mu == 0:
-        gp = locate_index(S, book)
-        if flag is None:
-            return pos, False, gp, None
-        g = gp + (1 if flag == 0 else 0)
-        if g >= params.group_count:
-            raise DecodeFailure("group index runs past the last group")
-        return pos, True, g, flag
-    assert flag is not None
-    if flag == 1:
-        return pos, True, locate_index(P + S, book), flag
-    g = locate_index(S + P, book) + 1
-    if g >= params.group_count:
-        raise DecodeFailure("group index runs past the last group")
-    return pos, True, g, flag
+    flag = _flags(reads, which, pos[:, None], params)[:, 0]
+    mu, sp, ps = index_orders(_trace_layout(params), width)
+    mu = mu[q]
+    at = np.flatnonzero(code == 0)
+    order = np.where((flag[at] == 0)[:, None], sp[q[at]], ps[q[at]])
+    found = locate_index(_bitops.pack_rows(np.take_along_axis(win[at], order, axis=1)), book)
+    group = np.zeros(len(which), dtype=np.int64)
+    group[at] = found + ((flag[at] == 0) & (mu[at] < width))
+    code[at] = np.select(
+        [found == NOT_FOUND, found == AMBIGUOUS, group[at] >= params.group_count], [2, 3, 4]
+    )
+    # with no index bit past the boundary and no flag, the group found is
+    # only that of the block before it
+    return pos, group, (mu > 0) | (flag >= 0), code
 
 
-def _analyze_read(
-    idx: int,
-    y: BitSeq,
-    params: TraceParams,
-    book: IndexBook,
-    lay: Layout,
-    lenient: bool,
-) -> _FragInfo | None:
-    """Locate block boundaries, flags, and the anchor group inside one read.
+def _chains(
+    reads: Reads, which: np.ndarray, pos: np.ndarray, group: np.ndarray,
+    know_at: np.ndarray, params: TraceParams,
+) -> tuple[np.ndarray, ...]:
+    """Every block boundary of each anchored read, its flag and its group.
 
-    In the lenient mode a failing leading window is retried at every later
-    offset, which salvages reads whose head covers corrupted material.
+    Boundary t of read i sits at ``b0[i] + t * L_min`` for t < ``nb[i]``.
+    Groups are chained from the anchor through the flags, one group up at
+    every group start, as far as the flags are known; -1 marks a boundary
+    whose group is not known.  Also returns a failure code per read, set
+    when a chain runs past the last group or below the first.
     """
     L_min = params.L_min
-    offsets = range(len(y) - L_min + 1) if lenient else range(1)
-    last: Exception | None = None
-    for s in offsets:
-        try:
-            q = find_marker(y.window(s, L_min), book, params.e)
-            pos, know_at, group, _aflag = _anchor_trace(y, s, q, params, book, lay)
-        except (LayoutError, DecodeFailure) as exc:
-            last = exc
-            continue
-        b0 = pos % L_min
-        boundaries = list(range(b0, len(y), L_min))
-        flags = [_read_flag(y, b, params) for b in boundaries]
-        groups: list[int | None] = [None] * len(boundaries)
-        anchor_block = pos if know_at else pos - L_min
-        if anchor_block >= 0:
-            ai = boundaries.index(anchor_block)
-            groups[ai] = group
-            for t in range(ai + 1, len(boundaries)):
-                f = flags[t]
-                if f is None or groups[t - 1] is None:
-                    break
-                groups[t] = groups[t - 1] + (1 if f == 0 else 0)
-                if groups[t] >= params.group_count:
-                    raise DecodeFailure("group chain runs past the last group")
-            for t in range(ai - 1, -1, -1):
-                f = flags[t + 1]
-                if f is None or groups[t + 1] is None:
-                    break
-                groups[t] = groups[t + 1] - (1 if f == 0 else 0)
-                if groups[t] < 0:
-                    raise DecodeFailure("group chain runs below the first group")
-        return _FragInfo(
-            idx=idx,
-            arr=y.to_numpy(),
-            boundaries=boundaries,
-            flags=flags,
-            groups=groups,
-            anchor_pos=pos,
-            anchor_group=group,
-            anchor_at=know_at,
-        )
-    if lenient:
-        return None
-    assert last is not None
-    raise last
+    b0 = pos % L_min
+    nb = -(-(reads.lens[which] - b0) // L_min)
+    t = np.arange(int(nb.max(initial=1)))  # every read has a boundary
+    flags = _flags(reads, which, b0[:, None] + L_min * t, params)
+    anchor = np.where(know_at, pos, pos - L_min)
+    ai = ((anchor - b0) // L_min)[:, None]
+    # known flags form a prefix, each known when the read covers it, and it
+    # holds the anchor's: the anchor's flag lies before the index bits past
+    # the boundary, or is known, or sits a block earlier
+    known = (flags >= 0).sum(axis=1)[:, None]
+    starts = np.cumsum(flags == 0, axis=1)
+    groups = group[:, None] + starts - np.take_along_axis(starts, np.maximum(ai, 0), axis=1)
+    chained = (anchor >= 0)[:, None] & (t < known)
+    code = np.select(
+        [(chained & (t > ai) & (groups >= params.group_count)).any(axis=1),
+         (chained & (t < ai) & (groups < 0)).any(axis=1)],
+        [5, 6],
+    )
+    return b0, nb, flags, np.where(chained, groups, -1), code
 
 
-def _candidate_offsets(info: _FragInfo, params: TraceParams) -> list[int]:
-    """Ascending offsets at which the read's boundaries, flags and known
-    groups all agree with the block table.  Only the blocks of one group
-    are tried, so the cost does not grow with the number of groups."""
+def _analyze(
+    reads: Reads, which: np.ndarray, s: np.ndarray, params: TraceParams, book: IndexBook
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_anchors`, with the failure code of the group chain too."""
+    pos, group, know_at, code = _anchors(reads, which, s, params, book)
+    ok = np.flatnonzero(code == 0)
+    code[ok] = _chains(reads, which[ok], pos[ok], group[ok], know_at[ok], params)[-1]
+    return pos, group, know_at, code
+
+
+def _analyze_reads(
+    reads: Reads, params: TraceParams, book: IndexBook, lenient: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Anchor every read from its leading window, all in one batch.
+
+    Strict decoding raises the failure of the first read that does not
+    anchor.  Lenient decoding retries each such read at every later window
+    s, all in a second batch, and keeps the first s that anchors; that
+    salvages reads whose head covers corrupted material.  Returns the
+    anchored reads in ascending order with their anchors.
+    """
+    every = np.arange(len(reads.lens))
+    pos, group, know_at, code = _analyze(reads, every, np.zeros_like(every), params, book)
+    failed = np.flatnonzero(code)
+    if failed.size and not lenient:
+        kind, why = _FAILURES[code[failed[0]]]
+        raise kind(f"read {failed[0]}: {why}")
+    anchored = code == 0
+    if failed.size:
+        def attempt(which, s):
+            pos, group, know_at, code = _analyze(reads, which, s, params, book)
+            return code == 0, pos, group, know_at
+
+        found, later = retry_later_windows(reads, failed, params.L_min, attempt)
+        pos[found], group[found], know_at[found] = later
+        anchored[found] = True
+    which = np.flatnonzero(anchored)
+    return which, pos[which], group[which], know_at[which]
+
+
+def _candidate_offsets(
+    reads: Reads, which: np.ndarray, pos: np.ndarray, group: np.ndarray,
+    know_at: np.ndarray, params: TraceParams,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets at which each anchored read's boundaries, flags and known
+    groups all agree with the block table, as (read, offset) pairs in
+    ascending order.  Only the blocks of one group are tried per read, so
+    the cost does not grow with the number of groups: one (reads, blocks
+    per group, boundaries per read) comparison."""
     blocks = _block_table(params)
     L_min = params.L_min
-    ln = len(info.arr)
-    known = [
-        (b, g) for b, g in zip(info.boundaries, info.groups) if g is not None
-    ]
-    if known:
-        b_ref, g_ref = known[0]
-        first, end = blocks.span(g_ref)
-        shift = -b_ref
-    else:
-        # only the block ending at the anchor is identified
-        first, end = blocks.span(info.anchor_group)
-        shift = L_min - info.anchor_pos
-    out = []
-    for off in range(first * L_min + shift, end * L_min + shift, L_min):
-        if off < 0 or off + ln > params.n:
-            continue
-        ok = True
-        for b, f, g in zip(info.boundaries, info.flags, info.groups):
-            B = (off + b) // L_min
-            if B >= blocks.total:
-                ok = False
-                break
-            if f is not None and (f == 0) != blocks.is_start[B]:
-                ok = False
-                break
-            if g is not None and blocks.group[B] != g:
-                ok = False
-                break
-        if ok:
-            out.append(off)
-    return out
+    b0, nb, flags, groups, _ = _chains(reads, which, pos, group, know_at, params)
+    known = groups >= 0
+    ref = known.argmax(axis=1)[:, None]
+    has = known.any(axis=1)
+    # the first boundary whose group is known, or else the end of the block
+    # that the anchor names
+    g_ref = np.where(has, np.take_along_axis(groups, ref, axis=1)[:, 0], group)
+    shift = np.where(has, -(b0 + L_min * ref[:, 0]), L_min - pos)
+    first, count = blocks.first[g_ref], blocks.end[g_ref] - blocks.first[g_ref]
+    c = np.arange(int(count.max(initial=0)))
+    off = (first[:, None] + c) * L_min + shift[:, None]
+    ok = (c < count[:, None]) & (off >= 0) & (off + reads.lens[which, None] <= params.n)
+    t = np.arange(flags.shape[1])
+    B = (off[:, :, None] + (b0[:, None] + L_min * t)[:, None, :]) // L_min
+    Bc = np.clip(B, 0, blocks.total - 1)
+    flags, groups = flags[:, None, :], groups[:, None, :]
+    agree = (
+        (B < blocks.total)
+        & ((flags < 0) | ((flags == 0) == blocks.is_start[Bc]))
+        & ((groups < 0) | (blocks.group[Bc] == groups))
+    )
+    ok &= (agree | (t >= nb[:, None])[:, None, :]).all(axis=2)
+    r, c = np.nonzero(ok)
+    return which[r], off[r, c]
 
 
 # ---------------------------------------------------------------------------
 # Placement by overlap matching
 
 
-def _overlap_matches(
-    a_arr: np.ndarray, a_off: int, b_arr: np.ndarray, b_off: int, params
-) -> bool:
-    """Compare two placements that overlap by at least L_over positions.
-
-    Returns whether their disagreement on the payload positions they share
-    stays within the 2e error budget.  A wrong alignment differs from the
-    truth on a full substring-distant window and cannot pass.
-    """
-    lo = max(a_off, b_off)
-    hi = min(a_off + len(a_arr), b_off + len(b_arr))
-    differ = a_arr[lo - a_off : hi - a_off] != b_arr[lo - b_off : hi - b_off]
-    return np.count_nonzero(differ & _payload_mask(params)[lo:hi]) <= 2 * params.e
+@lru_cache(maxsize=None)
+def _payload_masks(params: TraceParams) -> tuple[int, ...]:
+    """Entry ph has bit i set when position ph + i of the codeword carries a
+    payload bit, for i < n: the payload mask from every in-block phase."""
+    period = BitSeq.from_numpy(np.resize(_trace_layout(params).kind == V, params.n + params.L_min))
+    return tuple(period.window_int(ph, params.n) for ph in range(params.L_min))
 
 
 def _place_all(
-    infos: list[_FragInfo], params: TraceParams, lenient: bool
-) -> tuple[dict[int, int], set[int]]:
-    """Place reads by overlap matching, starting from the self-evident ones.
+    reads: Reads, which: np.ndarray, cand_read: np.ndarray, cand_off: np.ndarray,
+    params: TraceParams, lenient: bool,
+) -> dict[int, int]:
+    """Place the anchored reads ``which`` by overlap matching, starting from
+    the self-evident ones; returns read -> offset.
 
-    A read whose candidate offsets are already decided (one candidate, or one
-    confirmed by overlap) is placed; every placed read then checks the
-    pending candidates it overlaps, confirming or discarding them, until no
-    placement changes.
+    A read whose candidate offsets are already decided (one candidate, or
+    one confirmed by overlap) is placed; every placed read then checks the
+    pending candidates it overlaps by at least L_over positions,
+    confirming those whose payload positions in the overlap disagree in at
+    most 2e places and discarding the rest, until no placement changes.
+    A wrong alignment differs from the truth on a full substring-distant
+    window and cannot pass.  Lenient decoding drops a read left with no
+    candidate, several confirmed ones or none confirmed; strict decoding
+    raises.
 
-    The sweep indexes each pending candidate ``(idx, off)`` under every
-    L_min block its span ``[off, off + len)`` covers, so a placed read visits
-    only the candidates in its own blocks instead of every pending read, and
-    checks those it overlaps by at least L_over positions.  Entries of
-    discarded candidates and settled reads are dropped lazily when their
-    block is next visited.  Outputs match a scan over all pending reads
-    exactly: a placed read's hits are handled by ascending read index
-    (``infos`` arrive in that order), then by ascending offset, and each
-    read is settled after all of its hits.  The cost is
-    O(reads * candidates * blocks per read).
+    All candidates sit in one list sorted by offset.  A read placed at
+    ``[z_lo, z_hi)`` bisects to those starting in ``[z_lo - longest +
+    L_over, z_hi - L_over]``, the only starts that can overlap it by
+    L_over, and checks each still pending one exactly: the bits of the
+    two reads over the overlap are XORed as Python ints and masked to the
+    payload positions.  Hits are handled by ascending read, then offset,
+    and each read is settled after all of its hits, so the result does not
+    depend on how candidates are indexed.  The cost is O(placed reads *
+    candidates starting within one read length) overlap checks of one
+    Python int operation each.
     """
-    L_min, L_over = params.L_min, params.L_over
+    L_min = params.L_min
+    # an overlap shorter than L_over carries no information; an empty one none
+    L_over = max(params.L_over, 1)
+    budget = 2 * params.e
+    masks = _payload_masks(params)
+    lens, values = reads.lens.tolist(), reads.values
     placed: dict[int, int] = {}
-    skipped: set[int] = set()
-    arrs = {info.idx: info.arr for info in infos}
-
-    # candidate state: per pending read a dict offset -> anchored flag
-    pending: dict[int, dict[int, bool]] = {}
-    # block -> (idx, off, end, first block) of each candidate span over it
-    by_block: dict[int, list[tuple[int, int, int, int]]] = {}
+    # candidate state: per pending read a dict offset -> confirmed flag
+    pending: dict[int, dict[int, bool]] = {idx: {} for idx in which.tolist()}
+    for idx, off in zip(cand_read.tolist(), cand_off.tolist()):
+        pending[idx][off] = False
+    by_start = np.argsort(cand_off, kind="stable")
+    starts, owners = cand_off[by_start].tolist(), cand_read[by_start].tolist()
+    reach = int(reads.lens[which].max(initial=0)) - L_over
     queue: list[int] = []
 
     def settle(idx: int) -> None:
         cands = pending[idx]
         if not cands:
             if lenient:
-                skipped.add(idx)
                 del pending[idx]
                 return
             raise DecodeFailure(
@@ -680,7 +710,6 @@ def _place_all(
             chosen = anchored[0]
         elif len(anchored) > 1:
             if lenient:
-                skipped.add(idx)
                 del pending[idx]
                 return
             raise DecodeFailure(
@@ -692,55 +721,39 @@ def _place_all(
             del pending[idx]
             queue.append(idx)
 
-    for info in infos:
-        cands = _candidate_offsets(info, params)
-        pending[info.idx] = {off: False for off in cands}
-        for off in cands:
-            end = off + len(info.arr)
-            first = off // L_min
-            for b in range(first, (end - 1) // L_min + 1):
-                by_block.setdefault(b, []).append((info.idx, off, end, first))
     for idx in list(pending):
-        if idx in pending:
-            settle(idx)
+        settle(idx)
 
     while queue:
         z = queue.pop()
-        z_arr, z_lo = arrs[z], placed[z]
-        z_hi = z_lo + len(z_arr)
-        b_lo = z_lo // L_min
+        z_lo, z_val = placed[z], values[z]
+        z_hi = z_lo + lens[z]
         hits: list[tuple[int, int]] = []
-        for b in range(b_lo, (z_hi - 1) // L_min + 1):
-            entries = by_block.get(b)
-            if not entries:
-                continue
-            live = [e for e in entries if e[1] in pending.get(e[0], ())]
-            by_block[b] = live
-            for idx, off, end, first in live:
-                # a candidate over several of z's blocks is taken at the first
-                if first != b and b != b_lo:
-                    continue
-                # an overlap shorter than L_over carries no information
+        for k in range(bisect_left(starts, z_lo - reach), bisect_right(starts, z_hi - L_over)):
+            idx, off = owners[k], starts[k]
+            if off in pending.get(idx, ()):
+                end = off + lens[idx]
                 if (end if end < z_hi else z_hi) - (off if off > z_lo else z_lo) >= L_over:
                     hits.append((idx, off))
         hits.sort()
         for idx, group in groupby(hits, key=itemgetter(0)):
-            cands = pending[idx]
+            cands, val = pending[idx], values[idx]
             for _, off in group:
-                if _overlap_matches(arrs[idx], off, z_arr, z_lo, params):
+                lo, end = (off if off > z_lo else z_lo), off + lens[idx]
+                hi = end if end < z_hi else z_hi
+                differ = (val >> (lo - off)) ^ (z_val >> (lo - z_lo))
+                if (differ & masks[lo % L_min] & ((1 << (hi - lo)) - 1)).bit_count() <= budget:
                     cands[off] = True
                 else:
                     del cands[off]
             settle(idx)
 
-    if pending:
-        if not lenient:
-            raise DecodeFailure(
-                "some reads could not be anchored by overlap matching; "
-                "the trace does not cover the string contiguously"
-            )
-        skipped.update(pending)
-    return placed, skipped
+    if pending and not lenient:
+        raise DecodeFailure(
+            "some reads could not be anchored by overlap matching; "
+            "the trace does not cover the string contiguously"
+        )
+    return placed
 
 
 # ---------------------------------------------------------------------------
@@ -780,24 +793,16 @@ def _reconstruct(
     book = book if book is not None else trace_book(params)
     check_trace(tr, params, 1)
     check_book(params, book, params.d1)
-    lay = _trace_layout(params)
-    infos: list[_FragInfo] = []
-    unlocated: set[int] = set()
-    for idx, frag in enumerate(tr.fragments):
-        info = _analyze_read(idx, frag.bits, params, book, lay, lenient)
-        if info is None:
-            unlocated.add(idx)
-        else:
-            infos.append(info)
-    placed, skipped = _place_all(infos, params, lenient)
-    skipped |= unlocated
-    arrs = {info.idx: info.arr for info in infos}
-
-    merged, tie_pos, gaps = merge_placed(arrs, placed, params.n, lenient)
+    reads = load_reads([f.bits for f in tr.fragments])
+    anchored = _analyze_reads(reads, params, book, lenient)
+    placed = _place_all(
+        reads, anchored[0], *_candidate_offsets(reads, *anchored, params), params, lenient
+    )
+    merged, tie_pos, gaps = merge_placed(reads, placed, params.n, lenient)
     payloads, corrupted = _extract_group_payloads(merged, params, lenient)
+    intact = len(placed) == len(reads.lens) and not gaps and not corrupted
     report = make_report(
-        sum(payloads, BitSeq.zeros(0)), len(tr.fragments), arrs, placed, merged,
-        tie_pos, not skipped and not gaps and not corrupted, params.e,
+        sum(payloads, BitSeq.zeros(0)), reads, placed, merged, tie_pos, intact, params.e
     )
     return payloads, report, corrupted
 

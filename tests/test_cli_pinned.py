@@ -366,9 +366,11 @@ PINNED = {
         0,
         "9cdbb0d0c55c86b83315fcff510c1b7ac97f1781f18162b67ed0006d8d455d92",
     ),
+    # re-pinned when wrap_decode began returning its report: the row now
+    # carries the reliable flag and the placement counts of the decode
     "multi-wrap-decode": (
         0,
-        "cf8b212cc8305cb6bf060352e751aa99d0c955b0ff5fc6c54da0cb6d59af98d2",
+        "0cc4a7b2ae1fcf5f8d56699d33c7657bd1ab5df1d240a5176497e201a5d0b6df",
     ),
     "multi-gamma0-encode": (
         0,

@@ -237,8 +237,9 @@ class TestWrap:
             error_mode="reliable-preserving", max_len=120,
         )
         mt = corrupt(fragment_strands(ss, cfg, N=wp4.n), cfg)
-        got_ss, got_m = wrap_decode(mt.strip_truth(), WRAP_N, 4, wp4, wbook4)
-        assert got_m == m
+        got_ss, rep = wrap_decode(mt.strip_truth(), WRAP_N, 4, wp4, wbook4)
+        assert rep.message == m and rep.reliable
+        assert rep == wrap_reconstruct(mt.strip_truth(), WRAP_N, 4, wp4, wbook4)
         assert got_ss == ss
 
     def test_decode_ignores_read_order(self, wp4, wbook4, wcoded4):
@@ -250,8 +251,8 @@ class TestWrap:
             mt.n, mt.L_min, mt.L_over, mt.e,
             tuple(mt.fragments[int(i)] for i in perm), k=mt.k, N=mt.N,
         )
-        _, got_m = wrap_decode(shuffled, WRAP_N, 4, wp4, wbook4)
-        assert got_m == m
+        _, rep = wrap_decode(shuffled, WRAP_N, 4, wp4, wbook4)
+        assert rep.message == m
 
     def test_decode_without_a_book_builds_it_once(self, wp4, wcoded4, monkeypatch):
         m, ss = wcoded4
@@ -264,8 +265,8 @@ class TestWrap:
             return build(*args, **kwargs)
 
         monkeypatch.setattr(trace_codes, "build_index_book", counting)
-        got_ss, got_m = wrap_decode(mt.strip_truth(), WRAP_N, 4, wp4)
-        assert (got_ss, got_m) == (ss, m)
+        got_ss, rep = wrap_decode(mt.strip_truth(), WRAP_N, 4, wp4)
+        assert (got_ss, rep.message) == (ss, m)
         assert len(builds) == 1
 
     def test_duplicate_strand_reads_do_not_disturb_decoding(self, wp4, wbook4, wcoded4):
@@ -276,8 +277,8 @@ class TestWrap:
         doubled = Trace(
             mt.n, mt.L_min, mt.L_over, mt.e, mt.fragments + extra, k=mt.k, N=mt.N
         )
-        _, got_m = wrap_decode(doubled, WRAP_N, 4, wp4, wbook4)
-        assert got_m == m
+        _, rep = wrap_decode(doubled, WRAP_N, 4, wp4, wbook4)
+        assert rep.message == m
 
     def test_attribution_matches_hidden_truth(self, wp2, wbook2):
         m = BitSeq.random(trace_message_len(wp2), np.random.default_rng(17))

@@ -6,11 +6,14 @@ import json
 import numpy as np
 import pytest
 
+from strandcode import _bitops
 from strandcode.bitseq import BitSeq
 from strandcode.cli import main
-from strandcode.errors import DecodeFailure, LayoutError, SearchExhausted
+from strandcode.errors import DecodeFailure, SearchExhausted
 from strandcode.oracle import check_p123, check_sd_exhaustive
 from strandcode.positioning import (
+    AMBIGUOUS,
+    NOT_FOUND,
     IndexBook,
     book_from_json,
     book_to_json,
@@ -24,6 +27,15 @@ from strandcode.positioning import (
 @pytest.fixture(scope="module")
 def book():
     return build_index_book(I=4, d=3, K_marker=8, r_I=16, seed=1)
+
+
+def _rows(ys):
+    """Equal-length BitSeqs as the rows of one 0/1 batch."""
+    return np.array([y.to_numpy() for y in ys], dtype=np.uint8).reshape(len(ys), -1)
+
+
+def _locate(ys, book):
+    return locate_index(_bitops.pack_rows(_rows(ys)), book).tolist()
 
 
 def test_book_shape(book):
@@ -46,12 +58,11 @@ def test_book_piece_family(book):
 def test_trivial_book():
     b = build_index_book(I=0, d=1, K_marker=4, r_I=6, seed=0)
     assert len(b.codewords) == 1
-    assert locate_index(b.codewords[0], b) == 0
+    assert _locate(b.codewords, b) == [0]
 
 
 def test_locate_exact(book):
-    for i in range(16):
-        assert locate_index(book.codewords[i], book) == i
+    assert _locate(book.codewords, book) == list(range(16))
 
 
 def test_locate_straddles(book):
@@ -59,40 +70,38 @@ def test_locate_straddles(book):
     the earlier index, at every split point."""
     W = book.codeword_len
     for i in range(15):
-        for mu in range(1, W):
-            y = book.codewords[i].window(mu, W - mu) + book.codewords[i + 1].window(0, mu)
-            assert locate_index(y, book) == i
+        ys = [
+            book.codewords[i].window(mu, W - mu) + book.codewords[i + 1].window(0, mu)
+            for mu in range(1, W)
+        ]
+        assert _locate(ys, book) == [i] * (W - 1)
 
 
 def test_locate_with_errors(book):
     rng = np.random.default_rng(4)
     W = book.codeword_len
+    want, ys = [], []
     for _ in range(300):
         i = int(rng.integers(0, 16))
         y = book.codewords[i]
         p = int(rng.integers(0, W))
-        y = y.with_bit(p, not y[p])
-        assert locate_index(y, book) == i
+        want.append(i)
+        ys.append(y.with_bit(p, not y[p]))
+    assert _locate(ys, book) == want
 
 
 def test_locate_rejects_garbage(book):
     rng = np.random.default_rng(5)
-    fails = 0
-    for _ in range(300):
-        try:
-            locate_index(BitSeq.random(book.codeword_len, rng), book)
-        except DecodeFailure:
-            fails += 1
-    assert fails > 270
+    found = _locate([BitSeq.random(book.codeword_len, rng) for _ in range(300)], book)
+    assert found.count(NOT_FOUND) > 270
 
 
 def test_find_marker_cyclic(book):
     rng = np.random.default_rng(6)
     blk = book.marker + BitSeq.random(70, rng)
     x = blk + blk + blk
-    for off in range(90):
-        y = x.window(off, 90)
-        assert find_marker(y, book, 1) == (90 - off) % 90
+    q = find_marker(_rows([x.window(off, 90) for off in range(90)]), book, 1)
+    assert q.tolist() == [(90 - off) % 90 for off in range(90)]
 
 
 def test_find_marker_tolerates_flip(book):
@@ -101,13 +110,51 @@ def test_find_marker_tolerates_flip(book):
     x = blk + blk + blk
     y = x.window(5, 90)
     y = y.with_bit(85 + 3, not y[85 + 3])
-    assert find_marker(y, book, 1) == 85
+    assert find_marker(_rows([y]), book, 1).tolist() == [85]
 
 
 def test_find_marker_rejects_markerless():
     b = build_index_book(I=0, d=1, K_marker=6, r_I=6, seed=0)
-    with pytest.raises(LayoutError):
-        find_marker(BitSeq.ones(40), b, 0)
+    assert find_marker(_rows([BitSeq.ones(40)]), b, 0).tolist() == [-1]
+    with pytest.raises(ValueError):
+        find_marker(_rows([BitSeq.ones(4)]), b, 0)
+
+
+def _marker_by_scan(y, book, e):
+    """Reference: the marker against the window read cyclically at every
+    offset; the offset, or the number of offsets when not exactly one."""
+    p = book.marker.to_text()
+    doubled = y.to_text() * 2
+    hits = [
+        q for q in range(len(y))
+        if sum(a != b for a, b in zip(doubled[q : q + len(p)], p)) <= e
+    ]
+    return hits[0] if len(hits) == 1 else f"{len(hits)} offsets"
+
+
+def test_find_marker_matches_plain_scan(book):
+    rng = np.random.default_rng(9)
+    period = 90
+    blk = book.marker + BitSeq.random(period - len(book.marker), rng)
+    x = blk + blk
+    ys = []
+    for trial in range(400):
+        if trial % 4 == 3:
+            y = BitSeq.random(period, rng)
+        else:
+            y = x.window(int(rng.integers(0, period)), period)
+        for p in rng.choice(period, size=trial % 3, replace=False):
+            y = y.with_bit(int(p), not y[int(p)])
+        ys.append(y)
+    # a window holding the marker twice, at two offsets
+    ys.append(book.marker + book.marker + BitSeq.zeros(period - 2 * len(book.marker)))
+    for e in (0, 1, 2):
+        got = find_marker(_rows(ys), book, e).tolist()
+        want = [_marker_by_scan(y, book, e) for y in ys]
+        assert got == [w if isinstance(w, int) else -1 for w in want]
+        assert any(isinstance(w, int) for w in want)
+        assert any(w == "0 offsets" for w in want)
+    assert _marker_by_scan(ys[-1], book, 0) == "2 offsets"
 
 
 def test_search_reports_infeasible():
@@ -201,9 +248,9 @@ def _locate_by_scan(y, book):
     return int(hits[0]) // width
 
 
-def _outcome(fn, y, book):
+def _outcome(y, book):
     try:
-        return fn(y, book)
+        return _locate_by_scan(y, book)
     except DecodeFailure as exc:
         return str(exc)
 
@@ -230,8 +277,12 @@ def test_locate_matches_plain_scan(which, book, book7, planted7):
             for p in rng.choice(W, size=min(W, trial % (b.e + 2)), replace=False):
                 y = y.with_bit(int(p), not y[int(p)])
         windows.append(y)
-    outcomes = [_outcome(locate_index, y, b) for y in windows]
-    assert outcomes == [_outcome(_locate_by_scan, y, b) for y in windows]
+    outcomes = [_outcome(y, b) for y in windows]
+    names = {NOT_FOUND: "no index", AMBIGUOUS: "ambiguous"}
+    assert [names.get(i, i) for i in _locate(windows, b)] == [
+        o if isinstance(o, int) else "no index" if o.startswith("no index") else "ambiguous"
+        for o in outcomes
+    ]
     assert any(isinstance(o, int) for o in outcomes)
     assert any(str(o).startswith("no index") for o in outcomes) or which == "I0-narrow"
     if which == "planted":

@@ -1,12 +1,18 @@
 """Module boundaries of the package."""
 
 import ast
+import dataclasses
+import importlib
 import re
+import sys
 from pathlib import Path
 
-import strandcode
+import numpy as np
 
-PACKAGE = Path(strandcode.__file__).parent
+import strandcode as sc
+from strandcode import positioning
+
+PACKAGE = Path(sc.__file__).parent
 
 
 def _private_sibling_imports(path: Path) -> list[str]:
@@ -85,3 +91,85 @@ def test_every_function_in_the_package_is_referenced():
             ]
     unused = [d for d in defined if d.rpartition(" ")[2] not in refs]
     assert unused == []
+
+
+def _perfbench_layers() -> tuple:
+    """The (name, module, attribute path) rows of ``LAYERS`` in
+    perfbench/layers.py, read from its source."""
+    tree = ast.parse((REPO / "perfbench" / "layers.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LAYERS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/layers.py defines no LAYERS")
+
+
+def test_every_traced_layer_resolves_to_a_package_attribute():
+    layers = _perfbench_layers()
+    assert len(layers) > 10
+    for name, module, path in layers:
+        obj = importlib.import_module(f"strandcode.{module}")
+        for part in path.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), name
+
+
+def _count_calls(monkeypatch, fn) -> list:
+    """Wrap ``fn`` under every package attribute that refers to it, as the
+    benchmark's tracer does; the returned list grows by one per call."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("strandcode"):
+            for key, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, key, counting)
+    return calls
+
+
+def _decodes():
+    """Decode calls, each with its read count: a strict trace decode, a
+    lenient RS decode fed junk reads, and a multi-strand decode."""
+    rng = np.random.default_rng(3)
+    p = sc.derive_trace_params(4320, 1, L_min=90, L_over=85, I=4, r_I=16, K=8)
+    book = sc.trace_book(p)
+    cfg = sc.ChannelConfig(
+        L_min=90, L_over=85, e=1, seed=1, error_mode="reliable-preserving", max_len=120
+    )
+    w = sc.encode_trace(sc.BitSeq.random(sc.trace_message_len(p), rng), p, book)
+    clean = sc.corrupt(sc.fragment(w, cfg), cfg).strip_truth()
+    w = sc.encode_trace_rs(sc.BitSeq.random(sc.trace_rs_message_len(p, 1), rng), p, 1, book)
+    junk = tuple(sc.Fragment(sc.BitSeq.random(100, rng)) for _ in range(5))
+    tr = sc.corrupt(sc.fragment(w, cfg), cfg).strip_truth()
+    laden = dataclasses.replace(tr, fragments=tr.fragments + junk)
+    mp = sc.derive_multi_gamma0_params(1100, 8, 1, L_min=110, K=32, r_I=18)
+    mbook = sc.multi_gamma0_book(mp)
+    per = sc.multi_gamma0_message_len(mp) // mp.k
+    ss = sc.multi_gamma0_encode(tuple(sc.BitSeq.random(per, rng) for _ in range(mp.k)), mp, mbook)
+    pooled = sc.fragment_strands(ss, sc.ChannelConfig(L_min=110, L_over=0, seed=2)).strip_truth()
+    return [
+        ("reconstruct_trace", len(clean.fragments), lambda: sc.reconstruct_trace(clean, p, book)),
+        ("reconstruct_trace_rs", len(laden.fragments),
+         lambda: sc.reconstruct_trace_rs(laden, p, 1, book)),
+        ("multi_gamma0_decode", len(pooled.fragments),
+         lambda: sc.multi_gamma0_decode(pooled, mp, mbook)),
+    ]
+
+
+def test_decoders_reach_the_positioning_layers_once_per_batch(monkeypatch):
+    # the benchmark traces these two functions by name; a decoder that
+    # stops calling them hides its positioning cost, and one that calls
+    # them per read has lost its batch
+    marker = _count_calls(monkeypatch, positioning.find_marker)
+    index = _count_calls(monkeypatch, positioning.locate_index)
+    for name, reads, decode in _decodes():
+        marker.clear()
+        index.clear()
+        decode()
+        assert reads > 40, name
+        # the leading windows, then at most one batch of later windows
+        assert 1 <= len(marker) <= 2, name
+        assert 1 <= len(index) <= 2, name

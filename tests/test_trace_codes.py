@@ -34,11 +34,19 @@ from strandcode.trace_codes import (
     trace_message_len,
     trace_rs_message_len,
 )
+from strandcode.blocks import C, _layout, indexed_locate, indexed_reconstruct, load_reads
+from strandcode.multistrand import (
+    derive_multi_gamma0_params,
+    fragment_strands,
+    multi_gamma0_book,
+    multi_gamma0_encode,
+    multi_gamma0_message_len,
+)
 from strandcode.trace_codes import (
-    _analyze_read,
+    _analyze_reads,
     _block_table,
     _candidate_offsets,
-    _overlap_matches,
+    _chains,
     _place_all,
     _trace_layout,
 )
@@ -265,6 +273,16 @@ class TestReconstruct:
                    fragments=(Fragment(w), Fragment(bad)))
         with pytest.raises((DecodeFailure, LayoutError)):
             reconstruct_trace(tr, p1, book1)
+
+    def test_trace_with_no_anchored_read_raises_decode_failure(self, p1, book1):
+        rng = np.random.default_rng(2)
+        junk = tuple(Fragment(BitSeq.random(100, rng)) for _ in range(5))
+        for frags in ((), junk):
+            tr = Trace(n=p1.n, L_min=p1.L_min, L_over=p1.L_over, e=1, fragments=frags)
+            with pytest.raises(DecodeFailure):
+                reconstruct_trace_rs(tr, p1, 1, book1)
+        with pytest.raises(DecodeFailure):
+            reconstruct_trace(Trace(p1.n, p1.L_min, p1.L_over, 1, ()), p1, book1)
 
     def test_missing_coverage_raises(self, p1, book1, coded1):
         _, w = coded1
@@ -499,68 +517,268 @@ class TestPlacementRegression:
             assert rep.message == m and rep.reliable, f"seed {seed}"
             assert [o for o, _ in rep.located] == [f.start for f in tr.fragments]
 
+    def test_chain_failure_skips_the_read_in_lenient_mode(self, p1, book1):
+        # a copy of the read at 46 * L_min - 5 whose second flag reads as
+        # a group start: the group chain runs past the last group
+        tau = 3
+        m = BitSeq.random(trace_rs_message_len(p1, tau), np.random.default_rng(19))
+        w = encode_trace_rs(m, p1, tau, book1)
+        cfg = reliable_cfg(p1, 3)
+        tr = corrupt(fragment(w, cfg), cfg)
+        at = 95 + p1.marker_len
+        bad = w.window(46 * p1.L_min - 5, 120).with_bit(at, 0).with_bit(at + 1, 0)
+        tr = dataclasses.replace(tr, fragments=tr.fragments + (Fragment(bad),)).strip_truth()
+        rep = reconstruct_trace_rs(tr, p1, tau, book1)
+        assert rep.message == m
+        assert rep.located[-1] == (None, None)
+        assert all(off is not None for off, _ in rep.located[:-1])
+        assert not rep.reliable
+        with pytest.raises(DecodeFailure, match="group chain runs past the last group"):
+            reconstruct_trace(tr, p1, book1)
+
     def test_sweep_matches_plain_scan(self, p8, coded8):
         # at n=8640 groups span six blocks, so many reads keep several
         # candidate offsets until overlap matching decides them
         book, _, w = coded8
-        lay = _trace_layout(p8)
-        vmask = np.resize(lay.kind == 2, p8.n)
-        cfg = ChannelConfig(
-            L_min=p8.L_min, L_over=p8.L_over, e=p8.e, seed=0,
-            strategy="adversarial-min", error_mode="overlap-concentrated",
-        )
-        adversarial = corrupt(fragment(w, cfg), cfg)
-        # some reads get four extra payload flips, past the overlap budget:
-        # lenient placement skips reads, strict placement fails
-        cfg = reliable_cfg(p8, 0)
-        reliable = corrupt(fragment(w, cfg), cfg)
-        rng = np.random.default_rng(100)
-        frags = []
-        for f in reliable.fragments:
-            if rng.random() < 0.04:
-                arr = f.bits.to_numpy().copy()
-                where = np.flatnonzero(vmask[f.start : f.start + len(arr)])
-                arr[rng.choice(where[where >= 30], size=4, replace=False)] ^= 1
-                f = dataclasses.replace(f, bits=BitSeq.from_numpy(arr))
-            frags.append(f)
-        flipped = dataclasses.replace(reliable, fragments=tuple(frags))
-        cases = [
-            (adversarial, (True,)),
-            (_damaged_trace(p8, w, 0), (True,)),
-            (flipped, (True, False)),
-        ]
-        for t, (tr, modes) in enumerate(cases):
-            infos = [
-                info
-                for idx, f in enumerate(tr.strip_truth().fragments)
-                if (info := _analyze_read(idx, f.bits, p8, book, lay, True)) is not None
-            ]
+        checked = 0
+        for t, (tr, modes) in enumerate(_reference_cases(p8, w)):
+            frags = tr.strip_truth().fragments
+            reads = load_reads([f.bits for f in frags])
             for lenient in modes:
-                outcomes = []
-                for place in (_place_all, _place_all_by_scan):
-                    try:
-                        placed, skipped = place(infos, p8, lenient)
-                        outcomes.append((list(placed.items()), skipped))
-                    except DecodeFailure as exc:
-                        outcomes.append(str(exc))
-                assert outcomes[0] == outcomes[1], f"case {t}, lenient={lenient}"
-
+                batch = _outcome(_batch_pipeline, reads, p8, book, lenient)
+                ref = _outcome(_reference_pipeline, frags, p8, book, lenient)
+                assert batch == ref, f"case {t}, lenient={lenient}"
+                checked += len(frags)
+        assert checked > 5000
 
     def test_candidate_offsets_match_block_scan(self, p8, coded8):
         book, _, w = coded8
-        lay = _trace_layout(p8)
         cfg = ChannelConfig(
             L_min=p8.L_min, L_over=p8.L_over, e=p8.e, seed=1,
             strategy="adversarial-min", error_mode="overlap-concentrated",
         )
         checked = 0
         for tr in (corrupt(fragment(w, cfg), cfg), _damaged_trace(p8, w, 3)):
-            for idx, f in enumerate(tr.strip_truth().fragments):
-                info = _analyze_read(idx, f.bits, p8, book, lay, True)
-                if info is not None:
-                    assert _candidate_offsets(info, p8) == _candidate_offsets_by_scan(info, p8)
-                    checked += 1
+            frags = tr.strip_truth().fragments
+            reads = load_reads([f.bits for f in frags])
+            anchored = _analyze_reads(reads, p8, book, True)
+            cand_read, cand_off = _candidate_offsets(reads, *anchored, p8)
+            infos = _reference_infos(frags, p8, book, True)
+            assert anchored[0].tolist() == [info.idx for info in infos]
+            for info in infos:
+                got = cand_off[cand_read == info.idx].tolist()
+                assert got == _candidate_offsets_by_scan(info, p8)
+                checked += 1
         assert checked > 1000
+
+
+def _reference_cases(p, w):
+    """Traces at n=8640 and the modes to decode them in: adversarial cuts,
+    reliable reads, reads with extra payload flips past the overlap budget,
+    damaged traces with junk reads, and reliable reads laden with junk."""
+    vmask = np.resize(_trace_layout(p).kind == 2, p.n)
+    cfg = ChannelConfig(
+        L_min=p.L_min, L_over=p.L_over, e=p.e, seed=0,
+        strategy="adversarial-min", error_mode="overlap-concentrated",
+    )
+    adversarial = corrupt(fragment(w, cfg), cfg)
+    cfg = reliable_cfg(p, 0)
+    reliable = corrupt(fragment(w, cfg), cfg)
+    # some reads get four extra payload flips, past the overlap budget:
+    # lenient placement skips reads, strict placement fails
+    rng = np.random.default_rng(100)
+    frags = []
+    for f in reliable.fragments:
+        if rng.random() < 0.04:
+            arr = f.bits.to_numpy().copy()
+            where = np.flatnonzero(vmask[f.start : f.start + len(arr)])
+            arr[rng.choice(where[where >= 30], size=4, replace=False)] ^= 1
+            f = dataclasses.replace(f, bits=BitSeq.from_numpy(arr))
+        frags.append(f)
+    flipped = dataclasses.replace(reliable, fragments=tuple(frags))
+    junk = [
+        Fragment(BitSeq.random(int(rng.integers(p.L_min, p.L_min + 31)), rng))
+        for _ in range(40)
+    ]
+    laden = dataclasses.replace(reliable, fragments=reliable.fragments + tuple(junk))
+    return [
+        (adversarial, (True, False)),
+        (reliable, (True, False)),
+        (flipped, (True, False)),
+        (_damaged_trace(p, w, 0), (True, False)),
+        (_damaged_trace(p, w, 5), (True, False)),
+        (laden, (True, False)),
+    ]
+
+
+def _outcome(fn, *args):
+    """The result of ``fn``, or the class of the decode error it raised."""
+    try:
+        return fn(*args)
+    except (DecodeFailure, LayoutError) as exc:
+        return type(exc)
+
+
+def _batch_pipeline(reads, params, book, lenient):
+    which, pos, group, know_at = _analyze_reads(reads, params, book, lenient)
+    _, _, flags, groups, _ = _chains(reads, which, pos, group, know_at, params)
+    analysis = [
+        (idx, a, g, k, f[f >= 0].tolist(), gr.tolist())
+        for idx, a, g, k, f, gr in zip(
+            which.tolist(), pos.tolist(), group.tolist(), know_at.tolist(), flags, groups
+        )
+    ]
+    cands = _candidate_offsets(reads, which, pos, group, know_at, params)
+    placed = _outcome(_place_all, reads, which, *cands, params, lenient)
+    return analysis, placed if isinstance(placed, type) else list(placed.items())
+
+
+def _reference_pipeline(frags, params, book, lenient):
+    infos = _reference_infos(frags, params, book, lenient)
+    # the batch pads every read's boundaries to the most any read has, and
+    # reports flags past a read's end as unknown and unknown groups as -1
+    width = max((len(info.groups) for info in infos), default=0)
+    analysis = []
+    for info in infos:
+        flags = [f for f in info.flags if f is not None]
+        groups = [-1 if g is None else g for g in info.groups]
+        groups += [-1] * (width - len(groups))
+        analysis.append(
+            (info.idx, info.anchor_pos, info.anchor_group, info.anchor_at, flags, groups)
+        )
+    placed = _outcome(_place_all_by_scan, infos, params, lenient)
+    return analysis, placed if isinstance(placed, type) else list(placed[0].items())
+
+
+# ---------------------------------------------------------------------------
+# Per-read reference of the read analysis and placement.  It shares no code
+# with the batch: the marker, the index split and the index lookup are
+# scans of their own.
+
+
+@dataclasses.dataclass
+class _FragInfo:
+    idx: int
+    arr: np.ndarray
+    boundaries: list
+    flags: list
+    groups: list
+    anchor_pos: int
+    anchor_group: int
+    anchor_at: bool
+
+
+def _find_marker_by_scan(y, book, e):
+    """Reference: the marker against the window read cyclically at every offset."""
+    p = book.marker.to_numpy()
+    bits = y.to_numpy()
+    doubled = np.concatenate([bits, bits])
+    wins = np.lib.stride_tricks.sliding_window_view(doubled, len(p))[: len(bits)]
+    hits = np.flatnonzero((wins != p).sum(axis=1) <= e).tolist()
+    if len(hits) != 1:
+        raise LayoutError(f"{len(hits)} marker positions within {e} errors")
+    return hits[0]
+
+
+def _locate_by_scan(y, book):
+    """Reference: ``y`` against every window of the book's concatenation."""
+    width = book.codeword_len
+    wins = np.lib.stride_tricks.sliding_window_view(book.concat.to_numpy(), width)
+    hits = np.flatnonzero((wins != y.to_numpy()).sum(axis=1) <= book.e)
+    if len(hits) != 1:
+        raise DecodeFailure(f"{len(hits)} index alignments within {book.e} errors")
+    return int(hits[0]) // width
+
+
+def _split_by_scan(win, q, lay, width):
+    """Reference: the index bits before the boundary at q (S, a codeword
+    suffix) and after it (P, a prefix), each in codeword order."""
+    L_min = len(lay.kind)
+    before, after = {}, {}
+    for t in range(L_min):
+        b = (t - q) % L_min
+        if lay.kind[b] == C:
+            (after if t >= q else before)[int(lay.csub[b])] = win[t]
+    S = BitSeq.from_bits(before[i] for i in sorted(before))
+    P = BitSeq.from_bits(after[i] for i in sorted(after))
+    return S, P, len(P)
+
+
+def _read_flag(y, b, params):
+    start = b + params.marker_len
+    if start + params.d1 > len(y):
+        return None
+    ones = y.window(start, params.d1).weight()
+    return 1 if 2 * ones > params.d1 else 0
+
+
+def _anchor_trace(y, s, q, params, book, lay):
+    """Identify the group at (or just before) the boundary seen at s + q."""
+    width = params.I + params.r_I
+    S, P, mu = _split_by_scan(y.window(s, params.L_min), q, lay, width)
+    pos = s + q
+    flag = _read_flag(y, pos, params)
+    if mu == width:
+        return pos, True, _locate_by_scan(P, book)
+    if mu == 0:
+        gp = _locate_by_scan(S, book)
+        if flag is None:
+            return pos, False, gp
+        g = gp + (1 if flag == 0 else 0)
+        if g >= params.group_count:
+            raise DecodeFailure("group index runs past the last group")
+        return pos, True, g
+    assert flag is not None
+    if flag == 1:
+        return pos, True, _locate_by_scan(P + S, book)
+    g = _locate_by_scan(S + P, book) + 1
+    if g >= params.group_count:
+        raise DecodeFailure("group index runs past the last group")
+    return pos, True, g
+
+
+def _analyze_read(idx, y, params, book, lenient):
+    """Locate block boundaries, flags, and the anchor group inside one read;
+    lenient decoding retries a failing leading window at every later
+    offset, and a group chain that leaves the groups is such a failure."""
+    L_min = params.L_min
+    lay = _trace_layout(params)
+    last = None
+    for s in range(len(y) - L_min + 1) if lenient else range(1):
+        try:
+            q = _find_marker_by_scan(y.window(s, L_min), book, params.e)
+            pos, know_at, group = _anchor_trace(y, s, q, params, book, lay)
+            boundaries = list(range(pos % L_min, len(y), L_min))
+            flags = [_read_flag(y, b, params) for b in boundaries]
+            groups = [None] * len(boundaries)
+            anchor_block = pos if know_at else pos - L_min
+            if anchor_block >= 0:
+                ai = boundaries.index(anchor_block)
+                groups[ai] = group
+                for t in range(ai + 1, len(boundaries)):
+                    if flags[t] is None:
+                        break
+                    groups[t] = groups[t - 1] + (1 if flags[t] == 0 else 0)
+                    if groups[t] >= params.group_count:
+                        raise DecodeFailure("group chain runs past the last group")
+                for t in range(ai - 1, -1, -1):
+                    if flags[t + 1] is None:
+                        break
+                    groups[t] = groups[t + 1] - (1 if flags[t + 1] == 0 else 0)
+                    if groups[t] < 0:
+                        raise DecodeFailure("group chain runs below the first group")
+        except (LayoutError, DecodeFailure) as exc:
+            last = exc
+            continue
+        return _FragInfo(idx, y.to_numpy(), boundaries, flags, groups, pos, group, know_at)
+    if lenient:
+        return None
+    raise last
+
+
+def _reference_infos(frags, params, book, lenient):
+    infos = (_analyze_read(idx, f.bits, params, book, lenient) for idx, f in enumerate(frags))
+    return [info for info in infos if info is not None]
 
 
 def _candidate_offsets_by_scan(info, params):
@@ -591,13 +809,23 @@ def _candidate_offsets_by_scan(info, params):
     return out
 
 
+def _overlap_matches(a_arr, a_off, b_arr, b_off, params):
+    """Reference: whether two placements disagree in at most 2e of the
+    payload positions they share."""
+    payload = np.resize(_trace_layout(params).kind == 2, params.n)
+    lo = max(a_off, b_off)
+    hi = min(a_off + len(a_arr), b_off + len(b_arr))
+    differ = a_arr[lo - a_off : hi - a_off] != b_arr[lo - b_off : hi - b_off]
+    return np.count_nonzero(differ & payload[lo:hi]) <= 2 * params.e
+
+
 def _place_all_by_scan(infos, params, lenient):
     """Reference placement: every placed read rescans every pending read and
     every one of its candidate offsets."""
     placed, skipped, queue = {}, set(), []
     arrs = {info.idx: info.arr for info in infos}
     pending = {
-        info.idx: {off: False for off in _candidate_offsets(info, params)}
+        info.idx: {off: False for off in _candidate_offsets_by_scan(info, params)}
         for info in infos
     }
 
@@ -733,3 +961,86 @@ class TestGamma0:
     def test_block_count_drives_index_width(self):
         p = derive_gamma0_params(9856, 1, L_min=154, K=64, r_I=12)
         assert p.I == 6 and p.n_L == 64
+
+
+def _indexed_locate_by_scan(y, s, params, book):
+    """Reference: the flattened placement of a read from its window at s,
+    through the scans of the per-read reference above."""
+    width = params.I + params.r_I
+    win = y.window(s, params.L_min)
+    q = _find_marker_by_scan(win, book, params.e)
+    S, P, mu = _split_by_scan(win, q, _layout(params), width)
+    index = _locate_by_scan(P, book) if mu == width else _locate_by_scan(S + P, book) + 1
+    if index >= params.k * params.strand_blocks:
+        raise DecodeFailure("block index runs past the last block")
+    strand, j = divmod(index, params.strand_blocks)
+    off = params.marker_phase + j * params.L_min - (s + q)
+    if off < 0 or off + len(y) > params.n:
+        raise DecodeFailure("located read does not fit inside its strand")
+    return strand * params.n + off
+
+
+def _indexed_cases():
+    """(params, book, reads) of the gamma=0 code and of the multi-strand
+    code at k=32, with flipped reads and junk reads mixed in."""
+    rng = np.random.default_rng(31)
+    cases = []
+    gp = derive_gamma0_params(9856, 1, L_min=154, K=64, r_I=12)
+    mp = derive_multi_gamma0_params(1100, 32, 1, L_min=110, K=32, r_I=18)
+    for p, book in ((gp, gamma0_book(gp)), (mp, multi_gamma0_book(mp))):
+        if p.k == 1:
+            m = BitSeq.random(gamma0_message_len(p), rng)
+            cfg = ChannelConfig(L_min=p.L_min, L_over=0, e=1, seed=4, error_mode="random")
+            tr = corrupt(fragment(encode_gamma0(m, p, book), cfg), cfg)
+        else:
+            per = multi_gamma0_message_len(p) // p.k
+            ss = multi_gamma0_encode(tuple(BitSeq.random(per, rng) for _ in range(p.k)), p, book)
+            cfg = ChannelConfig(L_min=p.L_min, L_over=0, e=1, seed=4, error_mode="random")
+            tr = corrupt(fragment_strands(ss, cfg), cfg)
+        bits = [f.bits for f in tr.fragments]
+        # every 10th read with three more flips in its leading window, and junk
+        for i in range(0, len(bits), 10):
+            for t in rng.choice(p.L_min, size=3, replace=False):
+                bits[i] = bits[i].with_bit(int(t), not bits[i][int(t)])
+        bits += [BitSeq.random(int(rng.integers(p.L_min, 2 * p.L_min)), rng) for _ in range(20)]
+        cases.append((p, book, tr, bits))
+    return cases
+
+
+class TestIndexedReference:
+    def test_batch_locate_matches_per_read_reference(self):
+        checked = 0
+        for p, book, _, bits in _indexed_cases():
+            reads = load_reads(bits)
+            which = np.repeat(np.arange(len(bits)), reads.lens - p.L_min + 1)
+            s = np.concatenate([np.arange(len(b) - p.L_min + 1) for b in bits])
+            # every window of the junk reads, the leading one of the others
+            lead = (s == 0) | (which >= len(bits) - 20)
+            which, s = which[lead], s[lead]
+            got = indexed_locate(reads, which, s, p, book).tolist()
+            want = [
+                _outcome(_indexed_locate_by_scan, bits[i], t, p, book)
+                for i, t in zip(which.tolist(), s.tolist())
+            ]
+            assert got == [w if isinstance(w, int) else -1 for w in want]
+            assert sum(w == LayoutError for w in want) > 10
+            assert sum(isinstance(w, int) for w in want) > 50
+            checked += len(want)
+        assert checked > 1000
+
+    def test_decode_matches_per_read_reference(self):
+        for p, book, tr, bits in _indexed_cases():
+            mixed = dataclasses.replace(tr, fragments=tuple(Fragment(b) for b in bits))
+            for lenient in (True, False):
+                got = _outcome(indexed_reconstruct, mixed, p, book, lenient)
+                want = []
+                for b in bits:
+                    want.append(None)
+                    for t in range(len(b) - p.L_min + 1) if lenient else range(1):
+                        if isinstance(o := _outcome(_indexed_locate_by_scan, b, t, p, book), int):
+                            want[-1] = o
+                            break
+                if not lenient:
+                    assert got == DecodeFailure and None in want
+                    continue
+                assert [off for off, _ in got[1].located] == want
