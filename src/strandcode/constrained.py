@@ -328,10 +328,11 @@ class ConstrainedCodec:
         length = len(piece)
         table = _count_table(self._cw, self._cf, length)
         index = 0
+        bits = piece.value
         for t in range(length):
             rest = length - t - 1
             s0 = auto.t0[state]
-            if piece[t]:
+            if (bits >> t) & 1:
                 if s0 >= 0:
                     index += table[s0][rest]
                 state = auto.t1[state]

@@ -10,6 +10,7 @@ bad blocks.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Sequence
 
 from .bitseq import BitSeq
@@ -62,30 +63,32 @@ def _poly_eval(coeffs: list[int], x: int) -> int:
     return acc
 
 
-def _rs_encode(data: list[int], nsym: int) -> list[int]:
-    """Systematic encoding: return data followed by nsym parity symbols."""
-    if nsym == 0:
-        return list(data)
+@cache
+def _rs_generator(nsym: int) -> tuple[int, ...]:
+    """Coefficients, highest degree first, of prod (x - alpha^i), i < nsym."""
     gen = [1]
     for i in range(nsym):
-        nxt = [0] * (len(gen) + 1)
+        nxt = gen + [0]
         for j, g in enumerate(gen):
-            nxt[j] ^= _gf_mul(g, _GF_EXP[i])
-            nxt[j + 1] ^= g
+            nxt[j + 1] ^= _gf_mul(g, _GF_EXP[i])
         gen = nxt
-    # synthetic division of data * x^nsym by the (monic) generator
-    rem = [0] * nsym
-    for d in data:
-        factor = d ^ rem[-1]
-        rem = [0] + rem[:-1]
+    return tuple(gen)
+
+
+def _rs_encode(data: list[int], nsym: int) -> list[int]:
+    """Systematic encoding: return data followed by nsym parity symbols."""
+    gen = _rs_generator(nsym)
+    # long division of data * x^nsym by the monic generator leaves the parity
+    word = list(data) + [0] * nsym
+    for i in range(len(data)):
+        factor = word[i]
         if factor:
-            for j in range(nsym):
-                rem[j] ^= _gf_mul(gen[j], factor)
-    return list(data) + rem[::-1]
+            for j in range(1, nsym + 1):
+                word[i + j] ^= _gf_mul(gen[j], factor)
+    return list(data) + word[len(data) :]
 
 
 def _rs_syndromes(word: list[int], nsym: int) -> list[int]:
-    n = len(word)
     # word[j] is the coefficient of x^(n-1-j)
     return [_poly_eval(word[::-1], _GF_EXP[i]) for i in range(nsym)]
 
@@ -93,99 +96,50 @@ def _rs_syndromes(word: list[int], nsym: int) -> list[int]:
 def _rs_decode(word: list[int], nsym: int) -> tuple[list[int], list[int]]:
     """Correct up to nsym // 2 symbol errors; return (fixed, error positions).
 
-    Locator from Berlekamp-Massey, roots by scanning the field, magnitudes by
-    solving the syndrome equations directly and checking every equation.
+    Locator from Berlekamp-Massey, roots tried at the word's own positions,
+    magnitudes by Forney, and the corrected word must have zero syndromes.
     """
     n = len(word)
     synd = _rs_syndromes(word, nsym)
     if not any(synd):
         return list(word), []
     # Berlekamp-Massey for the error locator (lowest degree first)
-    lam = [1]
-    prev = [1]
-    l_count = 0
-    m = 1
-    b = 1
+    lam, prev, l_count, m, b = [1], [1], 0, 1, 1
     for i in range(nsym):
         delta = synd[i]
-        for j in range(1, l_count + 1):
-            if j < len(lam):
-                delta ^= _gf_mul(lam[j], synd[i - j])
-        if delta == 0:
-            m += 1
-        elif 2 * l_count <= i:
-            old = list(lam)
+        for j, c in enumerate(lam[1 : l_count + 1], 1):
+            delta ^= _gf_mul(c, synd[i - j])
+        if delta:
             scale = _gf_mul(delta, _gf_inv(b))
-            shifted = [0] * m + prev
-            lam = [a ^ _gf_mul(scale, c) for a, c in _zip_pad(lam, shifted)]
-            l_count = i + 1 - l_count
-            prev = old
-            b = delta
-            m = 1
-        else:
-            scale = _gf_mul(delta, _gf_inv(b))
-            shifted = [0] * m + prev
-            lam = [a ^ _gf_mul(scale, c) for a, c in _zip_pad(lam, shifted)]
-            m += 1
+            nxt = lam + [0] * (m + len(prev) - len(lam))
+            for j, c in enumerate(prev):
+                nxt[m + j] ^= _gf_mul(scale, c)
+            if 2 * l_count <= i:
+                l_count, prev, b, m = i + 1 - l_count, lam, delta, 0
+            lam = nxt
+        m += 1
     if l_count * 2 > nsym:
         raise DecodeFailure("too many symbol errors for the outer code")
-    # roots of the locator give the error location values X = alpha^(n-1-pos)
-    positions = []
-    for log_x in range(255):
-        x = _GF_EXP[log_x]
-        if _poly_eval(lam, _gf_inv(x)) == 0:
-            pos = n - 1 - log_x
-            if not 0 <= pos < n:
-                raise DecodeFailure("outer code error location out of range")
-            positions.append(pos)
+    # position p has location X = alpha^(n-1-p); its error makes X^-1 a root
+    inv_x = [_GF_EXP[255 - (n - 1 - p)] for p in range(n)]
+    positions = [p for p in range(n) if _poly_eval(lam, inv_x[p]) == 0]
     if len(positions) != l_count:
         raise DecodeFailure("outer code locator roots do not match its degree")
-    # solve for magnitudes: synd[i] = sum_k e_k X_k^i
-    xs = [_GF_EXP[(n - 1 - p) % 255] for p in positions]
-    mags = _solve_vandermonde(xs, synd[: len(xs)])
-    for i in range(nsym):
-        check = 0
-        for xk, ek in zip(xs, mags):
-            check ^= _gf_mul(ek, _gf_pow(xk, i))
-        if check != synd[i]:
-            raise DecodeFailure("outer code syndrome equations are inconsistent")
+    # Forney: Omega = S * Lambda mod x^nsym, e = X * Omega(X^-1) / Lambda'(X^-1).
+    # In characteristic 2, Lambda' is the odd terms of Lambda lowered one
+    # degree; the roots are simple, so it does not vanish there.
+    omega = [0] * nsym
+    for i, s in enumerate(synd):
+        for j, c in enumerate(lam[: nsym - i]):
+            omega[i + j] ^= _gf_mul(s, c)
+    dlam = [c if j % 2 else 0 for j, c in enumerate(lam)][1:]
     fixed = list(word)
-    for p, ek in zip(positions, mags):
-        fixed[p] ^= ek
-    return fixed, sorted(positions)
-
-
-def _zip_pad(a: list[int], b: list[int]):
-    la, lb = len(a), len(b)
-    if la < lb:
-        a = a + [0] * (lb - la)
-    elif lb < la:
-        b = b + [0] * (la - lb)
-    return zip(a, b)
-
-
-def _gf_pow(a: int, p: int) -> int:
-    if a == 0:
-        return 0 if p else 1
-    return _GF_EXP[(_GF_LOG[a] * p) % 255]
-
-
-def _solve_vandermonde(xs: list[int], rhs: list[int]) -> list[int]:
-    """Gaussian elimination for sum_k e_k xs[k]^i = rhs[i]."""
-    t = len(xs)
-    mat = [[_gf_pow(x, i) for x in xs] + [rhs[i]] for i in range(t)]
-    for col in range(t):
-        pivot = next((r for r in range(col, t) if mat[r][col]), None)
-        if pivot is None:
-            raise DecodeFailure("outer code magnitude system is singular")
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        inv = _gf_inv(mat[col][col])
-        mat[col] = [_gf_mul(v, inv) for v in mat[col]]
-        for r in range(t):
-            if r != col and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [v ^ _gf_mul(f, w) for v, w in zip(mat[r], mat[col])]
-    return [mat[r][t] for r in range(t)]
+    for p in positions:
+        num = _gf_mul(_GF_EXP[n - 1 - p], _poly_eval(omega, inv_x[p]))
+        fixed[p] ^= _gf_mul(num, _gf_inv(_poly_eval(dlam, inv_x[p])))
+    if any(_rs_syndromes(fixed, nsym)):
+        raise DecodeFailure("outer code correction leaves a nonzero syndrome")
+    return fixed, positions
 
 
 # ---------------------------------------------------------------------------

@@ -71,14 +71,6 @@ class IndexBook:
         base, extra = divmod(width, F)
         return tuple(base + 1 if h < extra else base for h in range(F))
 
-    def segments(self, i: int) -> list[BitSeq]:
-        c = self.codewords[i]
-        out, pos = [], 0
-        for w in self.segment_widths:
-            out.append(c.window(pos, w))
-            pos += w
-        return out
-
     @cached_property
     def concat(self) -> BitSeq:
         out = BitSeq.zeros(0)
@@ -189,7 +181,7 @@ def build_index_book(
             fill -= width if len(codewords) > 1 else 1
             codewords.pop()
     book = IndexBook(I, r_I, d, K_marker, tuple(codewords), marker)
-    _certify(book)
+    certify_book(book)
     return book
 
 
@@ -197,16 +189,6 @@ _CERTIFY_FULL_LIMIT = 6
 
 
 def certify_book(book: IndexBook) -> None:
-    """Re-run the distance invariants on an already built or parsed book.
-
-    Raises SearchExhausted naming the violated invariant; returns None
-    when all hold.  Books straight out of :func:`build_index_book` always
-    pass; this guards books that traveled through files.
-    """
-    _certify(book)
-
-
-def _certify(book: IndexBook) -> None:
     """Check the book invariants exactly, at every I.
 
     Every codeword must pass its window weight check and the concatenation
@@ -214,6 +196,10 @@ def _certify(book: IndexBook) -> None:
     close-pair search; the oracle's independent scans stay free to check
     this code.  The piece-family conditions (P1-P3) are checked only for
     I <= 6.
+
+    Raises SearchExhausted naming the violated invariant; returns None
+    when all hold.  Books straight out of :func:`build_index_book` always
+    pass; this guards books that traveled through files.
     """
     width = book.codeword_len
     wwl_window = 3 * math.ceil(1.5 * math.log2(width)) + len(book.marker) - book.K_marker

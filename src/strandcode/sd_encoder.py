@@ -376,7 +376,6 @@ def restore_close_pairs(wbar: BitSeq, params: SdParams) -> BitSeq:
     """
     p = params
     d = p.d
-    field = ceil_log2(p.L1 + 1)
     cur = wbar
     while True:
         j = _rightmost_marker(cur, d, p.zero_len)
@@ -387,16 +386,12 @@ def restore_close_pairs(wbar: BitSeq, params: SdParams) -> BitSeq:
         i, diff, v = _parse_record(cur, j, p)
         if not 0 <= i < j:
             raise DecodeFailure(f"recorded window index {i} not left of {j}")
-        mask = 0
-        for k in range(d - 1):
-            pos = diff.window_int(k * field, field)
-            if pos == 0:
-                break
-            if pos > p.L1:
-                raise DecodeFailure("difference position outside the window")
-            mask |= 1 << (pos - 1)
+        try:
+            mask = apply_dist(BitSeq.zeros(p.L1), diff, p.L1, d - 1).value
+        except ValueError:
+            raise DecodeFailure("difference position outside the window") from None
         if i + p.L1 <= j:
-            x_j = apply_dist(cur.window(i, p.L1), diff, p.L1, d - 1)
+            x_j = BitSeq(cur.window_int(i, p.L1) ^ mask, p.L1)
         else:
             # overlapping pair: the two windows shared their overlap, so the
             # removed window satisfies x_j[s] = x_j[s - (j - i)] ^ e[s] once

@@ -50,7 +50,7 @@ from strandcode.trace_codes import (
     _place_all,
     _trace_layout,
 )
-from strandcode.outer import _rs_decode, _rs_encode
+from strandcode.outer import _GF_EXP, _GF_LOG, _gf_inv, _gf_mul, _poly_eval, _rs_decode, _rs_encode
 
 
 @pytest.fixture(scope="module")
@@ -378,6 +378,121 @@ def _flip_group_payload(arr, p, g, rng, density=0.5):
     arr[flips] ^= 1
 
 
+def _rs_encode_by_rebuild(data, nsym):
+    """Reference systematic encoder: builds the generator on every call and
+    divides lowest degree first."""
+    if nsym == 0:
+        return list(data)
+    gen = [1]
+    for i in range(nsym):
+        nxt = [0] * (len(gen) + 1)
+        for j, g in enumerate(gen):
+            nxt[j] ^= _gf_mul(g, _GF_EXP[i])
+            nxt[j + 1] ^= g
+        gen = nxt
+    rem = [0] * nsym
+    for d in data:
+        factor = d ^ rem[-1]
+        rem = [0] + rem[:-1]
+        if factor:
+            for j in range(nsym):
+                rem[j] ^= _gf_mul(gen[j], factor)
+    return list(data) + rem[::-1]
+
+
+def _rs_decode_by_solve(word, nsym):
+    """Reference decoder: Berlekamp-Massey locator, roots by scanning all
+    255 field elements, magnitudes by Gaussian elimination on the syndrome
+    equations, and every equation checked."""
+    n = len(word)
+    synd = [_poly_eval(word[::-1], _GF_EXP[i]) for i in range(nsym)]
+    if not any(synd):
+        return list(word), []
+    lam = [1]
+    prev = [1]
+    l_count = 0
+    m = 1
+    b = 1
+    for i in range(nsym):
+        delta = synd[i]
+        for j in range(1, l_count + 1):
+            if j < len(lam):
+                delta ^= _gf_mul(lam[j], synd[i - j])
+        if delta == 0:
+            m += 1
+        elif 2 * l_count <= i:
+            old = list(lam)
+            scale = _gf_mul(delta, _gf_inv(b))
+            shifted = [0] * m + prev
+            lam = [a ^ _gf_mul(scale, c) for a, c in _zip_pad(lam, shifted)]
+            l_count = i + 1 - l_count
+            prev = old
+            b = delta
+            m = 1
+        else:
+            scale = _gf_mul(delta, _gf_inv(b))
+            shifted = [0] * m + prev
+            lam = [a ^ _gf_mul(scale, c) for a, c in _zip_pad(lam, shifted)]
+            m += 1
+    if l_count * 2 > nsym:
+        raise DecodeFailure("too many symbol errors for the outer code")
+    positions = []
+    for log_x in range(255):
+        x = _GF_EXP[log_x]
+        if _poly_eval(lam, _gf_inv(x)) == 0:
+            pos = n - 1 - log_x
+            if not 0 <= pos < n:
+                raise DecodeFailure("outer code error location out of range")
+            positions.append(pos)
+    if len(positions) != l_count:
+        raise DecodeFailure("outer code locator roots do not match its degree")
+    xs = [_GF_EXP[(n - 1 - p) % 255] for p in positions]
+    mags = _solve_vandermonde(xs, synd[: len(xs)])
+    for i in range(nsym):
+        check = 0
+        for xk, ek in zip(xs, mags):
+            check ^= _gf_mul(ek, _gf_pow(xk, i))
+        if check != synd[i]:
+            raise DecodeFailure("outer code syndrome equations are inconsistent")
+    fixed = list(word)
+    for p, ek in zip(positions, mags):
+        fixed[p] ^= ek
+    return fixed, sorted(positions)
+
+
+def _zip_pad(a, b):
+    la, lb = len(a), len(b)
+    if la < lb:
+        a = a + [0] * (lb - la)
+    elif lb < la:
+        b = b + [0] * (la - lb)
+    return zip(a, b)
+
+
+def _gf_pow(a, p):
+    if a == 0:
+        return 0 if p else 1
+    return _GF_EXP[(_GF_LOG[a] * p) % 255]
+
+
+def _solve_vandermonde(xs, rhs):
+    """Gaussian elimination for sum_k e_k xs[k]^i = rhs[i]."""
+    t = len(xs)
+    mat = [[_gf_pow(x, i) for x in xs] + [rhs[i]] for i in range(t)]
+    for col in range(t):
+        pivot = next((r for r in range(col, t) if mat[r][col]), None)
+        if pivot is None:
+            raise DecodeFailure("outer code magnitude system is singular")
+        mat[col], mat[pivot] = mat[pivot], mat[col]
+        inv = _gf_inv(mat[col][col])
+        mat[col] = [_gf_mul(v, inv) for v in mat[col]]
+        for r in range(t):
+            if r != col and mat[r][col]:
+                f = mat[r][col]
+                mat[r] = [v ^ _gf_mul(f, w) for v, w in zip(mat[r], mat[col])]
+    return [mat[r][t] for r in range(t)]
+
+
 class TestOuterCode:
     def test_lane_codec_corrects_to_capacity(self):
         rng = np.random.default_rng(5)
@@ -401,6 +516,63 @@ class TestOuterCode:
             bad[q] ^= 0x55
         with pytest.raises(DecodeFailure):
             _rs_decode(bad, 4)
+
+    def test_zero_parity_leaves_the_word_alone(self):
+        data = [7, 0, 255, 1]
+        assert _rs_encode(data, 0) == data
+        assert _rs_decode(data, 0) == (data, [])
+
+    def test_lane_codec_matches_the_solving_decoder(self):
+        # random words with up to 2 * tau + 3 symbol errors, past what the
+        # parity can locate, so both sides also fail on the same words
+        rng = np.random.default_rng(23)
+        outcomes = {"decoded": 0, "failed": 0}
+        for _ in range(3000):
+            n = int(rng.choice([4, 8, 16, 32, 64, 128, 255]))
+            nsym = 2 * int(rng.integers(0, min(6, (n - 1) // 2) + 1))
+            data = [int(x) for x in rng.integers(0, 256, size=n - nsym)]
+            word = _rs_encode(data, nsym)
+            assert word == _rs_encode_by_rebuild(data, nsym)
+            bad = list(word)
+            errors = int(rng.integers(0, min(n, nsym + 3) + 1))
+            for q in rng.choice(n, size=errors, replace=False):
+                bad[q] ^= int(rng.integers(1, 256))
+            want = _outcome(_rs_decode_by_solve, bad, nsym)
+            assert _outcome(_rs_decode, bad, nsym) == want, (n, nsym, bad)
+            outcomes["failed" if want is DecodeFailure else "decoded"] += 1
+        assert min(outcomes.values()) > 1000
+
+    def test_four_bad_groups_past_tau_three_fail(self, p8, coded8, monkeypatch):
+        # the trace-damaged benchmark trial seeded [10, 8640, 12], replayed in
+        # its draw order: message, encode, channel.  The dropped group 4
+        # spoils group 5 beside its gap, and flips spoil groups 0 and 12;
+        # only 4 and 5 are flagged.  Four bad groups exceed tau = 3, so
+        # error-only lane decoding must fail; with the flagged groups as
+        # erasures (2 * 2 + 2 <= 2 * tau) errors-and-erasures decoding
+        # would recover the message.
+        book, tau = coded8[0], 3
+        seen = {}
+        lane_encode, lane_decode = trace_codes.lane_encode, trace_codes.lane_decode
+
+        def encode_spy(*args):
+            seen["sent"] = lane_encode(*args)
+            return seen["sent"]
+
+        def decode_spy(payloads, t, damaged):
+            seen["received"], seen["damaged"] = list(payloads), set(damaged)
+            return lane_decode(payloads, t, damaged)
+
+        monkeypatch.setattr(trace_codes, "lane_encode", encode_spy)
+        rng = np.random.default_rng([10, 8640, 12])
+        m = BitSeq.random(trace_rs_message_len(p8, tau), rng)
+        w = encode_trace_rs(m, p8, tau, book)
+        tr = _damaged_trace(p8, w, int(rng.integers(2**31)), rng)
+        monkeypatch.setattr(trace_codes, "lane_decode", decode_spy)
+        with pytest.raises(DecodeFailure):
+            reconstruct_trace_rs(tr.strip_truth(), p8, tau, book)
+        wrong = [g for g, (a, b) in enumerate(zip(seen["received"], seen["sent"])) if a != b]
+        assert wrong == [0, 4, 5, 12]
+        assert seen["damaged"] == {4, 5}
 
     def test_tau_zero_reduces_to_plain_encoding(self, p1, book1):
         m = BitSeq.random(trace_rs_message_len(p1, 0), np.random.default_rng(3))
@@ -460,10 +632,13 @@ def coded8(p8):
     return book, m, encode_trace(m, p8, book)
 
 
-def _damaged_trace(p, w, seed):
+def _damaged_trace(p, w, seed, rng=None):
     """One strand flip, up to e random flips per read, every read starting
-    in one random group dropped, and 5 % random junk reads mixed in."""
-    rng = np.random.default_rng(seed)
+    in one random group dropped, and 5 % random junk reads mixed in.  The
+    channel is seeded by ``seed``, the dropped group and the junk come from
+    ``rng`` (by default one seeded by ``seed``)."""
+    if rng is None:
+        rng = np.random.default_rng(seed)
     cfg = ChannelConfig(
         L_min=p.L_min, L_over=p.L_over, e=p.e, error_mode="pre-sequencing",
         tau=1, seed=seed, max_len=p.L_min + 30,
