@@ -72,13 +72,10 @@ from .oracle import (
     bound_multi,
     bound_multi_gamma0,
     bound_single,
-    brute_reconstruct,
     check_modular_rps,
     check_p123,
     check_sd_exhaustive,
     check_wwl_exhaustive,
-    log_xnk_approx,
-    log_xnk_exact,
 )
 from .positioning import (
     IndexBook,

@@ -69,39 +69,6 @@ def row_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dist
 
 
-def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full (len(a), len(b)) Hamming distance matrix between packed rows."""
-    diffs = a[:, None, :] ^ b[None, :, :]
-    return np.bitwise_count(diffs).sum(axis=2, dtype=np.int64)
-
-
-def min_pair_distance(wins: np.ndarray, block: int = 1024) -> tuple[int, tuple[int, int]]:
-    """Minimum Hamming distance over all pairs of distinct packed rows.
-
-    Exact all-pairs scan, blocked for memory.  Returns (distance, (i, j))
-    with i < j, or (large, (-1, -1)) when fewer than two rows exist.
-    """
-    m = wins.shape[0]
-    if m < 2:
-        return (1 << 30), (-1, -1)
-    best = 1 << 30
-    best_pair = (-1, -1)
-    for i0 in range(0, m, block):
-        ai = wins[i0 : i0 + block]
-        for j0 in range(i0, m, block):
-            bj = wins[j0 : j0 + block]
-            d = pairwise_distances(ai, bj)
-            if j0 == i0:
-                np.fill_diagonal(d, 1 << 30)
-                d[np.tril_indices_from(d)] = 1 << 30
-            k = int(np.argmin(d))
-            di, dj = divmod(k, d.shape[1])
-            if d[di, dj] < best:
-                best = int(d[di, dj])
-                best_pair = (i0 + di, j0 + dj)
-    return best, best_pair
-
-
 def _part_slices(L: int, parts: int) -> list[tuple[int, int]]:
     cuts = [round(t * L / parts) for t in range(parts + 1)]
     return [(cuts[t], cuts[t + 1]) for t in range(parts)]

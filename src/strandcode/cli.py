@@ -1,5 +1,5 @@
 """Command line front end: derive parameters, encode, decode, simulate,
-verify, and benchmark from files.
+verify and tabulate rate bounds from files.
 
 Every command reads and writes plain files, emits one JSON report line on
 standard output for machine diffing, and keeps human-readable summaries on
@@ -14,10 +14,7 @@ import argparse
 import dataclasses
 import json
 import sys
-import time
 from collections.abc import Callable
-
-import numpy as np
 
 from .bitseq import BitSeq
 from .channel import (
@@ -33,7 +30,6 @@ from .multistrand import (
     MultiGamma0Params,
     derive_multi_gamma0_params,
     fragment_strands,
-    multi_gamma0_book,
     multi_gamma0_decode,
     multi_gamma0_encode,
     multi_gamma0_message_len,
@@ -59,12 +55,10 @@ from .trace_codes import (
     encode_gamma0,
     encode_trace,
     encode_trace_rs,
-    gamma0_book,
     gamma0_message_len,
     reconstruct_gamma0,
     reconstruct_trace,
     reconstruct_trace_rs,
-    trace_book,
     trace_message_len,
 )
 
@@ -98,37 +92,6 @@ def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _sd_trial(p, book, bits: int, rng, cfg_seed: int, e: int) -> bool:
-    m = BitSeq.random(bits, rng)
-    return decode_sd(encode_sd(m, p.n, p.d), p.n, p.d) == m
-
-
-def _strand_trial(encode, decode):
-    """Trial of a single-strand read code: reads of at most L_min + 30
-    symbols, with up to ``e`` reliability-preserving flips each."""
-
-    def trial(p, book, bits: int, rng, cfg_seed: int, e: int) -> bool:
-        m = BitSeq.random(bits, rng)
-        cfg = ChannelConfig(
-            L_min=p.L_min, L_over=p.L_over, e=e,
-            error_mode="reliable-preserving" if e else "random",
-            seed=cfg_seed, max_len=p.L_min + 30,
-        )
-        tr = corrupt(fragment(encode(m, p, book), cfg), cfg)
-        return decode(tr.strip_truth(), p, book).message == m
-
-    return trial
-
-
-def _multi_gamma0_trial(p, book, bits: int, rng, cfg_seed: int, e: int) -> bool:
-    per = bits // p.k
-    msgs = tuple(BitSeq.random(per, rng) for _ in range(p.k))
-    ss = multi_gamma0_encode(msgs, p, book)
-    cfg = ChannelConfig(L_min=p.L_min, L_over=0, seed=cfg_seed)
-    got, _rep = multi_gamma0_decode(fragment_strands(ss, cfg).strip_truth(), p, book)
-    return got == msgs
-
-
 def _derive_multi_gamma0(args, d: int, e: int, **kwargs):
     if args.k is None:
         raise ValueError("family 'multi-gamma0' needs --k")
@@ -138,25 +101,17 @@ def _derive_multi_gamma0(args, d: int, e: int, **kwargs):
 @dataclasses.dataclass(frozen=True)
 class Family:
     """One params family, as ``params derive`` writes it and every command
-    that reads a params file or benchmarks a preset uses it."""
+    that reads a params file uses it."""
 
     params: type
     overrides: frozenset[str]  # ``params derive`` geometry flags it accepts
     derive: Callable  # (args, d, e, strict=..., **overrides) -> params
     message_len: Callable  # params -> message bits
-    preset: Callable  # () -> the ``bench roundtrip`` params
-    trial: Callable  # (params, book, message bits, rng, channel seed, e) -> ok
-    book: Callable = lambda p: None
     symbols: Callable = lambda p: p.n  # output symbols over all strands
-    no_errors: str = ""  # why ``bench roundtrip`` refuses --e, if it does
 
 
 _OVERRIDES = ("a", "gamma", "eps", "L_min", "L_over", "I", "r_I", "K", "F", "L")
 _INDEXED_OVERRIDES = frozenset({"a", "L_min", "K", "r_I"})
-_NO_OVERLAP_ERRORS = (
-    "no-overlap families guarantee read placement under errors, not "
-    "payload majority; bench their message round trip with --e 0"
-)
 
 FAMILIES = {
     "sd": Family(
@@ -164,39 +119,25 @@ FAMILIES = {
         overrides=frozenset(),
         derive=lambda args, d, e, **kw: derive_sd_params(args.n, d, **kw),
         message_len=lambda p: p.n_prime,
-        preset=lambda: derive_sd_params(2048, 1),
-        trial=_sd_trial,
-        no_errors="the sd benchmark round-trips the codec itself; --e does not apply",
     ),
     "trace": Family(
         params=TraceParams,
         overrides=frozenset(_OVERRIDES),
         derive=lambda args, d, e, **kw: derive_trace_params(args.n, e, **kw),
         message_len=trace_message_len,
-        preset=lambda: derive_trace_params(4320, 1, L_min=90, L_over=85, I=4, r_I=16, K=8),
-        trial=_strand_trial(encode_trace, reconstruct_trace),
-        book=trace_book,
     ),
     "gamma0": Family(
         params=Gamma0Params,
         overrides=_INDEXED_OVERRIDES,
         derive=lambda args, d, e, **kw: derive_gamma0_params(args.n, e, **kw),
         message_len=gamma0_message_len,
-        preset=lambda: derive_gamma0_params(9856, 1, L_min=154, K=64, r_I=12),
-        trial=_strand_trial(encode_gamma0, reconstruct_gamma0),
-        book=gamma0_book,
-        no_errors=_NO_OVERLAP_ERRORS,
     ),
     "multi-gamma0": Family(
         params=MultiGamma0Params,
         overrides=_INDEXED_OVERRIDES,
         derive=_derive_multi_gamma0,
         message_len=multi_gamma0_message_len,
-        preset=lambda: derive_multi_gamma0_params(1030, 2, 1, L_min=100, K=32, r_I=12),
-        trial=_multi_gamma0_trial,
-        book=multi_gamma0_book,
         symbols=lambda p: p.k * p.n,
-        no_errors=_NO_OVERLAP_ERRORS,
     ),
 }
 
@@ -215,14 +156,14 @@ def _params_row(family: str, p) -> dict:
     return row
 
 
-def _load_params(path: str, want: str | None = None):
+def _load_params(path: str, want: str):
     """Parse a ``params derive`` output file back into its dataclass,
-    checking that it is of family ``want`` when one is given."""
+    checking that it is of family ``want``."""
     obj = json.loads(_read_text(path))
     family = obj.get("family")
     if family not in FAMILIES:
         raise ValueError(f"params file has unknown family {family!r}")
-    if want is not None and family != want:
+    if family != want:
         raise ValueError(f"params file is for family {family!r}, this command needs {want!r}")
     cls = FAMILIES[family].params
     kwargs = {}
@@ -230,7 +171,7 @@ def _load_params(path: str, want: str | None = None):
         if field.name in obj:
             val = obj[field.name]
             kwargs[field.name] = tuple(val) if field.name == "violations" else val
-    return family, cls(**kwargs)
+    return cls(**kwargs)
 
 
 def _resolve_d_e(args) -> tuple[int, int]:
@@ -403,7 +344,7 @@ _CODEC_GROUPS = {
 
 
 def _cmd_encode(args) -> int:
-    _, p = _load_params(args.params, args.codec.family)
+    p = _load_params(args.params, args.codec.family)
     m = _read_bits(args.infile)
     out, fields = args.codec.encode(m, p, args)
     text = strandset_to_json(out) if args.codec.strands else out.to_text()
@@ -415,7 +356,7 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    _, p = _load_params(args.params, args.codec.family)
+    p = _load_params(args.params, args.codec.family)
     reads = trace_from_text(_read_text(args.infile))
     m, fields = args.codec.decode(reads, p, args)
     _write_bits(args.out, m)
@@ -535,48 +476,6 @@ def _cmd_verify_trace_legal(args) -> int:
     except StrandcodeError as exc:
         return _verify_report("trace-legal", False, str(exc))
     return _verify_report("trace-legal", True, reads=len(tr.fragments))
-
-
-# ---------------------------------------------------------------------------
-# benchmarking
-
-
-def _cmd_bench_roundtrip(args) -> int:
-    if args.params:
-        family, p = _load_params(args.params)
-    else:
-        family, p = args.family, FAMILIES[args.family].preset()
-    fam = FAMILIES[family]
-    if args.e and fam.no_errors:
-        raise ValueError(fam.no_errors)
-    if args.e and args.e > p.e:
-        raise ValueError(f"--e {args.e} exceeds the code tolerance {p.e}")
-    book = fam.book(p)
-    msg = fam.message_len(p)
-    sym = fam.symbols(p)
-    start = time.perf_counter()
-    successes = sum(
-        fam.trial(
-            p, book, msg, np.random.default_rng([args.seed, t]), args.seed * 1_000_003 + t,
-            args.e,
-        )
-        for t in range(args.trials)
-    )
-    wall = time.perf_counter() - start
-    report = {
-        "family": family,
-        "trials": args.trials,
-        "successes": int(successes),
-        "rate_measured": msg / sym,
-        "redundancy": sym - msg,
-        "wall_time": round(wall, 3),
-    }
-    _emit(report)
-    _note(
-        f"{family}: {successes}/{args.trials} round trips in {wall:.2f}s "
-        f"(rate {msg / sym:.4f})"
-    )
-    return 0 if successes == args.trials else 1
 
 
 # ---------------------------------------------------------------------------
@@ -736,17 +635,6 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("trace-legal", help="read-set rules against truth annotations")
     sp.add_argument("--in", dest="infile", required=True, metavar="FILE")
     sp.set_defaults(func=_cmd_verify_trace_legal)
-
-    # bench ----------------------------------------------------------
-    g = groups.add_parser("bench", help="round-trip campaigns")
-    sub = g.add_subparsers(dest="command", required=True)
-    sp = sub.add_parser("roundtrip")
-    sp.add_argument("--trials", type=int, default=10)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--family", choices=tuple(FAMILIES), default="trace")
-    sp.add_argument("--params", default=None, metavar="FILE", help="override the preset")
-    sp.add_argument("--e", type=int, default=0, help="per-read error budget to inject")
-    sp.set_defaults(func=_cmd_bench_roundtrip)
 
     # bounds ---------------------------------------------------------
     sp = groups.add_parser("bounds", help="leading-term rate bound tables")

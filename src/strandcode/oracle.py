@@ -1,17 +1,17 @@
 """Independent brute-force verifiers and the rate-bound calculator.
 
 Everything in this module trades speed for trustworthiness: the checkers
-re-implement definitions literally (or by a provably complete search) and
+re-implement definitions literally (or by an exhaustive all-pairs scan) and
 never share code with the fast paths they are used to validate, and the
 bound formulas are evaluated in exact rational arithmetic.
 """
 
 from __future__ import annotations
 
-import math
-import os
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .bitseq import BitSeq
 
@@ -20,13 +20,10 @@ __all__ = [
     "check_sd_exhaustive",
     "check_modular_rps",
     "check_p123",
-    "brute_reconstruct",
     "BoundReport",
     "bound_single",
     "bound_multi",
     "bound_multi_gamma0",
-    "log_xnk_exact",
-    "log_xnk_approx",
 ]
 
 
@@ -69,10 +66,29 @@ def check_sd_exhaustive(x: BitSeq, L: int, d: int) -> bool:
 
 def sd_min_pair_distance(x: BitSeq, L: int) -> tuple[int, tuple[int, int]]:
     """Exact minimum distance over all pairs of length-L windows, with a
-    witnessing pair of start offsets."""
-    from ._bitops import min_pair_distance, packed_windows
+    witnessing pair of start offsets i < j, or (large, (-1, -1)) when fewer
+    than two windows exist.
 
-    return min_pair_distance(packed_windows(x.to_numpy(), L))
+    Every pair is compared, in blocks of rows to bound memory, on windows
+    cut here with ``np.packbits`` rather than by the encoders' kernels.
+    """
+    m = len(x) - L + 1
+    best, best_pair = 1 << 30, (-1, -1)
+    if m < 2:
+        return best, best_pair
+    wins = np.packbits(np.lib.stride_tricks.sliding_window_view(x.to_numpy(), L), axis=1)
+    block = 1024
+    for i0 in range(0, m, block):
+        ai = wins[i0 : i0 + block, None, :]
+        for j0 in range(i0, m, block):
+            d = np.bitwise_count(ai ^ wins[None, j0 : j0 + block, :]).sum(axis=2, dtype=np.int64)
+            if j0 == i0:
+                d[np.tril_indices_from(d)] = 1 << 30
+            di, dj = divmod(int(np.argmin(d)), d.shape[1])
+            if d[di, dj] < best:
+                best = int(d[di, dj])
+                best_pair = (i0 + di, j0 + dj)
+    return best, best_pair
 
 
 def check_modular_rps(w: BitSeq, period: int, d: int) -> bool:
@@ -121,173 +137,6 @@ def check_p123(pieces: Sequence[BitSeq], K: int, d: int) -> bool:
     for p in pieces:
         concat = concat + p
     return check_modular_rps(concat, Ls, d)
-
-
-# ----------------------------------------------------------------------
-# exhaustive trace reconstruction
-
-_DEFAULT_WORK_BUDGET = 2_000_000
-
-
-class WorkBudgetExceeded(RuntimeError):
-    pass
-
-
-def brute_reconstruct(
-    fragments: Iterable[BitSeq],
-    n: int,
-    L_min: int,
-    L_over: int,
-    e: int = 0,
-    work_budget: int | None = None,
-) -> list[BitSeq]:
-    """Every reconstruction obtainable by legally placing all fragments.
-
-    Tries all assignments of fragments to offsets such that the first starts
-    at 0, starts strictly increase, consecutive fragments overlap in at
-    least ``L_over`` positions, and the last ends at ``n``.  An assignment is
-    kept when some string of length ``n`` is within ``e`` errors of every
-    placed fragment; its reconstruction is the positionwise majority over
-    the placed fragments with ties resolved to 0.  Returns the distinct
-    reconstructions sorted by value.
-
-    A unique result means the trace pins down both the fragment placement
-    and the merged string; ambiguous placements of repetitive content show
-    up as extra candidates.
-    """
-    frs = [f for f in fragments]
-    if not frs:
-        raise ValueError("empty trace")
-    for f in frs:
-        if not L_min <= len(f) <= n:
-            raise ValueError(f"fragment length {len(f)} outside [{L_min}, {n}]")
-    budget = work_budget
-    if budget is None:
-        budget = int(os.environ.get("RECON_WORK_BUDGET", _DEFAULT_WORK_BUDGET))
-    t = len(frs)
-    full = (1 << t) - 1
-    nodes = 0
-    found: dict[tuple[int, int], tuple] = {}
-
-    def overlap_conflicts(placed: list[tuple[int, int]], idx: int, off: int) -> bool:
-        f = frs[idx]
-        for pidx, poff in placed:
-            g = frs[pidx]
-            lo = max(off, poff)
-            hi = min(off + len(f), poff + len(g))
-            if hi <= lo:
-                continue
-            length = hi - lo
-            a = f.window_int(lo - off, length)
-            b = g.window_int(lo - poff, length)
-            if (a ^ b).bit_count() > 2 * e:
-                return True
-        return False
-
-    def place(used: int, placed: list[tuple[int, int]]):
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise WorkBudgetExceeded(
-                f"assignment search exceeded {budget} nodes; "
-                "raise RECON_WORK_BUDGET to continue"
-            )
-        if used == full:
-            last_idx, last_off = placed[-1]
-            if last_off + len(frs[last_idx]) == n and _exists_center(placed, frs, n, e):
-                merged = _majority_of(placed, frs, n)
-                found.setdefault((merged.value, n), tuple(placed))
-            return
-        if placed:
-            last_idx, last_off = placed[-1]
-            lo = last_off + 1
-            hi = last_off + len(frs[last_idx]) - L_over
-        else:
-            lo = hi = 0
-        tried: set[tuple[int, int]] = set()
-        for idx in range(t):
-            if used >> idx & 1:
-                continue
-            f = frs[idx]
-            for off in range(lo, hi + 1):
-                if off + len(f) > n:
-                    continue
-                key = (f.value, off)
-                if key in tried:
-                    continue
-                tried.add(key)
-                if overlap_conflicts(placed, idx, off):
-                    continue
-                placed.append((idx, off))
-                place(used | 1 << idx, placed)
-                placed.pop()
-
-    place(0, [])
-    return sorted((BitSeq(v, n) for v, n in found), key=lambda b: b.value)
-
-
-def _majority_of(placed, frs, n) -> BitSeq:
-    zeros = [0] * n
-    ones = [0] * n
-    for idx, off in placed:
-        f = frs[idx]
-        for k in range(len(f)):
-            if f[k]:
-                ones[off + k] += 1
-            else:
-                zeros[off + k] += 1
-    val = 0
-    for p in range(n):
-        if ones[p] > zeros[p]:
-            val |= 1 << p
-    return BitSeq(val, n)
-
-
-def _exists_center(placed, frs, n, e) -> bool:
-    """Is some length-n string within e errors of every placed fragment?
-
-    Positions where all covering fragments agree can take the agreed value
-    at zero cost, so only disagreement positions need branching.
-    """
-    votes: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for slot, (idx, off) in enumerate(placed):
-        f = frs[idx]
-        for k in range(len(f)):
-            votes[off + k].append((slot, f[k]))
-    costs = [0] * len(placed)
-    disagree = []
-    for p in range(n):
-        vs = votes[p]
-        if not vs:
-            return False
-        bits = {b for _, b in vs}
-        if len(bits) > 1:
-            disagree.append(vs)
-    if e == 0:
-        return not disagree
-
-    def feasible(k: int) -> bool:
-        if k == len(disagree):
-            return True
-        vs = disagree[k]
-        for choice in (0, 1):
-            bumped = []
-            ok = True
-            for slot, b in vs:
-                if b != choice:
-                    costs[slot] += 1
-                    bumped.append(slot)
-                    if costs[slot] > e:
-                        ok = False
-            if ok and feasible(k + 1):
-                for slot in bumped:
-                    costs[slot] -= 1
-                return True
-            for slot in bumped:
-                costs[slot] -= 1
-        return False
-
-    return feasible(0)
 
 
 # ----------------------------------------------------------------------
@@ -395,29 +244,3 @@ def bound_multi_gamma0(a, kappa, lstar_frac=0) -> BoundReport:
         note="matching leading terms; residue o(1)",
     )
 
-
-# ----------------------------------------------------------------------
-# strand-multiset counting
-
-_XNK_BIT_BUDGET = 5_000_000
-
-
-def log_xnk_exact(n: int, k: int) -> float:
-    """log2 of the number of multisets of k strands of length n, evaluated
-    from the exact binomial coefficient C(k + 2^n - 1, k)."""
-    if n < 1 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
-    est_bits = k * max(1, n - max(0, k.bit_length() - 1) + 2)
-    if n > 64 or est_bits > _XNK_BIT_BUDGET:
-        raise ValueError(
-            f"exact multiset count needs about {est_bits} bits, over the budget; "
-            "use log_xnk_approx"
-        )
-    return math.log2(math.comb(k + (1 << n) - 1, k))
-
-
-def log_xnk_approx(n: int, k: int) -> float:
-    """Leading-term approximation k*(n - log2(k/e))."""
-    if n < 1 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
-    return k * (n - math.log2(k) + math.log2(math.e))

@@ -313,32 +313,6 @@ class TestVerifyCli:
         assert code == 1 and not row["ok"]
 
 
-class TestBenchCli:
-    def test_sd_campaign(self):
-        code, row = run("bench", "roundtrip", "--family", "sd", "--trials", 2, "--seed", 1)
-        assert code == 0
-        assert row["successes"] == row["trials"] == 2
-        assert row["redundancy"] == 2048 - 1882
-        assert row["wall_time"] >= 0
-
-    def test_trace_campaign_with_errors(self):
-        code, row = run(
-            "bench", "roundtrip", "--family", "trace", "--trials", 1,
-            "--seed", 2, "--e", 1,
-        )
-        assert code == 0 and row["successes"] == 1
-
-    def test_indexed_multi_campaign(self):
-        code, row = run(
-            "bench", "roundtrip", "--family", "multi-gamma0", "--trials", 2, "--seed", 3,
-        )
-        assert code == 0 and row["successes"] == 2
-        assert row["rate_measured"] == pytest.approx(720 / 2060)
-
-    def test_no_overlap_families_refuse_error_injection(self):
-        assert run("bench", "roundtrip", "--family", "gamma0", "--trials", 1, "--e", 1)[0] == 1
-
-
 class TestBoundsCli:
     def test_single_strand_equalizes_at_half_overlap(self):
         code, row = run("bounds", "--regime", "single", "--a", 2, "--gamma", 0.5)

@@ -2,9 +2,9 @@
 
 A fixed sequence of invocations runs in one directory; later steps read the
 files earlier steps wrote.  For each step the exit code is pinned, and so is
-a digest of its stdout JSON rows (keys in emitted order, ``wall_time``
-left out) together with the contents of every file it wrote, so any change
-to a command's JSON, its files or its exit status shows up here.
+a digest of its stdout JSON rows (keys in emitted order) together with the
+contents of every file it wrote, so any change to a command's JSON, its
+files or its exit status shows up here.
 """
 
 import contextlib
@@ -221,36 +221,6 @@ STEPS = {
         (),
         None,
     ),
-    "bench-sd": (
-        ("bench", "roundtrip", "--family", "sd", "--trials", 2, "--seed", 1),
-        (),
-        None,
-    ),
-    "bench-trace": (
-        ("bench", "roundtrip", "--family", "trace", "--trials", 1, "--seed", 2, "--e", 1),
-        (),
-        None,
-    ),
-    "bench-gamma0": (
-        ("bench", "roundtrip", "--family", "gamma0", "--trials", 1, "--seed", 4),
-        (),
-        None,
-    ),
-    "bench-multi-gamma0": (
-        ("bench", "roundtrip", "--family", "multi-gamma0", "--trials", 2, "--seed", 3),
-        (),
-        None,
-    ),
-    "bench-params": (
-        ("bench", "roundtrip", "--params", "wrap_params.json", "--trials", 1, "--seed", 5),
-        (),
-        None,
-    ),
-    "bench-gamma0-refuses-errors": (
-        ("bench", "roundtrip", "--family", "gamma0", "--trials", 1, "--e", 1),
-        (),
-        None,
-    ),
     "bounds-single": (("bounds", "--regime", "single", "--a", 2, "--gamma", 0.5), (), None),
     "bounds-multi": (
         (
@@ -388,30 +358,6 @@ PINNED = {
         1,
         "9019b067ea5dfe25b7d5b3655548ada230ebc5204bbe4b111e5103757bfafc43",
     ),
-    "bench-sd": (
-        0,
-        "3f2bd6c34d95d6ffe047b56d17e615fd2f9b4c35795b154de039de149a33b8fa",
-    ),
-    "bench-trace": (
-        0,
-        "60578bda928f6c5ce51badd2bd9082a4a9908176ac0c2b5eef391b8c3712e5f0",
-    ),
-    "bench-gamma0": (
-        0,
-        "719e2f7f7d2e0dd66cc93d8bbe58628eef6a1ec86ed92e848a0b0b8bc7b086de",
-    ),
-    "bench-multi-gamma0": (
-        0,
-        "1e7bb85dac10d31eb397f545c46f1f93fd1a4bb16c1170037c0962a09f992972",
-    ),
-    "bench-params": (
-        0,
-        "ffad682c0f89f99c922fb9cefa1fd99c8e73efd6fff4b2db93087e15f0b2be7a",
-    ),
-    "bench-gamma0-refuses-errors": (
-        1,
-        "9019b067ea5dfe25b7d5b3655548ada230ebc5204bbe4b111e5103757bfafc43",
-    ),
     "bounds-single": (
         0,
         "bb8a23601f311f004fd113e30ac61a36ece1e8543edba17fa7a3ad034ce5411c",
@@ -444,8 +390,6 @@ def run_steps(work):
         rows = [json.loads(ln) for ln in buf.getvalue().splitlines() if ln.strip()]
         if save_as is not None and rows:
             (work / save_as).write_text(json.dumps(rows[-1]))
-        for row in rows:
-            row.pop("wall_time", None)
         files = {f: _digest((work / f).read_text()) for f in written}
         out[step] = (code, _digest(json.dumps({"rows": rows, "files": files})))
     return out

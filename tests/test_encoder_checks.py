@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from strandcode import _bitops, bitseq, trace_codes
+from strandcode import _bitops, bitseq, oracle, trace_codes
 from strandcode.bitseq import BitSeq, is_sd, is_wwl
 from strandcode.blocks import marker_offenders
 from strandcode.multistrand import (
@@ -260,10 +260,10 @@ def _no_packing(*args, **kwargs):
 
 
 def reference_sd(x, L, d):
-    """``check_sd_exhaustive`` held to its character loop, which shares no
-    code with ``is_sd``: packing windows raises."""
+    """``check_sd_exhaustive`` held to its character loop: its packed
+    all-pairs scan raises."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_bitops, "packed_windows", _no_packing)
+        mp.setattr(oracle, "sd_min_pair_distance", _no_packing)
         return check_sd_exhaustive(x, L, d)
 
 
@@ -345,7 +345,7 @@ class TestIsSd:
         def oracle_scan(*args, **kwargs):
             raise AssertionError("is_sd called the oracle's scan")
 
-        monkeypatch.setattr(_bitops, "min_pair_distance", oracle_scan)
+        monkeypatch.setattr(oracle, "sd_min_pair_distance", oracle_scan)
         rng = np.random.default_rng(4)
         for windows in (100, all_pairs_limit(40) + 100):
             clean, close, _ = _sd_cases(rng, windows, 40)
@@ -428,9 +428,10 @@ class TestRowDistances:
 
     def test_oracle_does_not_use_it(self, monkeypatch):
         def fast_path(*args, **kwargs):
-            raise AssertionError("the oracle called row_distances")
+            raise AssertionError("the oracle called a fast-path kernel")
 
-        monkeypatch.setattr(_bitops, "row_distances", fast_path)
+        for kernel in ("row_distances", "packed_windows"):
+            monkeypatch.setattr(_bitops, kernel, fast_path)
         x = BitSeq.random(3100, np.random.default_rng(6))
         assert sd_min_pair_distance(x, 70)[0] >= 1
         assert check_sd_exhaustive(x, 70, 3) == (sd_min_pair_distance(x, 70)[0] >= 3)

@@ -3,7 +3,6 @@
 import ast
 import dataclasses
 import importlib
-import re
 import sys
 from pathlib import Path
 
@@ -44,8 +43,32 @@ def test_no_module_imports_private_names_from_a_sibling():
     assert offenders == {}
 
 
+def test_the_oracle_imports_nothing_from_the_bit_kernels():
+    # an oracle that cut or compared windows with the fast paths' kernels
+    # would share their faults
+    imported = set()
+    for node in ast.walk(ast.parse((PACKAGE / "oracle.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.name for alias in node.names)
+    assert not any("_bitops" in name for name in imported)
+
+
+def test_no_module_reads_the_environment():
+    # a setting read from the environment is an option no test or
+    # benchmark run sees
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+        or isinstance(node, ast.alias) and node.name in ("environ", "getenv")
+    ]
+    assert reads == []
+
+
 REPO = Path(__file__).resolve().parents[1]
-_DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 
 
 def _trees(*dirs: str):
@@ -54,34 +77,38 @@ def _trees(*dirs: str):
             yield path, ast.parse(path.read_text(), filename=str(path))
 
 
-def _references(tree: ast.AST) -> set[str]:
-    """Every name a module could reach a function by: bare names, attributes,
-    imported names and their aliases, and the parts of dotted string
-    constants (``__all__`` entries, perfbench's layer paths)."""
-    refs = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            refs.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            refs.add(node.attr)
-        elif isinstance(node, ast.alias):
-            refs.update(node.name.split("."))
-            if node.asname:
-                refs.add(node.asname)
-        elif (
-            isinstance(node, ast.Constant)
-            and isinstance(node.value, str)
-            and _DOTTED.fullmatch(node.value)
-        ):
-            refs.update(node.value.split("."))
-    return refs
+def _local_names(fn: ast.AST) -> set[str]:
+    """Names a function's parameters or assignments bind."""
+    return {
+        node.arg if isinstance(node, ast.arg) else node.id
+        for node in ast.walk(fn)
+        if isinstance(node, ast.arg)
+        or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    }
+
+
+def _loads(node: ast.AST, local: frozenset = frozenset()):
+    """Every bare name and attribute a module loads, which is how code
+    reaches a function.  Imports, ``__all__`` strings and names a store
+    binds are not uses, and inside a function a bare name that its
+    parameters or assignments bind is that local, not a function."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        local = local | _local_names(node)
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        if node.id not in local:
+            yield node.id
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        yield node.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _loads(child, local)
 
 
 def test_every_function_in_the_package_is_referenced():
-    refs = set()
+    # the benchmark reaches its traced layers by dotted attribute paths
+    refs = {part for _, _, path in _perfbench_layers() for part in path.split(".")}
     defined = []
     for path, tree in _trees("src", "tests", "perfbench"):
-        refs |= _references(tree)
+        refs.update(_loads(tree))
         if path.parent == REPO / "src" / "strandcode":
             defined += [
                 f"{path.name}:{node.lineno} {node.name}"
