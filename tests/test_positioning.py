@@ -180,9 +180,12 @@ _BOOK_PINS = [
     (3, 3, 42, 8, 16, "8616a4c6ce6d93afb20c9aa6725a295468d515d5800e94b245ab6f1cd6b75c64"),
     (7, 3, 0, 32, 18, "8f3a150f2de295cb98b61a888ff029c1db8022ff6e82a6602e1983771110ef4a"),
     (9, 3, 0, 32, 18, "7f9ff9e5cdcbe2e5a3e22f2ed87b57c4b83e11175775c3394687500b9aea0fa8"),
-    # e=2 at the default r_I: codewords of 66 and 72 bits, wider than a word
+    # the k=16 multi-index book
+    (8, 3, 0, 32, 18, "d39d9962ed68baa0b82439f7a302a4ad87cc329b08b5c835a0d1cc1149b481f9"),
+    # e=2 at the default r_I: codewords of 66, 72 and 77 bits, wider than a word
     (6, 5, 0, 8, None, "5889d421af8866042770385b0bdec9be187f22c0c569278463ce95acd407474b"),
     (7, 5, 0, 8, None, "4963d9715d3223220f63eec970c0a2055fcc9a00cfcfc1e44506e670faa2d7ba"),
+    (8, 5, 0, 8, None, "f57884cf921feebbc040567715e4031d66b2e2fd51ceafffe85def2b7d67117f"),
 ]
 
 
