@@ -1,9 +1,11 @@
 """Vectorized window machinery shared by the scanners.
 
-Everything here is exact.  The close-pair search uses the pigeonhole split:
-two windows differing in at most ``rho`` positions must agree exactly on one
-of ``rho + 1`` parts, so grouping windows by each part in turn finds every
-close pair without comparing all pairs.
+Everything here is exact.  Every near-match search of the package (the
+close-pair search, the index-book search and ``locate_index``) goes through
+one :class:`PartIndex`, the only place that cuts pigeonhole parts: rows
+within ``rho`` flips of each other agree exactly on one of ``rho + 1``
+parts, so rows equal on some part are the only candidates, and each
+candidate is then checked at full width by :func:`row_distances`.
 
 It imports nothing from the package at run time, so
 :mod:`strandcode.bitseq` can build its predicates on it.
@@ -74,46 +76,132 @@ def _part_slices(L: int, parts: int) -> list[tuple[int, int]]:
     return [(cuts[t], cuts[t + 1]) for t in range(parts)]
 
 
+class PartIndex:
+    """Exact near-match index over the first ``size`` of some packed rows.
+
+    Pigeonhole invariant: rows of width L within ``rho`` flips of each
+    other agree exactly on at least one of any rho + 1 disjoint parts, as
+    each flip lands in one part.  The width is cut into
+    max(rho + 1, ceil(L / 64)) parts, so every part key fits one uint64;
+    more parts than rho + 1 keep the search complete.  A part with no
+    bits (rho >= L) keys every row 0, so it matches every row.  Per part
+    the index keeps the keys in ascending order and the row each came
+    from.  Rows equal on some part are the candidates, and each candidate
+    pair is checked at full width by :func:`row_distances`, so every
+    answer is exact.
+
+    ``rows`` is referred to, not copied: rows past ``size`` may be written
+    freely, and :meth:`grow` takes more of them in.
+    """
+
+    def __init__(self, rows: np.ndarray, L: int, rho: int, size: int | None = None):
+        self.rows = rows
+        self.rho = rho
+        self.parts = _part_slices(L, max(rho + 1, -(-L // 64)))
+        # row p of each: part p's keys in ascending order, and their rows
+        keys = self.part_keys(rows[:size])
+        self._at = np.argsort(keys, axis=1)
+        self._keys = np.take_along_axis(keys, self._at, axis=1)
+        self.size = keys.shape[1]
+
+    def part_keys(self, rows: np.ndarray) -> np.ndarray:
+        """The part keys of packed rows: row p of the (parts, len(rows))
+        result holds part p of each row, cut by :func:`bit_field`."""
+        keys = [bit_field(rows, lo, hi) for lo, hi in self.parts]
+        return np.array(keys).reshape(len(self.parts), len(rows))
+
+    def grow(self, size: int) -> None:
+        """Index rows ``self.size`` to ``size - 1`` as well, merging their
+        sorted keys into each part's: O(parts * size) per call."""
+        old = self.size
+        keys = self.part_keys(self.rows[old:size])
+        order = np.argsort(keys, axis=1)
+        keys = np.take_along_axis(keys, order, axis=1)
+        merged_keys, merged_at = [], []
+        for k, at, new, o in zip(self._keys, self._at, keys, order):
+            # each new key goes after the old keys equal to it
+            where = k.searchsorted(new, side="right")
+            merged_keys.append(np.insert(k, where, new))
+            merged_at.append(np.insert(at, where, o + old))
+        self._keys, self._at, self.size = np.array(merged_keys), np.array(merged_at), size
+
+    def near(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Pairs (q, t) with ``queries[q]`` within rho of indexed row t,
+        each once, ascending by q and then t.
+
+        One ``searchsorted`` pair per part finds each query's run of equal
+        keys.  Cost: O(parts * queries * log(size)) plus one word XOR per
+        64 bits of width for each candidate.
+        """
+        n = len(queries)
+        none = np.empty(0, dtype=np.int64)
+        if not self.size or not n:
+            return none, none
+        keys = self.part_keys(queries)
+        start = np.array([k.searchsorted(q) for k, q in zip(self._keys, keys)])
+        hits = np.array([k.searchsorted(q, side="right") for k, q in zip(self._keys, keys)])
+        hits -= start
+        # every (part, query) run laid end to end, read from ``_at`` flat
+        hits = hits.ravel()
+        each = np.repeat(np.arange(hits.size), hits)
+        start += np.arange(0, self._at.size, self.size)[:, None]
+        run = np.arange(len(each)) + (start.ravel() - np.cumsum(hits) + hits)[each]
+        q, t = each % n, self._at.ravel()[run]
+        close = row_distances(queries[q], self.rows[t]) <= self.rho
+        if not close.any():
+            return none, none
+        # a row found through several parts is kept once
+        pair = np.sort(q[close] * self.size + t[close])
+        first = np.ones(len(pair), dtype=bool)
+        first[1:] = pair[1:] != pair[:-1]
+        return np.divmod(pair[first], self.size)
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Pairs (i, j, dist) of indexed rows with i < j and distance
+        ``dist`` at most rho, each once, ascending by j and then i.
+
+        Within each part's sorted keys, entries ``s`` apart with equal
+        keys are paired for s = 1, 2, ... until no equal keys remain, so
+        the cost is the number of candidate pairs, all vectorized, and
+        memory per shift stays O(size) however many pairs there are.
+        """
+        m = self.size
+        found = [np.empty(0, dtype=np.int64)]
+        dists = [np.empty(0, dtype=np.int64)]
+        for keys, at in zip(self._keys, self._at):
+            # entries t whose key still equals the key s entries further on
+            live = np.arange(m - 1)
+            s = 1
+            while live.size:
+                live = live[keys[live] == keys[live + s]]
+                a, b = at[live], at[live + s]
+                dist = row_distances(self.rows[a], self.rows[b])
+                close = dist <= self.rho
+                a, b = a[close], b[close]
+                found.append(np.maximum(a, b) * m + np.minimum(a, b))
+                dists.append(dist[close])
+                s += 1
+                live = live[live + s < m]
+        # a pair found through several parts is kept once
+        key, first = np.unique(np.concatenate(found), return_index=True)
+        j, i = np.divmod(key, max(m, 1))
+        return i, j, np.concatenate(dists)[first]
+
+
 def close_pairs(bits: np.ndarray, L: int, rho: int) -> list[tuple[int, int, int]]:
     """All pairs (i, j, dist) of window start positions with i < j and
-    Hamming distance at most ``rho`` between the length-L windows.
+    Hamming distance at most ``rho`` between the length-L windows,
+    ascending by j and then i.
 
-    Complete by the pigeonhole argument: a pair within distance rho agrees
-    exactly on at least one of rho+1 parts of the window, so it is found
-    when grouping by that part; when rho >= L, empty parts group all
-    windows together and every pair is returned.  Within each sort by a
-    part, rows ``s`` apart with equal keys are paired for s = 1, 2, ...
-    until no equal keys remain, so the cost is the number of candidate
-    pairs, all vectorized.
+    The packed windows' :class:`PartIndex` paired with itself: complete
+    by its pigeonhole invariant, and exact by its full-width check.  When
+    rho >= L, empty parts group all windows together and every pair is
+    returned.
     """
-    n = bits.size
-    m = n - L + 1
-    if m < 2:
+    if bits.size - L + 1 < 2:
         return []
-    wins = packed_windows(bits, L)
-    view = np.lib.stride_tricks.sliding_window_view(bits, L)
-    found = []
-    for lo, hi in _part_slices(L, rho + 1):
-        part = pack_rows(np.ascontiguousarray(view[:, lo:hi]))
-        # when rho >= L some parts are empty: every pair agrees on them
-        order = np.lexsort(part.T[::-1]) if hi > lo else np.arange(m)
-        sorted_part = part[order]
-        # rows t whose key still equals the key s rows further on
-        live = np.arange(m - 1)
-        s = 1
-        while live.size:
-            live = live[np.all(sorted_part[live] == sorted_part[live + s], axis=1)]
-            a, b = order[live], order[live + s]
-            # filtered per shift, so memory stays O(m) however many pairs
-            dist = np.bitwise_count(wins[a] ^ wins[b]).sum(axis=1, dtype=np.int64)
-            close = dist <= rho
-            a, b = a[close], b[close]
-            found.append(np.stack([np.maximum(a, b), np.minimum(a, b), dist[close]], axis=1))
-            s += 1
-            live = live[live + s < m]
-    # a pair found through several parts is kept once, ordered by (j, i)
-    rows = np.unique(np.concatenate(found), axis=0)
-    return [(i, j, dist) for j, i, dist in rows.tolist()]
+    i, j, dist = PartIndex(packed_windows(bits, L), L, rho).pairs()
+    return list(zip(i.tolist(), j.tolist(), dist.tolist()))
 
 
 def window_weights(bits: np.ndarray, L: int) -> np.ndarray:

@@ -287,9 +287,10 @@ class ReconReport:
         )
 
 
-def _placed_bits(reads: Reads, placed: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The positions and bits of the placed reads, concatenated in the
-    order of ``placed``."""
+def placed_bits(reads: Reads, placed: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The positions and the bits of the placed reads, concatenated in the
+    order of ``placed``.  A decode cuts them once, for both
+    :func:`merge_placed` and :func:`make_report`."""
     which = np.fromiter(placed, dtype=np.int64, count=len(placed))
     offs = np.fromiter(placed.values(), dtype=np.int64, count=len(placed))
     cols = np.arange(reads.rows.shape[1])
@@ -298,17 +299,16 @@ def _placed_bits(reads: Reads, placed: dict[int, int]) -> tuple[np.ndarray, np.n
 
 
 def merge_placed(
-    reads: Reads, placed: dict[int, int], n: int, lenient: bool
+    pos: np.ndarray, bits: np.ndarray, n: int, lenient: bool
 ) -> tuple[np.ndarray, tuple[int, ...], bool]:
-    """Positionwise majority over ``n`` positions of the reads placed at
-    the offsets ``placed`` (read -> offset).
+    """Positionwise majority over ``n`` positions of the placed bits
+    ``bits`` at ``pos``, as :func:`placed_bits` gives them.
 
     Returns the merged bits, the tie positions (resolved toward zero) and
     whether any position is uncovered; uncovered positions are an error
     unless ``lenient``, which fills them with zeros.  The votes are one
     ``bincount`` of 2 * position + bit over every placed bit.
     """
-    pos, bits = _placed_bits(reads, placed)
     votes = np.bincount(2 * pos + bits, minlength=2 * n).reshape(n, 2)
     covered = votes.sum(axis=1) > 0
     gaps = bool(np.any(~covered))
@@ -324,17 +324,17 @@ def merge_placed(
 
 
 def make_report(
-    message: BitSeq, reads: Reads, placed: dict[int, int],
+    message: BitSeq, reads: Reads, placed: dict[int, int], pos: np.ndarray, bits: np.ndarray,
     merged: np.ndarray, tie_pos: tuple[int, ...], intact: bool, e: int,
 ) -> ReconReport:
     """Report each read's (offset, disagreement with the merged string), or
-    (None, None) when unplaced.  Reliable is a consistency audit: the decode
-    was ``intact`` (every read placed, no gap, every payload decoded), no
-    majority tie, and every disagreement within e."""
+    (None, None) when unplaced; ``pos`` and ``bits`` are the placed bits as
+    :func:`placed_bits` gives them.  Reliable is a consistency audit: the
+    decode was ``intact`` (every read placed, no gap, every payload
+    decoded), no majority tie, and every disagreement within e."""
     located: list[tuple[int | None, int | None]] = [(None, None)] * len(reads.lens)
     max_err = 0
     if placed:
-        pos, bits = _placed_bits(reads, placed)
         lens = reads.lens[list(placed)]
         starts = np.cumsum(lens) - lens
         errs = np.add.reduceat(bits != merged[pos], starts, dtype=np.int64).tolist()
@@ -507,7 +507,8 @@ def indexed_reconstruct(
         at[found] = off
     placed = {idx: off for idx, off in enumerate(at.tolist()) if off >= 0}
 
-    merged, tie_pos, gaps = merge_placed(reads, placed, params.k * params.n, lenient)
+    pos, bits = placed_bits(reads, placed)
+    merged, tie_pos, gaps = merge_placed(pos, bits, params.k * params.n, lenient)
 
     payload_codec = codec(params.w_window, params.w_floor, params.m_prime, 512)
     body = params.m_prime - params.d
@@ -530,7 +531,7 @@ def indexed_reconstruct(
         messages.append(m_i)
 
     report = make_report(
-        sum(messages, BitSeq.zeros(0)), reads, placed, merged,
+        sum(messages, BitSeq.zeros(0)), reads, placed, pos, bits, merged,
         tie_pos, len(placed) == len(every) and not gaps and not damaged, params.e,
     )
     return tuple(messages), report, damaged

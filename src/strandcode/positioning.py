@@ -79,31 +79,14 @@ class IndexBook:
         return out
 
     @cached_property
-    def _pigeonhole(self) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
-        """Multi-index table over all aligned-and-straddle windows of the
-        concatenation.
-
-        The codeword width is cut into max(e + 1, ceil(width / 64)) parts,
-        so each part fits one uint64 key.  Per part: its bit range
-        (lo, hi), the part values of every window in ascending order, and
-        the start offset of the window each value came from.
-        """
-        width = self.codeword_len
-        view = np.lib.stride_tricks.sliding_window_view(self.concat.to_numpy(), width)
-        table = []
-        for lo, hi in _bitops._part_slices(width, max(self.e + 1, -(-width // 64))):
-            if hi > lo:
-                keys = _bitops.pack_rows(np.ascontiguousarray(view[:, lo:hi]))[:, 0]
-            else:  # width <= e leaves empty parts, which match every window
-                keys = np.zeros(len(view), dtype=np.uint64)
-            offsets = np.argsort(keys, kind="stable")
-            table.append((lo, hi, keys[offsets], offsets))
-        return table
-
-    @cached_property
     def _windows(self) -> np.ndarray:
         """Every window of the concatenation, packed; row t starts at t."""
         return _bitops.packed_windows(self.concat.to_numpy(), self.codeword_len)
+
+    @cached_property
+    def _index(self) -> _bitops.PartIndex:
+        """Near-match index over ``_windows`` at radius e."""
+        return _bitops.PartIndex(self._windows, self.codeword_len, self.e)
 
     @cached_property
     def _marker_np(self) -> np.ndarray:
@@ -116,6 +99,11 @@ def default_r_I(I: int, d: int) -> int:
     if I >= 2:
         return math.ceil((3 * d + 8) * math.log2(I))
     return 2 * d + 2
+
+
+# the newest accepted windows, which the book search compares with a draw's
+# in full before it indexes them
+_TAIL = 320
 
 
 def build_index_book(
@@ -131,10 +119,18 @@ def build_index_book(
 
     Draws codewords one at a time; a draw is kept when every window of the
     concatenation built so far stays at distance >= d from all others.  The
-    check is exact: the ``width`` windows a draw adds (one for the first
-    codeword) are compared with each other and with every accepted window
-    by :func:`_bitops.row_distances`, so a try costs
-    O(width * (width + windows so far)) word XORs per 64 bits of width.
+    check is exact.  The ``width`` windows a draw adds (one for the first
+    codeword) are compared by one :func:`_bitops.row_distances` call with
+    each other and with the newest accepted windows, at most ``_TAIL`` of
+    them.  The older accepted windows sit in a :class:`_bitops.PartIndex`
+    at radius d - 1; by its pigeonhole invariant it returns every one
+    within d - 1 of a new window, checked at full width.  The index takes
+    the tail in bulk when the tail is full, and is rebuilt when a
+    discarded codeword's windows were in it.  So a try costs
+    O(width * (width + _TAIL)) word XORs per 64 bits of width plus the
+    index's part lookups and candidates, instead of one XOR per accepted
+    window; a book of at most ``_TAIL`` windows (I=4 at r_I=16 has 301)
+    never builds the index.
     When a position exhausts its tries the previous codeword is discarded
     too and the search resumes there, so hard corners get re-rolled.
     Deterministic for a given seed.  Raises when the budget runs out, which
@@ -151,8 +147,10 @@ def build_index_book(
     rng = np.random.default_rng(np.random.SeedSequence((seed, I, d, K_marker, r_I)))
     codewords: list[BitSeq] = []
     # packed windows of the concatenation built so far: the first codeword
-    # adds one window and every later one the ``width`` that end in it
+    # adds one window and every later one the ``width`` that end in it; the
+    # first ``index.size`` are indexed and the rest, up to ``fill``, are the tail
     windows = np.empty((1 + (count - 1) * width, -(-width // 64)), dtype=np.uint64)
+    index = _bitops.PartIndex(windows, width, d - 1, size=0)
     fill = 0
     restarts = 0
     while len(codewords) < count:
@@ -161,14 +159,17 @@ def build_index_book(
             cand = BitSeq.random(width, rng)
             joint = codewords[-1] + cand if codewords else cand
             new = _bitops.packed_windows(joint.to_numpy(), width)[-width:]
-            pair = _bitops.row_distances(new[:, None], new[None, :])
-            np.fill_diagonal(pair, d)
-            if pair.min() >= d and (
-                _bitops.row_distances(new[:, None], windows[None, :fill]).min(initial=d) >= d
-            ):
+            # the draw's windows go after the tail, to be kept only if it is
+            windows[fill : fill + len(new)] = new
+            tail = windows[index.size : fill + len(new)]
+            dist = _bitops.row_distances(new[:, None], tail[None])
+            # each new window against itself
+            dist[np.arange(len(new)), np.arange(fill - index.size, len(tail))] = d
+            if dist.min() >= d and not index.near(new)[0].size:
                 codewords.append(cand)
-                windows[fill : fill + len(new)] = new
                 fill += len(new)
+                if fill - index.size > _TAIL:
+                    index.grow(fill)
                 placed = True
                 break
         if not placed:
@@ -180,6 +181,8 @@ def build_index_book(
                 )
             fill -= width if len(codewords) > 1 else 1
             codewords.pop()
+            if fill < index.size:
+                index = _bitops.PartIndex(windows, width, d - 1, size=fill)
     book = IndexBook(I, r_I, d, K_marker, tuple(codewords), marker)
     certify_book(book)
     return book
@@ -254,33 +257,20 @@ def locate_index(keys: np.ndarray, book: IndexBook) -> np.ndarray:
     the sub-``e`` alignment unique.  Returns i per row, or ``NOT_FOUND``
     when no window is within ``e`` and ``AMBIGUOUS`` when several are.
 
-    Pigeonhole invariant: a key and a window within ``e`` flips of it
-    agree exactly on at least one of the e + 1 (or more) parts of
-    ``book._pigeonhole``, so the exact part matches, found by one
-    ``searchsorted`` per part over the whole batch, hold every such
-    window.  Each candidate is then checked at full width, so the answer
-    is exact.  Cost: O((e + 1) * rows * log(windows)) plus the candidates
+    The windows sit in ``book._index``, a :class:`_bitops.PartIndex` at
+    radius ``e``: by its pigeonhole invariant a key and a window within
+    ``e`` flips of it agree exactly on one of its parts, so one
+    ``searchsorted`` pair per part over the whole batch finds every such
+    window, and each candidate is checked at full width, so the answer is
+    exact.  Cost: O(parts * rows * log(windows)) plus the candidates
     checked, one word XOR per 64 bits of width each.
     """
     width = book.codeword_len
     rows = len(keys)
     if keys.shape[1:] != (-(-width // 64),):
         raise ValueError(f"keys must be packed {width}-bit windows")
-    count = len(book._windows)
-    pairs = []
-    for lo, hi, sorted_keys, offsets in book._pigeonhole:
-        part = _bitops.bit_field(keys, lo, hi)
-        a = sorted_keys.searchsorted(part)
-        n_hit = sorted_keys.searchsorted(part, side="right") - a
-        row = np.repeat(np.arange(rows), n_hit)
-        first = np.cumsum(n_hit) - n_hit
-        at = np.arange(len(row)) + np.repeat(a - first, n_hit)
-        pairs.append(row * count + offsets[at])
-    # a window found through several parts is checked once; rows ascend,
-    # and each row's windows by offset
-    row, t = np.divmod(np.unique(np.concatenate(pairs)), count)
-    close = _bitops.row_distances(keys[row], book._windows[t]) <= book.e
-    row, t = row[close], t[close]
+    # rows ascend, and each row's windows by offset
+    row, t = book._index.near(keys)
     hits = np.bincount(row, minlength=rows)
     found = np.full(rows, NOT_FOUND, dtype=np.int64)
     found[row] = t // width

@@ -57,6 +57,7 @@ from .blocks import (
     make_report,
     marker_offenders,
     merge_placed,
+    placed_bits,
     require_feasible,
     retry_later_windows,
 )
@@ -798,11 +799,13 @@ def _reconstruct(
     placed = _place_all(
         reads, anchored[0], *_candidate_offsets(reads, *anchored, params), params, lenient
     )
-    merged, tie_pos, gaps = merge_placed(reads, placed, params.n, lenient)
+    pos, bits = placed_bits(reads, placed)
+    merged, tie_pos, gaps = merge_placed(pos, bits, params.n, lenient)
     payloads, corrupted = _extract_group_payloads(merged, params, lenient)
     intact = len(placed) == len(reads.lens) and not gaps and not corrupted
     report = make_report(
-        sum(payloads, BitSeq.zeros(0)), reads, placed, merged, tie_pos, intact, params.e
+        sum(payloads, BitSeq.zeros(0)), reads, placed, pos, bits, merged, tie_pos, intact,
+        params.e,
     )
     return payloads, report, corrupted
 

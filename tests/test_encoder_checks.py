@@ -370,6 +370,23 @@ def test_close_pairs_at_radius_of_the_window_length(L, rho):
         assert len(got) == (41 - L) * (40 - L) // 2
 
 
+@pytest.mark.parametrize("zeros", [False, True], ids=["random", "zeros"])
+@pytest.mark.parametrize("L, rho", [(70, 0), (140, 1), (129, 1)])
+def test_close_pairs_with_more_parts_than_the_radius_needs(L, rho, zeros):
+    # L > 64 * (rho + 1): the windows are cut into ceil(L / 64) parts so
+    # that every part key fits one word, more than the rho + 1 the
+    # pigeonhole argument needs
+    rng = np.random.default_rng(L * 10 + rho)
+    bits = np.zeros(400, dtype=np.uint8)
+    if not zeros:
+        bits = rng.integers(0, 2, 400).astype(np.uint8)
+        bits[250 : 250 + L] = bits[10 : 10 + L]
+        bits[250 + rng.choice(L, size=rho, replace=False)] ^= 1
+    got = _bitops.close_pairs(bits, L, rho)
+    assert got == _close_pairs_naive(bits, L, rho)
+    assert (10, 250, 0 if zeros else rho) in got
+
+
 def _words(values, width):
     """Python ints as little-endian uint64 word rows, packed by shifts."""
     nwords = -(-width // 64)

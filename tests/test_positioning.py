@@ -2,11 +2,12 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 
-from strandcode import _bitops
+from strandcode import _bitops, positioning
 from strandcode.bitseq import BitSeq
 from strandcode.cli import main
 from strandcode.errors import DecodeFailure, SearchExhausted
@@ -162,6 +163,86 @@ def test_search_reports_infeasible():
         build_index_book(I=4, d=3, K_marker=8, r_I=6, seed=0, max_tries=40, max_restarts=5)
 
 
+def _book_by_all_windows(I, d, K, r_I, seed, max_tries, max_restarts):
+    """Reference: the greedy search comparing every try's windows with
+    every accepted window, bit by bit.  Returns the codewords and the
+    number of restarts, or raises as the search does."""
+    width = I + r_I
+    rng = np.random.default_rng(np.random.SeedSequence((seed, I, d, K, r_I)))
+    codewords, restarts = [], 0
+    windows = np.empty((0, width), dtype=np.uint8)
+    while len(codewords) < 1 << I:
+        for _ in range(max_tries):
+            cand = BitSeq.random(width, rng)
+            joint = (codewords[-1] + cand if codewords else cand).to_numpy()
+            new = np.lib.stride_tricks.sliding_window_view(joint, width)[-width:]
+            dist = (new[:, None] != np.concatenate([windows, new])[None]).sum(axis=2)
+            dist[np.arange(len(new)), len(windows) + np.arange(len(new))] = d
+            if dist.min() >= d:
+                codewords.append(cand)
+                windows = np.concatenate([windows, new])
+                break
+        else:
+            restarts += 1
+            if restarts > max_restarts or not codewords:
+                raise SearchExhausted("budget spent")
+            windows = windows[: -width if len(codewords) > 1 else -1]
+            codewords.pop()
+    return codewords, restarts
+
+
+# (I, d, r_I, seed, restarts of the reference search); books of more
+# than _TAIL windows (I=5 and up, or e=2) are searched through the index
+_SEARCH_GRID = [
+    (3, 3, 10, 0, 8),
+    (4, 3, 11, 0, 25),
+    (4, 3, 16, 1, 0),
+    (5, 3, 12, 0, 21),
+    (5, 3, 12, 2, 6),
+    (6, 3, 14, 0, 0),
+    (4, 5, 46, 0, 0),
+]
+
+
+# a tail of 8 windows sends almost every check through the part index,
+# and each restart past the indexed windows shrinks it
+@pytest.mark.parametrize("tail", [None, 8])
+@pytest.mark.parametrize("I, d, r_I, seed, restarts", _SEARCH_GRID)
+def test_search_builds_the_reference_book(I, d, r_I, seed, restarts, tail, monkeypatch):
+    if tail is not None:
+        monkeypatch.setattr(positioning, "_TAIL", tail)
+    want, made = _book_by_all_windows(I, d, 8, r_I, seed, max_tries=40, max_restarts=30)
+    assert made == restarts
+    b = build_index_book(I, d, 8, r_I=r_I, seed=seed, max_tries=40, max_restarts=30)
+    assert list(b.codewords) == want
+
+
+@pytest.mark.parametrize("tail", [None, 8])
+def test_search_and_reference_both_exhaust(tail, monkeypatch):
+    if tail is not None:
+        monkeypatch.setattr(positioning, "_TAIL", tail)
+    with pytest.raises(SearchExhausted):
+        _book_by_all_windows(4, 3, 8, 6, 0, max_tries=40, max_restarts=5)
+    with pytest.raises(SearchExhausted):
+        build_index_book(I=4, d=3, K_marker=8, r_I=6, seed=0, max_tries=40, max_restarts=5)
+
+
+def test_search_compares_few_window_pairs(monkeypatch):
+    # comparing every try with every accepted window passes 133.6 M window
+    # pairs to row_distances at I=9; the part index leaves the tail's
+    # pairs, the candidates' and the certification's close-pair search
+    pairs = []
+    real = _bitops.row_distances
+
+    def counting(a, b):
+        pairs.append(math.prod(np.broadcast_shapes(a.shape[:-1], b.shape[:-1])))
+        return real(a, b)
+
+    monkeypatch.setattr(_bitops, "row_distances", counting)
+    build_index_book(9, 3, 32, r_I=18)
+    assert sum(pairs) < 5_000_000
+
+
 def test_json_roundtrip(book):
     assert book_from_json(book_to_json(book)) == book
 
@@ -258,7 +339,7 @@ def _outcome(y, book):
         return str(exc)
 
 
-@pytest.mark.parametrize("which", ["I0", "I0-narrow", "I4", "I7", "planted"])
+@pytest.mark.parametrize("which", ["I0", "I0-narrow", "I4", "I7", "planted", "I6-e2"])
 def test_locate_matches_plain_scan(which, book, book7, planted7):
     b = {
         "I0": build_index_book(I=0, d=3, K_marker=8, r_I=10, seed=0),
@@ -267,6 +348,8 @@ def test_locate_matches_plain_scan(which, book, book7, planted7):
         "I4": book,
         "I7": book7,
         "planted": planted7,
+        # 66-bit codewords at e = 2: the keys span two words
+        "I6-e2": build_index_book(I=6, d=5, K_marker=8, seed=0),
     }[which]
     W = b.codeword_len
     concat = b.concat

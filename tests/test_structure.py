@@ -55,6 +55,22 @@ def test_the_oracle_imports_nothing_from_the_bit_kernels():
     assert not any("_bitops" in name for name in imported)
 
 
+def test_pigeonhole_parts_are_cut_only_in_the_bit_kernels():
+    # one part index serves every exact near-match search; a second cut of
+    # the parts elsewhere could drift from its pigeonhole invariant
+    cutters = {"_part_slices", "part_keys"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "_bitops.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in cutters
+        or isinstance(node, ast.Name) and node.id in cutters
+        or isinstance(node, ast.alias) and node.name in cutters
+    ]
+    assert found == []
+
+
 def test_no_module_reads_the_environment():
     # a setting read from the environment is an option no test or
     # benchmark run sees
