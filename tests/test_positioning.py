@@ -191,8 +191,9 @@ def _book_by_all_windows(I, d, K, r_I, seed, max_tries, max_restarts):
     return codewords, restarts
 
 
-# (I, d, r_I, seed, restarts of the reference search); books of more
-# than _TAIL windows (I=5 and up, or e=2) are searched through the index
+# (I, d, r_I, seed, restarts of the reference search, or None when it
+# spends its budget); books of more than _TAIL windows (I=5 and up, or
+# e=2) are searched through the index
 _SEARCH_GRID = [
     (3, 3, 10, 0, 8),
     (4, 3, 11, 0, 25),
@@ -201,30 +202,28 @@ _SEARCH_GRID = [
     (5, 3, 12, 2, 6),
     (6, 3, 14, 0, 0),
     (4, 5, 46, 0, 0),
+    (4, 3, 6, 0, None),
 ]
 
 
 # a tail of 8 windows sends almost every check through the part index,
-# and each restart past the indexed windows shrinks it
+# and each restart past the indexed windows rebuilds it
 @pytest.mark.parametrize("tail", [None, 8])
 @pytest.mark.parametrize("I, d, r_I, seed, restarts", _SEARCH_GRID)
 def test_search_builds_the_reference_book(I, d, r_I, seed, restarts, tail, monkeypatch):
     if tail is not None:
         monkeypatch.setattr(positioning, "_TAIL", tail)
-    want, made = _book_by_all_windows(I, d, 8, r_I, seed, max_tries=40, max_restarts=30)
+    budget = dict(max_tries=40, max_restarts=30)
+    if restarts is None:
+        with pytest.raises(SearchExhausted):
+            _book_by_all_windows(I, d, 8, r_I, seed, **budget)
+        with pytest.raises(SearchExhausted):
+            build_index_book(I, d, 8, r_I=r_I, seed=seed, **budget)
+        return
+    want, made = _book_by_all_windows(I, d, 8, r_I, seed, **budget)
     assert made == restarts
-    b = build_index_book(I, d, 8, r_I=r_I, seed=seed, max_tries=40, max_restarts=30)
+    b = build_index_book(I, d, 8, r_I=r_I, seed=seed, **budget)
     assert list(b.codewords) == want
-
-
-@pytest.mark.parametrize("tail", [None, 8])
-def test_search_and_reference_both_exhaust(tail, monkeypatch):
-    if tail is not None:
-        monkeypatch.setattr(positioning, "_TAIL", tail)
-    with pytest.raises(SearchExhausted):
-        _book_by_all_windows(4, 3, 8, 6, 0, max_tries=40, max_restarts=5)
-    with pytest.raises(SearchExhausted):
-        build_index_book(I=4, d=3, K_marker=8, r_I=6, seed=0, max_tries=40, max_restarts=5)
 
 
 def test_search_compares_few_window_pairs(monkeypatch):
