@@ -99,16 +99,18 @@ class PartIndex:
         self.rho = rho
         self.parts = _part_slices(L, max(rho + 1, -(-L // 64)))
         # row p of each: part p's keys in ascending order, and their rows
-        keys = self.part_keys(rows[:size])
-        self._at = np.argsort(keys, axis=1)
-        self._keys = np.take_along_axis(keys, self._at, axis=1)
-        self.size = keys.shape[1]
+        self._keys = self.part_keys(rows[:size])
+        self._at = np.argsort(self._keys, axis=1)
+        self._keys.sort(axis=1)
+        self.size = self._keys.shape[1]
 
     def part_keys(self, rows: np.ndarray) -> np.ndarray:
         """The part keys of packed rows: row p of the (parts, len(rows))
         result holds part p of each row, cut by :func:`bit_field`."""
-        keys = [bit_field(rows, lo, hi) for lo, hi in self.parts]
-        return np.array(keys).reshape(len(self.parts), len(rows))
+        keys = np.empty((len(self.parts), len(rows)), dtype=np.uint64)
+        for p, (lo, hi) in enumerate(self.parts):
+            keys[p] = bit_field(rows, lo, hi)
+        return keys
 
     def grow(self, size: int) -> None:
         """Index rows ``self.size`` to ``size - 1`` as well, merging their
@@ -116,7 +118,7 @@ class PartIndex:
         old = self.size
         keys = self.part_keys(self.rows[old:size])
         order = np.argsort(keys, axis=1)
-        keys = np.take_along_axis(keys, order, axis=1)
+        keys.sort(axis=1)
         merged_keys, merged_at = [], []
         for k, at, new, o in zip(self._keys, self._at, keys, order):
             # each new key goes after the old keys equal to it
@@ -169,11 +171,10 @@ class PartIndex:
         found = [np.empty(0, dtype=np.int64)]
         dists = [np.empty(0, dtype=np.int64)]
         for keys, at in zip(self._keys, self._at):
-            # entries t whose key still equals the key s entries further on
-            live = np.arange(m - 1)
-            s = 1
+            # entries t whose key still equals the key s entries further on;
+            # the keys are sorted, so they are among those of shift s - 1
+            live, s = np.flatnonzero(keys[:-1] == keys[1:]), 1
             while live.size:
-                live = live[keys[live] == keys[live + s]]
                 a, b = at[live], at[live + s]
                 dist = row_distances(self.rows[a], self.rows[b])
                 close = dist <= self.rho
@@ -182,6 +183,7 @@ class PartIndex:
                 dists.append(dist[close])
                 s += 1
                 live = live[live + s < m]
+                live = live[keys[live] == keys[live + s]]
         # a pair found through several parts is kept once
         key, first = np.unique(np.concatenate(found), return_index=True)
         j, i = np.divmod(key, max(m, 1))
