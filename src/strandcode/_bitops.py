@@ -1,11 +1,11 @@
 """Vectorized window machinery shared by the scanners.
 
 Everything here is exact.  Every near-match search of the package (the
-close-pair search, the index-book search and ``locate_index``) goes through
-one :class:`PartIndex`, the only place that cuts pigeonhole parts: rows
-within ``rho`` flips of each other agree exactly on one of ``rho + 1``
-parts, so rows equal on some part are the only candidates, and each
-candidate is then checked at full width by :func:`row_distances`.
+close-pair, index-book and scaffold searches and ``locate_index``) goes
+through one :class:`PartIndex`, the only place that cuts pigeonhole
+parts: rows within ``rho`` flips of each other agree exactly on one of
+``rho + 1`` parts, so rows equal on some part are the only candidates,
+and each candidate is then checked at full width by :func:`row_distances`.
 
 It imports nothing from the package at run time, so
 :mod:`strandcode.bitseq` can build its predicates on it.

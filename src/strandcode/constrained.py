@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
+import numpy as np
+
 from .bitseq import BitSeq
 
 __all__ = [
@@ -171,22 +173,23 @@ def _automaton(window: int, floor: int) -> _WwlAutomaton:
 
 @lru_cache(maxsize=128)
 def _count_table(window: int, floor: int, length: int) -> list[list[int]]:
-    """counts[s][r] = number of valid length-r continuations from state s."""
+    """counts[s][r] = number of valid length-r continuations from state s.
+
+    Each row is one object-array step, row[t0] + row[t1], with a zero slot
+    for dead transitions.  No row depends on ``length``, so a shorter
+    table is a prefix of a longer one.
+    """
     auto = _automaton(window, floor)
-    counts = [[1] * auto.n_states]
-    for _ in range(length):
-        prev = counts[-1]
-        row = []
-        for s in range(auto.n_states):
-            total = 0
-            if auto.t0[s] >= 0:
-                total += prev[auto.t0[s]]
-            if auto.t1[s] >= 0:
-                total += prev[auto.t1[s]]
-            row.append(total)
-        counts.append(row)
+    dead = auto.n_states
+    t0, t1 = (np.array(t) for t in (auto.t0, auto.t1))
+    t0[t0 < 0] = dead
+    t1[t1 < 0] = dead
+    counts = np.zeros((length + 1, dead + 1), dtype=object)
+    counts[0, :dead] = 1
+    for r in range(length):
+        counts[r + 1, :dead] = counts[r][t0] + counts[r][t1]
     # counts[r][s]; re-index to [s][r] for locality
-    return [[counts[r][s] for r in range(length + 1)] for s in range(auto.n_states)]
+    return counts[:, :dead].T.tolist()
 
 
 _STATE_BUDGET = 4000
@@ -217,7 +220,8 @@ class ConstrainedCodec:
     chunk carries an integer unranked against the constraint automaton,
     threading the automaton state across chunk boundaries.  ``msg_len`` is
     the exact number of message bits; the redundancy ``n_out - msg_len`` is
-    a deterministic function of the parameters.
+    a deterministic function of the parameters.  Every chunk reads a prefix
+    of one count table, built at the longest chunk.
     """
 
     window: int
@@ -238,20 +242,16 @@ class ConstrainedCodec:
             out.append(rem)
         return out
 
+    def _table(self, length: int) -> list[list[int]]:
+        # the codec's one table, at its longest chunk, covers shorter lengths
+        return _count_table(self._cw, self._cf, max(length, min(self.chunk, self.n_out)))
+
     def _caps(self) -> list[int]:
-        caps = []
-        auto = _automaton(self._cw, self._cf)
-        worst: dict[int, int] = {}
-        for k, B in enumerate(self.chunk_lengths):
-            table = _count_table(self._cw, self._cf, B)
-            if k == 0:
-                c = table[auto.init_id][B]
-            else:
-                if B not in worst:
-                    worst[B] = min(table[s][B] for s in range(auto.n_states))
-                c = worst[B]
-            caps.append(max(0, c.bit_length() - 1))
-        return caps
+        # the first chunk starts in the initial state, a later one in any
+        table, init = self._table(0), _automaton(self._cw, self._cf).init_id
+        worst = {B: min(row[B] for row in table) for B in set(self.chunk_lengths)}
+        counts = [table[init][B] if k == 0 else worst[B] for k, B in enumerate(self.chunk_lengths)]
+        return [max(0, c.bit_length() - 1) for c in counts]
 
     @property
     def msg_len(self) -> int:
@@ -261,7 +261,7 @@ class ConstrainedCodec:
         """Number of valid strings of ``length`` symbols under the enforced
         constraint (the run-length weakening when the window is wide)."""
         auto = _automaton(self._cw, self._cf)
-        return _count_table(self._cw, self._cf, length)[auto.init_id][length]
+        return self._table(length)[auto.init_id][length]
 
     def unrank_from_start(self, index: int, length: int) -> BitSeq:
         """Map an integer below ``count(length)`` to a valid string."""
@@ -307,7 +307,7 @@ class ConstrainedCodec:
 
     def _unrank(self, index: int, length: int, state: int) -> tuple[BitSeq, int]:
         auto = _automaton(self._cw, self._cf)
-        table = _count_table(self._cw, self._cf, length)
+        table = self._table(length)
         val = 0
         for t in range(length):
             rest = length - t - 1
@@ -326,7 +326,7 @@ class ConstrainedCodec:
     def _rank(self, piece: BitSeq, state: int) -> tuple[int, int]:
         auto = _automaton(self._cw, self._cf)
         length = len(piece)
-        table = _count_table(self._cw, self._cf, length)
+        table = self._table(length)
         index = 0
         bits = piece.value
         for t in range(length):

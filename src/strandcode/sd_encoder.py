@@ -246,21 +246,6 @@ def _has_zero_run(x: BitSeq, zero_len: int) -> bool:
     return bool(np.any(_bitops.window_weights(x.to_numpy(), zero_len) == 0))
 
 
-def _close_pairs_naive(bits: np.ndarray, L: int, rho: int) -> list[tuple[int, int, int]]:
-    """Textbook all-pairs scan, kept as an oracle for the pigeonhole search."""
-    m = bits.size - L + 1
-    if m < 2:
-        return []
-    wins = _bitops.packed_windows(bits, L)
-    out = []
-    for j in range(1, m):
-        dist = np.bitwise_count(wins[:j] ^ wins[j]).sum(axis=1)
-        for i in np.nonzero(dist <= rho)[0]:
-            out.append((int(i), j, int(dist[i])))
-    out.sort(key=lambda p: (p[1], p[0]))
-    return out
-
-
 def eliminate_close_pairs(
     w: BitSeq,
     params: SdParams,
@@ -434,23 +419,25 @@ class Scaffold:
     sbar: BitSeq
 
 
-def _splices_wwl(cand: BitSeq, prev: BitSeq, K: int, d: int) -> bool:
-    """Whether every splice cand[:j] + prev[j:], 0 < j < Ls, is (K, d)-weight
-    limited, as :func:`is_wwl` would find each of them.
+def _splices_wwl(cand: np.ndarray, prev: np.ndarray, K: int, d: int) -> np.ndarray:
+    """Per row of two stacked (m, Ls) 0/1 arrays, whether every splice
+    cand[:j] + prev[j:], 0 < j < Ls, is (K, d)-weight limited, as
+    :func:`is_wwl` would find each of them.
 
-    The length-K window at a of splice j holds cand's bits over [a, c) and
-    prev's over [c, a + K), c = clip(j, a, a + K), so the prefix sums of the
-    two pieces give the weight of every window of every splice at once: one
-    (Ls - 1, Ls - K + 1) array instead of Ls - 1 window scans.
+    With prefix sums cc and cp of the two rows, the length-K window at a of
+    splice j weighs g[c] + cp[a + K] - cc[a], g = cc - cp, c = clip(j, a,
+    a + K), and c takes every value in [max(a, 1), min(a + K, Ls - 1)] as j
+    runs.  So the lightest window at a over all splices is a sliding minimum
+    of g over K + 1 points, with g's two ends, where no splice cuts, raised.
     """
-    Ls = len(cand)
+    m, Ls = cand.shape
     if Ls < max(K, 2):
-        return True
-    cc = np.concatenate([[0], np.cumsum(cand.to_numpy(), dtype=np.int64)])
-    cp = np.concatenate([[0], np.cumsum(prev.to_numpy(), dtype=np.int64)])
-    a = np.arange(Ls - K + 1)
-    cut = np.clip(np.arange(1, Ls)[:, None], a, a + K)
-    return int((cc[cut] - cc[a] + cp[a + K] - cp[cut]).min()) >= d
+        return np.ones(m, dtype=bool)
+    cc, cp = (np.pad(np.cumsum(x, axis=1, dtype=np.int32), ((0, 0), (1, 0))) for x in (cand, prev))
+    g = cc - cp
+    g[:, [0, Ls]] = Ls  # g[c] <= c < Ls at every cut
+    lightest = np.lib.stride_tricks.sliding_window_view(g, K + 1, axis=1).min(axis=2)
+    return (lightest + cp[:, K:] - cc[:, : Ls - K + 1]).min(axis=1) >= d
 
 
 def build_scaffold(params: SdParams, seed: int = 0, max_tries: int = 200) -> Scaffold:
@@ -460,11 +447,15 @@ def build_scaffold(params: SdParams, seed: int = 0, max_tries: int = 200) -> Sca
     only if every splice with the previous piece stays weight limited and
     every same-phase window of the running concatenation stays at distance
     >= d from the new ones.  Those checks are exactly the family conditions
-    the framed concatenation needs in order to be substring distant.  The
-    distance check is exact: a draw's Ls new windows, one per phase, are
-    compared with every stored window of their phase in one
-    :func:`_bitops.row_distances` call, so a try after t pieces costs
-    O(Ls * t) word XORs per 64 bits of Ls.
+    the framed concatenation needs in order to be substring distant.
+
+    Draws are checked in speculative batches, each as if every draw before
+    it were kept: as many as pieces are missing, within ``max_tries`` draws
+    per piece in all.  The draws before the first that fails are kept and
+    those after it start the next batch, so the family is the one a
+    draw-by-draw search finds.  The distance check is exact: one
+    :class:`_bitops.PartIndex` over the kept and drawn windows pairs all
+    within d - 1 of each other.
     """
     p = params
     if p.violations:
@@ -472,41 +463,42 @@ def build_scaffold(params: SdParams, seed: int = 0, max_tries: int = 200) -> Sca
     rng = np.random.default_rng(np.random.SeedSequence((seed, p.n, p.d)))
     codec = ConstrainedCodec(p.K2, p.d, p.piece_len)
     cap = codec.count(p.piece_len)
-    Ls = p.piece_len
-    # store[r, j]: the packed window at phase r that ends in piece j; at
-    # phase 0 that is piece j itself, and no other phase has one for j = 0
-    store = np.empty((Ls, p.n_pieces, -(-Ls // 64)), dtype=np.uint64)
-    pieces: list[BitSeq] = []
-    attempts = 0
-    while len(pieces) < p.n_pieces:
-        attempts += 1
-        if attempts > max_tries * p.n_pieces:
-            raise SearchExhausted(
-                f"no scaffold family of {p.n_pieces} pieces found in {attempts} draws"
-            )
-        idx = int.from_bytes(rng.bytes(16), "little") % cap
-        cand = codec.unrank_from_start(idx, Ls)
-        t = len(pieces)
-        if t == 0:
-            store[0, 0] = _bitops.packed_windows(cand.to_numpy(), Ls)[0]
-        else:
-            if not _splices_wwl(cand, pieces[-1], p.K2, p.d):
-                continue
-            # the windows at starts 1..Ls of prev + cand, rolled to phase order
-            joint = (pieces[-1] + cand).to_numpy()
-            new = np.roll(_bitops.packed_windows(joint, Ls)[1:], 1, axis=0)
-            dist = _bitops.row_distances(new[:, None], store[:, :t])
-            dist[1:, 0] = p.d  # slots with no window, see ``store``
-            if dist.min() < p.d:
-                continue
-            store[:, t] = new
-        pieces.append(cand)
-    u = auto_cyclic(p.d)
-    sbar = BitSeq.zeros(0)
-    for piece in pieces:
-        sbar = sbar + BitSeq.zeros(p.K_max) + u + piece
+    Ls, budget = p.piece_len, max_tries * p.n_pieces
+    pieces = np.empty((p.n_pieces, Ls), dtype=np.uint8)
+    # windows[j, r - 1]: the packed window at start r of pieces j - 1 and j, of
+    # phase r % Ls; piece 0 has only its phase-0 window, where flat starts
+    windows = np.empty((p.n_pieces, Ls, -(-Ls // 64)), dtype=np.uint64)
+    flat = windows.reshape(p.n_pieces * Ls, -1)[Ls - 1 :]
+    drawn: list[np.ndarray] = []
+    t = taken = 0
+    while t < p.n_pieces:
+        k = min(p.n_pieces - t - len(drawn), budget - taken)
+        if k > 0:  # one call draws the bytes of k calls of 16 bytes each
+            raw, taken = rng.bytes(16 * k), taken + k
+            idx = (int.from_bytes(raw[i : i + 16], "little") % cap for i in range(0, 16 * k, 16))
+            drawn += [codec.unrank_from_start(i, Ls).to_numpy() for i in idx]
+        if not drawn:
+            raise SearchExhausted(f"no scaffold family of {p.n_pieces} pieces found in {budget} draws")
+        batch = np.array(drawn)
+        k = len(batch)
+        prev = np.concatenate([pieces[t - 1 : t] if t else batch[:1], batch[:-1]])
+        spliced = _splices_wwl(batch, prev, p.K2, p.d)
+        spliced[0] |= t == 0
+        kept = k if spliced.all() else int(np.argmin(spliced))
+        chain = np.concatenate([prev[0], batch.ravel()])
+        windows[t : t + k] = _bitops.packed_windows(chain, Ls)[1:].reshape(k, Ls, -1)
+        # row q of flat is in piece (q + Ls - 1) // Ls; two kept pieces are
+        # never close, so every close pair ends in the batch
+        i, j, _ = _bitops.PartIndex(flat, Ls, p.d - 1, (t + k - 1) * Ls + 1).pairs()
+        j = j[(j - i) % Ls == 0]
+        if j.size:
+            kept = min(kept, (int(j.min()) + Ls - 1) // Ls - t)
+        pieces[t : t + kept] = batch[:kept]
+        t, drawn = t + kept, drawn[kept + 1 :]
+    frame = np.concatenate([np.zeros(p.K_max, dtype=np.uint8), auto_cyclic(p.d).to_numpy()])
+    sbar = BitSeq.from_numpy(np.hstack([np.tile(frame, (p.n_pieces, 1)), pieces]).ravel())
     assert len(sbar) >= p.n
-    return Scaffold(p.n, p.d, seed, tuple(pieces), sbar)
+    return Scaffold(p.n, p.d, seed, tuple(map(BitSeq.from_numpy, pieces)), sbar)
 
 
 @functools.lru_cache(maxsize=16)

@@ -8,6 +8,9 @@ import hypothesis.strategies as st
 from strandcode.bitseq import BitSeq, hamming, is_wwl
 from strandcode.constrained import (
     ConstrainedCodec,
+    _automaton,
+    _count_table,
+    _pick_constraint,
     apply_dist,
     auto_cyclic,
     enc_dist,
@@ -149,6 +152,61 @@ def test_codec_count_matches_enumeration():
         if is_wwl(BitSeq(v, 12), 5, 2)
     )
     assert codec.count(12) == want
+
+
+def _count_table_by_rows(window, floor, length):
+    """The count table built one state at a time, as a reference."""
+    auto = _automaton(window, floor)
+    counts = [[1] * auto.n_states]
+    for _ in range(length):
+        prev = counts[-1]
+        row = []
+        for s in range(auto.n_states):
+            total = 0
+            if auto.t0[s] >= 0:
+                total += prev[auto.t0[s]]
+            if auto.t1[s] >= 0:
+                total += prev[auto.t1[s]]
+            row.append(total)
+        counts.append(row)
+    return [[counts[r][s] for r in range(length + 1)] for s in range(auto.n_states)]
+
+
+@pytest.mark.parametrize(
+    "window, floor, length",
+    [
+        (15, 3, 512),
+        (10, 1, 56),
+        (8, 3, 47),
+        (*_pick_constraint(30, 3), 60),
+        (5, 5, 20),
+        (15, 3, 0),
+        (15, 3, 1),
+    ],
+)
+def test_count_table_matches_the_row_by_row_reference(window, floor, length):
+    assert _count_table(window, floor, length) == _count_table_by_rows(window, floor, length)
+
+
+def test_run_length_fallback_and_full_floor_tables():
+    # the cases above reach both corners of the automaton
+    assert _pick_constraint(30, 3) == (10, 1)
+    assert _count_table(5, 5, 20)[_automaton(5, 5).init_id] == [1] * 21
+
+
+def test_shorter_table_is_a_prefix_of_the_longer():
+    long = _count_table(15, 3, 512)
+    assert _count_table(15, 3, 453) == [row[:454] for row in long]
+
+
+def test_codec_builds_one_table_at_its_longest_chunk():
+    codec = ConstrainedCodec(15, 3, 2 * 512 + 453)
+    assert codec.chunk_lengths == [512, 512, 453]
+    msg = BitSeq.random(codec.msg_len, np.random.default_rng(0))
+    _count_table.cache_clear()
+    assert codec.decode(codec.encode(msg)) == msg
+    assert _count_table.cache_info().currsize == 1
+    assert codec.count(453) == _count_table(15, 3, 512)[_automaton(15, 3).init_id][453]
 
 
 # ------------------------------------------------------------ index fields

@@ -26,7 +26,7 @@ from strandcode.multistrand import (
     multi_gamma0_message_len,
 )
 from strandcode.oracle import check_sd_exhaustive, check_wwl_exhaustive, sd_min_pair_distance
-from strandcode.sd_encoder import _close_pairs_naive, _splices_wwl
+from strandcode.sd_encoder import _splices_wwl
 from strandcode.trace_codes import (
     derive_gamma0_params,
     derive_trace_params,
@@ -359,6 +359,19 @@ class TestIsSd:
             reference_sd(BitSeq.random(3001, np.random.default_rng(5)), 20, 2)
 
 
+def _close_pairs_naive(bits, L, rho):
+    """Every pair of windows within ``rho``, ascending by j and then i, as
+    the all-pairs scan over windows read as Python ints."""
+    text = "".join(map(str, bits.tolist()))
+    wins = [int(text[i : i + L], 2) for i in range(len(text) - L + 1)]
+    return [
+        (i, j, dist)
+        for j in range(len(wins))
+        for i in range(j)
+        if (dist := (wins[i] ^ wins[j]).bit_count()) <= rho
+    ]
+
+
 @pytest.mark.parametrize("L, rho", [(5, 5), (5, 9), (1, 1), (4, 3)])
 def test_close_pairs_at_radius_of_the_window_length(L, rho):
     # rho >= L leaves some pigeonhole parts empty; every pair is close
@@ -495,15 +508,15 @@ class TestIsWwl:
 @pytest.mark.parametrize("Ls, K, d", [(56, 30, 3), (20, 5, 1), (12, 30, 3), (2, 2, 1), (1, 1, 1)])
 def test_splice_check_matches_one_is_wwl_per_splice(Ls, K, d):
     rng = np.random.default_rng(Ls * K)
-    answers = set()
+    answers, rows = [], []
     for _ in range(60):
         density = rng.choice([0.05, 0.15, 0.3, 0.6])
-        cand, prev = (BitSeq.from_numpy((rng.random(Ls) < density).astype(np.uint8)) for _ in "ab")
-        want = all(
-            is_wwl(cand.window(0, j) + prev.window(j, Ls - j), K, d)
-            and check_wwl_exhaustive(cand.window(0, j) + prev.window(j, Ls - j), K, d)
-            for j in range(1, Ls)
-        )
-        assert _splices_wwl(cand, prev, K, d) == want
-        answers.add(want)
-    assert answers == {True, False} or Ls < max(K, 2)
+        cand, prev = ((rng.random(Ls) < density).astype(np.uint8) for _ in "ab")
+        spliced = [BitSeq.from_numpy(np.concatenate([cand[:j], prev[j:]])) for j in range(1, Ls)]
+        want = all(is_wwl(x, K, d) and check_wwl_exhaustive(x, K, d) for x in spliced)
+        assert _splices_wwl(cand[None], prev[None], K, d).tolist() == [want]
+        answers.append(want)
+        rows.append((cand, prev))
+    assert set(answers) == {True, False} or Ls < max(K, 2)
+    cand, prev = (np.array(r) for r in zip(*rows))
+    assert _splices_wwl(cand, prev, K, d).tolist() == answers

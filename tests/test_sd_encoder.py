@@ -1,6 +1,7 @@
 """Pipeline encoder tests: parameter derivation, the rewrite loop, the
 scaffold, and end-to-end round trips."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -10,11 +11,10 @@ from hypothesis import strategies as st
 
 from strandcode import _bitops
 from strandcode.bitseq import BitSeq, is_sd, is_wwl
-from strandcode.constrained import auto_cyclic
-from strandcode.errors import DecodeFailure, InfeasibleParameters
+from strandcode.constrained import ConstrainedCodec, auto_cyclic
+from strandcode.errors import DecodeFailure, InfeasibleParameters, SearchExhausted
 from strandcode.oracle import check_p123, check_sd_exhaustive, sd_min_pair_distance
 from strandcode.sd_encoder import (
-    _close_pairs_naive,
     _inner_codec,
     build_scaffold,
     contract_from_length,
@@ -225,6 +225,69 @@ class TestRewriteLoop:
             restore_close_pairs(fake, p)
 
 
+def _close_pairs_naive(bits, L, rho):
+    """Every pair of windows within ``rho``, ascending by j and then i, as
+    the all-pairs scan over windows read as Python ints."""
+    text = "".join(map(str, bits.tolist()))
+    wins = [int(text[i : i + L], 2) for i in range(len(text) - L + 1)]
+    return [
+        (i, j, dist)
+        for j in range(len(wins))
+        for i in range(j)
+        if (dist := (wins[i] ^ wins[j]).bit_count()) <= rho
+    ]
+
+
+def _splices_wwl_by_cuts(cand: BitSeq, prev: BitSeq, K: int, d: int) -> bool:
+    """Whether every splice cand[:j] + prev[j:] is (K, d)-weight limited,
+    one window weight per (splice, window start)."""
+    Ls = len(cand)
+    if Ls < max(K, 2):
+        return True
+    cc = np.concatenate([[0], np.cumsum(cand.to_numpy(), dtype=np.int64)])
+    cp = np.concatenate([[0], np.cumsum(prev.to_numpy(), dtype=np.int64)])
+    a = np.arange(Ls - K + 1)
+    cut = np.clip(np.arange(1, Ls)[:, None], a, a + K)
+    return int((cc[cut] - cc[a] + cp[a + K] - cp[cut]).min()) >= d
+
+
+def _scaffold_by_single_draws(p, seed, max_tries=200):
+    """The scaffold search one draw at a time, as a reference: each draw
+    is spliced onto the last kept piece and its windows compared with
+    every stored window of their phase.  Returns the pieces and, for each
+    rejected draw, the check it failed."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, p.n, p.d)))
+    codec = ConstrainedCodec(p.K2, p.d, p.piece_len)
+    cap = codec.count(p.piece_len)
+    Ls = p.piece_len
+    store = np.empty((Ls, p.n_pieces, -(-Ls // 64)), dtype=np.uint64)
+    pieces, rejected = [], []
+    attempts = 0
+    while len(pieces) < p.n_pieces:
+        attempts += 1
+        if attempts > max_tries * p.n_pieces:
+            raise SearchExhausted("budget spent")
+        idx = int.from_bytes(rng.bytes(16), "little") % cap
+        cand = codec.unrank_from_start(idx, Ls)
+        t = len(pieces)
+        if t == 0:
+            store[0, 0] = _bitops.packed_windows(cand.to_numpy(), Ls)[0]
+        else:
+            if not _splices_wwl_by_cuts(cand, pieces[-1], p.K2, p.d):
+                rejected.append("splice")
+                continue
+            joint = (pieces[-1] + cand).to_numpy()
+            new = np.roll(_bitops.packed_windows(joint, Ls)[1:], 1, axis=0)
+            dist = _bitops.row_distances(new[:, None], store[:, :t])
+            dist[1:, 0] = p.d  # piece 0 has only its phase-0 window
+            if dist.min() < p.d:
+                rejected.append("distance")
+                continue
+            store[:, t] = new
+        pieces.append(cand)
+    return tuple(pieces), rejected
+
+
 class TestScaffold:
     def test_family_conditions(self):
         sc = scaffold_for(256, 1)
@@ -241,6 +304,56 @@ class TestScaffold:
         assert a.pieces == b.pieces and a.sbar == b.sbar
         assert build_scaffold(p, seed=6).pieces != a.pieces
         assert scaffold_for(128, 1) is scaffold_for(128, 1)
+
+    @pytest.mark.parametrize(
+        "n, d, seed, rejects",
+        [
+            (65537, 3, 0, False),
+            (65537, 2, 0, False),
+            (2048, 1, 0, False),
+            (128, 1, 8, True),
+            (128, 1, 11, True),
+            (128, 1, 17, True),
+            (256, 1, 2, True),
+        ],
+    )
+    def test_batches_draw_the_reference_pieces(self, n, d, seed, rejects):
+        p = derive_sd_params(n, d)
+        want, rejected = _scaffold_by_single_draws(p, seed)
+        assert bool(rejected) == rejects
+        got = build_scaffold(p, seed)
+        assert got.pieces == want
+        sbar = BitSeq.zeros(0)
+        for piece in want:
+            sbar = sbar + BitSeq.zeros(p.K_max) + auto_cyclic(d) + piece
+        assert got.sbar == sbar
+
+    def test_batches_keep_the_draw_budget(self):
+        p = derive_sd_params(128, 1)
+        with pytest.raises(SearchExhausted):
+            _scaffold_by_single_draws(p, 8, max_tries=1)
+        with pytest.raises(SearchExhausted):
+            build_scaffold(p, 8, max_tries=1)
+        _, rejected = _scaffold_by_single_draws(p, 8)
+        tries = -(-(p.n_pieces + len(rejected)) // p.n_pieces)
+        assert build_scaffold(p, 8, max_tries=tries).pieces == build_scaffold(p, 8).pieces
+
+    @pytest.mark.parametrize("d, K2, L2, ell", [(2, 5, 20, 6), (2, 4, 18, 6), (3, 9, 30, 12)])
+    def test_batches_draw_the_reference_pieces_where_splices_fail(self, d, K2, L2, ell):
+        # no feasible (n, d) has been seen to reject a splice, so the
+        # scaffold window is narrowed by hand until splices fail
+        p = dataclasses.replace(derive_sd_params(128, 1), d=d, K2=K2, L2=L2, ell=ell, K_max=K2)
+        reasons = set()
+        for seed in range(6):
+            try:
+                want, rejected = _scaffold_by_single_draws(p, seed)
+            except SearchExhausted:
+                with pytest.raises(SearchExhausted):
+                    build_scaffold(p, seed)
+                continue
+            assert build_scaffold(p, seed).pieces == want
+            reasons.update(rejected)
+        assert reasons == {"splice", "distance"}
 
     def test_expand_length_and_certify(self):
         n, d = 256, 1

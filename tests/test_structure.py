@@ -85,6 +85,8 @@ def test_no_module_reads_the_environment():
     assert reads == []
 
 
+
+
 REPO = Path(__file__).resolve().parents[1]
 
 
@@ -102,6 +104,75 @@ def _local_names(fn: ast.AST) -> set[str]:
         if isinstance(node, ast.arg)
         or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
     }
+
+
+_MUTATORS = {"append", "add", "update", "setdefault", "extend", "insert"}
+
+
+def _is_container(value: ast.AST) -> bool:
+    """Whether a module-level value is a mutable dict, list or set."""
+    if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)):
+        return True
+    if isinstance(value, ast.BinOp):  # [0] * 512
+        return _is_container(value.left) or _is_container(value.right)
+    return isinstance(value, ast.Call) and getattr(value.func, "id", None) in ("dict", "list", "set")
+
+
+def _module_container_fills(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of every store into a module-level container inside a
+    function, except in the functions the module calls at import."""
+    containers = {
+        target.id
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None
+        and _is_container(node.value)
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    }
+    at_import = {
+        node.func.id
+        for stmt in tree.body
+        if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or fn.name in at_import:
+            continue
+        module_level = containers - _local_names(fn)
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                target = node.value
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in _MUTATORS:
+                target = node.func.value
+            else:
+                continue
+            if isinstance(target, ast.Name) and target.id in module_level:
+                found.append((node.lineno, target.id))
+    return found
+
+
+def test_no_function_fills_a_module_level_container():
+    # the benchmark times set-up from cold caches by calling cache_clear on
+    # every cache it finds; a container filled at run time is a cache that
+    # survives, so set-up would time warm tables
+    fills = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, name in _module_container_fills(ast.parse(path.read_text()))
+    ]
+    assert fills == []
+
+
+def test_the_container_check_sees_a_hand_rolled_cache():
+    tree = ast.parse(
+        "_SEEN = {}\n_LOG = [0] * 4\n_T = dict()\n"
+        "def _fill():\n    _LOG[0] = 1\n_fill()\n"
+        "def f(k):\n    _SEEN[k] = 1\n    _T.setdefault(k, 2)\n"
+        "def g(_SEEN):\n    _SEEN[0] = 1\n"
+    )
+    assert _module_container_fills(tree) == [(8, "_SEEN"), (9, "_T")]
 
 
 def _loads(node: ast.AST, local: frozenset = frozenset()):
