@@ -14,7 +14,7 @@ small; the output then still satisfies the requested window constraint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
@@ -246,16 +246,18 @@ class ConstrainedCodec:
         # the codec's one table, at its longest chunk, covers shorter lengths
         return _count_table(self._cw, self._cf, max(length, min(self.chunk, self.n_out)))
 
-    def _caps(self) -> list[int]:
+    @cached_property
+    def _caps(self) -> tuple[int, ...]:
         # the first chunk starts in the initial state, a later one in any
-        table, init = self._table(0), _automaton(self._cw, self._cf).init_id
-        worst = {B: min(row[B] for row in table) for B in set(self.chunk_lengths)}
-        counts = [table[init][B] if k == 0 else worst[B] for k, B in enumerate(self.chunk_lengths)]
-        return [max(0, c.bit_length() - 1) for c in counts]
+        table, lengths = self._table(0), self.chunk_lengths
+        worst = {B: min(row[B] for row in table) for B in set(lengths[1:])}
+        init = _automaton(self._cw, self._cf).init_id
+        counts = [table[init][B] if k == 0 else worst[B] for k, B in enumerate(lengths)]
+        return tuple(max(0, c.bit_length() - 1) for c in counts)
 
     @property
     def msg_len(self) -> int:
-        return sum(self._caps())
+        return sum(self._caps)
 
     def count(self, length: int) -> int:
         """Number of valid strings of ``length`` symbols under the enforced
@@ -278,7 +280,7 @@ class ConstrainedCodec:
         if len(msg) != self.msg_len:
             raise ValueError(f"message must have {self.msg_len} bits, got {len(msg)}")
         auto = _automaton(self._cw, self._cf)
-        caps = self._caps()
+        caps = self._caps
         state = auto.init_id
         out = BitSeq.zeros(0)
         pos = 0
@@ -293,7 +295,7 @@ class ConstrainedCodec:
         if len(x) != self.n_out:
             raise ValueError(f"expected {self.n_out} symbols, got {len(x)}")
         auto = _automaton(self._cw, self._cf)
-        caps = self._caps()
+        caps = self._caps
         state = auto.init_id
         out = BitSeq.zeros(0)
         pos = 0
