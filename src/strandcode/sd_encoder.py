@@ -481,6 +481,7 @@ def build_scaffold(params: SdParams, seed: int = 0, max_tries: int = 200) -> Sca
             raise SearchExhausted(f"no scaffold family of {p.n_pieces} pieces found in {budget} draws")
         batch = np.array(drawn)
         k = len(batch)
+        # each draw's predecessor; piece 0 has none, so its splice passes
         prev = np.concatenate([pieces[t - 1 : t] if t else batch[:1], batch[:-1]])
         spliced = _splices_wwl(batch, prev, p.K2, p.d)
         spliced[0] |= t == 0
