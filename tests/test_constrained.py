@@ -209,6 +209,118 @@ def test_codec_builds_one_table_at_its_longest_chunk():
     assert codec.count(453) == _count_table(15, 3, 512)[_automaton(15, 3).init_id][453]
 
 
+def _rank_by_symbols(codec, piece, state):
+    """The rank one symbol at a time, as a reference: the chunk index of
+    ``piece`` read from ``state`` and the state after it.  Raises at the
+    first symbol whose step leaves the automaton."""
+    auto = _automaton(codec._cw, codec._cf)
+    length = len(piece)
+    table = _count_table(codec._cw, codec._cf, max(length, min(codec.chunk, codec.n_out)))
+    index = 0
+    bits = piece.value
+    for t in range(length):
+        rest = length - t - 1
+        s0 = auto.t0[state]
+        if (bits >> t) & 1:
+            if s0 >= 0:
+                index += table[s0][rest]
+            state = auto.t1[state]
+        else:
+            state = s0
+        if state < 0:
+            raise ValueError(f"window weight constraint violated at symbol {t}")
+    return index, state
+
+
+def _decode_by_symbols(codec, x):
+    """``ConstrainedCodec.decode`` of one word through the reference rank."""
+    state = _automaton(codec._cw, codec._cf).init_id
+    out, pos = BitSeq.zeros(0), 0
+    for B, cap in zip(codec.chunk_lengths, codec._caps):
+        index, state = _rank_by_symbols(codec, x.window(pos, B), state)
+        if index >> cap:
+            raise ValueError("constrained string outside the message range")
+        pos += B
+        out = out + BitSeq.from_int(index, cap)
+    return out
+
+
+# One codec per automaton shape: the exact (15, 3) constraint, a chunk
+# shorter than a tenth of the word, the run-length fallback (10, 1) of a
+# (30, 3) demand, and floor = window, whose only valid word is all ones.
+_FAULT_CODECS = {
+    "15-3": ConstrainedCodec(15, 3, 1100),
+    "8-3-chunk47": ConstrainedCodec(8, 3, 160, chunk=47),
+    "30-3-fallback": ConstrainedCodec(30, 3, 600),
+    "5-5-chunk16": ConstrainedCodec(5, 5, 40, chunk=16),
+}
+
+
+def _valid_word(codec, seed=0):
+    msg = BitSeq.random(codec.msg_len, np.random.default_rng(seed))
+    return codec.encode(msg).to_numpy().copy()
+
+
+def _starve(arr, t, window, floor):
+    """Leave the window ending at ``t`` one 1 short and every earlier window
+    full: ``floor`` ones just before it, then zeros through ``t``."""
+    arr[t - window : t - window + floor] = 1
+    arr[t - window + floor : t + 1] = 0
+
+
+def _faulty_word(codec, where):
+    """A word whose only fault is ``where``, with the decoder's message."""
+    w, d = codec._cw, codec._cf
+    arr = _valid_word(codec)
+    n = codec.n_out
+    if where == "last window":
+        t = n - 1
+        _starve(arr, t, w, d)
+    elif where == "chunk boundary":
+        t = codec.chunk + 1
+        _starve(arr, t, w, d)
+        assert t - w < codec.chunk <= t
+    elif where == "head":
+        # the earliest window the initial state's leading ones cannot fill;
+        # it is symbol 0 when floor = window
+        t = w - d
+        arr[: t + 1] = 0
+    else:
+        # the last chunk holds its starting state's largest index
+        B = codec.chunk_lengths[-1]
+        head = BitSeq.from_numpy(arr[: n - B])
+        state = _automaton(w, d).init_id
+        for pos in range(0, n - B, codec.chunk):
+            _, state = _rank_by_symbols(codec, head.window(pos, codec.chunk), state)
+        top = codec._table(B)[state][B] - 1
+        assert top >> codec._caps[-1]
+        arr[n - B :] = codec._unrank(top, B, state)[0].to_numpy()
+        return arr, "constrained string outside the message range"
+    return arr, f"window weight constraint violated at symbol {t % codec.chunk}"
+
+
+@pytest.mark.parametrize(
+    "name, where",
+    [
+        (name, where)
+        for name in _FAULT_CODECS
+        for where in ("last window", "chunk boundary", "head", "capacity")
+        # floor = window leaves one word per chunk, so no index overflows
+        if not (where == "capacity" and name == "5-5-chunk16")
+    ],
+)
+def test_decode_rejects_a_word_with_one_fault(name, where):
+    codec = _FAULT_CODECS[name]
+    arr, text = _faulty_word(codec, where)
+    x = BitSeq.from_numpy(arr)
+    with pytest.raises(ValueError) as ref:
+        _decode_by_symbols(codec, x)
+    assert str(ref.value) == text
+    with pytest.raises(ValueError) as got:
+        codec.decode(x)
+    assert str(got.value) == text
+
+
 # ------------------------------------------------------------ index fields
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from strandcode import trace_codes
 from strandcode.bitseq import BitSeq
+from strandcode.blocks import _period_offsets, indexed_reconstruct
 from strandcode.channel import (
     ChannelConfig,
     Fragment,
@@ -427,6 +428,32 @@ class TestMultiGamma0:
         )
         with pytest.raises(DecodeFailure):
             multi_gamma0_decode(broken, gp2, gbook2)
+
+
+    def test_lenient_decode_names_exactly_the_damaged_strands(self, gp4, gbook4):
+        # blocks 0 of strand 1 and 2 of strand 3 leave the constrained code;
+        # every other block, and every other strand, must decode as sent
+        rng = np.random.default_rng(29)
+        per = multi_gamma0_message_len(gp4) // gp4.k
+        msgs = tuple(BitSeq.random(per, rng) for _ in range(gp4.k))
+        ss = multi_gamma0_encode(msgs, gp4, gbook4)
+        v_at = _period_offsets(gp4)[2]
+        strands = [s.to_numpy().copy() for s in ss.strands]
+        for i, j in ((1, 0), (3, 2)):
+            strands[i][j * gp4.L_min + v_at] = 0
+        broken = StrandSet(gp4.n, tuple(BitSeq.from_numpy(a) for a in strands))
+        mt = fragment_strands(broken, gamma_cfg(gp4, 16))
+        messages, report, damaged = indexed_reconstruct(mt, gp4, gbook4, lenient=True)
+        assert damaged == {1, 3}
+        assert not report.reliable
+        assert [messages[i] for i in (0, 2)] == [msgs[i] for i in (0, 2)]
+        body = gp4.m_prime - gp4.d
+        for i, j in ((1, 0), (3, 2)):
+            assert messages[i].window(j * body, body) == BitSeq.zeros(body)
+            kept = [b for b in range(gp4.message_blocks) if b != j]
+            assert [messages[i].window(b * body, body) for b in kept] == [
+                msgs[i].window(b * body, body) for b in kept
+            ]
 
 
 class TestMultiGamma0Outer:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from strandcode import _bitops
 from strandcode.bitseq import BitSeq, is_sd, is_wwl
 from strandcode.constrained import ConstrainedCodec, auto_cyclic
-from strandcode.errors import DecodeFailure, InfeasibleParameters, SearchExhausted
+from strandcode.errors import DecodeFailure, InfeasibleParameters, SearchExhausted, StrandcodeError
 from strandcode.oracle import check_p123, check_sd_exhaustive, sd_min_pair_distance
 from strandcode.sd_encoder import (
     _inner_codec,
@@ -413,6 +413,25 @@ class TestFullPipeline:
         k = sd_message_len(n, d)
         m = BitSeq(value % (1 << k), k)
         assert decode_sd(encode_sd(m, n, d), n, d) == m
+
+    def test_damaged_words_raise_only_package_errors(self):
+        # 1-39 flips in each of 300 copies of one codeword; a flip that
+        # leaves the inner code used to escape as a bare ValueError
+        n, d = 2048, 1
+        m = BitSeq.random(sd_message_len(n, d), np.random.default_rng(0))
+        y = encode_sd(m, n, d).to_numpy()
+        rng = np.random.default_rng(1)
+        outcomes = {"decoded": 0, "rejected": 0}
+        for _ in range(300):
+            arr = y.copy()
+            arr[rng.choice(n, int(rng.integers(1, 40)), replace=False)] ^= 1
+            try:
+                decode_sd(BitSeq.from_numpy(arr), n, d)
+            except StrandcodeError:
+                outcomes["rejected"] += 1
+            else:
+                outcomes["decoded"] += 1
+        assert min(outcomes.values()) > 10
 
     def test_decode_is_seed_free(self):
         """Only the rewrite shrinkage exposes scaffold content, so outputs

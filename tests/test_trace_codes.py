@@ -493,6 +493,29 @@ def _solve_vandermonde(xs, rhs):
     return [mat[r][t] for r in range(t)]
 
 
+def test_lenient_decode_names_exactly_the_corrupted_groups(p1, book1, coded1):
+    # the payloads of groups 3 and 9 leave the constrained code; every other
+    # group must decode as sent
+    m, w = coded1
+    lay = _trace_layout(p1)
+    arr = w.to_numpy().copy()
+    for g in (3, 9):
+        for j in range(p1.cnt(g)):
+            arr[(p1.cum_blocks(g) + j) * p1.L_min + lay.v_offsets] = 0
+    cfg = reliable_cfg(p1, 5)
+    tr = corrupt(fragment(BitSeq.from_numpy(arr), cfg), cfg).strip_truth()
+    payloads, report, corrupted = trace_codes._reconstruct(tr, p1, book1, lenient=True)
+    assert corrupted == {3, 9}
+    assert not report.reliable
+    sizes = [trace_codes._group_payload_len(p1, g) for g in range(p1.group_count)]
+    starts = np.cumsum([0] + sizes)
+    for g, got in enumerate(payloads):
+        sent = BitSeq.zeros(sizes[g]) if g in (3, 9) else m.window(int(starts[g]), sizes[g])
+        assert got == sent, g
+    with pytest.raises(DecodeFailure, match="^group 3 payload is not a valid constrained string"):
+        trace_codes._reconstruct(tr, p1, book1, lenient=False)
+
+
 class TestOuterCode:
     def test_lane_codec_corrects_to_capacity(self):
         rng = np.random.default_rng(5)
