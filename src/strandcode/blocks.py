@@ -513,15 +513,15 @@ def indexed_reconstruct(
     payload_codec = codec(params.w_window, params.w_floor, params.m_prime, 512)
     body = params.m_prime - params.d
     v_at = _period_offsets(params)[2]
+    starts = np.arange(params.k)[:, None] * params.n + np.arange(params.message_blocks) * params.L_min
+    plains = iter(payload_codec.decode(merged[starts.reshape(-1, 1) + v_at]))
     messages: list[BitSeq] = []
     damaged: set[int] = set()
     for i in range(params.k):
         m_i = BitSeq.zeros(0)
-        for j in range(params.message_blocks):
-            w_ij = BitSeq.from_numpy(merged[i * params.n + j * params.L_min + v_at])
-            try:
-                plain = payload_codec.decode(w_ij)
-            except ValueError:
+        for _ in range(params.message_blocks):
+            plain = next(plains)
+            if isinstance(plain, ValueError):
                 # a corrupted or missing span leaves the constrained code;
                 # the block's location is still known, so report zeros and
                 # let the outer layer or the reliability audit deal with it

@@ -9,6 +9,17 @@ deterministic, worst-case-invertible encoders for any window size.  Wide
 windows fall back to an equivalent automaton over a stronger run-length
 constraint (no ``floor(w/d)`` consecutive zeros) to keep the state space
 small; the output then still satisfies the requested window constraint.
+
+Unranking walks the automaton one symbol at a time.  Ranking is a gather:
+the state before a symbol is the tuple of ages of the ``d`` most recent
+ones, so with ``d`` ones standing before each word for the initial state,
+the state before every 1 follows from the positions of the ``d`` ones
+before it.  A lookup table turns those ages into the state a 0 would have
+led to, and a chunk's index is the sum, over its 1s, of that state's count
+of continuations, read in one object-array gather from the count table.
+The state dies exactly where some window ends with fewer than ``d`` ones,
+which the gaps between every ``d``-th one show.  A batch of equal-length
+words is ranked in one pass.
 """
 
 from __future__ import annotations
@@ -147,6 +158,7 @@ class _WwlAutomaton:
                 if t is not None and t not in states:
                     states[t] = len(states)
                     todo.append(t)
+        self.states = states
         self.n_states = len(states)
         self.init_id = states[init]
         self.t0 = [-1] * self.n_states
@@ -155,6 +167,25 @@ class _WwlAutomaton:
             for b, table in ((0, self.t0), (1, self.t1)):
                 t = self._step(s, b)
                 table[sid] = -1 if t is None else states[t]
+
+    @cached_property
+    def zero_step(self) -> tuple[np.ndarray, np.ndarray]:
+        """Tables that send a state, given by its ages, where a 0 leads.
+
+        The ages ``a_0 < ... < a_(d-1)`` of a state are a ``d``-subset of
+        ``range(w)``, so ``sum(binom[i, a_i])`` with ``binom[i, a] = C(a,
+        i + 1)`` numbers it densely below ``C(w, d)`` (the combinatorial
+        number system).  ``after0[key]`` is the id of the state a 0 leads
+        to, or ``n_states`` where that step dies.  Every such subset is a
+        reachable state.
+        """
+        w, d = self.window, self.floor
+        binom = np.array([[comb(a, i + 1) for a in range(w)] for i in range(d)], dtype=np.int32)
+        after0 = np.full(comb(w, d), self.n_states, dtype=np.int32)
+        for s, sid in self.states.items():
+            if self.t0[sid] >= 0:
+                after0[sum(comb(a, i + 1) for i, a in enumerate(s))] = self.t0[sid]
+        return binom, after0
 
     def _step(self, s: tuple, b: int):
         w, d = self.window, self.floor
@@ -172,12 +203,12 @@ def _automaton(window: int, floor: int) -> _WwlAutomaton:
 
 
 @lru_cache(maxsize=128)
-def _count_table(window: int, floor: int, length: int) -> list[list[int]]:
-    """counts[s][r] = number of valid length-r continuations from state s.
+def _count_array(window: int, floor: int, length: int) -> np.ndarray:
+    """counts[r, s] = number of valid length-r continuations from state s,
+    as a read-only object array with a zero column ``n_states`` for death.
 
-    Each row is one object-array step, row[t0] + row[t1], with a zero slot
-    for dead transitions.  No row depends on ``length``, so a shorter
-    table is a prefix of a longer one.
+    Each row is one object-array step, row[t0] + row[t1].  No row depends
+    on ``length``, so a shorter table is a prefix of a longer one.
     """
     auto = _automaton(window, floor)
     dead = auto.n_states
@@ -188,11 +219,20 @@ def _count_table(window: int, floor: int, length: int) -> list[list[int]]:
     counts[0, :dead] = 1
     for r in range(length):
         counts[r + 1, :dead] = counts[r][t0] + counts[r][t1]
-    # counts[r][s]; re-index to [s][r] for locality
-    return counts[:, :dead].T.tolist()
+    counts.flags.writeable = False
+    return counts
+
+
+@lru_cache(maxsize=128)
+def _count_table(window: int, floor: int, length: int) -> list[list[int]]:
+    """counts[s][r] of :func:`_count_array`, as lists for the symbol walk
+    of unranking; the lists hold the array's own integers."""
+    return _count_array(window, floor, length)[:, :-1].T.tolist()
 
 
 _STATE_BUDGET = 4000
+# ones ranked per numpy pass: 8192 positions make 64 KB temporaries
+_SLICE = 8192
 
 
 def _pick_constraint(window: int, floor: int) -> tuple[int, int]:
@@ -242,9 +282,12 @@ class ConstrainedCodec:
             out.append(rem)
         return out
 
-    def _table(self, length: int) -> list[list[int]]:
+    def _span(self, length: int) -> int:
         # the codec's one table, at its longest chunk, covers shorter lengths
-        return _count_table(self._cw, self._cf, max(length, min(self.chunk, self.n_out)))
+        return max(length, min(self.chunk, self.n_out))
+
+    def _table(self, length: int) -> list[list[int]]:
+        return _count_table(self._cw, self._cf, self._span(length))
 
     @cached_property
     def _caps(self) -> tuple[int, ...]:
@@ -272,9 +315,12 @@ class ConstrainedCodec:
         return piece
 
     def rank_from_start(self, piece: BitSeq) -> int:
-        auto = _automaton(self._cw, self._cf)
-        index, _ = self._rank(piece, auto.init_id)
-        return index
+        """Invert :meth:`unrank_from_start`: ``piece`` is ranked as one chunk."""
+        length = len(piece)
+        index, dead = self._ranks(piece.to_numpy()[None], max(length, 1))
+        if dead[0] < length:
+            raise ValueError(f"window weight constraint violated at symbol {dead[0]}")
+        return sum(index[0])  # one chunk, or none for the empty piece
 
     def encode(self, msg: BitSeq) -> BitSeq:
         if len(msg) != self.msg_len:
@@ -291,21 +337,105 @@ class ConstrainedCodec:
             out = out + piece
         return out
 
-    def decode(self, x: BitSeq) -> BitSeq:
-        if len(x) != self.n_out:
-            raise ValueError(f"expected {self.n_out} symbols, got {len(x)}")
-        auto = _automaton(self._cw, self._cf)
+    def decode(self, x):
+        """Rank words back to their messages.
+
+        ``x`` is one word, a :class:`BitSeq`, or a batch of words, an
+        ``(m, n_out)`` 0/1 array.  A batch gives one entry per row: its
+        message, or the ``ValueError`` naming the first chunk where the row
+        leaves the code, by symbol within that chunk or by an index at or
+        above the chunk's capacity.  One word returns its message or
+        raises that error.
+        """
+        if isinstance(x, BitSeq):
+            if len(x) != self.n_out:
+                raise ValueError(f"expected {self.n_out} symbols, got {len(x)}")
+            (out,) = self.decode(x.to_numpy()[None])
+            if isinstance(out, ValueError):
+                raise out
+            return out
+        if x.ndim != 2 or x.shape[1] != self.n_out:
+            raise ValueError(f"expected rows of {self.n_out} symbols, got shape {x.shape}")
+        if not len(x):
+            return []
+        index, dead = self._ranks(x, self.chunk)
         caps = self._caps
-        state = auto.init_id
-        out = BitSeq.zeros(0)
-        pos = 0
-        for B, cap in zip(self.chunk_lengths, caps):
-            index, state = self._rank(x.window(pos, B), state)
-            if index >> cap:
-                raise ValueError("constrained string outside the message range")
-            pos += B
-            out = out + BitSeq.from_int(index, cap)
+        # a chunk's index is exact only before the chunk its row dies in
+        first_dead = np.where(dead < self.n_out, dead // self.chunk, len(caps))
+        over = (index >> np.array(caps, dtype=object)).astype(bool)
+        over &= np.arange(len(caps)) < first_dead[:, None]
+        offsets = np.cumsum((0,) + caps[:-1]).tolist()
+        out: list[BitSeq | ValueError] = []
+        for row, t, bad in zip(index.tolist(), dead.tolist(), over.any(axis=1).tolist()):
+            if bad:
+                out.append(ValueError("constrained string outside the message range"))
+            elif t < self.n_out:
+                out.append(
+                    ValueError(f"window weight constraint violated at symbol {t % self.chunk}")
+                )
+            else:
+                val = 0
+                for chunk_index, at in zip(row, offsets):
+                    val |= chunk_index << at
+                out.append(BitSeq(val, offsets[-1] + caps[-1]))
         return out
+
+    def _ranks(self, rows: np.ndarray, chunk: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rank every row of ``rows`` in chunks of ``chunk`` symbols.
+
+        Returns ``index``, an (m, chunks) object array of chunk indices, and
+        ``dead``, the first symbol of each row whose step leaves the
+        automaton (the row length where none does).  Each chunk is ranked
+        from the state the earlier ones leave, so ``index`` is exact up to
+        the chunk holding ``dead``.
+        """
+        w, d = self._cw, self._cf
+        m, n = rows.shape
+        n_chunks = -(-n // chunk)
+        counts = _count_array(w, d, self._span(min(chunk, n)))
+        binom, after0 = _automaton(w, d).zero_step
+        # The rows laid end to end, each behind d ones that stand for the
+        # initial state, and one more 1 behind the last: the d ones before
+        # any symbol lie in its own row, so the rows never mix.
+        width = d + n
+        ext = np.ones(m * width + 1, dtype=np.uint8)
+        ext[:-1].reshape(m, width)[:, d:] = rows
+        at = np.flatnonzero(ext)
+        index = np.zeros(m * n_chunks, dtype=object)
+        dead = np.full(m, n)
+        # slices of ones keep every temporary small
+        for lo in range(d, len(at), _SLICE):
+            cur = at[lo : lo + _SLICE]
+            prev = [at[lo - i : lo - i + len(cur)] for i in range(1, d + 1)]
+            row, t = np.divmod(cur, width)
+            t -= d
+            # between the d-th most recent one and the next, the state dies
+            # w symbols after the former, if that comes first
+            dies = np.maximum(prev[0], prev[-1] + w)
+            hit = dies < cur
+            if hit.any():
+                died_row, died_at = np.divmod(dies[hit], width)
+                died_at -= d
+                # a death among the leading ones follows one earlier in its row
+                np.minimum.at(dead, died_row[died_at >= 0], died_at[died_at >= 0])
+            # the state before each real 1, keyed by the ages of the d ones
+            # before it; a dead state's ages are capped into range, and its
+            # term falls in a chunk the caller does not trust
+            key = 0
+            for i in range(d):
+                age = cur - 1 - prev[i]
+                key = key + binom[i][np.minimum(age, w - d + i, out=age)]
+            c = t // chunk
+            rest = np.minimum((c + 1) * chunk, n) - 1 - t
+            real = t >= 0
+            terms = counts.ravel().take((rest * counts.shape[1] + after0[key])[real])
+            group = (row * n_chunks + c)[real]
+            if len(group):
+                edge = np.ones(len(group), dtype=bool)
+                np.not_equal(group[1:], group[:-1], out=edge[1:])
+                starts = np.flatnonzero(edge)
+                index[group[starts]] += np.add.reduceat(terms, starts)
+        return index.reshape(m, n_chunks), dead
 
     def _unrank(self, index: int, length: int, state: int) -> tuple[BitSeq, int]:
         auto = _automaton(self._cw, self._cf)
@@ -324,25 +454,6 @@ class ConstrainedCodec:
         if index:
             raise ValueError("message index exceeds the constrained count")
         return BitSeq(val, length), state
-
-    def _rank(self, piece: BitSeq, state: int) -> tuple[int, int]:
-        auto = _automaton(self._cw, self._cf)
-        length = len(piece)
-        table = self._table(length)
-        index = 0
-        bits = piece.value
-        for t in range(length):
-            rest = length - t - 1
-            s0 = auto.t0[state]
-            if (bits >> t) & 1:
-                if s0 >= 0:
-                    index += table[s0][rest]
-                state = auto.t1[state]
-            else:
-                state = s0
-            if state < 0:
-                raise ValueError(f"window weight constraint violated at symbol {t}")
-        return index, state
 
 
 def wwl_capacity(n_out: int, K: int, d: int, chunk: int = 512) -> int:

@@ -530,16 +530,26 @@ def expand_to_length(
 
 def contract_from_length(what: BitSeq, params: SdParams) -> BitSeq:
     """Strip the padding: the rightmost all-zero run of length K2+K_max
-    starts exactly where the stage-two output ends."""
+    starts exactly where the stage-two output ends.
+
+    The run is sought in suffixes that double from four run lengths: the
+    rightmost run starting inside a suffix is the rightmost in the word, so
+    the search reads little more than the padding.
+    """
     p = params
     if len(what) != p.n:
         raise ValueError(f"expected length {p.n}, got {len(what)}")
     run = p.K2 + p.K_max
-    zero_starts = _bitops.window_weights(what.to_numpy(), run) == 0
-    hits = np.nonzero(zero_starts)[0]
-    if hits.size == 0:
-        raise DecodeFailure("delimiter run not found")
-    return what.window(0, int(hits.max()))
+    size = 4 * run
+    while True:
+        start = max(0, p.n - size)
+        tail = what.window(start, p.n - start).to_numpy()
+        hits = np.flatnonzero(_bitops.window_weights(tail, run) == 0)
+        if hits.size:
+            return what.window(0, start + int(hits[-1]))
+        if not start:
+            raise DecodeFailure("delimiter run not found")
+        size *= 2
 
 
 # ----------------------------------------------------------------------
@@ -562,4 +572,7 @@ def decode_sd(what: BitSeq, n: int, d: int) -> BitSeq:
     p = derive_sd_params(n, d)
     wbar = contract_from_length(what, p)
     w = restore_close_pairs(wbar, p)
-    return _inner_codec(n, d).decode(w)
+    (plain,) = _inner_codec(n, d).decode(w.to_numpy()[None])
+    if isinstance(plain, ValueError):
+        raise DecodeFailure(f"inner code rejects the word: {plain}") from plain
+    return plain

@@ -375,8 +375,7 @@ def _encode_group(
     )
 
 
-def _decode_group(vbits: BitSeq, group: int, params: TraceParams) -> BitSeq:
-    plain = _group_codec(params, group).decode(vbits)
+def _unmask_group(plain: BitSeq, group: int, params: TraceParams) -> BitSeq:
     t = plain.window_int(0, SALT_BITS)
     body = plain.window(SALT_BITS, len(plain) - SALT_BITS)
     return body.xor(_mask_bits(params, group, t, len(body)))
@@ -765,24 +764,29 @@ def _extract_group_payloads(
     merged: np.ndarray, params: TraceParams, lenient: bool
 ) -> tuple[list[BitSeq], set[int]]:
     lay = _trace_layout(params)
+    groups = np.arange(params.group_count)
+    cnt = np.array([params.cnt(g) for g in groups])
+    plains: dict[int, BitSeq | ValueError] = {}
+    # groups of one size share a codec and are ranked in one batch
+    for c in np.unique(cnt).tolist():
+        same = groups[cnt == c]
+        blocks = np.array([params.cum_blocks(g) for g in same])[:, None] + np.arange(c)
+        at = (blocks * params.L_min)[:, :, None] + lay.v_offsets
+        rows = merged[at.reshape(len(same), -1)]
+        plains.update(zip(same.tolist(), _group_codec(params, int(same[0])).decode(rows)))
     payloads: list[BitSeq] = []
     corrupted: set[int] = set()
-    for g in range(params.group_count):
-        base_block = params.cum_blocks(g)
-        rows = []
-        for j in range(params.cnt(g)):
-            base = (base_block + j) * params.L_min
-            rows.append(merged[base + lay.v_offsets])
-        vbits = BitSeq.from_numpy(np.concatenate(rows))
-        try:
-            payloads.append(_decode_group(vbits, g, params))
-        except ValueError as exc:
+    for g in groups.tolist():
+        plain = plains[g]
+        if isinstance(plain, ValueError):
             if not lenient:
                 raise DecodeFailure(
-                    f"group {g} payload is not a valid constrained string: {exc}"
-                ) from exc
+                    f"group {g} payload is not a valid constrained string: {plain}"
+                ) from plain
             corrupted.add(g)
             payloads.append(BitSeq.zeros(_group_payload_len(params, g)))
+        else:
+            payloads.append(_unmask_group(plain, g, params))
     return payloads, corrupted
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from strandcode import constrained
 from strandcode.bitseq import BitSeq, hamming, is_wwl
 from strandcode.constrained import (
     ConstrainedCodec,
@@ -319,6 +320,105 @@ def test_decode_rejects_a_word_with_one_fault(name, where):
     with pytest.raises(ValueError) as got:
         codec.decode(x)
     assert str(got.value) == text
+
+
+# The codecs above, a (4, 1) run-length codec whose one chunk is the whole
+# word, the SD inner codec's (15, 3) at a short chunk, and a (10, 2) codec.
+_RANK_CODECS = list(_FAULT_CODECS.values()) + [
+    ConstrainedCodec(4, 1, 37),
+    ConstrainedCodec(15, 3, 300, chunk=64),
+    ConstrainedCodec(10, 2, 200, chunk=90),
+]
+
+
+def _outcome(codec, x):
+    try:
+        return _decode_by_symbols(codec, x)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _damaged_words(codec, rows, seed):
+    """Codewords of random messages with 0-3 random flips each: a mix of
+    codewords, words that leave the code and words past a chunk's capacity."""
+    rng = np.random.default_rng(seed)
+    arr = np.stack([_valid_word(codec, seed * 1000 + i) for i in range(rows)])
+    for row in arr:
+        row[rng.choice(codec.n_out, int(rng.integers(0, 4)), replace=False)] ^= 1
+    return arr
+
+
+@pytest.mark.parametrize("codec", _RANK_CODECS, ids=lambda c: f"{c.window}-{c.floor}-{c.n_out}-{c.chunk}")
+def test_batch_decode_matches_the_symbol_reference(codec):
+    valid = np.stack([_valid_word(codec, seed) for seed in range(20)])
+    mixed = _damaged_words(codec, 60, 1)
+    noise = (np.random.default_rng(2).random((60, codec.n_out)) < 0.8).astype(np.uint8)
+    seen = set()
+    for arr in (valid, mixed, noise, mixed[:1], noise[7:8]):
+        got = codec.decode(arr)
+        assert len(got) == len(arr)
+        for row, out in zip(arr, got):
+            want = _outcome(codec, BitSeq.from_numpy(row))
+            assert (str(out) if isinstance(out, ValueError) else out) == want
+            seen.add(type(want))
+    assert seen == {BitSeq, str}
+
+
+@pytest.mark.parametrize("codec", _RANK_CODECS[:3], ids=lambda c: f"{c.window}-{c.floor}")
+def test_slices_of_a_few_ones_rank_alike(codec, monkeypatch):
+    # slices that end inside rows, chunks and the d ones before a row
+    arr = np.concatenate([_damaged_words(codec, 12, 4), np.ones((2, codec.n_out), np.uint8)])
+    want = [str(out) if isinstance(out, ValueError) else out for out in codec.decode(arr)]
+    for size in (1, 2, 7):
+        monkeypatch.setattr(constrained, "_SLICE", size)
+        got = [str(out) if isinstance(out, ValueError) else out for out in codec.decode(arr)]
+        assert got == want, size
+
+
+def test_mixed_batches_reach_every_outcome():
+    codec = ConstrainedCodec(15, 3, 300, chunk=64)
+    outcomes = [_outcome(codec, BitSeq.from_numpy(row)) for row in _damaged_words(codec, 60, 1)]
+    kinds = {o if isinstance(o, str) else "decoded" for o in outcomes}
+    assert "decoded" in kinds
+    assert "constrained string outside the message range" in kinds
+    assert any(k.startswith("window weight constraint violated") for k in kinds)
+
+
+@pytest.mark.parametrize("codec", _RANK_CODECS, ids=lambda c: f"{c.window}-{c.floor}-{c.n_out}-{c.chunk}")
+def test_rank_from_start_matches_the_symbol_reference(codec):
+    init = _automaton(codec._cw, codec._cf).init_id
+    rng = np.random.default_rng(3)
+    for length in (0, 1, codec._cw, 25):
+        for _ in range(30):
+            piece = BitSeq.from_numpy((rng.random(length) < 0.85).astype(np.uint8))
+            try:
+                want = _rank_by_symbols(codec, piece, init)[0]
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{exc}$"):
+                    codec.rank_from_start(piece)
+            else:
+                assert codec.rank_from_start(piece) == want
+    for i in {0, codec.count(25) // 2, codec.count(25) - 1}:
+        assert codec.rank_from_start(codec.unrank_from_start(i, 25)) == i
+
+
+@pytest.mark.parametrize("window, floor", [(15, 3), (8, 3), (10, 1), (5, 5), (10, 2), (4, 1)])
+def test_every_age_set_is_a_state(window, floor):
+    # the rank keys a state by its ages; no key may miss a state
+    auto = _automaton(window, floor)
+    assert auto.n_states == math.comb(window, floor)
+    binom, after0 = auto.zero_step
+    assert len(after0) == auto.n_states
+    for s, sid in auto.states.items():
+        key = sum(int(binom[i, a]) for i, a in enumerate(s))
+        assert after0[key] == (auto.t0[sid] if auto.t0[sid] >= 0 else auto.n_states)
+
+
+def test_decode_rejects_rows_of_the_wrong_length():
+    codec = ConstrainedCodec(15, 3, 100)
+    with pytest.raises(ValueError, match="expected rows of 100 symbols"):
+        codec.decode(np.ones((2, 99), dtype=np.uint8))
+    assert codec.decode(np.ones((0, 100), dtype=np.uint8)) == []
 
 
 # ------------------------------------------------------------ index fields

@@ -371,6 +371,25 @@ class TestScaffold:
         with pytest.raises(DecodeFailure):
             contract_from_length(BitSeq.ones(128), p)
 
+    @pytest.mark.parametrize("n, d", [(128, 1), (2048, 1), (65537, 3)])
+    def test_contract_matches_the_whole_word_search(self, n, d):
+        p = derive_sd_params(n, d)
+        run = p.K2 + p.K_max
+        first = n - 4 * run  # where the first suffix searched starts
+        rng = np.random.default_rng(n)
+        plants = [(), (n - run,), (first,), (first - 1,), (first - run + 1,), (n // 2,),
+                  (0,), (0, n // 3), (n // 3, n - 2 * run)]
+        for runs in plants:
+            for long in (0, run):
+                # ones at 70 %: no zero run of this length arises by chance
+                arr = (rng.random(n) < 0.7).astype(np.uint8)
+                for at in runs:
+                    arr[max(0, at - long) : at + run] = 0
+                word = BitSeq.from_numpy(arr)
+                want = _outcome(_contract_by_whole_word, word, p)
+                assert _outcome(contract_from_length, word, p) == want, (runs, long)
+                assert (want == "delimiter run not found") == (not runs)
+
 
 class TestFullPipeline:
     @pytest.mark.parametrize("n,d", [(128, 1), (256, 1)])
@@ -441,6 +460,23 @@ class TestFullPipeline:
         m = BitSeq.random(sd_message_len(n, d), np.random.default_rng(0))
         for seed in (0, 1, 7):
             assert decode_sd(encode_sd(m, n, d, seed=seed), n, d) == m
+
+
+def _contract_by_whole_word(what, p):
+    """``contract_from_length`` over every window of the word, as a reference."""
+    run = p.K2 + p.K_max
+    weights = np.convolve(what.to_numpy().astype(np.int64), np.ones(run, dtype=np.int64), "valid")
+    hits = np.flatnonzero(weights == 0)
+    if not hits.size:
+        raise DecodeFailure("delimiter run not found")
+    return what.window(0, int(hits[-1]))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DecodeFailure as exc:
+        return str(exc)
 
 
 def _planted_close_pair(n=4000, L=64, seed=3):
