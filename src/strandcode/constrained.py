@@ -168,25 +168,6 @@ class _WwlAutomaton:
                 t = self._step(s, b)
                 table[sid] = -1 if t is None else states[t]
 
-    @cached_property
-    def zero_step(self) -> tuple[np.ndarray, np.ndarray]:
-        """Tables that send a state, given by its ages, where a 0 leads.
-
-        The ages ``a_0 < ... < a_(d-1)`` of a state are a ``d``-subset of
-        ``range(w)``, so ``sum(binom[i, a_i])`` with ``binom[i, a] = C(a,
-        i + 1)`` numbers it densely below ``C(w, d)`` (the combinatorial
-        number system).  ``after0[key]`` is the id of the state a 0 leads
-        to, or ``n_states`` where that step dies.  Every such subset is a
-        reachable state.
-        """
-        w, d = self.window, self.floor
-        binom = np.array([[comb(a, i + 1) for a in range(w)] for i in range(d)], dtype=np.int32)
-        after0 = np.full(comb(w, d), self.n_states, dtype=np.int32)
-        for s, sid in self.states.items():
-            if self.t0[sid] >= 0:
-                after0[sum(comb(a, i + 1) for i, a in enumerate(s))] = self.t0[sid]
-        return binom, after0
-
     def _step(self, s: tuple, b: int):
         w, d = self.window, self.floor
         aged = [min(a + 1, w) for a in s]
@@ -200,6 +181,29 @@ class _WwlAutomaton:
 @lru_cache(maxsize=64)
 def _automaton(window: int, floor: int) -> _WwlAutomaton:
     return _WwlAutomaton(window, floor)
+
+
+@lru_cache(maxsize=64)
+def _zero_step(window: int, floor: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tables that send a state, given by its ages, where a 0 leads.
+
+    The ages ``a_0 < ... < a_(d-1)`` of a state are a ``d``-subset of
+    ``range(w)``, so ``sum(binom[i, a_i])`` with ``binom[i, a] = C(a,
+    i + 1)`` numbers it densely below ``C(w, d)`` (the combinatorial number
+    system).  ``after0[key]`` is the id of the state a 0 leads to, or
+    ``n_states`` where that step dies.  Every such subset is a reachable
+    state.  (A cache here rather than on the automaton keeps the
+    automaton's attribute layout fixed, which its per-symbol walk reads.)
+    """
+    auto = _automaton(window, floor)
+    binom = np.array(
+        [[comb(a, i + 1) for a in range(window)] for i in range(floor)], dtype=np.int32
+    )
+    after0 = np.full(comb(window, floor), auto.n_states, dtype=np.int32)
+    for s, sid in auto.states.items():
+        if auto.t0[sid] >= 0:
+            after0[sum(comb(a, i + 1) for i, a in enumerate(s))] = auto.t0[sid]
+    return binom, after0
 
 
 @lru_cache(maxsize=128)
@@ -262,6 +266,11 @@ class ConstrainedCodec:
     the exact number of message bits; the redundancy ``n_out - msg_len`` is
     a deterministic function of the parameters.  Every chunk reads a prefix
     of one count table, built at the longest chunk.
+
+    Encoding unranks symbol by symbol.  Decoding ranks a whole batch of
+    words at once: the state before each 1 is read off the positions of the
+    ``d`` ones before it, and a chunk's index is the sum of its 1s' counts,
+    gathered from the same count table in one object-array step.
     """
 
     window: int
@@ -337,7 +346,7 @@ class ConstrainedCodec:
             out = out + piece
         return out
 
-    def decode(self, x):
+    def decode(self, x: BitSeq | np.ndarray) -> BitSeq | list[BitSeq | ValueError]:
         """Rank words back to their messages.
 
         ``x`` is one word, a :class:`BitSeq`, or a batch of words, an
@@ -393,7 +402,7 @@ class ConstrainedCodec:
         m, n = rows.shape
         n_chunks = -(-n // chunk)
         counts = _count_array(w, d, self._span(min(chunk, n)))
-        binom, after0 = _automaton(w, d).zero_step
+        binom, after0 = _zero_step(w, d)
         # The rows laid end to end, each behind d ones that stand for the
         # initial state, and one more 1 behind the last: the d ones before
         # any symbol lie in its own row, so the rows never mix.

@@ -12,6 +12,7 @@ from strandcode.constrained import (
     _automaton,
     _count_table,
     _pick_constraint,
+    _zero_step,
     apply_dist,
     auto_cyclic,
     enc_dist,
@@ -407,7 +408,7 @@ def test_every_age_set_is_a_state(window, floor):
     # the rank keys a state by its ages; no key may miss a state
     auto = _automaton(window, floor)
     assert auto.n_states == math.comb(window, floor)
-    binom, after0 = auto.zero_step
+    binom, after0 = _zero_step(window, floor)
     assert len(after0) == auto.n_states
     for s, sid in auto.states.items():
         key = sum(int(binom[i, a]) for i, a in enumerate(s))
