@@ -513,7 +513,8 @@ def indexed_reconstruct(
     payload_codec = codec(params.w_window, params.w_floor, params.m_prime, 512)
     body = params.m_prime - params.d
     v_at = _period_offsets(params)[2]
-    starts = np.arange(params.k)[:, None] * params.n + np.arange(params.message_blocks) * params.L_min
+    starts = np.arange(params.k)[:, None] * params.n
+    starts = starts + np.arange(params.message_blocks) * params.L_min
     plains = iter(payload_codec.decode(merged[starts.reshape(-1, 1) + v_at]))
     messages: list[BitSeq] = []
     damaged: set[int] = set()

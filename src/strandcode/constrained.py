@@ -373,7 +373,7 @@ class ConstrainedCodec:
         first_dead = np.where(dead < self.n_out, dead // self.chunk, len(caps))
         over = (index >> np.array(caps, dtype=object)).astype(bool)
         over &= np.arange(len(caps)) < first_dead[:, None]
-        offsets = np.cumsum((0,) + caps[:-1]).tolist()
+        offsets, msg_len = np.cumsum((0,) + caps[:-1]).tolist(), sum(caps)
         out: list[BitSeq | ValueError] = []
         for row, t, bad in zip(index.tolist(), dead.tolist(), over.any(axis=1).tolist()):
             if bad:
@@ -386,7 +386,7 @@ class ConstrainedCodec:
                 val = 0
                 for chunk_index, at in zip(row, offsets):
                     val |= chunk_index << at
-                out.append(BitSeq(val, offsets[-1] + caps[-1]))
+                out.append(BitSeq(val, msg_len))
         return out
 
     def _ranks(self, rows: np.ndarray, chunk: int) -> tuple[np.ndarray, np.ndarray]:

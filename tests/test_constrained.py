@@ -10,6 +10,7 @@ from strandcode.bitseq import BitSeq, hamming, is_wwl
 from strandcode.constrained import (
     ConstrainedCodec,
     _automaton,
+    _count_array,
     _count_table,
     _pick_constraint,
     _zero_step,
@@ -206,8 +207,11 @@ def test_codec_builds_one_table_at_its_longest_chunk():
     assert codec.chunk_lengths == [512, 512, 453]
     msg = BitSeq.random(codec.msg_len, np.random.default_rng(0))
     _count_table.cache_clear()
+    _count_array.cache_clear()
     assert codec.decode(codec.encode(msg)) == msg
     assert _count_table.cache_info().currsize == 1
+    # the rank gathers from the array the lists were cut from
+    assert _count_array.cache_info().currsize == 1
     assert codec.count(453) == _count_table(15, 3, 512)[_automaton(15, 3).init_id][453]
 
 
@@ -349,7 +353,11 @@ def _damaged_words(codec, rows, seed):
     return arr
 
 
-@pytest.mark.parametrize("codec", _RANK_CODECS, ids=lambda c: f"{c.window}-{c.floor}-{c.n_out}-{c.chunk}")
+def _codec_id(c):
+    return f"{c.window}-{c.floor}-{c.n_out}-{c.chunk}"
+
+
+@pytest.mark.parametrize("codec", _RANK_CODECS, ids=_codec_id)
 def test_batch_decode_matches_the_symbol_reference(codec):
     valid = np.stack([_valid_word(codec, seed) for seed in range(20)])
     mixed = _damaged_words(codec, 60, 1)
@@ -385,7 +393,7 @@ def test_mixed_batches_reach_every_outcome():
     assert any(k.startswith("window weight constraint violated") for k in kinds)
 
 
-@pytest.mark.parametrize("codec", _RANK_CODECS, ids=lambda c: f"{c.window}-{c.floor}-{c.n_out}-{c.chunk}")
+@pytest.mark.parametrize("codec", _RANK_CODECS, ids=_codec_id)
 def test_rank_from_start_matches_the_symbol_reference(codec):
     init = _automaton(codec._cw, codec._cf).init_id
     rng = np.random.default_rng(3)
@@ -420,6 +428,7 @@ def test_decode_rejects_rows_of_the_wrong_length():
     with pytest.raises(ValueError, match="expected rows of 100 symbols"):
         codec.decode(np.ones((2, 99), dtype=np.uint8))
     assert codec.decode(np.ones((0, 100), dtype=np.uint8)) == []
+    assert wwl_decode(BitSeq.zeros(0), 15, 3) == BitSeq.zeros(0)
 
 
 # ------------------------------------------------------------ index fields
