@@ -207,8 +207,9 @@ def close_pairs(bits: np.ndarray, L: int, rho: int) -> list[tuple[int, int, int]
 
 
 def window_weights(bits: np.ndarray, L: int) -> np.ndarray:
-    """Weight of every length-L window (length n-L+1 vector)."""
-    c = np.concatenate([[0], np.cumsum(bits, dtype=np.int64)])
+    """Weight of every length-L window (length n-L+1 vector), as int32."""
+    c = np.zeros(bits.size + 1, dtype=np.int32)
+    np.cumsum(bits, dtype=np.int32, out=c[1:])
     return c[L:] - c[:-L]
 
 

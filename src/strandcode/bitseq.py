@@ -32,6 +32,7 @@ __all__ = [
     "is_sd",
     "multispectrum",
     "majority_merge",
+    "unpack_rows",
 ]
 
 
@@ -239,6 +240,14 @@ class BitSeq:
         return f"BitSeq(len={self._len}, '{self.window(0, 32).to_text()}...')"
 
 
+def unpack_rows(seqs: Sequence[BitSeq], width: int) -> np.ndarray:
+    """A (len(seqs), width) 0/1 uint8 array holding ``seqs[r]`` in row r and
+    zeros after it, unpacked in one call from the bytes of every value."""
+    nbytes = (width + 7) // 8
+    raw = np.frombuffer(b"".join(s.value.to_bytes(nbytes, "little") for s in seqs), np.uint8)
+    return np.unpackbits(raw.reshape(len(seqs), nbytes), axis=1, bitorder="little")[:, :width]
+
+
 def hamming(x: BitSeq, y: BitSeq) -> int:
     """Hamming distance between two equal-length sequences."""
     if len(x) != len(y):
@@ -292,10 +301,10 @@ def is_sd(x: BitSeq, L: int, d: int) -> bool:
     m = 460 for L=34, 290 for L=62, 200 for L=175 and 150 for L=300,
     which m^2 * L = 6e6 fits within 10 %.
 
-    Both routes cut windows with :func:`_bitops.packed_windows`, as does
-    the oracle's blocked scan above 3000 bits; the differential tests
-    therefore compare with the oracle's character loop, which shares no
-    code with either route.
+    Both routes cut windows with :func:`_bitops.packed_windows`; the
+    oracle's blocked scan above 3000 bits cuts its own with ``np.packbits``.
+    The differential tests compare with the oracle's character loop, which
+    shares no code with either route.
     """
     if L <= 0:
         raise ValueError("window length must be positive")

@@ -2,11 +2,16 @@
 
 A codeword is a chain of ``L_min``-bit blocks, each carrying the marker,
 an index codeword from an :class:`IndexBook` and payload bits at fixed
-in-block positions (the :class:`Layout`).  Shared by the trace code and
-the indexed families: the layout builder, the split of an aligned window's
-index bits at its block boundary, the marker uniqueness scan every encoder
-runs, the majority merge of placed reads, the :class:`ReconReport` every
-decoder returns, and the codec cache and parameter checks.
+in-block positions (the :class:`Layout`).  An encoder holds a codeword as
+one (blocks, ``L_min``) array whose columns the layout names and writes
+each part in one scatter: the marker, one book row (:attr:`IndexBook.rows`)
+and one payload slice per block; a decoder reads them back with one gather.
+
+Shared by the trace code and the indexed families: the layout builder,
+the split of an aligned window's index bits at its block boundary, the
+marker uniqueness scan every encoder runs, the majority merge of placed
+reads, the :class:`ReconReport` every decoder returns, and the codec cache
+and parameter checks.
 
 The indexed core below serves both γ=0 families.  Every length-``L_min``
 period of a strand carries the marker, the absolute index of its block and
@@ -30,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _bitops
-from .bitseq import BitSeq, majority_merge
+from .bitseq import BitSeq, majority_merge, unpack_rows
 from .channel import Trace
 from .constrained import ConstrainedCodec, auto_cyclic
 from .errors import DecodeFailure, InfeasibleParameters, LayoutError, SearchExhausted
@@ -233,13 +238,9 @@ class Reads:
 
 
 def load_reads(bits: Sequence[BitSeq]) -> Reads:
-    """Unpack every read in one call, from the bytes of its int value."""
+    """Unpack every read in one call, as :func:`unpack_rows` does."""
     lens = np.array([len(b) for b in bits], dtype=np.int64)
-    longest = int(lens.max(initial=0))
-    nbytes = (longest + 7) // 8
-    raw = np.frombuffer(b"".join(b.value.to_bytes(nbytes, "little") for b in bits), np.uint8)
-    rows = np.unpackbits(raw.reshape(len(bits), nbytes), axis=1, bitorder="little")
-    return Reads(rows[:, :longest], lens, [b.value for b in bits])
+    return Reads(unpack_rows(bits, int(lens.max(initial=0))), lens, [b.value for b in bits])
 
 
 def retry_later_windows(reads: Reads, failed: np.ndarray, L_min: int, attempt):
@@ -430,21 +431,20 @@ def indexed_encode(
     payload_codec = codec(params.w_window, params.w_floor, params.m_prime, 512)
     pad = BitSeq.zeros(payload_codec.msg_len - body)
     mark_at, c_at, v_at = _period_offsets(params)
-    marker = book.marker.to_numpy()
-    tail = _tail(params).to_numpy()
     L_min, blocks = params.L_min, params.strand_blocks
+    padded = [m_i + BitSeq.zeros((blocks - params.message_blocks) * body) for m_i in messages]
+    rows = np.zeros((params.k * blocks, L_min), dtype=np.uint8)
+    rows[:, mark_at] = book.marker_bits
+    rows[:, c_at] = book.rows[: params.k * blocks]
+    rows[:, v_at] = [
+        payload_codec.encode(m_i.window(j * body, body) + pad).to_numpy()
+        for m_i in padded for j in range(blocks)
+    ]
+    tail = _tail(params).to_numpy()
     strands = []
-    for i, m_i in enumerate(messages):
-        arr = np.zeros(max(params.n, blocks * L_min), dtype=np.uint8)
-        for j in range(blocks):
-            m_ij = m_i.window(j * body, body) if j < params.message_blocks else BitSeq.zeros(body)
-            base = j * L_min
-            arr[base + v_at] = payload_codec.encode(m_ij + pad).to_numpy()
-            arr[base + mark_at] = marker
-            arr[base + c_at] = book.codewords[i * blocks + j].to_numpy()
-        arr[blocks * L_min : params.n] = tail
-        w = arr[: params.n]
-        if marker_offenders(w, L_min, params.d, marker, blocks, phase0=params.marker_phase):
+    for i, row in enumerate(rows.reshape(params.k, blocks * L_min)):
+        w = np.concatenate([row, tail])[: params.n]
+        if marker_offenders(w, L_min, params.d, book.marker_bits, blocks, phase0=params.marker_phase):
             raise SearchExhausted(f"payload bits of strand {i} collided with the marker pattern")
         strands.append(BitSeq.from_numpy(w))
     return tuple(strands)

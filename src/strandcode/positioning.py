@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _bitops
-from .bitseq import BitSeq, is_wwl
+from .bitseq import BitSeq, is_wwl, unpack_rows
 from .constrained import auto_cyclic
 from .errors import SearchExhausted
 from .oracle import check_p123
@@ -72,16 +72,20 @@ class IndexBook:
         return tuple(base + 1 if h < extra else base for h in range(F))
 
     @cached_property
+    def rows(self) -> np.ndarray:
+        """Codeword i as row i of a read-only (2^I, I + r_I) 0/1 uint8 array."""
+        rows = unpack_rows(self.codewords, self.codeword_len)
+        rows.flags.writeable = False
+        return rows
+
+    @cached_property
     def concat(self) -> BitSeq:
-        out = BitSeq.zeros(0)
-        for c in self.codewords:
-            out = out + c
-        return out
+        return BitSeq.from_numpy(self.rows.ravel())
 
     @cached_property
     def _windows(self) -> np.ndarray:
         """Every window of the concatenation, packed; row t starts at t."""
-        return _bitops.packed_windows(self.concat.to_numpy(), self.codeword_len)
+        return _bitops.packed_windows(self.rows.ravel(), self.codeword_len)
 
     @cached_property
     def _index(self) -> _bitops.PartIndex:
@@ -89,7 +93,7 @@ class IndexBook:
         return _bitops.PartIndex(self._windows, self.codeword_len, self.e)
 
     @cached_property
-    def _marker_np(self) -> np.ndarray:
+    def marker_bits(self) -> np.ndarray:
         return self.marker.to_numpy()
 
 
@@ -194,22 +198,24 @@ _CERTIFY_FULL_LIMIT = 6
 def certify_book(book: IndexBook) -> None:
     """Check the book invariants exactly, at every I.
 
-    Every codeword must pass its window weight check and the concatenation
-    must be (I + r_I, d)-substring distant, checked by the exact pigeonhole
-    close-pair search; the oracle's independent scans stay free to check
-    this code.  The piece-family conditions (P1-P3) are checked only for
-    I <= 6.
+    The marker must be 0^K_marker then ``auto_cyclic(d)``, each codeword
+    must pass its window weight check, and the concatenation must be
+    (I + r_I, d)-substring distant by the exact pigeonhole close-pair
+    search; the oracle's independent scans stay free to check this code.
+    The piece-family conditions (P1-P3) are checked only for I <= 6.
 
     Raises SearchExhausted naming the violated invariant; returns None
     when all hold.  Books straight out of :func:`build_index_book` always
     pass; this guards books that traveled through files.
     """
+    if book.marker != BitSeq.zeros(book.K_marker) + auto_cyclic(book.d):
+        raise SearchExhausted("book marker is not 0^K_marker then the auto-cyclic sequence")
     width = book.codeword_len
     wwl_window = 3 * math.ceil(1.5 * math.log2(width)) + len(book.marker) - book.K_marker
     for c in book.codewords:
         if not is_wwl(c, wwl_window, book.d):
             raise SearchExhausted("book codeword fails its window weight invariant")
-    if _bitops.close_pairs(book.concat.to_numpy(), width, book.d - 1):
+    if _bitops.close_pairs(book.rows.ravel(), width, book.d - 1):
         raise SearchExhausted("book concatenation fails the SD check")
     if book.I <= _CERTIFY_FULL_LIMIT and not check_p123(book.codewords, wwl_window, book.d):
         raise SearchExhausted("book family fails the piece-family conditions")
@@ -233,7 +239,7 @@ def find_marker(windows: np.ndarray, book: IndexBook, e: int) -> np.ndarray:
     offset of every row.  Cost: one vector pass over the (rows, period)
     distance table per marker bit, O(rows * period * len(marker)).
     """
-    p = book._marker_np
+    p = book.marker_bits
     m = len(p)
     rows, period = windows.shape
     if period < m:

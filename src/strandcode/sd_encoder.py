@@ -225,25 +225,17 @@ def _inner_codec(n: int, d: int) -> ConstrainedCodec:
 # stage two: close-pair elimination
 
 
-def _rightmost_marker(x: BitSeq, d: int, zero_len: int) -> int | None:
-    """Start of the rightmost run 1^d 0^zero_len, or None."""
-    total = d + zero_len
-    if len(x) < total:
-        return None
+def _rightmost_marker(x: BitSeq, d: int, zero_len: int) -> tuple[int | None, bool]:
+    """Start of the rightmost run 1^d 0^zero_len, or None, and whether x
+    holds a run 0^zero_len at all.  One prefix-sum pass finds every zero
+    run; a marker is one whose d bits before it are all ones."""
     bits = x.to_numpy()
-    zero_starts = _bitops.window_weights(bits, zero_len) == 0
-    one_starts = _bitops.window_weights(bits, d) == d
-    m = len(x) - total + 1
-    hits = np.nonzero(one_starts[:m] & zero_starts[d : d + m])[0]
-    if hits.size == 0:
-        return None
-    return int(hits.max())
-
-
-def _has_zero_run(x: BitSeq, zero_len: int) -> bool:
-    if len(x) < zero_len:
-        return False
-    return bool(np.any(_bitops.window_weights(x.to_numpy(), zero_len) == 0))
+    if len(bits) < zero_len:
+        return None, False
+    zeros = np.flatnonzero(_bitops.window_weights(bits, zero_len) == 0)
+    after = zeros[zeros >= d]
+    marked = after[bits[after[:, None] - np.arange(1, d + 1)].all(axis=1)]
+    return (int(marked[-1]) - d if marked.size else None), bool(zeros.size)
 
 
 def eliminate_close_pairs(
@@ -316,7 +308,7 @@ def eliminate_close_pairs(
                     "j": j,
                     "branch": branch,
                     "len_after": len(wbar),
-                    "marker_at": _rightmost_marker(wbar, d, p.zero_len),
+                    "marker_at": _rightmost_marker(wbar, d, p.zero_len)[0],
                 }
             )
         j_p = j
@@ -363,9 +355,9 @@ def restore_close_pairs(wbar: BitSeq, params: SdParams) -> BitSeq:
     d = p.d
     cur = wbar
     while True:
-        j = _rightmost_marker(cur, d, p.zero_len)
+        j, zero_run = _rightmost_marker(cur, d, p.zero_len)
         if j is None:
-            if _has_zero_run(cur, p.zero_len):
+            if zero_run:
                 raise DecodeFailure("stray zero run without a marker")
             break
         i, diff, v = _parse_record(cur, j, p)

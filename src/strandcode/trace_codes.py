@@ -385,23 +385,15 @@ def _unmask_group(plain: BitSeq, group: int, params: TraceParams) -> BitSeq:
 # Encoding
 
 
-def _assemble(params: TraceParams, book: IndexBook, vs: dict[int, np.ndarray]) -> np.ndarray:
+def _assemble(params: TraceParams, book: IndexBook, vs: list[np.ndarray]) -> np.ndarray:
     lay = _trace_layout(params)
     blocks = _block_table(params)
-    L_min = params.L_min
-    out = np.zeros(blocks.total * L_min, dtype=np.uint8)
-    marker = book.marker.to_numpy()
-    for B in range(blocks.total):
-        g = int(blocks.group[B])
-        j = B - params.cum_blocks(g)
-        base = B * L_min
-        out[base : base + params.marker_len] = marker
-        if j != 0:
-            out[base + params.marker_len : base + params.marker_len + params.d1] = 1
-        piece = vs[g][j * params.v_per_block : (j + 1) * params.v_per_block]
-        out[base + lay.v_offsets] = piece
-        out[base + lay.c_offsets] = book.codewords[g].to_numpy()
-    return out[: params.n]
+    out = np.zeros((blocks.total, params.L_min), dtype=np.uint8)
+    out[:, : params.marker_len] = book.marker_bits
+    out[~blocks.is_start, params.marker_len : params.marker_len + params.d1] = 1
+    out[:, lay.c_offsets] = book.rows[blocks.group]
+    out[:, lay.v_offsets] = np.concatenate(vs).reshape(blocks.total, -1)
+    return out.reshape(-1)[: params.n]
 
 
 def encode_trace(m: BitSeq, params: TraceParams, book: IndexBook | None = None) -> BitSeq:
@@ -412,6 +404,9 @@ def encode_trace(m: BitSeq, params: TraceParams, book: IndexBook | None = None) 
     extra block is appended, and the result is cut back to n bits; every
     message bit stays inside the surviving whole blocks, so the decoder
     never needs the cut tail.
+
+    The word is one row per block, and the marker, the flags, the group
+    codewords and the payloads are each written in one scatter.
 
     Each group's payload is scrambled with the first salt whose encoding is
     substring distant.  The assembled word is then scanned for near-markers
@@ -443,27 +438,22 @@ def encode_trace(m: BitSeq, params: TraceParams, book: IndexBook | None = None) 
 
     blocks = _block_table(params)
     salts = [0] * G
-    vs: dict[int, np.ndarray] = {}
 
-    def build(g: int, start: int) -> None:
+    def build(g: int, start: int) -> np.ndarray:
         ext = g == G - 1 and not params.divisible
-        v, t = _encode_group(pieces[g], g, params, start, ext)
-        vs[g] = v.to_numpy()
-        salts[g] = t
+        v, salts[g] = _encode_group(pieces[g], g, params, start, ext)
+        return v.to_numpy()
 
-    for g in range(G):
-        build(g, 0)
+    vs = [build(g, 0) for g in range(G)]
     while True:
         w = _assemble(params, book, vs)
-        offenders = marker_offenders(
-            w, params.L_min, params.d1, book.marker.to_numpy(), blocks.total
-        )
+        offenders = marker_offenders(w, params.L_min, params.d1, book.marker_bits, blocks.total)
         groups = {int(blocks.group[b]) for b in offenders}
         if not groups:
             assert w.size == params.n
             return BitSeq.from_numpy(w)
         for g in sorted(groups):
-            build(g, salts[g] + 1)
+            vs[g] = build(g, salts[g] + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -319,6 +319,41 @@ def test_verify_book_cli_rejects_close_pair(planted7, tmp_path):
     assert code == 1 and row["ok"] is False
 
 
+@pytest.mark.parametrize("source", ["built", "json"])
+def test_rows_and_concat_match_the_codewords(book, source):
+    b = book if source == "built" else book_from_json(book_to_json(book))
+    assert b.rows.shape == (16, 20) and b.rows.dtype == np.uint8
+    assert not b.rows.flags.writeable
+    assert np.array_equal(b.rows, np.array([c.to_numpy() for c in b.codewords]))
+    assert b.concat == BitSeq.from_text("".join(c.to_text() for c in b.codewords))
+    assert np.array_equal(b.marker_bits, b.marker.to_numpy())
+
+
+def _with_marker(b, text):
+    """``b`` as JSON with its marker replaced by ``text``."""
+    obj = json.loads(book_to_json(b))
+    obj["marker"] = text
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("which", ["last-bit-flipped", "all-zero"])
+def test_certify_and_verify_reject_a_wrong_marker(book, which, tmp_path):
+    # a book read from JSON carries its marker unchecked; only 0^K_marker
+    # then auto_cyclic(d) has the shape the marker scans are built for
+    text = book.marker.to_text()
+    text = text[:-1] + "10"[int(text[-1])] if which == "last-bit-flipped" else "0" * 8
+    tampered = _with_marker(book, text)
+    with pytest.raises(SearchExhausted):
+        certify_book(book_from_json(tampered))
+    path = tmp_path / "tampered.json"
+    path.write_text(tampered)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["verify", "book", "--in", str(path)])
+    row = json.loads(buf.getvalue().splitlines()[-1])
+    assert code == 1 and row["ok"] is False
+
+
 def _locate_by_scan(y, book):
     """Reference: compare ``y`` with every window of the concatenation."""
     width = book.codeword_len

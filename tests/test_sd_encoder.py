@@ -16,6 +16,7 @@ from strandcode.errors import DecodeFailure, InfeasibleParameters, SearchExhaust
 from strandcode.oracle import check_p123, check_sd_exhaustive, sd_min_pair_distance
 from strandcode.sd_encoder import (
     _inner_codec,
+    _rightmost_marker,
     build_scaffold,
     contract_from_length,
     decode_sd,
@@ -223,6 +224,27 @@ class TestRewriteLoop:
         fake = BitSeq.ones(40) + BitSeq.ones(1) + BitSeq.zeros(p.zero_len) + BitSeq.ones(2)
         with pytest.raises(DecodeFailure):
             restore_close_pairs(fake, p)
+
+    def test_decode_rejects_a_stray_zero_run(self):
+        # an all-zero word holds zero runs but no 1^d before any of them
+        with pytest.raises(DecodeFailure, match="stray zero run without a marker"):
+            decode_sd(BitSeq.zeros(128), 128, 1)
+
+    @pytest.mark.parametrize("d, zero_len", [(1, 5), (3, 4), (2, 1)])
+    def test_marker_scan_matches_a_text_search(self, d, zero_len):
+        rng = np.random.default_rng(d * 10 + zero_len)
+        marker = "1" * d + "0" * zero_len
+        seen = set()
+        for _ in range(300):
+            # sparse and dense words, so runs of both kinds turn up
+            n = int(rng.integers(0, 40))
+            x = BitSeq.from_numpy((rng.random(n) < rng.choice([0.2, 0.5, 0.8])).astype(np.uint8))
+            text = x.to_text()
+            j = text.rfind(marker)
+            want = (None if j < 0 else j), "0" * zero_len in text
+            assert _rightmost_marker(x, d, zero_len) == want
+            seen.add((want[0] is None, want[1]))
+        assert seen == {(True, False), (True, True), (False, True)}
 
 
 def _close_pairs_naive(bits, L, rho):

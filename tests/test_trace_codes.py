@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strandcode import trace_codes
+from strandcode import blocks, trace_codes
 from strandcode.bitseq import BitSeq, is_sd, is_wwl
 from strandcode.channel import ChannelConfig, Fragment, Trace, corrupt, fragment, is_reliable
 from strandcode.errors import DecodeFailure, InfeasibleParameters, LayoutError, SearchExhausted
@@ -1242,3 +1242,97 @@ class TestIndexedReference:
                     assert got == DecodeFailure and None in want
                     continue
                 assert [off for off, _ in got[1].located] == want
+
+
+def _assemble_by_blocks(params, book, vs):
+    """Reference: the trace word written block by block, one codeword
+    converted per block."""
+    lay = _trace_layout(params)
+    blocks = _block_table(params)
+    L_min = params.L_min
+    out = np.zeros(blocks.total * L_min, dtype=np.uint8)
+    marker = book.marker.to_numpy()
+    for B in range(blocks.total):
+        g = int(blocks.group[B])
+        j = B - params.cum_blocks(g)
+        base = B * L_min
+        out[base : base + params.marker_len] = marker
+        if j != 0:
+            out[base + params.marker_len : base + params.marker_len + params.d1] = 1
+        piece = vs[g][j * params.v_per_block : (j + 1) * params.v_per_block]
+        out[base + lay.v_offsets] = piece
+        out[base + lay.c_offsets] = book.codewords[g].to_numpy()
+    return out[: params.n]
+
+
+def _indexed_encode_by_blocks(messages, params, book):
+    """Reference: the strands of the indexed core written block by block,
+    one codeword and one payload converted per block."""
+    body = params.m_prime - params.d
+    payload_codec = blocks.codec(params.w_window, params.w_floor, params.m_prime, 512)
+    pad = BitSeq.zeros(payload_codec.msg_len - body)
+    mark_at, c_at, v_at = blocks._period_offsets(params)
+    marker = book.marker.to_numpy()
+    tail = blocks._tail(params).to_numpy()
+    L_min, nb = params.L_min, params.strand_blocks
+    strands = []
+    for i, m_i in enumerate(messages):
+        arr = np.zeros(max(params.n, nb * L_min), dtype=np.uint8)
+        for j in range(nb):
+            m_ij = m_i.window(j * body, body) if j < params.message_blocks else BitSeq.zeros(body)
+            base = j * L_min
+            arr[base + v_at] = payload_codec.encode(m_ij + pad).to_numpy()
+            arr[base + mark_at] = marker
+            arr[base + c_at] = book.codewords[i * nb + j].to_numpy()
+        arr[nb * L_min : params.n] = tail
+        w = arr[: params.n]
+        if blocks.marker_offenders(w, L_min, params.d, marker, nb, phase0=params.marker_phase):
+            raise SearchExhausted(f"payload bits of strand {i} collided with the marker pattern")
+        strands.append(BitSeq.from_numpy(w))
+    return tuple(strands)
+
+
+class TestBlockScatter:
+    """The one-scatter encoders against the per-block loops they replaced."""
+
+    @pytest.mark.parametrize("n", [4320, 4365])  # L_min = 90 divides 4320, not 4365
+    def test_trace_assemble_matches_the_block_loop(self, n, monkeypatch):
+        p = derive_trace_params(n, 1, L_min=90, L_over=85, I=4, r_I=16, K=8)
+        book = trace_book(p)
+        rng = np.random.default_rng(n)
+        # the last group's payload spans the cut block too
+        sizes = [p.N(g) for g in range(p.group_count)]
+        sizes[-1] += (_block_table(p).total - p.n_L) * p.v_per_block
+        for _ in range(5):
+            # any bits will do: the scatter does not look at what it writes
+            vs = [rng.integers(0, 2, size).astype(np.uint8) for size in sizes]
+            assert np.array_equal(trace_codes._assemble(p, book, vs), _assemble_by_blocks(p, book, vs))
+        messages = [BitSeq.random(trace_message_len(p), rng) for _ in range(3)]
+        words = [encode_trace(m, p, book) for m in messages]
+        monkeypatch.setattr(trace_codes, "_assemble", _assemble_by_blocks)
+        assert [encode_trace(m, p, book) for m in messages] == words
+
+    @pytest.mark.parametrize(
+        "family, n, k, geometry",
+        [
+            ("gamma0", 9856, 1, dict(L_min=154, K=64, r_I=12)),
+            ("gamma0", 9800, 1, dict(L_min=154, K=64, r_I=12)),  # last block cut
+            ("multi", 1030, 2, dict(L_min=100, K=32, r_I=12)),  # 30-bit tail
+            ("multi", 1100, 8, dict(L_min=110, K=32, r_I=18)),
+        ],
+    )
+    def test_indexed_encode_matches_the_block_loop(self, family, n, k, geometry):
+        if family == "gamma0":
+            p = derive_gamma0_params(n, 1, **geometry)
+            book, per = gamma0_book(p), gamma0_message_len(p)
+        else:
+            p = derive_multi_gamma0_params(n, k, 1, **geometry)
+            book, per = multi_gamma0_book(p), multi_gamma0_message_len(p) // k
+        tail = {9856: 0, 9800: -56, 1030: 30, 1100: 0}[n]
+        assert p.k == k and n - p.strand_blocks * p.L_min == tail
+        rng = np.random.default_rng(n + k)
+        for _ in range(3):
+            messages = tuple(BitSeq.random(per, rng) for _ in range(k))
+            assert blocks.indexed_encode(messages, p, book) == _indexed_encode_by_blocks(
+                messages, p, book
+            )
