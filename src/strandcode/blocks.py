@@ -9,9 +9,10 @@ and one payload slice per block; a decoder reads them back with one gather.
 
 Shared by the trace code and the indexed families: the layout builder,
 the split of an aligned window's index bits at its block boundary, the
-marker uniqueness scan every encoder runs, the majority merge of placed
-reads, the :class:`ReconReport` every decoder returns, and the codec cache
-and parameter checks.
+marker uniqueness scan every encoder runs, the read location batch, the
+majority merge of placed reads, the :class:`DecodeRecord` and
+:class:`ReconReport` every decoder returns, and the codec cache and
+parameter checks.
 
 The indexed core below serves both γ=0 families.  Every length-``L_min``
 period of a strand carries the marker, the absolute index of its block and
@@ -28,7 +29,7 @@ blocks ends in a weight-constrained tail; a shorter one cuts its last block.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -43,6 +44,8 @@ from .positioning import IndexBook, build_index_book, default_r_I, find_marker, 
 
 # in-block position kinds: marker, group flag, payload, index codeword
 MARK, FLAG, V, C = 0, 1, 2, 3
+# the one way an indexed read's window fails, as a DecodeRecord failure code
+_LOCATE_FAILURES = (None, (DecodeFailure, "read {} cannot be located"))
 
 
 @lru_cache(maxsize=None)
@@ -243,31 +246,105 @@ def load_reads(bits: Sequence[BitSeq]) -> Reads:
     return Reads(unpack_rows(bits, int(lens.max(initial=0))), lens, [b.value for b in bits])
 
 
-def retry_later_windows(reads: Reads, failed: np.ndarray, L_min: int, attempt):
-    """Try the windows s = 1, 2, ... of every failed read in one batch.
+def anchor_reads(reads: Reads, L_min: int, attempt) -> tuple[np.ndarray, np.ndarray, list]:
+    """Try every read's leading window in one batch, then the windows s =
+    1, 2, ... of every read that failed there in a second.
 
-    ``attempt(which, s)`` returns an ok mask over the windows and arrays of
-    per-window results.  Returns the reads that succeed at some window and
-    the results at the least such s of each.  Every later window is tried,
-    so the cost is one batch of sum(len - L_min) windows.
+    ``attempt(which, s)`` returns a failure code per window, 0 where it
+    succeeded, then arrays of per-window results.  Returns the leading
+    windows' codes, the reads that succeed at a later window (ascending)
+    and the results of every read: at its leading window, or at the least
+    later s that succeeds.  Every later window is tried, so the second
+    batch holds sum(len - L_min) windows.
     """
+    every = np.arange(len(reads.lens))
+    lead, *results = attempt(every, np.zeros_like(every))
+    failed = np.flatnonzero(lead)
+    if not failed.size:
+        return lead, failed, results
     later = reads.lens[failed] - L_min
     which = np.repeat(failed, later)
     s = np.arange(len(which)) - np.repeat(np.cumsum(later) - later - 1, later)
-    ok, *results = attempt(which, s)
-    hit = np.flatnonzero(ok)
+    code, *retried = attempt(which, s)
+    hit = np.flatnonzero(code == 0)
     # windows run read by read in ascending s, so a read's first hit is its least s
-    found, first = np.unique(which[hit], return_index=True)
-    return found, [r[hit[first]] for r in results]
+    saved, first = np.unique(which[hit], return_index=True)
+    for result, at_later in zip(results, retried):
+        result[saved] = at_later[hit[first]]
+    return lead, saved, results
 
 
 # ---------------------------------------------------------------------------
-# Majority merge and report
+# Decode record, majority merge and report
+
+@dataclass(frozen=True, eq=False)
+class DecodeRecord:
+    """What one decode pass dropped or rejected; strict decoding is
+    :meth:`verdict` over it.  ``lead`` is each read's leading-window
+    failure code (0 where it worked), which ``failures`` words, and
+    ``retried`` the reads a later window located; ``dropped`` lists
+    (read, why) as placement dropped them and ``pending`` the reads it
+    left; ``rejected`` maps a group or strand to the first error of its
+    payload, which ``payload_error`` words where it is fatal; ``stray``
+    lists the strands whose message-free bits are not the encoder's."""
+
+    failures: tuple
+    lead: np.ndarray
+    retried: np.ndarray
+    dropped: tuple[tuple[int, str], ...] = ()
+    pending: tuple[int, ...] = ()
+    uncovered: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    rejected: dict[int, ValueError] = field(default_factory=dict)
+    stray: tuple[int, ...] = ()
+    payload_error: str | None = None
+
+    @property
+    def intact(self) -> bool:
+        """Every read placed, position covered and payload decoded, and
+        every message-free bit the encoder's."""
+        lost = np.count_nonzero(self.lead) - self.retried.size
+        return not (
+            lost or self.dropped or self.pending or self.uncovered.size
+            or self.rejected or self.stray
+        )
+
+    def verdict(self) -> None:
+        """Raise what strict decoding raises, for the earliest stage: the
+        first read whose leading window failed, the first read dropped,
+        reads left pending, uncovered positions, a fatal rejected payload."""
+        failed = np.flatnonzero(self.lead)
+        if failed.size:
+            kind, text = self.failures[self.lead[failed[0]]]
+            raise kind(text.format(failed[0]))
+        if self.dropped:
+            raise DecodeFailure(self.dropped[0][1])
+        if self.pending:
+            raise DecodeFailure(
+                "some reads could not be anchored by overlap matching; "
+                "the trace does not cover the string contiguously"
+            )
+        if self.uncovered.size:
+            raise DecodeFailure(
+                f"{self.uncovered.size} positions are uncovered; the trace is incomplete"
+            )
+        if self.rejected and self.payload_error is not None:
+            first = min(self.rejected)
+            error = self.rejected[first]
+            raise DecodeFailure(self.payload_error.format(first, error)) from error
 
 
 @dataclass(frozen=True)
 class ReconReport:
-    """Outcome of one reconstruction: placements, merged string, message."""
+    """Outcome of one reconstruction: placements, merged string, message.
+
+    ``reliable`` certifies that every read was placed within e of the
+    merged string, every position covered by a vote without a tie and
+    every payload decoded.  For the γ=0 families it also certifies that
+    the merged string is a codeword, so the message is exact: its marker,
+    index and tail bits and any block past the message blocks are the
+    encoder's, and every payload decodes with a zero pad.  The trace
+    family does not check its merged string yet.
+    """
 
     message: BitSeq
     located: tuple[tuple[int | None, int | None], ...]
@@ -300,28 +377,20 @@ def placed_bits(reads: Reads, placed: dict[int, int]) -> tuple[np.ndarray, np.nd
 
 
 def merge_placed(
-    pos: np.ndarray, bits: np.ndarray, n: int, lenient: bool
-) -> tuple[np.ndarray, tuple[int, ...], bool]:
+    pos: np.ndarray, bits: np.ndarray, n: int
+) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
     """Positionwise majority over ``n`` positions of the placed bits
     ``bits`` at ``pos``, as :func:`placed_bits` gives them.
 
     Returns the merged bits, the tie positions (resolved toward zero) and
-    whether any position is uncovered; uncovered positions are an error
-    unless ``lenient``, which fills them with zeros.  The votes are one
-    ``bincount`` of 2 * position + bit over every placed bit.
+    the uncovered positions, which are filled with zeros.  The votes are
+    one ``bincount`` of 2 * position + bit over every placed bit.
     """
     votes = np.bincount(2 * pos + bits, minlength=2 * n).reshape(n, 2)
-    covered = votes.sum(axis=1) > 0
-    gaps = bool(np.any(~covered))
-    if gaps:
-        if not lenient:
-            missing = int((~covered).sum())
-            raise DecodeFailure(
-                f"{missing} positions are uncovered; the trace is incomplete"
-            )
-        votes[~covered, 0] = 1
+    uncovered = np.flatnonzero(votes.sum(axis=1) == 0)
+    votes[uncovered, 0] = 1
     merged, ties = majority_merge(votes)
-    return merged.to_numpy(), tuple(np.flatnonzero(ties.to_numpy()).tolist()), gaps
+    return merged.to_numpy(), tuple(np.flatnonzero(ties.to_numpy()).tolist()), uncovered
 
 
 def make_report(
@@ -331,8 +400,8 @@ def make_report(
     """Report each read's (offset, disagreement with the merged string), or
     (None, None) when unplaced; ``pos`` and ``bits`` are the placed bits as
     :func:`placed_bits` gives them.  Reliable is a consistency audit: the
-    decode was ``intact`` (every read placed, no gap, every payload
-    decoded), no majority tie, and every disagreement within e."""
+    decode was ``intact`` (:attr:`DecodeRecord.intact`), no majority tie,
+    and every disagreement within e."""
     located: list[tuple[int | None, int | None]] = [(None, None)] * len(reads.lens)
     max_err = 0
     if placed:
@@ -414,6 +483,21 @@ def _tail(params) -> BitSeq:
     return tail_codec.encode(BitSeq.zeros(tail_codec.msg_len))
 
 
+def _frame(params, book: IndexBook, payloads: np.ndarray) -> np.ndarray:
+    """The strands as one (k, n) array: the marker, the index codeword and
+    the row of ``payloads`` of every block, each written in one scatter,
+    then the tail, cut to n."""
+    mark_at, c_at, v_at = _period_offsets(params)
+    blocks = params.k * params.strand_blocks
+    rows = np.zeros((blocks, params.L_min), dtype=np.uint8)
+    rows[:, mark_at] = book.marker_bits
+    rows[:, c_at] = book.rows[:blocks]
+    rows[:, v_at] = payloads
+    tail = _tail(params).to_numpy()
+    tails = np.broadcast_to(tail, (params.k, tail.size))
+    return np.concatenate([rows.reshape(params.k, -1), tails], axis=1)[:, : params.n]
+
+
 def indexed_encode(
     messages: Sequence[BitSeq], params, book: IndexBook | None
 ) -> tuple[BitSeq, ...]:
@@ -430,21 +514,15 @@ def indexed_encode(
             raise ValueError(f"strand {i} message must have {want} bits, got {len(m_i)}")
     payload_codec = codec(params.w_window, params.w_floor, params.m_prime, 512)
     pad = BitSeq.zeros(payload_codec.msg_len - body)
-    mark_at, c_at, v_at = _period_offsets(params)
-    L_min, blocks = params.L_min, params.strand_blocks
+    blocks = params.strand_blocks
     padded = [m_i + BitSeq.zeros((blocks - params.message_blocks) * body) for m_i in messages]
-    rows = np.zeros((params.k * blocks, L_min), dtype=np.uint8)
-    rows[:, mark_at] = book.marker_bits
-    rows[:, c_at] = book.rows[: params.k * blocks]
-    rows[:, v_at] = [
+    payloads = [
         payload_codec.encode(m_i.window(j * body, body) + pad).to_numpy()
         for m_i in padded for j in range(blocks)
     ]
-    tail = _tail(params).to_numpy()
     strands = []
-    for i, row in enumerate(rows.reshape(params.k, blocks * L_min)):
-        w = np.concatenate([row, tail])[: params.n]
-        if marker_offenders(w, L_min, params.d, book.marker_bits, blocks, phase0=params.marker_phase):
+    for i, w in enumerate(_frame(params, book, payloads)):
+        if marker_offenders(w, params.L_min, params.d, book.marker_bits, blocks, phase0=params.marker_phase):
             raise SearchExhausted(f"payload bits of strand {i} collided with the marker pattern")
         strands.append(BitSeq.from_numpy(w))
     return tuple(strands)
@@ -476,39 +554,44 @@ def indexed_locate(
     return out
 
 
+def _stray_strands(merged: np.ndarray, params, book: IndexBook, payload_codec) -> set[int]:
+    """The strands whose merged bits differ from the encoder's wherever
+    these do not depend on the message: the marker and index bits, the
+    tail, and a block past the message blocks, which carries zeros."""
+    zero = payload_codec.encode(BitSeq.zeros(payload_codec.msg_len)).to_numpy()
+    blocks, L_min = params.k * params.strand_blocks, params.L_min
+    want = _frame(params, book, np.broadcast_to(zero, (blocks, zero.size)))
+    fixed = np.ones(max(params.n, params.strand_blocks * L_min), dtype=bool)
+    fixed[np.arange(params.message_blocks)[:, None] * L_min + _period_offsets(params)[2]] = False
+    differ = (merged.reshape(params.k, params.n) != want) & fixed[: params.n]
+    return set(np.flatnonzero(differ.any(axis=1)).tolist())
+
+
 def indexed_reconstruct(
-    tr: Trace, params, book: IndexBook | None, lenient: bool
-) -> tuple[tuple[BitSeq, ...], ReconReport, set[int]]:
+    tr: Trace, params, book: IndexBook | None
+) -> tuple[tuple[BitSeq, ...], ReconReport, DecodeRecord]:
     """Place every read independently, merge by majority, decode the blocks.
 
-    Strict decoding raises on a read it cannot place and on an uncovered
-    position; lenient decoding tries every window of a read, drops reads it
-    cannot place and zero fills uncovered positions.  Every read's leading
-    window is located in one batch, and the later windows of the reads
-    that failed in a second.  Returns the per-strand messages, the report
-    (offsets flattened as ``strand * n + offset``) and the strands holding
-    an undecodable payload block.
+    Reads are located by :func:`anchor_reads`; one that no window locates
+    is dropped, and uncovered positions are zero filled.  A payload block
+    that does not decode reads as zeros and rejects its strand.  Returns
+    the per-strand messages, the report (offsets flattened as ``strand *
+    n + offset``) and the :class:`DecodeRecord`.
     """
     book = book if book is not None else indexed_book(params)
     check_trace(tr, params, params.k)
     check_book(params, book, params.d)
     reads = load_reads([f.bits for f in tr.fragments])
-    every = np.arange(len(reads.lens))
-    at = indexed_locate(reads, every, np.zeros_like(every), params, book)
-    failed = np.flatnonzero(at < 0)
-    if failed.size and not lenient:
-        raise DecodeFailure(f"read {failed[0]} cannot be located")
-    if failed.size:
-        def attempt(which, s):
-            off = indexed_locate(reads, which, s, params, book)
-            return off >= 0, off
 
-        found, (off,) = retry_later_windows(reads, failed, params.L_min, attempt)
-        at[found] = off
+    def attempt(which: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        off = indexed_locate(reads, which, s, params, book)
+        return (off < 0).astype(np.int64), off
+
+    lead, retried, (at,) = anchor_reads(reads, params.L_min, attempt)
     placed = {idx: off for idx, off in enumerate(at.tolist()) if off >= 0}
 
     pos, bits = placed_bits(reads, placed)
-    merged, tie_pos, gaps = merge_placed(pos, bits, params.k * params.n, lenient)
+    merged, tie_pos, uncovered = merge_placed(pos, bits, params.k * params.n)
 
     payload_codec = codec(params.w_window, params.w_floor, params.m_prime, 512)
     body = params.m_prime - params.d
@@ -517,7 +600,8 @@ def indexed_reconstruct(
     starts = starts + np.arange(params.message_blocks) * params.L_min
     plains = iter(payload_codec.decode(merged[starts.reshape(-1, 1) + v_at]))
     messages: list[BitSeq] = []
-    damaged: set[int] = set()
+    rejected: dict[int, ValueError] = {}
+    stray = _stray_strands(merged, params, book, payload_codec)
     for i in range(params.k):
         m_i = BitSeq.zeros(0)
         for _ in range(params.message_blocks):
@@ -526,13 +610,20 @@ def indexed_reconstruct(
                 # a corrupted or missing span leaves the constrained code;
                 # the block's location is still known, so report zeros and
                 # let the outer layer or the reliability audit deal with it
-                damaged.add(i)
+                rejected.setdefault(i, plain)
                 plain = BitSeq.zeros(payload_codec.msg_len)
+            elif plain.value >> body:
+                stray.add(i)  # the encoder pads every block with zeros
             m_i = m_i + plain.window(0, body)
         messages.append(m_i)
 
+    record = DecodeRecord(
+        _LOCATE_FAILURES, lead, retried, uncovered=uncovered, rejected=rejected,
+        stray=tuple(sorted(stray)),
+    )
     report = make_report(
         sum(messages, BitSeq.zeros(0)), reads, placed, pos, bits, merged,
-        tie_pos, len(placed) == len(every) and not gaps and not damaged, params.e,
+        tie_pos, record.intact, params.e,
     )
-    return tuple(messages), report, damaged
+    return tuple(messages), report, record
+

@@ -404,9 +404,13 @@ def multi_gamma0_decode(
 
     Every read is placed independently from its own marker and index, so
     the union may arrive in any order.  Reported offsets are flattened as
-    ``strand * n + offset``.
+    ``strand * n + offset``.  Strict decoding raises ``DecodeFailure`` on
+    the first read whose leading window names no block it fits, then on
+    uncovered positions; an undecodable payload block reads as zeros and
+    only makes the report unreliable.
     """
-    messages, report, _ = indexed_reconstruct(mt, params, book, lenient=False)
+    messages, report, record = indexed_reconstruct(mt, params, book)
+    record.verdict()
     return messages, report
 
 
@@ -439,18 +443,19 @@ def encode_multi_gamma0_rs(
 def reconstruct_multi_gamma0_rs(
     mt: Trace, params: MultiGamma0Params, tau: int, book: IndexBook | None = None
 ) -> ReconReport:
-    """Decode the union leniently and correct up to tau bad strands.
+    """Decode the union and correct up to tau bad strands.
 
-    Reads that cannot be located are dropped and missing spans zero
+    Reads that no window locates are dropped and missing spans zero
     filled, so a corrupted or lost strand surfaces as one bad outer symbol
-    per lane rather than aborting the decode.  More than tau bad strands
-    is reported as a failure, by lane decode failure or by the corrected
-    positions outnumbering tau.  Any outer correction makes the result
-    unreliable.
+    per lane rather than aborting the decode; a strand with an undecodable
+    payload block is known bad, one whose marker, index or tail bits are
+    off is not.  More than tau bad strands raise ``DecodeFailure``, by
+    lane decode failure or by the known and corrected strands outnumbering
+    tau.  Any outer correction makes the result unreliable.
     """
     multi_gamma0_rs_message_len(params, tau)  # checks the outer geometry first
-    raw, report, damaged = indexed_reconstruct(mt, params, book, lenient=True)
-    message, corrected = lane_decode(raw, tau, damaged)
+    raw, report, record = indexed_reconstruct(mt, params, book)
+    message, corrected = lane_decode(raw, tau, set(record.rejected))
     return dataclasses.replace(
         report, message=message, reliable=report.reliable and not corrected
     )

@@ -41,9 +41,11 @@ from .blocks import (
     C,
     V,
     BlockGeometry,
+    DecodeRecord,
     Layout,
     ReconReport,
     Reads,
+    anchor_reads,
     build_layout,
     check_book,
     check_trace,
@@ -59,7 +61,6 @@ from .blocks import (
     merge_placed,
     placed_bits,
     require_feasible,
-    retry_later_windows,
 )
 from .channel import Trace
 from .constrained import ConstrainedCodec, auto_cyclic
@@ -462,12 +463,12 @@ def encode_trace(m: BitSeq, params: TraceParams, book: IndexBook | None = None) 
 # why a window fails to anchor, by failure code; 0 means it anchored
 _FAILURES = (
     None,
-    (LayoutError, "no unique marker position within the error budget"),
-    (DecodeFailure, "no index alignment within the error budget"),
-    (DecodeFailure, "ambiguous index alignment"),
-    (DecodeFailure, "group index runs past the last group"),
-    (DecodeFailure, "group chain runs past the last group"),
-    (DecodeFailure, "group chain runs below the first group"),
+    (LayoutError, "read {}: no unique marker position within the error budget"),
+    (DecodeFailure, "read {}: no index alignment within the error budget"),
+    (DecodeFailure, "read {}: ambiguous index alignment"),
+    (DecodeFailure, "read {}: group index runs past the last group"),
+    (DecodeFailure, "read {}: group chain runs past the last group"),
+    (DecodeFailure, "read {}: group chain runs below the first group"),
 )
 
 
@@ -480,15 +481,16 @@ def _flags(reads: Reads, which: np.ndarray, b: np.ndarray, params: TraceParams) 
     return np.where(start + params.d1 <= reads.lens[which, None], 2 * ones > params.d1, -1)
 
 
-def _anchors(
+def _analyze(
     reads: Reads, which: np.ndarray, s: np.ndarray, params: TraceParams, book: IndexBook
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Anchor the window at ``s[i]`` of each read ``which[i]``.
 
-    Returns the boundary position the marker names, the group found there,
-    whether that group is the one of the block at the boundary (otherwise
-    it is the one of the block before it) and a failure code into
-    ``_FAILURES``.  The index bits are a suffix S of the codeword before the
+    Returns a failure code into ``_FAILURES``, set also when the group
+    chain (:func:`_chains`) leaves the groups, the boundary position the
+    marker names, the group found there and whether that group is the one
+    of the block at the boundary (otherwise it is the one of the block
+    before it).  The index bits are a suffix S of the codeword before the
     boundary and a prefix P of the one after; when the flag says the
     boundary opens a group, S then P is a straddle of two codewords and
     names the group before, otherwise P then S is one codeword.
@@ -512,7 +514,10 @@ def _anchors(
     )
     # with no index bit past the boundary and no flag, the group found is
     # only that of the block before it
-    return pos, group, (mu > 0) | (flag >= 0), code
+    know_at = (mu > 0) | (flag >= 0)
+    ok = np.flatnonzero(code == 0)
+    code[ok] = _chains(reads, which[ok], pos[ok], group[ok], know_at[ok], params)[-1]
+    return code, pos, group, know_at
 
 
 def _chains(
@@ -549,44 +554,22 @@ def _chains(
     return b0, nb, flags, np.where(chained, groups, -1), code
 
 
-def _analyze(
-    reads: Reads, which: np.ndarray, s: np.ndarray, params: TraceParams, book: IndexBook
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_anchors`, with the failure code of the group chain too."""
-    pos, group, know_at, code = _anchors(reads, which, s, params, book)
-    ok = np.flatnonzero(code == 0)
-    code[ok] = _chains(reads, which[ok], pos[ok], group[ok], know_at[ok], params)[-1]
-    return pos, group, know_at, code
-
-
 def _analyze_reads(
-    reads: Reads, params: TraceParams, book: IndexBook, lenient: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Anchor every read from its leading window, all in one batch.
-
-    Strict decoding raises the failure of the first read that does not
-    anchor.  Lenient decoding retries each such read at every later window
-    s, all in a second batch, and keeps the first s that anchors; that
-    salvages reads whose head covers corrupted material.  Returns the
+    reads: Reads, params: TraceParams, book: IndexBook
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """Anchor every read from its leading window or, failing that, from its
+    least later window that anchors (:func:`anchor_reads`); that salvages
+    reads whose head covers corrupted material.  Returns the leading
+    windows' failure codes, the reads a later window anchored, and the
     anchored reads in ascending order with their anchors.
     """
-    every = np.arange(len(reads.lens))
-    pos, group, know_at, code = _analyze(reads, every, np.zeros_like(every), params, book)
-    failed = np.flatnonzero(code)
-    if failed.size and not lenient:
-        kind, why = _FAILURES[code[failed[0]]]
-        raise kind(f"read {failed[0]}: {why}")
-    anchored = code == 0
-    if failed.size:
-        def attempt(which, s):
-            pos, group, know_at, code = _analyze(reads, which, s, params, book)
-            return code == 0, pos, group, know_at
-
-        found, later = retry_later_windows(reads, failed, params.L_min, attempt)
-        pos[found], group[found], know_at[found] = later
-        anchored[found] = True
+    lead, retried, (pos, group, know_at) = anchor_reads(
+        reads, params.L_min, lambda which, s: _analyze(reads, which, s, params, book)
+    )
+    anchored = lead == 0
+    anchored[retried] = True
     which = np.flatnonzero(anchored)
-    return which, pos[which], group[which], know_at[which]
+    return lead, retried, (which, pos[which], group[which], know_at[which])
 
 
 def _candidate_offsets(
@@ -629,6 +612,12 @@ def _candidate_offsets(
 # ---------------------------------------------------------------------------
 # Placement by overlap matching
 
+# why placement drops a read, worded as strict decoding raises it
+_NO_CANDIDATE = (
+    "a read admits no placement consistent with the others; the trace violates its error budget"
+)
+_AMBIGUOUS = "read placement is ambiguous; distinct positions matched within the error budget"
+
 
 @lru_cache(maxsize=None)
 def _payload_masks(params: TraceParams) -> tuple[int, ...]:
@@ -640,10 +629,11 @@ def _payload_masks(params: TraceParams) -> tuple[int, ...]:
 
 def _place_all(
     reads: Reads, which: np.ndarray, cand_read: np.ndarray, cand_off: np.ndarray,
-    params: TraceParams, lenient: bool,
-) -> dict[int, int]:
+    params: TraceParams,
+) -> tuple[dict[int, int], tuple[tuple[int, str], ...], tuple[int, ...]]:
     """Place the anchored reads ``which`` by overlap matching, starting from
-    the self-evident ones; returns read -> offset.
+    the self-evident ones.  Returns read -> offset, the reads dropped in
+    the order they were, each with why, and the reads left pending.
 
     A read whose candidate offsets are already decided (one candidate, or
     one confirmed by overlap) is placed; every placed read then checks the
@@ -651,9 +641,8 @@ def _place_all(
     confirming those whose payload positions in the overlap disagree in at
     most 2e places and discarding the rest, until no placement changes.
     A wrong alignment differs from the truth on a full substring-distant
-    window and cannot pass.  Lenient decoding drops a read left with no
-    candidate, several confirmed ones or none confirmed; strict decoding
-    raises.
+    window and cannot pass.  A read left with no candidate, or with
+    several confirmed ones, is dropped.
 
     All candidates sit in one list sorted by offset.  A read placed at
     ``[z_lo, z_hi)`` bisects to those starting in ``[z_lo - longest +
@@ -673,6 +662,7 @@ def _place_all(
     masks = _payload_masks(params)
     lens, values = reads.lens.tolist(), reads.values
     placed: dict[int, int] = {}
+    dropped: list[tuple[int, str]] = []
     # candidate state: per pending read a dict offset -> confirmed flag
     pending: dict[int, dict[int, bool]] = {idx: {} for idx in which.tolist()}
     for idx, off in zip(cand_read.tolist(), cand_off.tolist()):
@@ -684,32 +674,15 @@ def _place_all(
 
     def settle(idx: int) -> None:
         cands = pending[idx]
-        if not cands:
-            if lenient:
-                del pending[idx]
-                return
-            raise DecodeFailure(
-                "a read admits no placement consistent with the others; "
-                "the trace violates its error budget"
-            )
         anchored = [off for off, a in cands.items() if a]
-        chosen: int | None = None
-        if len(cands) == 1:
-            chosen = next(iter(cands))
-        elif len(anchored) == 1:
-            chosen = anchored[0]
-        elif len(anchored) > 1:
-            if lenient:
-                del pending[idx]
-                return
-            raise DecodeFailure(
-                "read placement is ambiguous; distinct positions matched "
-                "within the error budget"
-            )
-        if chosen is not None:
-            placed[idx] = chosen
-            del pending[idx]
+        if len(cands) == 1 or len(anchored) == 1:
+            placed[idx] = anchored[0] if anchored else next(iter(cands))
             queue.append(idx)
+        elif not cands or anchored:
+            dropped.append((idx, _AMBIGUOUS if anchored else _NO_CANDIDATE))
+        else:
+            return  # several candidates, none confirmed yet
+        del pending[idx]
 
     for idx in list(pending):
         settle(idx)
@@ -738,12 +711,7 @@ def _place_all(
                     del cands[off]
             settle(idx)
 
-    if pending and not lenient:
-        raise DecodeFailure(
-            "some reads could not be anchored by overlap matching; "
-            "the trace does not cover the string contiguously"
-        )
-    return placed
+    return placed, tuple(dropped), tuple(pending)
 
 
 # ---------------------------------------------------------------------------
@@ -751,8 +719,10 @@ def _place_all(
 
 
 def _extract_group_payloads(
-    merged: np.ndarray, params: TraceParams, lenient: bool
-) -> tuple[list[BitSeq], set[int]]:
+    merged: np.ndarray, params: TraceParams
+) -> tuple[list[BitSeq], dict[int, ValueError]]:
+    """Every group's payload, or zeros where it does not decode, and the
+    groups that do not, each with its error."""
     lay = _trace_layout(params)
     groups = np.arange(params.group_count)
     cnt = np.array([params.cnt(g) for g in groups])
@@ -765,43 +735,43 @@ def _extract_group_payloads(
         rows = merged[at.reshape(len(same), -1)]
         plains.update(zip(same.tolist(), _group_codec(params, int(same[0])).decode(rows)))
     payloads: list[BitSeq] = []
-    corrupted: set[int] = set()
+    rejected: dict[int, ValueError] = {}
     for g in groups.tolist():
         plain = plains[g]
         if isinstance(plain, ValueError):
-            if not lenient:
-                raise DecodeFailure(
-                    f"group {g} payload is not a valid constrained string: {plain}"
-                ) from plain
-            corrupted.add(g)
+            rejected[g] = plain
             payloads.append(BitSeq.zeros(_group_payload_len(params, g)))
         else:
             payloads.append(_unmask_group(plain, g, params))
-    return payloads, corrupted
+    return payloads, rejected
 
 
 def _reconstruct(
-    tr: Trace, params: TraceParams, book: IndexBook | None, lenient: bool
-) -> tuple[list[BitSeq], ReconReport, set[int]]:
-    """Place, merge and decode; return the group payloads, the report and
-    the groups whose payload did not decode (lenient decoding only)."""
+    tr: Trace, params: TraceParams, book: IndexBook | None
+) -> tuple[list[BitSeq], ReconReport, DecodeRecord]:
+    """Place, merge and decode what the trace allows; return the group
+    payloads (zeros where one does not decode), the report and the
+    :class:`DecodeRecord`."""
     book = book if book is not None else trace_book(params)
     check_trace(tr, params, 1)
     check_book(params, book, params.d1)
     reads = load_reads([f.bits for f in tr.fragments])
-    anchored = _analyze_reads(reads, params, book, lenient)
-    placed = _place_all(
-        reads, anchored[0], *_candidate_offsets(reads, *anchored, params), params, lenient
+    lead, retried, anchored = _analyze_reads(reads, params, book)
+    placed, dropped, pending = _place_all(
+        reads, anchored[0], *_candidate_offsets(reads, *anchored, params), params
     )
     pos, bits = placed_bits(reads, placed)
-    merged, tie_pos, gaps = merge_placed(pos, bits, params.n, lenient)
-    payloads, corrupted = _extract_group_payloads(merged, params, lenient)
-    intact = len(placed) == len(reads.lens) and not gaps and not corrupted
-    report = make_report(
-        sum(payloads, BitSeq.zeros(0)), reads, placed, pos, bits, merged, tie_pos, intact,
-        params.e,
+    merged, tie_pos, uncovered = merge_placed(pos, bits, params.n)
+    payloads, rejected = _extract_group_payloads(merged, params)
+    record = DecodeRecord(
+        _FAILURES, lead, retried, dropped, pending, uncovered, rejected,
+        payload_error="group {} payload is not a valid constrained string: {}",
     )
-    return payloads, report, corrupted
+    report = make_report(
+        sum(payloads, BitSeq.zeros(0)), reads, placed, pos, bits, merged, tie_pos,
+        record.intact, params.e,
+    )
+    return payloads, report, record
 
 
 def reconstruct_trace(
@@ -810,12 +780,18 @@ def reconstruct_trace(
     """Locate every read, merge by majority, and invert the encoding.
 
     The report lists each read's offset and its disagreement with the merged
-    string.  The reliable flag is a consistency audit: every read placed, no
-    coverage gaps, no majority ties, and every disagreement within e.  When
-    the input trace is reliable the merged string is the codeword and the
-    returned message is exact.
+    string.  Besides a trace that does not fit the parameters, strict
+    decoding raises for the earliest of: a read whose leading window does
+    not anchor (``LayoutError`` when it finds no marker), a read placement
+    drops, reads it leaves pending, uncovered positions, a group payload
+    outside the constrained code.  When the
+    input trace is reliable the merged string is the codeword and the
+    returned message is exact; :class:`ReconReport` says what the reliable
+    flag certifies.
     """
-    return _reconstruct(tr, params, book, lenient=False)[1]
+    _, report, record = _reconstruct(tr, params, book)
+    record.verdict()
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -848,15 +824,17 @@ def reconstruct_trace_rs(
 ) -> ReconReport:
     """Reconstruct and correct up to tau corrupted payload groups.
 
-    Reads that cannot be located or matched are dropped rather than trusted;
-    coverage gaps and undecodable groups then surface as block errors for
-    the outer code.  More than tau bad groups is reported as a failure, by
-    lane decode failure or by the corrected positions outnumbering tau.
-    Any outer correction makes the result unreliable.
+    No read or payload outcome that makes :func:`reconstruct_trace` raise
+    is an error here: unplaced reads are dropped and gaps zero filled, so
+    gaps and undecodable groups surface as block errors for the outer
+    code, the undecodable ones as known bad.  More than tau bad groups
+    raise ``DecodeFailure``, by lane decode failure or by the known and
+    corrected groups outnumbering tau.  Any outer correction makes the
+    result unreliable.
     """
     trace_rs_message_len(params, tau)  # checks the outer geometry first
-    payloads, report, corrupted = _reconstruct(tr, params, book, lenient=True)
-    message, corrected = lane_decode(payloads, tau, corrupted)
+    payloads, report, record = _reconstruct(tr, params, book)
+    message, corrected = lane_decode(payloads, tau, set(record.rejected))
     return dataclasses.replace(
         report, message=message, reliable=report.reliable and not corrected
     )
@@ -971,5 +949,13 @@ def encode_gamma0(m: BitSeq, params: Gamma0Params, book: IndexBook | None = None
 def reconstruct_gamma0(
     tr: Trace, params: Gamma0Params, book: IndexBook | None = None
 ) -> ReconReport:
-    """Place every read independently, merge, and decode the block payloads."""
-    return indexed_reconstruct(tr, params, book, lenient=False)[1]
+    """Place every read independently, merge, and decode the block payloads.
+
+    Strict decoding raises ``DecodeFailure`` on the first read whose
+    leading window names no block it fits, then on uncovered positions; an
+    undecodable payload block reads as zeros and only makes the report
+    unreliable.
+    """
+    _, report, record = indexed_reconstruct(tr, params, book)
+    record.verdict()
+    return report

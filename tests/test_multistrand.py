@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from strandcode import trace_codes
+from strandcode import blocks, multistrand, trace_codes
 from strandcode.bitseq import BitSeq
 from strandcode.blocks import _period_offsets, indexed_reconstruct
 from strandcode.channel import (
@@ -16,6 +16,7 @@ from strandcode.channel import (
     Fragment,
     Trace,
     corrupt,
+    fragment,
     trace_from_text,
     trace_to_text,
 )
@@ -443,8 +444,9 @@ class TestMultiGamma0:
             strands[i][j * gp4.L_min + v_at] = 0
         broken = StrandSet(gp4.n, tuple(BitSeq.from_numpy(a) for a in strands))
         mt = fragment_strands(broken, gamma_cfg(gp4, 16))
-        messages, report, damaged = indexed_reconstruct(mt, gp4, gbook4, lenient=True)
-        assert damaged == {1, 3}
+        messages, report, record = indexed_reconstruct(mt, gp4, gbook4)
+        assert set(record.rejected) == {1, 3}
+        record.verdict()  # a rejected block is no error at γ=0
         assert not report.reliable
         assert [messages[i] for i in (0, 2)] == [msgs[i] for i in (0, 2)]
         body = gp4.m_prime - gp4.d
@@ -454,6 +456,90 @@ class TestMultiGamma0:
             assert [messages[i].window(b * body, body) for b in kept] == [
                 msgs[i].window(b * body, body) for b in kept
             ]
+
+
+def _flipped_strand_set(p, book, seed, flips):
+    """A seed's strand messages and their set with the ``flips`` (strand,
+    bit) pairs flipped in the strands themselves, so that every read over
+    a flipped bit copies it."""
+    rng = np.random.default_rng(seed)
+    per = multi_gamma0_message_len(p) // p.k
+    msgs = tuple(BitSeq.random(per, rng) for _ in range(p.k))
+    strands = list(multi_gamma0_encode(msgs, p, book).strands)
+    for i, bit in flips:
+        strands[i] = strands[i].with_bit(bit, not strands[i][bit])
+    return msgs, StrandSet(p.n, tuple(strands))
+
+
+class TestCodewordCheck:
+    """A merged word whose marker, index or tail bits differ from the ones
+    the encoder writes is no codeword: the report is unreliable, and the
+    message is still decoded."""
+
+    def test_flipped_strand_is_not_reported_reliable(self):
+        # bit 586 of strand 5 is a payload bit of its block 5 and bit 614
+        # a marker bit of that block; the payload still decodes, to a
+        # wrong message
+        p = derive_multi_gamma0_params(1100, 8, 1, L_min=110, K=32, r_I=18)
+        book = multi_gamma0_book(p)
+        msgs, ss = _flipped_strand_set(p, book, [12, 0], [(5, 586), (5, 614)])
+        mt = fragment_strands(ss, ChannelConfig(L_min=110, L_over=0, e=1, seed=0))
+        got, rep = multi_gamma0_decode(mt.strip_truth(), p, book)
+        assert got[5] != msgs[5]
+        assert [got[i] for i in range(8) if i != 5] == [msgs[i] for i in range(8) if i != 5]
+        assert not rep.reliable
+
+    def test_flipped_tail_is_not_reported_reliable(self):
+        p = derive_multi_gamma0_params(1030, 2, 1, L_min=100, K=32, r_I=12)
+        book = multi_gamma0_book(p)
+        assert p.n - p.strand_blocks * p.L_min == 30
+        for flips, reliable in (((), True), (((1, 1020),), False)):
+            msgs, ss = _flipped_strand_set(p, book, 3, flips)
+            got, rep = multi_gamma0_decode(fragment_strands(ss, gamma_cfg(p, 2)), p, book)
+            assert got == msgs and rep.reliable is reliable, flips
+
+    @pytest.mark.parametrize("n, part", [(9856, "index"), (9856, "pad"), (9800, "cut block")])
+    def test_gamma0_word_off_the_code_is_not_reported_reliable(self, n, part):
+        p = trace_codes.derive_gamma0_params(n, 1, L_min=154, K=64, r_I=12)
+        book = trace_codes.gamma0_book(p)
+        m = BitSeq.random(trace_codes.gamma0_message_len(p), np.random.default_rng(4))
+        w = trace_codes.encode_gamma0(m, p, book)
+        arr = w.to_numpy().copy()
+        _, c_at, v_at = _period_offsets(p)
+        if part == "index":  # the last index bit of block 7
+            arr[7 * p.L_min + c_at[-1]] ^= 1
+        elif part == "pad":  # block 7's payload, still in the code, with a pad bit set
+            payload_codec = blocks.codec(p.w_window, p.w_floor, p.m_prime, 512)
+            at = 7 * p.L_min + v_at
+            plain = payload_codec.decode(BitSeq.from_numpy(arr[at]))
+            arr[at] = payload_codec.encode(plain.with_bit(len(plain) - 1, 1)).to_numpy()
+        else:  # a payload bit of the cut last block, which carries zeros
+            arr[p.message_blocks * p.L_min + v_at[0]] ^= 1
+        cfg = ChannelConfig(L_min=p.L_min, L_over=0, seed=3)
+        for word, reliable in ((w, True), (BitSeq.from_numpy(arr), False)):
+            rep = trace_codes.reconstruct_gamma0(fragment(word, cfg).strip_truth(), p, book)
+            assert rep.message == m and rep.reliable is reliable
+
+    def test_a_stray_strand_is_no_outer_erasure(self, gp4, gbook4, monkeypatch):
+        # a flipped marker bit leaves every payload decodable: the outer
+        # layer sees no damaged strand and the message survives, unreliable
+        rng = np.random.default_rng(41)
+        m = BitSeq.random(multi_gamma0_rs_message_len(gp4, 1), rng)
+        ss = encode_multi_gamma0_rs(m, gp4, 1, gbook4)
+        at = 2 * gp4.L_min + int(_period_offsets(gp4)[0][3])
+        broken = list(ss.strands)
+        broken[1] = broken[1].with_bit(at, not broken[1][at])
+        seen = []
+        lane_decode = multistrand.lane_decode
+        monkeypatch.setattr(
+            multistrand, "lane_decode",
+            lambda raw, tau, damaged: seen.append(set(damaged)) or lane_decode(raw, tau, damaged),
+        )
+        for strands, reliable in ((ss.strands, True), (broken, False)):
+            mt = fragment_strands(StrandSet(gp4.n, tuple(strands)), gamma_cfg(gp4, 8))
+            rep = reconstruct_multi_gamma0_rs(mt, gp4, 1, gbook4)
+            assert rep.message == m and rep.reliable is reliable
+        assert seen == [set(), set()]
 
 
 class TestMultiGamma0Outer:

@@ -288,3 +288,35 @@ def test_decoders_reach_the_positioning_layers_once_per_batch(monkeypatch):
         # the leading windows, then at most one batch of later windows
         assert 1 <= len(marker) <= 2, name
         assert 1 <= len(index) <= 2, name
+
+
+
+def _flag_takers(tree: ast.AST, flag: str = "lenient") -> list[int]:
+    """Lines of the functions and lambdas with a parameter named ``flag``."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        and any(arg.arg == flag for arg in ast.walk(node.args) if isinstance(arg, ast.arg))
+    ]
+
+
+def test_no_function_takes_a_lenient_flag():
+    # every decode runs one pass and records what it dropped; strict
+    # decoding is a verdict over that record, not a mode of each stage
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in _flag_takers(ast.parse(path.read_text()))
+    ]
+    assert found == []
+
+
+def test_the_flag_check_sees_every_kind_of_parameter():
+    tree = ast.parse(
+        "def f(a, lenient): pass\n"
+        "def g(*, lenient=False): pass\n"
+        "h = lambda lenient: 0\n"
+        "def k(a, strict=True): lenient = a\n"
+    )
+    assert _flag_takers(tree) == [1, 2, 3]

@@ -34,11 +34,20 @@ from strandcode.trace_codes import (
     trace_message_len,
     trace_rs_message_len,
 )
-from strandcode.blocks import C, _layout, indexed_locate, indexed_reconstruct, load_reads
+from strandcode.blocks import (
+    C,
+    V,
+    DecodeRecord,
+    _layout,
+    indexed_locate,
+    indexed_reconstruct,
+    load_reads,
+)
 from strandcode.multistrand import (
     derive_multi_gamma0_params,
     fragment_strands,
     multi_gamma0_book,
+    multi_gamma0_decode,
     multi_gamma0_encode,
     multi_gamma0_message_len,
 )
@@ -504,8 +513,8 @@ def test_lenient_decode_names_exactly_the_corrupted_groups(p1, book1, coded1):
             arr[(p1.cum_blocks(g) + j) * p1.L_min + lay.v_offsets] = 0
     cfg = reliable_cfg(p1, 5)
     tr = corrupt(fragment(BitSeq.from_numpy(arr), cfg), cfg).strip_truth()
-    payloads, report, corrupted = trace_codes._reconstruct(tr, p1, book1, lenient=True)
-    assert corrupted == {3, 9}
+    payloads, report, record = trace_codes._reconstruct(tr, p1, book1)
+    assert set(record.rejected) == {3, 9}
     assert not report.reliable
     sizes = [trace_codes._group_payload_len(p1, g) for g in range(p1.group_count)]
     starts = np.cumsum([0] + sizes)
@@ -513,7 +522,7 @@ def test_lenient_decode_names_exactly_the_corrupted_groups(p1, book1, coded1):
         sent = BitSeq.zeros(sizes[g]) if g in (3, 9) else m.window(int(starts[g]), sizes[g])
         assert got == sent, g
     with pytest.raises(DecodeFailure, match="^group 3 payload is not a valid constrained string"):
-        trace_codes._reconstruct(tr, p1, book1, lenient=False)
+        record.verdict()
 
 
 class TestOuterCode:
@@ -759,7 +768,7 @@ class TestPlacementRegression:
         for tr in (corrupt(fragment(w, cfg), cfg), _damaged_trace(p8, w, 3)):
             frags = tr.strip_truth().fragments
             reads = load_reads([f.bits for f in frags])
-            anchored = _analyze_reads(reads, p8, book, True)
+            anchored = _analyze_reads(reads, p8, book)[2]
             cand_read, cand_off = _candidate_offsets(reads, *anchored, p8)
             infos = _reference_infos(frags, p8, book, True)
             assert anchored[0].tolist() == [info.idx for info in infos]
@@ -818,7 +827,11 @@ def _outcome(fn, *args):
 
 
 def _batch_pipeline(reads, params, book, lenient):
-    which, pos, group, know_at = _analyze_reads(reads, params, book, lenient)
+    """The batch stages; strict decoding is the record's verdict after the
+    analysis and after placement."""
+    lead, retried, (which, pos, group, know_at) = _analyze_reads(reads, params, book)
+    if not lenient:
+        DecodeRecord(trace_codes._FAILURES, lead, retried).verdict()
     _, _, flags, groups, _ = _chains(reads, which, pos, group, know_at, params)
     analysis = [
         (idx, a, g, k, f[f >= 0].tolist(), gr.tolist())
@@ -827,8 +840,10 @@ def _batch_pipeline(reads, params, book, lenient):
         )
     ]
     cands = _candidate_offsets(reads, which, pos, group, know_at, params)
-    placed = _outcome(_place_all, reads, which, *cands, params, lenient)
-    return analysis, placed if isinstance(placed, type) else list(placed.items())
+    placed, dropped, pending = _place_all(reads, which, *cands, params)
+    record = DecodeRecord(trace_codes._FAILURES, lead, retried, dropped, pending)
+    failed = None if lenient else _outcome(record.verdict)
+    return analysis, failed or list(placed.items())
 
 
 def _reference_pipeline(frags, params, book, lenient):
@@ -1229,8 +1244,8 @@ class TestIndexedReference:
     def test_decode_matches_per_read_reference(self):
         for p, book, tr, bits in _indexed_cases():
             mixed = dataclasses.replace(tr, fragments=tuple(Fragment(b) for b in bits))
+            got = indexed_reconstruct(mixed, p, book)
             for lenient in (True, False):
-                got = _outcome(indexed_reconstruct, mixed, p, book, lenient)
                 want = []
                 for b in bits:
                     want.append(None)
@@ -1239,9 +1254,112 @@ class TestIndexedReference:
                             want[-1] = o
                             break
                 if not lenient:
-                    assert got == DecodeFailure and None in want
+                    assert _outcome(got[2].verdict) == DecodeFailure and None in want
                     continue
                 assert [off for off, _ in got[1].located] == want
+
+
+def _strict_outcome(fn, *args):
+    """The (error class, message) a strict decode raises, or (None, the
+    report's reliable flag) when it returns."""
+    try:
+        out = fn(*args)
+    except (DecodeFailure, LayoutError) as exc:
+        return type(exc), str(exc)
+    return None, (out[1] if isinstance(out, tuple) else out).reliable
+
+
+def _mixed_failure_traces(p, book):
+    """Reliable traces at n=4320 that fail in two ways at once:
+    - a junk read first, and every read starting in group 5 dropped;
+    - a read whose last 100 bits run past the string's end, and the
+      same gap;
+    - the same gap, and group 3's payload out of the constrained code;
+    - one read with four payload flips, and group 3's payload out."""
+    rng = np.random.default_rng(61)
+    lay = _trace_layout(p)
+    w = encode_trace(BitSeq.random(trace_message_len(p), rng), p, book)
+    arr = w.to_numpy().copy()
+    for j in range(p.cnt(3)):
+        arr[(p.cum_blocks(3) + j) * p.L_min + lay.v_offsets] = 0
+    cfg = reliable_cfg(p, 6)
+    tr, tr3 = (corrupt(fragment(x, cfg), cfg) for x in (w, BitSeq.from_numpy(arr)))
+    lo, hi = p.cum_blocks(5) * p.L_min, p.cum_blocks(6) * p.L_min
+    gap, gap3 = (tuple(f for f in t.fragments if not lo <= f.start < hi) for t in (tr, tr3))
+    junk = Fragment(BitSeq.random(p.L_min + 12, rng))
+    past_end = Fragment(w.window(p.n - 100, 100) + w.window(p.L_min, 100))
+    over = list(tr3.fragments)
+    f = over[len(over) // 2]
+    bits = f.bits.to_numpy().copy()
+    where = np.flatnonzero(np.resize(lay.kind == V, p.n)[f.start : f.start + len(bits)])
+    bits[rng.choice(where[where >= 30], size=4, replace=False)] ^= 1
+    over[len(over) // 2] = Fragment(BitSeq.from_numpy(bits))
+    return [
+        dataclasses.replace(tr, fragments=frags).strip_truth()
+        for frags in ((junk,) + gap, gap[:1] + (past_end,) + gap[1:], gap3, tuple(over))
+    ]
+
+
+_NO_MARKER = "no unique marker position within the error budget"
+_NO_PLACEMENT = (
+    "a read admits no placement consistent with the others; the trace violates its error budget"
+)
+_GROUP_3 = (
+    "group 3 payload is not a valid constrained string: "
+    "window weight constraint violated at symbol 5"
+)
+# one per _reference_cases trace
+PINNED_REFERENCE_OUTCOMES = [
+    (None, True),
+    (None, True),
+    (DecodeFailure, "some reads could not be anchored by overlap matching; "
+                    "the trace does not cover the string contiguously"),
+    (LayoutError, f"read 0: {_NO_MARKER}"),
+    (LayoutError, f"read 2: {_NO_MARKER}"),
+    (LayoutError, f"read 807: {_NO_MARKER}"),
+]
+# per _indexed_cases set: its trace, then the trace with flipped and junk reads
+PINNED_INDEXED_OUTCOMES = [
+    (None, False),
+    (DecodeFailure, "read 0 cannot be located"),
+    (None, False),
+    (DecodeFailure, "read 0 cannot be located"),
+]
+# one per _mixed_failure_traces trace
+PINNED_MIXED_OUTCOMES = [
+    (LayoutError, f"read 0: {_NO_MARKER}"),
+    (DecodeFailure, _NO_PLACEMENT),
+    (DecodeFailure, "172 positions are uncovered; the trace is incomplete"),
+    (DecodeFailure, _GROUP_3),
+]
+
+
+class TestStrictPrecedence:
+    """What strict decoding raises, class and message, when a trace fails
+    in one or several ways: the first read whose leading window does not
+    anchor, then a read placement drops, then reads left pending, then
+    uncovered positions, then a group payload that does not decode."""
+
+    def test_reference_traces_raise_as_pinned(self, p8, coded8):
+        book, _, w = coded8
+        got = [
+            _strict_outcome(reconstruct_trace, tr.strip_truth(), p8, book)
+            for tr, _ in _reference_cases(p8, w)
+        ]
+        assert got == PINNED_REFERENCE_OUTCOMES
+
+    def test_indexed_sets_raise_as_pinned(self):
+        got = []
+        for p, book, tr, bits in _indexed_cases():
+            mixed = dataclasses.replace(tr, fragments=tuple(Fragment(b) for b in bits))
+            decode = reconstruct_gamma0 if p.k == 1 else multi_gamma0_decode
+            got += [_strict_outcome(decode, t.strip_truth(), p, book) for t in (tr, mixed)]
+        assert got == PINNED_INDEXED_OUTCOMES
+
+    def test_mixed_failures_raise_the_earlier_kind(self, p1, book1):
+        got = [_strict_outcome(reconstruct_trace, tr, p1, book1)
+               for tr in _mixed_failure_traces(p1, book1)]
+        assert got == PINNED_MIXED_OUTCOMES
 
 
 def _assemble_by_blocks(params, book, vs):
