@@ -223,13 +223,15 @@ def marker_mismatches(bits: np.ndarray, marker: np.ndarray) -> np.ndarray:
     T[ml, a] - T[t, a] that of its last ml - t bits from the bits at a + t.
     A window cut by a block boundary, with the marker's head at the block's
     end and its tail at the block's start, is the sum of one head and one
-    tail term.  Cost: ml vector additions of length n.
+    tail term.  Cost: ml vector additions of length n.  A stack of
+    strands, bits of shape (..., n), gives a table per strand, of shape
+    (..., ml + 1, n - ml + 1).
     """
     ml = marker.size
     if ml >= 1 << 15:
         raise ValueError("marker too long for 16-bit counts")
-    starts = bits.size - ml + 1
-    table = np.zeros((ml + 1, starts), dtype=np.int16)
+    starts = bits.shape[-1] - ml + 1
+    table = np.zeros(bits.shape[:-1] + (ml + 1, starts), dtype=np.int16)
     for j in range(ml):
-        np.add(table[j], bits[j : j + starts] != marker[j], out=table[j + 1])
+        np.add(table[..., j, :], bits[..., j : j + starts] != marker[j], out=table[..., j + 1, :])
     return table

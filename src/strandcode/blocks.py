@@ -44,6 +44,7 @@ from .positioning import IndexBook, build_index_book, default_r_I, find_marker, 
 
 # in-block position kinds: marker, group flag, payload, index codeword
 MARK, FLAG, V, C = 0, 1, 2, 3
+_SCAN_CELLS = 1 << 19  # marker-scan table cells per slice of strands, ~4 bytes each
 # the one way an indexed read's window fails, as a DecodeRecord failure code
 _LOCATE_FAILURES = (None, (DecodeFailure, "read {} cannot be located"))
 
@@ -155,8 +156,10 @@ def marker_offenders(
     marker: np.ndarray,
     blocks_total: int,
     phase0: int = 0,
-) -> set[int]:
-    """Block indices whose windows break the cyclic marker uniqueness rule.
+) -> set[int] | list[set[int]]:
+    """Block indices whose windows break the cyclic marker uniqueness rule,
+    for one strand ``w`` of n bits, or one set per strand for a (k, n)
+    stack of strands, scanned a slice of strands at a time.
 
     Every aligned window must match the marker exactly at its true phase and
     differ in at least dmin places at every other phase; anything less would
@@ -173,49 +176,55 @@ def marker_offenders(
     ml, split the marker: its first t bits meet w[s + L_min - t:] and its
     last ml - t bits meet w[s:], one head and one tail term of
     :func:`_bitops.marker_mismatches`, read for all (t, s) at once as
-    skewed views of the table.  Each window has at most one true wrapping
-    phase, t = s - phase0 mod L_min.  The offenders and the assertion are
-    those a per-phase compare of every window gives, at O(n * ml) cost
-    instead of O(n * L_min * ml).
+    skewed views of each strand's table.  Each window has at most one true
+    wrapping phase, t = s - phase0 mod L_min.  The offenders and the
+    assertion are those a per-phase compare of every window gives, at
+    O(n * ml) cost instead of O(n * L_min * ml) per strand.
     """
-    n, ml = w.size, marker.size
+    stack = np.atleast_2d(w)
+    n, ml = stack.shape[1], marker.size
     rows = n - L_min + 1
     if rows < 1 or not 1 < ml <= L_min:
         raise ValueError("strand shorter than a block, or marker not 2 to L_min bits")
     true_at = phase0 % L_min
-    # column c of the table is the start c - pad; the pad bits only ever
+    true_a = np.arange(n - ml + 1) % L_min == true_at
+    # the windows s whose true phase wraps, at t = s - phase0 mod L_min < ml
+    s = np.flatnonzero((np.arange(rows) - true_at - 1) % L_min < ml - 1)
+    t = (s - true_at) % L_min
+    # column c of a table is the start c - pad; the pad bits only ever
     # enter both terms of a difference or lie past a counted prefix
     pad = ml - 1
-    zeros = np.zeros(pad, dtype=w.dtype)
-    table = _bitops.marker_mismatches(np.concatenate([zeros, w, zeros]), marker)
-    dist = table[ml, pad : pad + n - ml + 1]
-    true_a = np.arange(dist.size) % L_min == true_at
-    assert not np.any(true_a & (dist != 0)), "marker bits were not written"
-    close = np.concatenate([[0], np.cumsum(~true_a & (dist < dmin))])
-    span = L_min - ml + 1
-    bad = close[span : span + rows] > close[:rows]
-    # T[t, c + k - t] sits at flat index t * (cols - 1) + c + k, so reshaping
-    # the flat table to rows of cols - 1 shifts row t by -t
-    cols = table.shape[1]
-    flat = table.ravel()
-
-    def skewed(k: int) -> np.ndarray:  # [t - 1, s] -> row t, column s + k - t
-        return flat[k : k + ml * (cols - 1)].reshape(ml, cols - 1)[1:, :rows]
-
-    wrap = np.lib.stride_tricks.sliding_window_view(table[ml, : rows + pad - 1], rows)[::-1]
-    wrap = wrap - skewed(pad)  # tails: T[ml, a] - T[t, a] at start a = s - t
-    wrap += skewed(L_min + pad)  # heads: T[t, a] at start a = s + L_min - t
-    s = np.arange(rows)
-    t = (s - true_at) % L_min
-    has_true = (t >= 1) & (t < ml)
-    s, t = s[has_true], t[has_true]
-    assert not np.any(wrap[t - 1, s]), "marker bits were not written"
-    close_wrap = wrap < dmin
-    close_wrap[t - 1, s] = False
-    bad |= close_wrap.any(axis=0)
-    starts = np.flatnonzero(bad)
-    ends = np.minimum(blocks_total - 1, (starts + L_min - 1) // L_min)
-    return {int(b) for b in np.concatenate([starts // L_min, ends])}
+    cols = n + pad
+    padded = np.zeros((len(stack), n + 2 * pad), dtype=stack.dtype)
+    padded[:, pad : pad + n] = stack
+    found: list[set[int]] = [set() for _ in stack]
+    step = max(1, _SCAN_CELLS // (ml * cols))  # keeps every temporary near 2 MB
+    for lo in range(0, len(stack), step):
+        table = _bitops.marker_mismatches(padded[lo : lo + step], marker)
+        dist = table[:, ml, pad : pad + n - ml + 1]
+        assert not np.any(dist[:, true_a]), "marker bits were not written"
+        close = np.zeros((len(table), n - ml + 2), dtype=np.int64)
+        np.cumsum(~true_a & (dist < dmin), axis=1, out=close[:, 1:])
+        bad = close[:, L_min - ml + 1 :][:, :rows] > close[:, :rows]
+        # T[t, c + j - t] sits at flat index t * (cols - 1) + c + j of its
+        # strand, so reshaping a strand's flat table to rows of cols - 1
+        # shifts row t by -t; [:, t - 1, s] reads row t, column s + j - t
+        flat = table.reshape(len(table), -1)
+        tail, head = (
+            flat[:, j : j + ml * (cols - 1)].reshape(-1, ml, cols - 1)[:, 1:, :rows]
+            for j in (pad, L_min + pad)
+        )
+        wrap = np.lib.stride_tricks.sliding_window_view(table[:, ml, : rows + pad - 1], rows, 1)
+        wrap = wrap[:, ::-1] - tail  # tails: T[ml, a] - T[t, a] at start a = s - t
+        wrap += head  # heads: T[t, a] at start a = s + L_min - t
+        assert not np.any(wrap[:, t - 1, s]), "marker bits were not written"
+        wrap[:, t - 1, s] = dmin
+        bad |= wrap.min(axis=1) < dmin
+        strand, starts = np.nonzero(bad)
+        ends = np.minimum(blocks_total - 1, (starts + L_min - 1) // L_min)
+        for i, b in zip(np.tile(strand, 2), np.concatenate([starts // L_min, ends]).tolist()):
+            found[lo + i].add(b)
+    return found if w.ndim == 2 else found[0]
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +510,13 @@ def _frame(params, book: IndexBook, payloads: np.ndarray) -> np.ndarray:
 def indexed_encode(
     messages: Sequence[BitSeq], params, book: IndexBook | None
 ) -> tuple[BitSeq, ...]:
-    """One strand per message; no two blocks anywhere in the set look alike."""
+    """One strand per message; no two blocks anywhere in the set look alike.
+
+    Every payload block of the set is unranked in one batch, as block j
+    of strand i carries message bits ``[j * body, (j + 1) * body)`` then
+    zeros (a block past the message blocks carries only zeros), and the
+    whole (k, n) frame is checked in one stacked marker scan.
+    """
     require_feasible(params)
     book = book if book is not None else indexed_book(params)
     check_book(params, book, params.d)
@@ -513,19 +528,19 @@ def indexed_encode(
         if len(m_i) != want:
             raise ValueError(f"strand {i} message must have {want} bits, got {len(m_i)}")
     payload_codec = codec(params.w_window, params.w_floor, params.m_prime, 512)
-    pad = BitSeq.zeros(payload_codec.msg_len - body)
     blocks = params.strand_blocks
-    padded = [m_i + BitSeq.zeros((blocks - params.message_blocks) * body) for m_i in messages]
-    payloads = [
-        payload_codec.encode(m_i.window(j * body, body) + pad).to_numpy()
-        for m_i in padded for j in range(blocks)
-    ]
-    strands = []
-    for i, w in enumerate(_frame(params, book, payloads)):
-        if marker_offenders(w, params.L_min, params.d, book.marker_bits, blocks, phase0=params.marker_phase):
-            raise SearchExhausted(f"payload bits of strand {i} collided with the marker pattern")
-        strands.append(BitSeq.from_numpy(w))
-    return tuple(strands)
+    plain = np.zeros((params.k, blocks, payload_codec.msg_len), dtype=np.uint8)
+    plain[:, : params.message_blocks, :body] = unpack_rows(messages, want).reshape(
+        params.k, params.message_blocks, body
+    )
+    frame = _frame(params, book, payload_codec.encode(plain.reshape(-1, payload_codec.msg_len)))
+    found = marker_offenders(
+        frame, params.L_min, params.d, book.marker_bits, blocks, phase0=params.marker_phase
+    )
+    first = next((i for i, hit in enumerate(found) if hit), None)
+    if first is not None:
+        raise SearchExhausted(f"payload bits of strand {first} collided with the marker pattern")
+    return tuple(map(BitSeq.from_numpy, frame))
 
 
 def indexed_locate(

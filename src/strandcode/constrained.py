@@ -206,6 +206,15 @@ def _zero_step(window: int, floor: int) -> tuple[np.ndarray, np.ndarray]:
     return binom, after0
 
 
+@lru_cache(maxsize=64)
+def _moves(window: int, floor: int) -> tuple[np.ndarray, np.ndarray]:
+    """The steps on a 0 and on a 1 as arrays; a dead step goes to ``n_states``."""
+    auto = _automaton(window, floor)
+    t0, t1 = (np.array(t) for t in (auto.t0, auto.t1))
+    t0[t0 < 0] = auto.n_states
+    return t0, t1
+
+
 @lru_cache(maxsize=128)
 def _count_array(window: int, floor: int, length: int) -> np.ndarray:
     """counts[r, s] = number of valid length-r continuations from state s,
@@ -214,11 +223,8 @@ def _count_array(window: int, floor: int, length: int) -> np.ndarray:
     Each row is one object-array step, row[t0] + row[t1].  No row depends
     on ``length``, so a shorter table is a prefix of a longer one.
     """
-    auto = _automaton(window, floor)
-    dead = auto.n_states
-    t0, t1 = (np.array(t) for t in (auto.t0, auto.t1))
-    t0[t0 < 0] = dead
-    t1[t1 < 0] = dead
+    t0, t1 = _moves(window, floor)
+    dead = len(t0)
     counts = np.zeros((length + 1, dead + 1), dtype=object)
     counts[0, :dead] = 1
     for r in range(length):
@@ -228,9 +234,20 @@ def _count_array(window: int, floor: int, length: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
+def _count_words(window: int, floor: int, length: int) -> np.ndarray:
+    """:func:`_count_array` in int64 when every count fits, else the object
+    array itself: the table of the batch walk.  A 1 never kills a state, so
+    no count falls as the length grows and the last row holds the largest."""
+    counts = _count_array(window, floor, length)
+    words = counts if max(counts[-1]) >> 63 else counts.astype(np.int64)
+    words.flags.writeable = False
+    return words
+
+
+@lru_cache(maxsize=128)
 def _count_table(window: int, floor: int, length: int) -> list[list[int]]:
-    """counts[s][r] of :func:`_count_array`, as lists for the symbol walk
-    of unranking; the lists hold the array's own integers."""
+    """counts[s][r] of :func:`_count_array`, as lists for the one-word
+    symbol walk of unranking; the lists hold the array's own integers."""
     return _count_array(window, floor, length)[:, :-1].T.tolist()
 
 
@@ -267,10 +284,15 @@ class ConstrainedCodec:
     a deterministic function of the parameters.  Every chunk reads a prefix
     of one count table, built at the longest chunk.
 
-    Encoding unranks symbol by symbol.  Decoding ranks a whole batch of
-    words at once: the state before each 1 is read off the positions of the
-    ``d`` ones before it, and a chunk's index is the sum of its 1s' counts,
-    gathered from the same count table in one object-array step.
+    Encoding unranks a batch of messages in one numpy step per symbol, each
+    row from its own state, in int64 when the table's counts fit (as for
+    the γ=0 payloads and the scaffold pieces).  One :class:`BitSeq`, as the
+    SD inner codec's 256 chained chunks or a trace group, is walked symbol
+    by symbol in Python on the table's lists, which is faster for one row.
+    Decoding ranks a whole batch of words at once: the state before each 1
+    is read off the positions of the ``d`` ones before it, and a chunk's
+    index is the sum of its 1s' counts, gathered from the same count table
+    in one object-array step.
     """
 
     window: int
@@ -317,11 +339,19 @@ class ConstrainedCodec:
         auto = _automaton(self._cw, self._cf)
         return self._table(length)[auto.init_id][length]
 
-    def unrank_from_start(self, index: int, length: int) -> BitSeq:
-        """Map an integer below ``count(length)`` to a valid string."""
-        auto = _automaton(self._cw, self._cf)
-        piece, _ = self._unrank(index, length, auto.init_id)
-        return piece
+    def unrank_from_start(self, index, length: int) -> BitSeq | np.ndarray:
+        """Map an integer below ``count(length)`` to a valid string, or a
+        sequence of m such integers to the rows of an (m, length) array."""
+        init = _automaton(self._cw, self._cf).init_id
+        if np.ndim(index) == 0:
+            return self._unrank(index, length, init)[0]
+        count = self.count(length)
+        if not all(0 <= i < count for i in index):
+            raise ValueError("message index exceeds the constrained count")
+        out = np.empty((len(index), length), dtype=np.uint8)
+        dtype = _count_words(self._cw, self._cf, self._span(length)).dtype
+        self._walk(np.array(index, dtype=dtype), np.full(len(index), init), out)
+        return out
 
     def rank_from_start(self, piece: BitSeq) -> int:
         """Invert :meth:`unrank_from_start`: ``piece`` is ranked as one chunk."""
@@ -331,20 +361,35 @@ class ConstrainedCodec:
             raise ValueError(f"window weight constraint violated at symbol {dead[0]}")
         return sum(index[0])  # one chunk, or none for the empty piece
 
-    def encode(self, msg: BitSeq) -> BitSeq:
-        if len(msg) != self.msg_len:
-            raise ValueError(f"message must have {self.msg_len} bits, got {len(msg)}")
-        auto = _automaton(self._cw, self._cf)
-        caps = self._caps
-        state = auto.init_id
-        out = BitSeq.zeros(0)
-        pos = 0
-        for B, cap in zip(self.chunk_lengths, caps):
-            index = msg.window_int(pos, cap)
-            pos += cap
-            piece, state = self._unrank(index, B, state)
-            out = out + piece
-        return out
+    def encode(self, msg: BitSeq | np.ndarray) -> BitSeq | np.ndarray:
+        """Unrank messages into words.
+
+        ``msg`` is one message, a :class:`BitSeq`, which returns its word,
+        or a batch of messages, an ``(m, msg_len)`` 0/1 array, which returns
+        the ``(m, n_out)`` uint8 array of their words.  Each chunk carries
+        the next ``cap`` message bits, the first one lowest.
+        """
+        init = _automaton(self._cw, self._cf).init_id
+        chunks = zip(self.chunk_lengths, self._caps)
+        if isinstance(msg, BitSeq):
+            if len(msg) != self.msg_len:
+                raise ValueError(f"message must have {self.msg_len} bits, got {len(msg)}")
+            out, state, pos = BitSeq.zeros(0), init, 0
+            for B, cap in chunks:
+                piece, state = self._unrank(msg.window_int(pos, cap), B, state)
+                out, pos = out + piece, pos + cap
+            return out
+        if msg.ndim != 2 or msg.shape[1] != self.msg_len:
+            raise ValueError(f"expected rows of {self.msg_len} bits, got shape {msg.shape}")
+        words = np.empty((len(msg), self.n_out), dtype=np.uint8)
+        state, pos, at = np.full(len(msg), init), 0, 0
+        dtype = _count_words(self._cw, self._cf, self._span(0)).dtype
+        for B, cap in chunks:  # 2^cap is at most a count, so fits the table's dtype
+            weights = np.array([1 << j for j in range(cap)], dtype=dtype)
+            index = msg[:, pos : pos + cap].astype(dtype) @ weights
+            state = self._walk(index, state, words[:, at : at + B])
+            pos, at = pos + cap, at + B
+        return words
 
     def decode(self, x: BitSeq | np.ndarray) -> BitSeq | list[BitSeq | ValueError]:
         """Rank words back to their messages.
@@ -445,6 +490,22 @@ class ConstrainedCodec:
                 starts = np.flatnonzero(edge)
                 index[group[starts]] += np.add.reduceat(terms, starts)
         return index.reshape(m, n_chunks), dead
+
+    def _walk(self, index: np.ndarray, state: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Unrank ``index[i]`` from ``state[i]`` into row i of ``out``, every
+        row in one numpy step per symbol, and return the states after.
+        Each index must be below its state's count of ``out``'s width."""
+        t0, t1 = _moves(self._cw, self._cf)
+        length = out.shape[1]
+        counts = _count_words(self._cw, self._cf, self._span(length))
+        for t in range(length):
+            s0 = t0[state]
+            zero = counts[length - 1 - t].take(s0)  # a dead step has no continuations
+            one = index >= zero
+            index = index - np.where(one, zero, 0)
+            state = np.where(one, t1[state], s0)
+            out[:, t] = one
+        return state
 
     def _unrank(self, index: int, length: int, state: int) -> tuple[BitSeq, int]:
         auto = _automaton(self._cw, self._cf)

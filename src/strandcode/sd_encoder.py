@@ -441,11 +441,11 @@ def build_scaffold(params: SdParams, seed: int = 0, max_tries: int = 200) -> Sca
     >= d from the new ones.  Those checks are exactly the family conditions
     the framed concatenation needs in order to be substring distant.
 
-    Draws are checked in speculative batches, each as if every draw before
-    it were kept: as many as pieces are missing, within ``max_tries`` draws
-    per piece in all.  The draws before the first that fails are kept and
-    those after it start the next batch, so the family is the one a
-    draw-by-draw search finds.  The distance check is exact: one
+    Draws are unranked and checked in speculative batches, each as if
+    every draw before it were kept: as many as pieces are missing, within
+    ``max_tries`` draws per piece in all.  The draws before the first that
+    fails are kept and those after it start the next batch, so the family
+    is the one a draw-by-draw search finds.  The distance check is exact: one
     :class:`_bitops.PartIndex` over the kept and drawn windows pairs all
     within d - 1 of each other.
     """
@@ -467,8 +467,8 @@ def build_scaffold(params: SdParams, seed: int = 0, max_tries: int = 200) -> Sca
         k = min(p.n_pieces - t - len(drawn), budget - taken)
         if k > 0:  # one call draws the bytes of k calls of 16 bytes each
             raw, taken = rng.bytes(16 * k), taken + k
-            idx = (int.from_bytes(raw[i : i + 16], "little") % cap for i in range(0, 16 * k, 16))
-            drawn += [codec.unrank_from_start(i, Ls).to_numpy() for i in idx]
+            idx = [int.from_bytes(raw[i : i + 16], "little") % cap for i in range(0, 16 * k, 16)]
+            drawn += list(codec.unrank_from_start(idx, Ls))
         if not drawn:
             raise SearchExhausted(f"no scaffold family of {p.n_pieces} pieces found in {budget} draws")
         batch = np.array(drawn)

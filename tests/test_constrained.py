@@ -12,6 +12,7 @@ from strandcode.constrained import (
     _automaton,
     _count_array,
     _count_table,
+    _count_words,
     _pick_constraint,
     _zero_step,
     apply_dist,
@@ -411,6 +412,60 @@ def test_rank_from_start_matches_the_symbol_reference(codec):
         assert codec.rank_from_start(codec.unrank_from_start(i, 25)) == i
 
 
+# The γ=0 payload codec beside them: every walk shape, in int64 and on the
+# object table whose counts pass 2^63.
+_WALK_CODECS = _RANK_CODECS + [ConstrainedCodec(8, 3, 39)]
+
+
+def _walk_table(codec, length=0):
+    return _count_words(codec._cw, codec._cf, codec._span(length)).dtype
+
+
+def test_the_walk_codecs_take_both_tables():
+    assert {_walk_table(c) for c in _WALK_CODECS} == {np.dtype(np.int64), np.dtype(object)}
+    assert _walk_table(_FAULT_CODECS["15-3"]) == object  # chunks of 512 symbols
+    assert _walk_table(_WALK_CODECS[-1]) == np.int64
+    # and rows of many chunks, each after the first from the state the
+    # one before left
+    assert max(len(c.chunk_lengths) for c in _WALK_CODECS) >= 5
+
+
+@pytest.mark.parametrize("codec", _WALK_CODECS, ids=_codec_id)
+def test_batch_encode_matches_the_symbol_walk(codec):
+    rng = np.random.default_rng(5)
+    msgs = np.concatenate([
+        (rng.random((12, codec.msg_len)) < 0.5).astype(np.uint8),
+        np.zeros((1, codec.msg_len), np.uint8),
+        np.ones((1, codec.msg_len), np.uint8),
+    ])
+    for batch in (msgs, msgs[:1], msgs[:0]):
+        words = codec.encode(batch)
+        assert words.shape == (len(batch), codec.n_out) and words.dtype == np.uint8
+        for row, word in zip(batch, words):
+            assert np.array_equal(word, codec.encode(BitSeq.from_numpy(row)).to_numpy())
+    with pytest.raises(ValueError, match=f"expected rows of {codec.msg_len} bits"):
+        codec.encode(np.zeros((2, codec.msg_len + 1), np.uint8))
+    with pytest.raises(ValueError, match=f"expected rows of {codec.msg_len} bits"):
+        codec.encode(np.zeros(codec.msg_len, np.uint8))
+
+
+@pytest.mark.parametrize("codec", _WALK_CODECS, ids=_codec_id)
+def test_batch_unrank_from_start_matches_the_symbol_walk(codec):
+    for length in (0, 1, codec._cw, 25, 70):
+        count = codec.count(length)
+        picks = sorted({0, 1 % count, count // 3, count // 2, count - 1})
+        got = codec.unrank_from_start(picks, length)
+        assert got.shape == (len(picks), length)
+        for i, row in zip(picks, got):
+            assert np.array_equal(row, codec.unrank_from_start(i, length).to_numpy())
+        assert codec.unrank_from_start([], length).shape == (0, length)
+        for over in (count, -1):
+            with pytest.raises(ValueError, match="^message index exceeds the constrained count$"):
+                codec.unrank_from_start(over, length)
+            with pytest.raises(ValueError, match="^message index exceeds the constrained count$"):
+                codec.unrank_from_start([0, over], length)
+
+
 @pytest.mark.parametrize("window, floor", [(15, 3), (8, 3), (10, 1), (5, 5), (10, 2), (4, 1)])
 def test_every_age_set_is_a_state(window, floor):
     # the rank keys a state by its ages; no key may miss a state
@@ -421,6 +476,8 @@ def test_every_age_set_is_a_state(window, floor):
     for s, sid in auto.states.items():
         key = sum(int(binom[i, a]) for i, a in enumerate(s))
         assert after0[key] == (auto.t0[sid] if auto.t0[sid] >= 0 else auto.n_states)
+    # the batch walk steps on a 1 without a dead column
+    assert min(auto.t1) >= 0
 
 
 def test_decode_rejects_rows_of_the_wrong_length():

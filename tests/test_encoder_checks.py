@@ -2,7 +2,7 @@
 
 ``marker_offenders`` is compared with the per-phase scan it replaced, kept
 here as the reference: every phase of every aligned window is compared
-with the marker bit by bit.  ``is_sd`` is compared with the character loop of
+with the marker bit by bit, for one strand and, row by row, for a stack.  ``is_sd`` is compared with the character loop of
 :func:`strandcode.oracle.check_sd_exhaustive` on both sides of its size
 cutoff, ``is_wwl`` with :func:`~strandcode.oracle.check_wwl_exhaustive`,
 and the scaffold's splice check with one ``is_wwl`` per splice.
@@ -16,9 +16,10 @@ import math
 import numpy as np
 import pytest
 
-from strandcode import _bitops, bitseq, oracle, trace_codes
+from strandcode import _bitops, bitseq, blocks, oracle, trace_codes
 from strandcode.bitseq import BitSeq, is_sd, is_wwl
 from strandcode.blocks import marker_offenders
+from strandcode.errors import SearchExhausted
 from strandcode.multistrand import (
     derive_multi_gamma0_params,
     multi_gamma0_book,
@@ -239,6 +240,55 @@ class TestMarkerOffenders:
             out, _ = plant(w, phase, marker, 0, p.L_min, 0, rng, near=p.n - p.L_min - 3)
             assert both(out, p.L_min, p.d1, marker, total)
 
+    @pytest.mark.parametrize("slice_cells", [None, 1, 8100])
+    @pytest.mark.parametrize("k", [1, 2, 8])
+    @pytest.mark.parametrize("phase0", [0, 29])
+    def test_stack_matches_the_reference_row_by_row(self, phase0, k, slice_cells, monkeypatch):
+        if slice_cells:  # slices of one strand, and of three (of 12 * 224 cells each)
+            monkeypatch.setattr(blocks, "_SCAN_CELLS", slice_cells)
+        rng = np.random.default_rng([phase0, k])
+        L_min, dmin = 40, 3
+        n = 5 * L_min + 13
+        marker = np.array([1, 1, 1, 0, 0, 0, 0, 0, 0, 1, 1, 1], dtype=np.uint8)
+        ml, blocks_total = marker.size, -(-n // L_min)
+        stack = []
+        for i in range(k):
+            # odd strands random, even ones zero, where only a plant offends;
+            # a near-marker at a plain and at a wrapping phase on all but
+            # every third strand
+            w = (rng.random(n) < 0.5 * (i % 2)).astype(np.uint8)
+            w = with_markers(w, L_min, marker, phase0)
+            plants = ((int(rng.integers(L_min - ml + 1)), i % (dmin + 1)),
+                      (int(rng.integers(L_min - ml + 1, L_min)), (i + 1) % dmin))
+            for phase, flips in plants if i % 3 != 2 else ():
+                near = int(rng.integers(n - L_min + 1))
+                w, _ = plant(w, phase, marker, flips, L_min, phase0, rng, near)
+            stack.append(w)
+        stack = np.array(stack)
+        got = marker_offenders(stack, L_min, dmin, marker, blocks_total, phase0)
+        want = [reference_offenders(w, L_min, dmin, marker, blocks_total, phase0) for w in stack]
+        assert got == want
+        assert got[0] and (k < 3 or not got[2])
+
+    def test_the_lowest_offending_strand_is_named(self, monkeypatch):
+        p = derive_multi_gamma0_params(1100, 8, 1, L_min=110, K=32, r_I=18)
+        book = multi_gamma0_book(p)
+        rng = np.random.default_rng(7)
+        per = multi_gamma0_message_len(p) // p.k
+        messages = tuple(BitSeq.random(per, rng) for _ in range(p.k))
+        multi_gamma0_encode(messages, p, book)
+        frame = blocks._frame
+
+        def planted(*args):
+            out = frame(*args)
+            for i in (7, 5):
+                out[i], _ = plant(out[i], 40, book.marker_bits, 1, p.L_min, p.marker_phase, rng, 330)
+            return out
+
+        monkeypatch.setattr(blocks, "_frame", planted)
+        with pytest.raises(SearchExhausted, match="^payload bits of strand 5 collided"):
+            multi_gamma0_encode(messages, p, book)
+
     @pytest.mark.parametrize("phase0", [0, 29])
     def test_unwritten_marker_raises(self, phase0):
         rng = np.random.default_rng(2)
@@ -246,11 +296,14 @@ class TestMarkerOffenders:
         n = 5 * L_min + 7
         marker = rng.integers(0, 2, ml).astype(np.uint8)
         w = with_markers(rng.integers(0, 2, n).astype(np.uint8), L_min, marker, phase0)
+        def stacked(bad, *args):  # behind a clean strand
+            return marker_offenders(np.stack([w, bad]), *args)
+
         # a whole marker, one cut by the period, and one cut by the strand end
         for at in marker_positions(n, L_min, ml, phase0)[[ml + 3, ml - 1, -1]]:
             bad = w.copy()
             bad[at] ^= 1
-            for scan in (marker_offenders, reference_offenders):
+            for scan in (marker_offenders, reference_offenders, stacked):
                 with pytest.raises(AssertionError, match="marker bits were not written"):
                     scan(bad, L_min, 3, marker, -(-n // L_min), phase0)
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 import strandcode as sc
-from strandcode import positioning
+from strandcode import blocks, constrained, positioning
 
 PACKAGE = Path(sc.__file__).parent
 
@@ -289,6 +289,30 @@ def test_decoders_reach_the_positioning_layers_once_per_batch(monkeypatch):
         assert 1 <= len(marker) <= 2, name
         assert 1 <= len(index) <= 2, name
 
+
+def test_the_gamma0_encoder_reaches_each_batch_layer_once(monkeypatch):
+    # the benchmark traces ConstrainedCodec.encode by name and fails a
+    # traced run that never reaches it; one payload batch and one marker
+    # scan per strand set is the batch, and a call per block or per strand
+    # has lost it
+    p = sc.derive_multi_gamma0_params(1100, 32, 1, L_min=110, K=32, r_I=18)
+    book = sc.multi_gamma0_book(p)
+    rng = np.random.default_rng(4)
+    per = sc.multi_gamma0_message_len(p) // p.k
+    messages = tuple(sc.BitSeq.random(per, rng) for _ in range(p.k))
+    sc.multi_gamma0_encode(messages, p, book)  # fills the codec and tail caches
+    encode, real = [], constrained.ConstrainedCodec.encode
+
+    def counting(self, msg):
+        encode.append(1)
+        return real(self, msg)
+
+    monkeypatch.setattr(constrained.ConstrainedCodec, "encode", counting)
+    scans = _count_calls(monkeypatch, blocks.marker_offenders)
+    sc.multi_gamma0_encode(messages, p, book)
+    assert p.k * p.strand_blocks == 320
+    assert len(encode) == 1
+    assert len(scans) == 1
 
 
 def _flag_takers(tree: ast.AST, flag: str = "lenient") -> list[int]:
