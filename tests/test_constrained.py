@@ -417,8 +417,8 @@ def test_rank_from_start_matches_the_symbol_reference(codec):
 _WALK_CODECS = _RANK_CODECS + [ConstrainedCodec(8, 3, 39)]
 
 
-def _walk_table(codec, length=0):
-    return _count_words(codec._cw, codec._cf, codec._span(length)).dtype
+def _walk_table(codec):
+    return _count_words(codec._cw, codec._cf, codec._span(0)).dtype
 
 
 def test_the_walk_codecs_take_both_tables():
