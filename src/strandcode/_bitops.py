@@ -1,11 +1,13 @@
 """Vectorized window machinery shared by the scanners.
 
 Everything here is exact.  Every near-match search of the package (the
-close-pair, index-book and scaffold searches and ``locate_index``) goes
-through one :class:`PartIndex`, the only place that cuts pigeonhole
-parts: rows within ``rho`` flips of each other agree exactly on one of
-``rho + 1`` parts, so rows equal on some part are the only candidates,
-and each candidate is then checked at full width by :func:`row_distances`.
+close-pair, index-book and scaffold searches, ``locate_index`` and the SD
+rewrite loop's :class:`PrimalScan`) goes through :class:`PartIndex`, the
+only place that cuts pigeonhole parts: rows within ``rho`` flips of each
+other agree exactly on one of ``rho + 1`` parts, so rows equal on some
+part are the only candidates, and each candidate is then checked at full
+width by :func:`row_distances`.  Windows are cut from a long array in
+O(n) word steps (:func:`packed_windows`).
 
 It imports nothing from the package at run time, so
 :mod:`strandcode.bitseq` can build its predicates on it.
@@ -15,17 +17,34 @@ from __future__ import annotations
 
 import numpy as np
 
+# packed_windows cuts at least this many windows of at most 64 bits from
+# words, and fewer row by row, which is cheaper there (measured)
+_WORD_WINDOWS = 1024
+
 
 def packed_windows(bits: np.ndarray, L: int) -> np.ndarray:
     """All length-L windows of a 0/1 array, packed little-endian into uint64 words.
 
     Returns a (n-L+1, ceil(L/64)) uint64 array; row i is the window at i.
-    The windows are a strided view, as ``sliding_window_view`` would give,
-    without its argument checks, which cost more than packing a short input.
+    From ``_WORD_WINDOWS`` windows of at most 64 bits on, the 8 packed
+    bytes from byte k, as one word shifted right by s, start the window at
+    8k + s, and byte k + 8 gives its top s bits: O(n) word steps.  Else a
+    strided view is packed row by row, O(n * L) byte steps but cheaper.
     """
     m = max(bits.size - L + 1, 0)
-    view = np.lib.stride_tricks.as_strided(bits, (m, L), bits.strides * 2, writeable=False)
-    return pack_rows(view)
+    if L > 64 or m < _WORD_WINDOWS:
+        view = np.lib.stride_tricks.as_strided(bits, (m, L), bits.strides * 2, writeable=False)
+        return pack_rows(view)
+    k = -(-m // 8)
+    packed = np.zeros(k + 8, dtype=np.uint8)
+    packed[: -(-bits.size // 8)] = np.packbits(bits, bitorder="little")
+    # the little-endian word at every byte offset, copied to aligned memory
+    word = np.ndarray((k,), dtype="<u8", buffer=packed, strides=(1,)).copy()
+    top, mask = packed[8:].astype(np.uint64) << np.uint64(1), np.uint64((1 << L) - 1)
+    out = np.empty((k, 8), dtype=np.uint64)
+    for s in range(8):  # byte k + 8 shifted left by 64 - s, none of it for s = 0
+        out[:, s] = (word >> np.uint64(s) | top << np.uint64(63 - s)) & mask
+    return out.reshape(-1, 1)[:m]
 
 
 def pack_rows(rows: np.ndarray) -> np.ndarray:
@@ -35,25 +54,6 @@ def pack_rows(rows: np.ndarray) -> np.ndarray:
     packed = np.packbits(rows.astype(np.uint8, copy=False), axis=1, bitorder="little")
     out[:, : packed.shape[1]] = packed
     return out.view(np.uint64)
-
-
-def bit_field(rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Bits lo..hi - 1 of each packed row as one uint64, bit lo lowest.
-
-    ``rows`` is a (m, words) array as :func:`pack_rows` gives, and the
-    field is at most 64 bits wide; an empty field (hi == lo) reads 0.
-    """
-    if not 0 <= hi - lo <= 64:
-        raise ValueError("a field spans 0 to 64 bits")
-    word, shift = divmod(lo, 64)
-    if hi == lo:
-        return np.zeros(len(rows), dtype=np.uint64)
-    field = rows[:, word] >> np.uint64(shift)
-    if shift + hi - lo > 64:
-        field |= rows[:, word + 1] << np.uint64(64 - shift)
-    if hi - lo < 64:
-        field &= np.uint64((1 << (hi - lo)) - 1)
-    return field
 
 
 def row_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -76,19 +76,32 @@ def _part_slices(L: int, parts: int) -> list[tuple[int, int]]:
     return [(cuts[t], cuts[t + 1]) for t in range(parts)]
 
 
+def _runs(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions start[r] .. start[r] + count[r] - 1 of every run r, laid
+    end to end, and the run each position belongs to."""
+    run = np.repeat(np.arange(len(count)), count)
+    return run, np.arange(len(run)) + (start - np.cumsum(count) + count)[run]
+
+
+# odd multiplier of the hash that narrows a wide part (Knuth's golden ratio)
+_HASH = np.uint64(0x9E3779B97F4A7C15)
+
+
 class PartIndex:
     """Exact near-match index over the first ``size`` of some packed rows.
 
     Pigeonhole invariant: rows of width L within ``rho`` flips of each
     other agree exactly on at least one of any rho + 1 disjoint parts, as
     each flip lands in one part.  The width is cut into
-    max(rho + 1, ceil(L / 64)) parts, so every part key fits one uint64;
-    more parts than rho + 1 keep the search complete.  A part with no
-    bits (rho >= L) keys every row 0, so it matches every row.  Per part
-    the index keeps the keys in ascending order and the row each came
-    from.  Rows equal on some part are the candidates, and each candidate
-    pair is checked at full width by :func:`row_distances`, so every
-    answer is exact.
+    max(rho + 1, ceil(L / 64)) parts, so every part fits one uint64; more
+    parts than rho + 1 keep the search complete.  A part with no bits
+    (rho >= L) keys every row 0, so it matches every row.  A row's key for
+    part p is the part's bits, hashed where they and p would not fit 32
+    bits, with p above them: one sort of key << 32 | row orders the keys
+    of every part end to end with their rows, ascending among equal keys,
+    and one ``searchsorted`` pair finds a query's runs in every part.
+    Rows with an equal key (a hash adds a few) are the candidates, each
+    checked at full width by :func:`row_distances`, so answers are exact.
 
     ``rows`` is referred to, not copied: rows past ``size`` may be written
     freely, and :meth:`grow` takes more of them in.
@@ -98,57 +111,76 @@ class PartIndex:
         self.rows = rows
         self.rho = rho
         self.parts = _part_slices(L, max(rho + 1, -(-L // 64)))
-        # row p of each: part p's keys in ascending order, and their rows
-        self._keys = self.part_keys(rows[:size])
-        self._at = np.argsort(self._keys, axis=1)
-        self._keys.sort(axis=1)
-        self.size = self._keys.shape[1]
+        width = 32 - (len(self.parts) - 1).bit_length()
+        self._hash = max(hi - lo for lo, hi in self.parts) > width
+        self._drop = np.uint64(64 - width)  # the hash keeps the top width bits
+        column = lambda values: np.array(values, dtype=np.uint64)[:, None]
+        # the word each part starts in (an empty last part: the last word),
+        # the next one, and the part's first bit in the first
+        words = -(-L // 64)
+        self._word = np.minimum(np.array([lo for lo, _ in self.parts]) // 64, words - 1)
+        self._next = np.minimum(self._word + 1, words - 1)
+        self._lo = column([lo for lo, _ in self.parts]) - column(64 * self._word)
+        self._mask = column([(1 << (hi - lo)) - 1 for lo, hi in self.parts])
+        self._tag = column([p << width for p in range(len(self.parts))])
+        self._keys, self._at = self._sorted(self.part_keys(rows[:size]))
+        self.size = len(self._keys) // len(self.parts)
 
     def part_keys(self, rows: np.ndarray) -> np.ndarray:
         """The part keys of packed rows: row p of the (parts, len(rows))
-        result holds part p of each row, cut by :func:`bit_field`."""
-        keys = np.empty((len(self.parts), len(rows)), dtype=np.uint64)
-        for p, (lo, hi) in enumerate(self.parts):
-            keys[p] = bit_field(rows, lo, hi)
+        result holds part p of each row, with p above it.  A part is cut
+        from the word it starts in and the top of the next, all at once."""
+        keys = rows.T[self._word] >> self._lo
+        if rows.shape[1] > 1:  # the next word's bits, or the word's own past the part
+            keys |= rows.T[self._next] << np.uint64(1) << (np.uint64(63) - self._lo)
+        keys &= self._mask
+        if self._hash:
+            keys *= _HASH
+            keys >>= self._drop
+        keys |= self._tag
         return keys
+
+    def _sorted(self, keys: np.ndarray, base: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """Each part's keys of rows base, base + 1, ... sorted, end to end,
+        and their rows, from one sort of key << 32 | row per part; sorts
+        ``keys`` in place."""
+        keys <<= np.uint64(32)
+        keys |= np.arange(keys.shape[1], dtype=np.uint64)
+        keys.sort(axis=1)
+        at = (keys & np.uint64(0xFFFFFFFF)).view(np.int64)
+        keys >>= np.uint64(32)
+        if base:
+            at += base
+        return keys.ravel(), at.ravel()
 
     def grow(self, size: int) -> None:
         """Index rows ``self.size`` to ``size - 1`` as well, merging their
-        sorted keys into each part's: O(parts * size) per call."""
-        old = self.size
-        keys = self.part_keys(self.rows[old:size])
-        order = np.argsort(keys, axis=1)
-        keys.sort(axis=1)
-        merged_keys, merged_at = [], []
-        for k, at, new, o in zip(self._keys, self._at, keys, order):
-            # each new key goes after the old keys equal to it
-            where = k.searchsorted(new, side="right")
-            merged_keys.append(np.insert(k, where, new))
-            merged_at.append(np.insert(at, where, o + old))
-        self._keys, self._at, self.size = np.array(merged_keys), np.array(merged_at), size
+        sorted keys into the index's: O(parts * size) per call."""
+        keys, at = self._sorted(self.part_keys(self.rows[self.size : size]), self.size)
+        # each new key goes after the old keys equal to it, whose rows are lower
+        where = self._keys.searchsorted(keys, side="right")
+        self._keys, self._at = np.insert(self._keys, where, keys), np.insert(self._at, where, at)
+        self.size = size
+
+    def runs(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Where each part key's run of equal indexed keys starts, and its length."""
+        start = self._keys.searchsorted(keys)
+        return start, self._keys.searchsorted(keys, side="right") - start
 
     def near(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Pairs (q, t) with ``queries[q]`` within rho of indexed row t,
         each once, ascending by q and then t.
 
-        One ``searchsorted`` pair per part finds each query's run of equal
-        keys.  Cost: O(parts * queries * log(size)) plus one word XOR per
-        64 bits of width for each candidate.
+        One ``searchsorted`` pair finds each query's run of equal keys in
+        every part.  Cost: O(parts * queries * log(size)) plus one word
+        XOR per 64 bits of width for each candidate.
         """
         n = len(queries)
         none = np.empty(0, dtype=np.int64)
         if not self.size or not n:
             return none, none
-        keys = self.part_keys(queries)
-        start = np.array([k.searchsorted(q) for k, q in zip(self._keys, keys)])
-        hits = np.array([k.searchsorted(q, side="right") for k, q in zip(self._keys, keys)])
-        hits -= start
-        # every (part, query) run laid end to end, read from ``_at`` flat
-        hits = hits.ravel()
-        each = np.repeat(np.arange(hits.size), hits)
-        start += np.arange(0, self._at.size, self.size)[:, None]
-        run = np.arange(len(each)) + (start.ravel() - np.cumsum(hits) + hits)[each]
-        q, t = each % n, self._at.ravel()[run]
+        each, run = _runs(*self.runs(self.part_keys(queries).ravel()))
+        q, t = each % n, self._at[run]
         close = row_distances(queries[q], self.rows[t]) <= self.rho
         if not close.any():
             return none, none
@@ -162,32 +194,112 @@ class PartIndex:
         """Pairs (i, j, dist) of indexed rows with i < j and distance
         ``dist`` at most rho, each once, ascending by j and then i.
 
-        Within each part's sorted keys, entries ``s`` apart with equal
-        keys are paired for s = 1, 2, ... until no equal keys remain, so
-        the cost is the number of candidate pairs, all vectorized, and
-        memory per shift stays O(size) however many pairs there are.
+        Entries ``s`` apart with equal keys are paired for s = 1, 2, ...
+        until no equal keys remain, so the cost is the number of candidate
+        pairs, all vectorized, and memory per shift stays O(size) however
+        many pairs there are.
         """
         m = self.size
+        keys, at = self._keys, self._at
         found = [np.empty(0, dtype=np.int64)]
         dists = [np.empty(0, dtype=np.int64)]
-        for keys, at in zip(self._keys, self._at):
-            # entries t whose key still equals the key s entries further on;
-            # the keys are sorted, so they are among those of shift s - 1
-            live, s = np.flatnonzero(keys[:-1] == keys[1:]), 1
-            while live.size:
-                a, b = at[live], at[live + s]
-                dist = row_distances(self.rows[a], self.rows[b])
-                close = dist <= self.rho
-                a, b = a[close], b[close]
-                found.append(np.maximum(a, b) * m + np.minimum(a, b))
-                dists.append(dist[close])
-                s += 1
-                live = live[live + s < m]
-                live = live[keys[live] == keys[live + s]]
+        # entries t whose key still equals the key s entries further on; the
+        # keys are sorted, so they are among those of shift s - 1, and the
+        # later entry has the higher row
+        live, s = np.flatnonzero(keys[:-1] == keys[1:]), 1
+        while live.size:
+            i, j = at[live], at[live + s]
+            dist = row_distances(self.rows[i], self.rows[j])
+            close = dist <= self.rho
+            found.append(j[close] * m + i[close])
+            dists.append(dist[close])
+            s += 1
+            live = live[live + s < keys.size]
+            live = live[keys[live] == keys[live + s]]
         # a pair found through several parts is kept once
         key, first = np.unique(np.concatenate(found), return_index=True)
         j, i = np.divmod(key, max(m, 1))
         return i, j, np.concatenate(dists)[first]
+
+
+# PrimalScan's candidate pairs per chunk, unless its first row has more, and
+# the scanned rows it sorts with each chunk before merging them into its index
+_SCAN_BUDGET, _SCAN_TAIL = 1 << 16, 1024
+
+
+class PrimalScan:
+    """The primal close pair of a word's length-L windows, kept across edits.
+
+    :meth:`first` gives the pair (i, j) within ``rho`` with the smallest
+    j, then the smallest i, or None.  It scans window starts in chunks,
+    each sorted with the last ``_SCAN_TAIL`` or so scanned windows and
+    checked against a :class:`PartIndex` of those before.  Candidates are
+    counted from the runs of equal keys before any is expanded, and a
+    chunk is cut where they reach ``_SCAN_BUDGET``: a random word is one
+    chunk, a repetitive one many short ones.  :meth:`edit` keeps the
+    index of the windows a rewrite leaves as they were and shifts those
+    after it: r rewrites, each under L windows left of the last, cost
+    O(n + r * (L + _SCAN_TAIL)) windows.
+    """
+
+    def __init__(self, bits: np.ndarray, L: int, rho: int):
+        self.L, self.rho = L, rho
+        self.rows = packed_windows(bits, L)
+        self.index = PartIndex(self.rows, L, rho, size=0)
+        self.start = 0  # no pair (i, j) with j < start is within rho
+        self._chunk = len(self.rows)
+
+    def first(self) -> tuple[int, int] | None:
+        m, index = len(self.rows), self.index
+        while self.start < m:
+            a = self.start
+            if a - self.L + 1 - index.size >= _SCAN_TAIL:
+                index.grow(a - self.L + 1)
+            s = index.size
+            top = min(m, a + self._chunk)
+            chunk = PartIndex(self.rows[s:top], self.L, self.rho)
+            keys, at = chunk._keys, chunk._at + s if s else chunk._at
+            # entries with an equal key before them in the chunk, and where
+            # their run of equal keys starts; rows ascend in a run
+            inner = np.flatnonzero(keys[1:] == keys[:-1]) + 1
+            head = inner - 1
+            head[1:][inner[1:] == inner[:-1] + 1] = 0
+            mine = at[inner] >= a
+            head, inner = np.maximum.accumulate(head)[mine], inner[mine]
+            outer = np.flatnonzero(at >= a) if index.size else inner[:0]
+            lo, hits = index.runs(keys[outer])
+            # each row's candidates: its earlier partners, then its index runs
+            q = np.concatenate([at[inner], at[outer]])
+            count = np.concatenate([inner - head, hits])
+            b = top
+            if count.sum() > _SCAN_BUDGET:
+                cost = np.cumsum(np.bincount(q - a, count, top - a))
+                b = a + max(1, int(cost.searchsorted(_SCAN_BUDGET, side="right")))
+            cut = q < b
+            run, pos = _runs(np.concatenate([head, lo])[cut], count[cut])
+            j = q[cut][run]
+            # positions of the first runs are in the chunk, the rest in the index
+            k = np.searchsorted(run, np.count_nonzero(cut[: len(inner)]))
+            i = np.concatenate([at[pos[:k]], index._at[pos[k:]]])
+            close = row_distances(self.rows[i], self.rows[j]) <= self.rho
+            if close.any():
+                i, j = i[close], j[close]
+                self.start = int(j.min())
+                self._chunk = max(2 * (self.start + 1 - a), self.L)
+                return int(i[j == self.start].min()), self.start
+            self.start, self._chunk = b, max(2 * (b - a), self.L)
+        return None
+
+    def edit(self, lo: int, bits: np.ndarray, shift: int) -> None:
+        """Take in a rewrite: ``bits`` (at least L) are the new word from
+        ``lo`` to the end of the last window with a rewritten bit; windows
+        before lo are unchanged, and later ones are the old ones ``shift`` on."""
+        hi = lo + bits.size - self.L + 1
+        self.rows = np.concatenate([self.rows[:lo], packed_windows(bits, self.L), self.rows[hi + shift :]])
+        if self.index.size > lo:
+            self.index = PartIndex(self.rows, self.L, self.rho, size=lo)
+        self.index.rows = self.rows
+        self.start = min(self.start, lo)
 
 
 def close_pairs(bits: np.ndarray, L: int, rho: int) -> list[tuple[int, int, int]]:
@@ -198,7 +310,9 @@ def close_pairs(bits: np.ndarray, L: int, rho: int) -> list[tuple[int, int, int]
     The packed windows' :class:`PartIndex` paired with itself: complete
     by its pigeonhole invariant, and exact by its full-width check.  When
     rho >= L, empty parts group all windows together and every pair is
-    returned.
+    returned.  It lists every pair, so it costs their number, which grows
+    as m^2 on a repetitive word; :class:`PrimalScan` finds the first pair
+    alone without listing the rest.
     """
     if bits.size - L + 1 < 2:
         return []

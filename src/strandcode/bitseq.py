@@ -295,14 +295,16 @@ def is_sd(x: BitSeq, L: int, d: int) -> bool:
     :func:`_bitops.close_pairs` for the pairs within ``d - 1``; that
     search is complete by the pigeonhole argument and costs about the
     number of candidate pairs: the ``certify`` checks of ``encode_sd`` at
-    n = 131073 (L = 63 and 176) take 0.09 and 0.14 s, where all pairs
-    would take about 30 and 90 s.
+    n = 131073 (L = 63 and 176) take about 0.01 and 0.02 s, where all
+    pairs would take about 30 and 90 s.
     On random passing inputs at d=3 the two routes cost the same at
     m = 460 for L=34, 290 for L=62, 200 for L=175 and 150 for L=300,
     which m^2 * L = 6e6 fits within 10 %.
 
-    Both routes cut windows with :func:`_bitops.packed_windows`; the
-    oracle's blocked scan above 3000 bits cuts its own with ``np.packbits``.
+    Both routes cut windows with :func:`_bitops.packed_windows`, which
+    packs the all-pairs route's few windows row by row and cuts the many
+    of a long input from words; the oracle's blocked scan above 3000 bits
+    cuts its own with ``np.packbits``.
     The differential tests compare with the oracle's character loop, which
     shares no code with either route.
     """

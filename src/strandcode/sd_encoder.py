@@ -225,17 +225,24 @@ def _inner_codec(n: int, d: int) -> ConstrainedCodec:
 # stage two: close-pair elimination
 
 
+def _run_starts(v: int, k: int) -> int:
+    """Bit t set where bits t .. t + k - 1 of v are all set (k >= 1)."""
+    width = 1
+    while width < k:
+        step = min(width, k - width)
+        v &= v >> step
+        width += step
+    return v
+
+
 def _rightmost_marker(x: BitSeq, d: int, zero_len: int) -> tuple[int | None, bool]:
     """Start of the rightmost run 1^d 0^zero_len, or None, and whether x
-    holds a run 0^zero_len at all.  One prefix-sum pass finds every zero
-    run; a marker is one whose d bits before it are all ones."""
-    bits = x.to_numpy()
-    if len(bits) < zero_len:
-        return None, False
-    zeros = np.flatnonzero(_bitops.window_weights(bits, zero_len) == 0)
-    after = zeros[zeros >= d]
-    marked = after[bits[after[:, None] - np.arange(1, d + 1)].all(axis=1)]
-    return (int(marked[-1]) - d if marked.size else None), bool(zeros.size)
+    holds a run 0^zero_len at all.  Found with shifts and ANDs of the
+    word's integer, O(n log(zero_len) / 64) word steps and no array: a
+    marker is a zero run whose d bits before it are all ones."""
+    zeros = _run_starts(x.value ^ ((1 << len(x)) - 1), zero_len)
+    marked = zeros & (_run_starts(x.value, d) << d)
+    return (marked.bit_length() - 1 - d if marked else None), bool(zeros)
 
 
 def eliminate_close_pairs(
@@ -254,6 +261,12 @@ def eliminate_close_pairs(
     replaces, so the loop terminates; the primal rule keeps the newest
     record's marker rightmost, which is what the inverse exploits.
 
+    One :class:`_bitops.PrimalScan` finds every primal pair.  A rewrite
+    leaves the windows before j - L1 + 1 as they were, so the scan keeps
+    their index and resumes there: r rewrites cost O(n + r * L1) windows
+    and the scan's chunk sorts, a few seconds for the 2,969 of the
+    all-zero message at n=65537, d=3.
+
     ``trace``, if given, collects one dict per replacement with keys i, j,
     branch, len_after and marker_at, serialisable as JSON.
     """
@@ -269,11 +282,10 @@ def eliminate_close_pairs(
     j_p = 0
     count = 0
     max_repl = len(w) - p.L1 + 1
-    while True:
-        pairs = _bitops.close_pairs(wbar.to_numpy(), p.L1, d - 1)
-        if not pairs:
-            break
-        i, j, _ = pairs[0]
+    shift = p.L1 - p.insert_len
+    scan = _bitops.PrimalScan(w.to_numpy(), p.L1, d - 1)
+    while (pair := scan.first()) is not None:
+        i, j = pair
         assert j > j_p - p.L1, "primal rule violated: stale pair survived a rewrite"
         x_i = wbar.window(i, p.L1)
         x_j = wbar.window(j, p.L1)
@@ -301,6 +313,11 @@ def eliminate_close_pairs(
         assert len(wbar) < before, "rewrite did not shrink the sequence"
         count += 1
         assert count <= max_repl, "more rewrites than windows"
+        # windows before j - L1 + 1 are kept; after the record and branch 2's bit, shifted
+        lo = max(j - p.L1 + 1, 0)
+        end = j + p.insert_len if branch == 1 else j_p + d - shift + 1
+        end = min(end + p.L1 - 1, len(wbar))
+        scan.edit(lo, wbar.window(lo, end - lo).to_numpy(), shift)
         if trace is not None:
             trace.append(
                 {
@@ -445,9 +462,9 @@ def build_scaffold(params: SdParams, seed: int = 0, max_tries: int = 200) -> Sca
     every draw before it were kept: as many as pieces are missing, within
     ``max_tries`` draws per piece in all.  The draws before the first that
     fails are kept and those after it start the next batch, so the family
-    is the one a draw-by-draw search finds.  The distance check is exact: one
-    :class:`_bitops.PartIndex` over the kept and drawn windows pairs all
-    within d - 1 of each other.
+    is the one a draw-by-draw search finds.  The distance check is exact:
+    :func:`_bitops.close_pairs` of the kept and drawn pieces' chain pairs
+    all its windows within d - 1 of each other.
     """
     p = params
     if p.violations:
@@ -457,10 +474,6 @@ def build_scaffold(params: SdParams, seed: int = 0, max_tries: int = 200) -> Sca
     cap = codec.count(p.piece_len)
     Ls, budget = p.piece_len, max_tries * p.n_pieces
     pieces = np.empty((p.n_pieces, Ls), dtype=np.uint8)
-    # windows[j, r - 1]: the packed window at start r of pieces j - 1 and j, of
-    # phase r % Ls; piece 0 has only its phase-0 window, where flat starts
-    windows = np.empty((p.n_pieces, Ls, -(-Ls // 64)), dtype=np.uint64)
-    flat = windows.reshape(p.n_pieces * Ls, -1)[Ls - 1 :]
     drawn: list[np.ndarray] = []
     t = taken = 0
     while t < p.n_pieces:
@@ -478,14 +491,12 @@ def build_scaffold(params: SdParams, seed: int = 0, max_tries: int = 200) -> Sca
         spliced = _splices_wwl(batch, prev, p.K2, p.d)
         spliced[0] |= t == 0
         kept = k if spliced.all() else int(np.argmin(spliced))
-        chain = np.concatenate([prev[0], batch.ravel()])
-        windows[t : t + k] = _bitops.packed_windows(chain, Ls)[1:].reshape(k, Ls, -1)
-        # row q of flat is in piece (q + Ls - 1) // Ls; two kept pieces are
-        # never close, so every close pair ends in the batch
-        i, j, _ = _bitops.PartIndex(flat, Ls, p.d - 1, (t + k - 1) * Ls + 1).pairs()
-        j = j[(j - i) % Ls == 0]
-        if j.size:
-            kept = min(kept, (int(j.min()) + Ls - 1) // Ls - t)
+        # window q of the pieces' chain ends in piece (q + Ls - 1) // Ls; two
+        # kept pieces are never close, so every close pair ends in the batch
+        chain = np.concatenate([pieces[:t].ravel(), batch.ravel()])
+        j = [j for i, j, _ in _bitops.close_pairs(chain, Ls, p.d - 1) if (j - i) % Ls == 0]
+        if j:
+            kept = min(kept, (min(j) + Ls - 1) // Ls - t)
         pieces[t : t + kept] = batch[:kept]
         t, drawn = t + kept, drawn[kept + 1 :]
     frame = np.concatenate([np.zeros(p.K_max, dtype=np.uint8), auto_cyclic(p.d).to_numpy()])
@@ -522,26 +533,15 @@ def expand_to_length(
 
 def contract_from_length(what: BitSeq, params: SdParams) -> BitSeq:
     """Strip the padding: the rightmost all-zero run of length K2+K_max
-    starts exactly where the stage-two output ends.
-
-    The run is sought in suffixes that double from four run lengths: the
-    rightmost run starting inside a suffix is the rightmost in the word, so
-    the search reads little more than the padding.
-    """
+    starts exactly where the stage-two output ends.  Found as a marker's
+    zero run is, in shifts and ANDs of the word's integer."""
     p = params
     if len(what) != p.n:
         raise ValueError(f"expected length {p.n}, got {len(what)}")
-    run = p.K2 + p.K_max
-    size = 4 * run
-    while True:
-        start = max(0, p.n - size)
-        tail = what.window(start, p.n - start).to_numpy()
-        hits = np.flatnonzero(_bitops.window_weights(tail, run) == 0)
-        if hits.size:
-            return what.window(0, start + int(hits[-1]))
-        if not start:
-            raise DecodeFailure("delimiter run not found")
-        size *= 2
+    zeros = _run_starts(what.value ^ ((1 << p.n) - 1), p.K2 + p.K_max)
+    if not zeros:
+        raise DecodeFailure("delimiter run not found")
+    return what.window(0, zeros.bit_length() - 1)
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@ scaffold, and end-to-end round trips."""
 
 import dataclasses
 import json
+import time
 
 import numpy as np
 import pytest
@@ -184,7 +185,7 @@ class TestRewriteLoop:
             ta, tb = [], []
             wa = eliminate_close_pairs(w, p, trace=ta)
             with monkeypatch.context() as mp:
-                mp.setattr(_bitops, "close_pairs", _close_pairs_naive)
+                mp.setattr(_bitops, "PrimalScan", _NaivePrimalScan)
                 wb = eliminate_close_pairs(w, p, trace=tb)
             assert wa == wb and ta == tb
 
@@ -258,6 +259,27 @@ def _close_pairs_naive(bits, L, rho):
         for i in range(j)
         if (dist := (wins[i] ^ wins[j]).bit_count()) <= rho
     ]
+
+
+def _primal_naive(bits, L, rho):
+    """The primal close pair (i, j) of the all-pairs scan, or None."""
+    pairs = _close_pairs_naive(bits, L, rho)[:1]
+    return pairs[0][:2] if pairs else None
+
+
+class _NaivePrimalScan:
+    """:class:`_bitops.PrimalScan` answered by the all-pairs scan of the
+    whole word, which it rebuilds from each edit."""
+
+    def __init__(self, bits, L, rho):
+        self.bits, self.L, self.rho = bits, L, rho
+
+    def first(self):
+        return _primal_naive(self.bits, self.L, self.rho)
+
+    def edit(self, lo, bits, shift):
+        rest = lo + bits.size + shift
+        self.bits = np.concatenate([self.bits[:lo], bits, self.bits[rest:]])
 
 
 def _splices_wwl_by_cuts(cand: BitSeq, prev: BitSeq, K: int, d: int) -> bool:
@@ -474,6 +496,18 @@ class TestFullPipeline:
                 outcomes["decoded"] += 1
         assert min(outcomes.values()) > 10
 
+    @pytest.mark.parametrize("n,d", [(65537, 3), (4096, 1)])
+    def test_all_zero_message_round_trips_quickly(self, n, d):
+        # every window of the all-zero message's inner word has many close
+        # partners, so a search that lists all close pairs on each rewrite
+        # grows as m^2 per rewrite: about 50 s at n=4096, d=1, while
+        # n=65537, d=3 did not finish
+        m = BitSeq.zeros(sd_message_len(n, d))
+        start = time.perf_counter()
+        y = encode_sd(m, n, d)
+        assert decode_sd(y, n, d) == m
+        assert time.perf_counter() - start < 30
+
     def test_decode_is_seed_free(self):
         """Only the rewrite shrinkage exposes scaffold content, so outputs
         under different seeds may coincide; decoding must work either way
@@ -572,3 +606,90 @@ class TestClosePairs:
             got = _bitops.close_pairs(bits, L, rho)
             assert got == _close_pairs_naive(bits, L, rho)
         assert (20, 500, 2) in _bitops.close_pairs(bits, 130, 2)
+
+
+def _primal_inputs(rng):
+    """(bits, L, rho) of each kind: random, low-weight, periodic with a
+    few flips, planted near-copies, windows over 64 bits, and rho >= L."""
+    for _ in range(12):
+        n, L = int(rng.integers(2, 300)), int(rng.integers(3, 40))
+        rho = int(rng.integers(0, 4))
+        yield rng.integers(0, 2, n).astype(np.uint8), L, rho
+        yield (rng.random(n) < 0.05).astype(np.uint8), L, rho
+        period = rng.integers(0, 2, int(rng.integers(1, 25))).astype(np.uint8)
+        bits = np.resize(period, n)
+        bits[rng.choice(n, min(n, 3), replace=False)] ^= 1
+        yield bits, L, rho
+        bits = rng.integers(0, 2, n + 2 * L).astype(np.uint8)
+        src, dst = sorted(rng.choice(len(bits) - L + 1, 2, replace=False))
+        bits[dst : dst + L] = bits[src : src + L]
+        bits[dst + rng.choice(L, min(L, rho + 1), replace=False)] ^= 1
+        yield bits, L, rho
+        L = int(rng.integers(65, 140))
+        yield rng.integers(0, 2, L + int(rng.integers(1, 200))).astype(np.uint8), L, rho
+        L = int(rng.integers(1, 6))
+        yield rng.integers(0, 2, int(rng.integers(2, 40))).astype(np.uint8), L, L + int(rng.integers(0, 3))
+
+
+# the scan's default chunk sizes, and ones small enough that short inputs
+# are cut into many chunks and grow the index
+_SCAN_SETTINGS = [(1 << 16, 1024), (4, 3)]
+
+
+class TestPrimalScan:
+    """The primal-pair query against the all-pairs scan's first pair."""
+
+    @pytest.mark.parametrize("budget, tail", _SCAN_SETTINGS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_first_pair_matches_the_reference(self, monkeypatch, seed, budget, tail):
+        monkeypatch.setattr(_bitops, "_SCAN_BUDGET", budget)
+        monkeypatch.setattr(_bitops, "_SCAN_TAIL", tail)
+        found = 0
+        for bits, L, rho in _primal_inputs(np.random.default_rng(seed)):
+            want = _primal_naive(bits, L, rho)
+            assert _bitops.PrimalScan(bits, L, rho).first() == want
+            found += want is not None
+        assert 20 < found < 72
+
+    @pytest.mark.parametrize("budget, tail", _SCAN_SETTINGS)
+    def test_a_query_resumed_after_an_edit_is_a_fresh_query(self, monkeypatch, budget, tail):
+        monkeypatch.setattr(_bitops, "_SCAN_BUDGET", budget)
+        monkeypatch.setattr(_bitops, "_SCAN_TAIL", tail)
+        rng = np.random.default_rng(7)
+        for bits, L, rho in _primal_inputs(rng):
+            if bits.size < L + 2:
+                continue
+            scan = _bitops.PrimalScan(bits, L, rho)
+            scan.first()
+            # replace k0 bits by k1 random ones from lo + L - 1 on, so the
+            # windows before lo keep their bits; half of the edits start
+            # among the indexed windows
+            lo = int(rng.integers(0, bits.size - L))
+            if rng.random() < 0.5:
+                lo = min(lo, int(rng.integers(0, scan.index.size + 1)))
+            k0 = int(rng.integers(0, bits.size - lo - L + 2))
+            k1 = int(rng.integers(1, 2 * L))
+            cut = lo + L - 1
+            new = np.concatenate([bits[:cut], rng.integers(0, 2, k1).astype(np.uint8), bits[cut + k0 :]])
+            if rng.random() < 0.5:  # a periodic word, so the new windows repeat
+                new[cut : cut + k1] = np.resize(new[:cut + 1][-3:], k1)
+            scan.edit(lo, new[lo : cut + k1 + L - 1], k0 - k1)
+            assert scan.first() == _primal_naive(new, L, rho)
+
+    def test_successive_edits_follow_the_word(self):
+        # each edit overwrites the later window of the primal pair with a
+        # shorter copy of the window before it, as the rewrite loop does
+        rng = np.random.default_rng(8)
+        L, rho = 12, 1
+        bits = np.resize(np.array([0, 0, 1, 0, 1, 1, 1], dtype=np.uint8), 400)
+        scan = _bitops.PrimalScan(bits, L, rho)
+        edits = 0
+        while (pair := scan.first()) is not None:
+            assert pair == _primal_naive(bits, L, rho)
+            i, j = pair
+            record = rng.integers(0, 2, L - 1).astype(np.uint8)
+            bits = np.concatenate([bits[:j], record, bits[j + L :]])
+            lo = max(j - L + 1, 0)
+            scan.edit(lo, bits[lo : j + 2 * L - 2], 1)
+            edits += 1
+        assert _primal_naive(bits, L, rho) is None and edits > 20

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 import strandcode as sc
-from strandcode import blocks, constrained, positioning
+from strandcode import _bitops, blocks, constrained, positioning, sd_encoder
 
 PACKAGE = Path(sc.__file__).parent
 
@@ -58,7 +58,7 @@ def test_the_oracle_imports_nothing_from_the_bit_kernels():
 def test_pigeonhole_parts_are_cut_only_in_the_bit_kernels():
     # one part index serves every exact near-match search; a second cut of
     # the parts elsewhere could drift from its pigeonhole invariant, and
-    # bit_field is how a part key is cut from a packed row
+    # bit_field was the cutter of a part key from a packed row
     cutters = {"_part_slices", "part_keys", "bit_field"}
     found = [
         f"{path.name}:{node.lineno}"
@@ -313,6 +313,33 @@ def test_the_gamma0_encoder_reaches_each_batch_layer_once(monkeypatch):
     assert p.k * p.strand_blocks == 320
     assert len(encode) == 1
     assert len(scans) == 1
+
+
+def test_the_sd_rewrite_loop_packs_the_word_once(monkeypatch):
+    # the primal scan keeps its windows and its index across rewrites; a
+    # loop that searches the whole word again on each rewrite is quadratic
+    # on a repetitive word
+    n, d = 2048, 1
+    p = sc.derive_sd_params(n, d)
+    w = sd_encoder._inner_codec(n, d).encode(sc.BitSeq.zeros(p.n_prime))
+    packed, real = [], _bitops.packed_windows
+
+    def packing(bits, L):
+        packed.append(bits.size)
+        return real(bits, L)
+
+    def listing(*args):
+        raise AssertionError("the rewrite loop listed every close pair")
+
+    monkeypatch.setattr(_bitops, "packed_windows", packing)
+    monkeypatch.setattr(_bitops, "close_pairs", listing)
+    trace = []
+    sd_encoder.eliminate_close_pairs(w, p, trace=trace)
+    assert len(trace) == 94
+    assert packed[0] == p.inner_len
+    # after that, each rewrite repacks the windows around its record only
+    assert len(packed) == 1 + len(trace)
+    assert max(packed[1:]) < 3 * p.L1
 
 
 def _flag_takers(tree: ast.AST, flag: str = "lenient") -> list[int]:
