@@ -330,22 +330,25 @@ def window_weights(bits: np.ndarray, L: int) -> np.ndarray:
 def marker_mismatches(bits: np.ndarray, marker: np.ndarray) -> np.ndarray:
     """Running mismatch counts of the marker laid at every start of ``bits``.
 
-    Returns an (ml + 1, n - ml + 1) int16 table T, ml = len(marker): T[t, a]
+    Returns an (ml + 1, n - ml + 1) table T, ml = len(marker): T[t, a]
     counts the j < t with bits[a + j] != marker[j].  So row ml holds the
     Hamming distance between the marker and the window at every start a,
     T[t, a] that of the marker's first t bits from the t bits at a, and
     T[ml, a] - T[t, a] that of its last ml - t bits from the bits at a + t.
     A window cut by a block boundary, with the marker's head at the block's
     end and its tail at the block's start, is the sum of one head and one
-    tail term.  Cost: ml vector additions of length n.  A stack of
-    strands, bits of shape (..., n), gives a table per strand, of shape
-    (..., ml + 1, n - ml + 1).
+    tail term.  No count exceeds ml, so T is int8 for markers under 128
+    bits, which halves the memory a scan walks, and int16 for longer ones.
+    Cost: ml vector additions of length n.  A stack of strands, bits of
+    shape (..., n), gives a table per strand, of shape (..., ml + 1, n -
+    ml + 1).
     """
     ml = marker.size
     if ml >= 1 << 15:
         raise ValueError("marker too long for 16-bit counts")
     starts = bits.shape[-1] - ml + 1
-    table = np.zeros(bits.shape[:-1] + (ml + 1, starts), dtype=np.int16)
+    dtype = np.int8 if ml < 1 << 7 else np.int16
+    table = np.zeros(bits.shape[:-1] + (ml + 1, starts), dtype=dtype)
     for j in range(ml):
         np.add(table[..., j, :], bits[..., j : j + starts] != marker[j], out=table[..., j + 1, :])
     return table

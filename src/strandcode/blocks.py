@@ -44,7 +44,7 @@ from .positioning import IndexBook, build_index_book, default_r_I, find_marker, 
 
 # in-block position kinds: marker, group flag, payload, index codeword
 MARK, FLAG, V, C = 0, 1, 2, 3
-_SCAN_CELLS = 1 << 19  # marker-scan table cells per slice of strands, ~4 bytes each
+_SCAN_CELLS = 1 << 19  # marker-scan table cells per slice of strands, 1 or 2 bytes each
 # the one way an indexed read's window fails, as a DecodeRecord failure code
 _LOCATE_FAILURES = (None, (DecodeFailure, "read {} cannot be located"))
 
@@ -198,7 +198,7 @@ def marker_offenders(
     padded = np.zeros((len(stack), n + 2 * pad), dtype=stack.dtype)
     padded[:, pad : pad + n] = stack
     found: list[set[int]] = [set() for _ in stack]
-    step = max(1, _SCAN_CELLS // (ml * cols))  # keeps every temporary near 2 MB
+    step = max(1, _SCAN_CELLS // (ml * cols))  # keeps every table near _SCAN_CELLS cells
     for lo in range(0, len(stack), step):
         table = _bitops.marker_mismatches(padded[lo : lo + step], marker)
         dist = table[:, ml, pad : pad + n - ml + 1]

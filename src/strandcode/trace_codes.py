@@ -28,8 +28,6 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
-from operator import itemgetter
 
 import numpy as np
 
@@ -644,16 +642,20 @@ def _place_all(
     window and cannot pass.  A read left with no candidate, or with
     several confirmed ones, is dropped.
 
-    All candidates sit in one list sorted by offset.  A read placed at
-    ``[z_lo, z_hi)`` bisects to those starting in ``[z_lo - longest +
-    L_over, z_hi - L_over]``, the only starts that can overlap it by
-    L_over, and checks each still pending one exactly: the bits of the
-    two reads over the overlap are XORed as Python ints and masked to the
-    payload positions.  Hits are handled by ascending read, then offset,
-    and each read is settled after all of its hits, so the result does not
-    depend on how candidates are indexed.  The cost is O(placed reads *
-    candidates starting within one read length) overlap checks of one
-    Python int operation each.
+    The candidates are slots sorted by offset, each live or dead, and each
+    read keeps a count of its live ones.  A read placed at ``[z_lo,
+    z_hi)`` bisects to the slots starting in ``[z_lo - longest + L_over,
+    z_hi - L_over]``, the only starts that can overlap it by L_over, steps
+    over dead slots by next pointers under path compression, and checks
+    each live one exactly: the bits of the two reads over the overlap are
+    XORed as Python ints and masked to the payload positions.  A failed
+    check kills its slot.  The touched reads are then settled by ascending
+    read from their counts, and a settled read's slots die with it.  A
+    confirmation never outlives its step (a read with a confirmed slot
+    settles in it), so the result is that of checking hits by ascending
+    read, then offset.  The cost is O(candidates + overlap checks + placed
+    reads * log candidates), plus the dead-slot skips, each amortised
+    O(1).
     """
     L_min = params.L_min
     # an overlap shorter than L_over carries no information; an empty one none
@@ -661,57 +663,70 @@ def _place_all(
     budget = 2 * params.e
     masks = _payload_masks(params)
     lens, values = reads.lens.tolist(), reads.values
-    placed: dict[int, int] = {}
-    dropped: list[tuple[int, str]] = []
-    # candidate state: per pending read a dict offset -> confirmed flag
-    pending: dict[int, dict[int, bool]] = {idx: {} for idx in which.tolist()}
-    for idx, off in zip(cand_read.tolist(), cand_off.tolist()):
-        pending[idx][off] = False
+    # read r's candidates are the input pairs first[r] to first[r + 1] - 1
+    first = np.searchsorted(cand_read, np.arange(len(lens) + 1))
+    live = np.diff(first)
+    one, none = which[live[which] == 1], which[live[which] == 0]
     by_start = np.argsort(cand_off, kind="stable")
-    starts, owners = cand_off[by_start].tolist(), cand_read[by_start].tolist()
+    starts, owners = cand_off[by_start], cand_read[by_start]
+    ends = (starts + reads.lens[owners]).tolist()
+    starts, owners = starts.tolist(), owners.tolist()
+    slot_of = np.empty_like(by_start)
+    slot_of[by_start] = np.arange(len(by_start))
+    # slot k is live when nxt[k] == k; a dead one points past itself
+    nxt = np.arange(len(by_start) + 1)
+    nxt[slot_of[first[one]]] += 1
+    live[one] = 0
+    placed = dict(zip(one.tolist(), cand_off[first[one]].tolist()))
+    dropped = [(idx, _NO_CANDIDATE) for idx in none.tolist()]
+    first, slot_of, nxt, live = first.tolist(), slot_of.tolist(), nxt.tolist(), live.tolist()
     reach = int(reads.lens[which].max(initial=0)) - L_over
-    queue: list[int] = []
+    queue = one.tolist()
 
-    def settle(idx: int) -> None:
-        cands = pending[idx]
-        anchored = [off for off, a in cands.items() if a]
-        if len(cands) == 1 or len(anchored) == 1:
-            placed[idx] = anchored[0] if anchored else next(iter(cands))
-            queue.append(idx)
-        elif not cands or anchored:
-            dropped.append((idx, _AMBIGUOUS if anchored else _NO_CANDIDATE))
-        else:
-            return  # several candidates, none confirmed yet
-        del pending[idx]
-
-    for idx in list(pending):
-        settle(idx)
+    def live_from(k: int) -> int:
+        root = k
+        while nxt[root] != root:
+            root = nxt[root]
+        while k != root:
+            nxt[k], k = root, nxt[k]
+        return root
 
     while queue:
         z = queue.pop()
         z_lo, z_val = placed[z], values[z]
         z_hi = z_lo + lens[z]
-        hits: list[tuple[int, int]] = []
-        for k in range(bisect_left(starts, z_lo - reach), bisect_right(starts, z_hi - L_over)):
-            idx, off = owners[k], starts[k]
-            if off in pending.get(idx, ()):
-                end = off + lens[idx]
-                if (end if end < z_hi else z_hi) - (off if off > z_lo else z_lo) >= L_over:
-                    hits.append((idx, off))
-        hits.sort()
-        for idx, group in groupby(hits, key=itemgetter(0)):
-            cands, val = pending[idx], values[idx]
-            for _, off in group:
-                lo, end = (off if off > z_lo else z_lo), off + lens[idx]
-                hi = end if end < z_hi else z_hi
-                differ = (val >> (lo - off)) ^ (z_val >> (lo - z_lo))
+        touched: dict[int, list[int]] = {}  # read -> its offsets confirmed in this step
+        k, stop = live_from(bisect_left(starts, z_lo - reach)), bisect_right(starts, z_hi - L_over)
+        while k < stop:
+            idx, off, end = owners[k], starts[k], ends[k]
+            lo, hi = (off if off > z_lo else z_lo), (end if end < z_hi else z_hi)
+            if hi - lo >= L_over:
+                got = touched.setdefault(idx, [])
+                differ = (values[idx] >> (lo - off)) ^ (z_val >> (lo - z_lo))
                 if (differ & masks[lo % L_min] & ((1 << (hi - lo)) - 1)).bit_count() <= budget:
-                    cands[off] = True
+                    got.append(off)
                 else:
-                    del cands[off]
-            settle(idx)
+                    nxt[k] = k + 1
+                    live[idx] -= 1
+            k += 1
+            if nxt[k] != k:
+                k = live_from(k)
+        for idx in sorted(touched):
+            got, left = touched[idx], live[idx]
+            if left == 1 or len(got) == 1:
+                placed[idx] = got[0] if got else next(
+                    starts[k] for k in slot_of[first[idx] : first[idx + 1]] if nxt[k] == k
+                )
+                queue.append(idx)
+            elif left == 0 or got:
+                dropped.append((idx, _AMBIGUOUS if got else _NO_CANDIDATE))
+            else:
+                continue  # several candidates, none confirmed yet
+            live[idx] = 0
+            for k in slot_of[first[idx] : first[idx + 1]]:
+                nxt[k] = k + 1
 
-    return placed, tuple(dropped), tuple(pending)
+    return placed, tuple(dropped), tuple(idx for idx in which.tolist() if live[idx])
 
 
 # ---------------------------------------------------------------------------

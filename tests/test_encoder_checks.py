@@ -289,6 +289,29 @@ class TestMarkerOffenders:
         with pytest.raises(SearchExhausted, match="^payload bits of strand 5 collided"):
             multi_gamma0_encode(messages, p, book)
 
+    @pytest.mark.parametrize("ml", [127, 128])
+    def test_markers_at_the_int8_table_boundary(self, ml):
+        # a 127-bit marker keeps int8 counts and a 128-bit one int16; the
+        # marker's complement, whole and cut by the period, gives the
+        # largest count and the largest head plus tail sum, ml
+        complement = 1 - np.random.default_rng(ml).integers(0, 2, ml).astype(np.uint8)
+        table = _bitops.marker_mismatches(complement, 1 - complement)
+        assert table.dtype == (np.int8 if ml < 128 else np.int16)
+        assert table[ml, 0] == ml
+        rng = np.random.default_rng(ml)
+        marker = 1 - complement
+        L_min, dmin, phase0 = 320, 5, 41
+        n = 6 * L_min + 17
+        w = with_markers(rng.integers(0, 2, n).astype(np.uint8), L_min, marker, phase0)
+        near_starts = []
+        plants = ((marker, 1, L_min - ml // 2), (marker, dmin - 1, L_min - 3),
+                  (complement, 0, 100), (complement, 0, L_min - 60), (complement, 0, L_min - 1))
+        for i, (bits, flips, phase) in enumerate(plants):
+            w, s = plant(w, phase, bits, flips, L_min, phase0, rng, near=i * (L_min + 20))
+            near_starts += [s] if bits is marker else []
+        got = both(w, L_min, dmin, marker, -(-n // L_min), phase0)
+        assert all(s // L_min in got for s in near_starts)
+
     @pytest.mark.parametrize("phase0", [0, 29])
     def test_unwritten_marker_raises(self, phase0):
         rng = np.random.default_rng(2)

@@ -6,6 +6,10 @@ import json
 import math
 import time
 import warnings
+from bisect import bisect_left, bisect_right
+from collections import Counter
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -52,10 +56,13 @@ from strandcode.multistrand import (
     multi_gamma0_message_len,
 )
 from strandcode.trace_codes import (
+    _AMBIGUOUS,
+    _NO_CANDIDATE,
     _analyze_reads,
     _block_table,
     _candidate_offsets,
     _chains,
+    _payload_masks,
     _place_all,
     _trace_layout,
 )
@@ -777,6 +784,127 @@ class TestPlacementRegression:
                 assert got == _candidate_offsets_by_scan(info, p8)
                 checked += 1
         assert checked > 1000
+
+    def test_placement_matches_the_dict_engine(self, p1, book1, p8, coded8):
+        # placed, dropped and pending must match in order, and every settle
+        # branch must occur
+        seen, singles, empties = Counter(), 0, 0
+        for args in _placement_inputs(p1, book1, p8, coded8):
+            placed, dropped, pending = _place_all(*args)
+            want = _place_all_by_dicts(*args, seen)
+            assert (list(placed.items()), dropped, pending) == (list(want[0].items()), *want[1:])
+            count = np.bincount(args[2], minlength=len(args[0].lens))[args[1]]
+            singles += int(np.sum(count == 1))
+            empties += int(np.sum(count == 0))
+        assert seen["placed alone"] > singles  # one live candidate left, none confirmed
+        assert seen["placed confirmed"] > 0
+        assert seen[_AMBIGUOUS] > 0
+        assert seen[_NO_CANDIDATE] > empties  # every candidate failed its check
+        assert empties > 0
+        # a read with a confirmed candidate settles in the step that
+        # confirmed it, so no confirmed candidate is ever checked again
+        assert seen["confirmed then failed"] == 0
+
+
+def _placement_inputs(p1, book1, p8, coded8):
+    """``_place_all`` arguments: trace-scale geometry at n = 2160, 4320 and
+    8640 under reliable reads, five seeds each, the damaged channel at 4320
+    and 8640, every reference trace, and one made-up set of reads.
+
+    No drop occurs in the traces, so the made-up reads, all zeros or all
+    ones, with candidates chosen by hand, reach the rest at n=4320: read 0
+    is placed alone at 1000; read 1 passes twice (ambiguous), read 2 fails
+    twice (no candidate), read 3 passes once (confirmed), read 4 fails
+    once and keeps 2000 (placed alone), read 5 has no candidate and read 6
+    none near a placed read (pending)."""
+    p2160 = derive_trace_params(2160, 1, L_min=90, L_over=85, I=4, r_I=16, K=8)
+    sizes = [(p2160, trace_book(p2160)), (p1, book1), (p8, coded8[0])]
+    traces = []
+    for p, book in sizes:
+        for seed in range(5):
+            m = BitSeq.random(trace_message_len(p), np.random.default_rng([p.n, seed]))
+            cfg = reliable_cfg(p, seed)
+            traces.append((p, book, corrupt(fragment(encode_trace(m, p, book), cfg), cfg)))
+    for p, book in sizes[1:]:
+        w = encode_trace(BitSeq.random(trace_message_len(p), np.random.default_rng(p.n)), p, book)
+        traces += [(p, book, _damaged_trace(p, w, seed)) for seed in range(3)]
+    traces += [(p8, coded8[0], tr) for tr, _ in _reference_cases(p8, coded8[2])]
+    for p, book, tr in traces:
+        reads = load_reads([f.bits for f in tr.strip_truth().fragments])
+        anchored = _analyze_reads(reads, p, book)[2]
+        yield (reads, anchored[0], *_candidate_offsets(reads, *anchored, p), p)
+    zeros, ones = BitSeq.zeros(120), BitSeq.from_numpy(np.ones(120, dtype=np.uint8))
+    cands = [(0, 1000), (1, 1005), (1, 1010), (2, 1003), (2, 1008), (3, 1002), (3, 3000),
+             (4, 1004), (4, 2000), (6, 2500), (6, 2600)]
+    cand_read, cand_off = np.array(cands).T
+    reads = load_reads([zeros, zeros, ones, zeros, ones, zeros, zeros])
+    yield reads, np.arange(7), cand_read, cand_off, p1
+
+
+def _place_all_by_dicts(reads, which, cand_read, cand_off, params, seen):
+    """The dict-of-dicts placement engine that the slot engine replaced,
+    kept as it was but for ``seen``, which counts each settle branch and
+    each confirmed candidate that later fails a check."""
+    L_min = params.L_min
+    # an overlap shorter than L_over carries no information; an empty one none
+    L_over = max(params.L_over, 1)
+    budget = 2 * params.e
+    masks = _payload_masks(params)
+    lens, values = reads.lens.tolist(), reads.values
+    placed: dict[int, int] = {}
+    dropped: list[tuple[int, str]] = []
+    # candidate state: per pending read a dict offset -> confirmed flag
+    pending: dict[int, dict[int, bool]] = {idx: {} for idx in which.tolist()}
+    for idx, off in zip(cand_read.tolist(), cand_off.tolist()):
+        pending[idx][off] = False
+    by_start = np.argsort(cand_off, kind="stable")
+    starts, owners = cand_off[by_start].tolist(), cand_read[by_start].tolist()
+    reach = int(reads.lens[which].max(initial=0)) - L_over
+    queue: list[int] = []
+
+    def settle(idx: int) -> None:
+        cands = pending[idx]
+        anchored = [off for off, a in cands.items() if a]
+        if len(cands) == 1 or len(anchored) == 1:
+            placed[idx] = anchored[0] if anchored else next(iter(cands))
+            queue.append(idx)
+            seen["placed confirmed" if anchored else "placed alone"] += 1
+        elif not cands or anchored:
+            dropped.append((idx, _AMBIGUOUS if anchored else _NO_CANDIDATE))
+            seen[dropped[-1][1]] += 1
+        else:
+            return  # several candidates, none confirmed yet
+        del pending[idx]
+
+    for idx in list(pending):
+        settle(idx)
+
+    while queue:
+        z = queue.pop()
+        z_lo, z_val = placed[z], values[z]
+        z_hi = z_lo + lens[z]
+        hits: list[tuple[int, int]] = []
+        for k in range(bisect_left(starts, z_lo - reach), bisect_right(starts, z_hi - L_over)):
+            idx, off = owners[k], starts[k]
+            if off in pending.get(idx, ()):
+                end = off + lens[idx]
+                if (end if end < z_hi else z_hi) - (off if off > z_lo else z_lo) >= L_over:
+                    hits.append((idx, off))
+        hits.sort()
+        for idx, group in groupby(hits, key=itemgetter(0)):
+            cands, val = pending[idx], values[idx]
+            for _, off in group:
+                lo, end = (off if off > z_lo else z_lo), off + lens[idx]
+                hi = end if end < z_hi else z_hi
+                differ = (val >> (lo - off)) ^ (z_val >> (lo - z_lo))
+                if (differ & masks[lo % L_min] & ((1 << (hi - lo)) - 1)).bit_count() <= budget:
+                    cands[off] = True
+                else:
+                    seen["confirmed then failed"] += cands[off]
+                    del cands[off]
+            settle(idx)
+
+    return placed, tuple(dropped), tuple(pending)
 
 
 def _reference_cases(p, w):
