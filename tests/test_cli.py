@@ -89,6 +89,37 @@ class TestParamsDerive:
         assert code == 1
         assert not row["feasible"] and "payload-space" in row["violations"]
 
+    def test_decode_refuses_a_lenient_infeasible_params_file(self, work, capsys):
+        code, row = run(
+            "params", "derive", "--family", "trace", "--n", 4096, "--e", 1,
+            "--a", 3, "--gamma", 0.1, "--lenient",
+        )
+        assert code == 1 and not row["feasible"]
+        params = work / "infeasible_params.json"
+        params.write_text(json.dumps(row))
+        word = work / "infeasible_word.txt"
+        word.write_text(BitSeq.random(4096, np.random.default_rng(5)).to_text())
+        reads, back = work / "infeasible_reads.txt", work / "infeasible_back.txt"
+        assert run(
+            "channel", "fragment", "--in", word, "--out", reads,
+            "--L-min", row["L_min"], "--L-over", row["L_over"],
+        )[0] == 0
+        capsys.readouterr()
+        code, _ = run("trace", "decode", "--params", params, "--in", reads, "--out", back)
+        err = capsys.readouterr().err
+        assert code == 1 and not back.exists()
+        assert "error: " in err
+        for name in ("payload-space", "marker-window", "matching-window", "group-coverage"):
+            assert name in err
+
+    def test_the_index_segment_count_is_not_an_override(self):
+        with pytest.raises(SystemExit) as exc:
+            run(
+                "params", "derive", "--family", "trace", "--n", 4320, "--e", 1,
+                "--L-min", 90, "--L-over", 85, "--I", 4, "--r-I", 16, "--K", 8, "--F", 4,
+            )
+        assert exc.value.code == 2
+
 
 class TestSdCli:
     def test_round_trip_and_verify(self, work):
@@ -111,6 +142,14 @@ class TestSdCli:
         short.write_text("0101")
         code, row = run("verify", "sd", "--in", short, "--n", 2048, "--d", 1)
         assert code == 1 and not row["ok"]
+
+    def test_verify_refuses_infeasible_parameters(self, work, capsys):
+        word = work / "sd_infeasible.txt"
+        word.write_text("0" * 4096)
+        capsys.readouterr()
+        code, row = run("verify", "sd", "--in", word, "--n", 4096, "--d", 3)
+        assert code == 1 and row is None
+        assert "replacement-shrink" in capsys.readouterr().err
 
 
 class TestTraceCli:

@@ -80,6 +80,56 @@ def wbook2(wp2):
     return trace_book(wp2)
 
 
+def _random_strands(n, k, L_min, L_over):
+    """A strand set of k random length-n strands and its pooled trace."""
+    ss = StrandSet(n, tuple(BitSeq.random(n, np.random.default_rng(i)) for i in range(k)))
+    return ss, fragment_strands(ss, ChannelConfig(L_min=L_min, L_over=L_over, e=1, seed=0))
+
+
+@pytest.fixture(scope="module")
+def infeasible_multi():
+    """The tail-window geometry: its leftover n mod L_min = 95 exceeds m'."""
+    p = derive_multi_gamma0_params(1095, 2, 1, L_min=100, K=32, r_I=12)
+    return (p, *_random_strands(p.n, p.k, p.L_min, 0))
+
+
+@pytest.fixture(scope="module")
+def infeasible_wrap():
+    """Formula-sized trace params at a superstring of two 2050-bit strands."""
+    p = derive_trace_params(wrap_length(2050, 2, 4), 1, a=3, gamma=0.1)
+    return (p, *_random_strands(2050, 2, p.L_min, p.L_over))
+
+
+# every entry point of a family that takes its params, on (params, strands, trace)
+_MULTI_ENTRIES = {
+    "multi_gamma0_message_len": lambda p, ss, tr: multi_gamma0_message_len(p),
+    "multi_gamma0_rs_message_len": lambda p, ss, tr: multi_gamma0_rs_message_len(p, 0),
+    "multi_gamma0_encode": lambda p, ss, tr: multi_gamma0_encode([BitSeq.zeros(8)] * 2, p),
+    "encode_multi_gamma0_rs": lambda p, ss, tr: encode_multi_gamma0_rs(BitSeq.zeros(8), p, 0),
+    "multi_gamma0_locate": lambda p, ss, tr: multi_gamma0_locate(ss.strands[0], p),
+    "multi_gamma0_decode": lambda p, ss, tr: multi_gamma0_decode(tr, p),
+    "reconstruct_multi_gamma0_rs": lambda p, ss, tr: reconstruct_multi_gamma0_rs(tr, p, 0),
+}
+_WRAP_ENTRIES = {
+    "wrap_encode": lambda p, ss, tr: wrap_encode(BitSeq.zeros(8), 2050, 2, p),
+    "wrap_reconstruct": lambda p, ss, tr: wrap_reconstruct(tr, 2050, 2, p),
+    "wrap_decode": lambda p, ss, tr: wrap_decode(tr, 2050, 2, p),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_MULTI_ENTRIES))
+def test_infeasible_multi_gamma0_params_are_refused(infeasible_multi, entry):
+    assert infeasible_multi[0].violations == ("tail-window",)
+    with pytest.raises(InfeasibleParameters, match="tail-window"):
+        _MULTI_ENTRIES[entry](*infeasible_multi)
+
+
+@pytest.mark.parametrize("entry", sorted(_WRAP_ENTRIES))
+def test_infeasible_wrap_params_are_refused(infeasible_wrap, entry):
+    with pytest.raises(InfeasibleParameters, match="payload-space.*group-coverage"):
+        _WRAP_ENTRIES[entry](*infeasible_wrap)
+
+
 @pytest.fixture(scope="module")
 def gp2():
     return derive_multi_gamma0_params(1030, 2, 1, L_min=100, K=32, r_I=12)

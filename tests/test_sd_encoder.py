@@ -468,6 +468,10 @@ class TestFullPipeline:
     def test_infeasible_params_propagate(self):
         with pytest.raises(InfeasibleParameters):
             encode_sd(BitSeq.zeros(10), 4096, 3)
+        with pytest.raises(InfeasibleParameters, match="replacement-shrink"):
+            decode_sd(BitSeq.zeros(4096), 4096, 3)
+        with pytest.raises(InfeasibleParameters, match="replacement-shrink"):
+            sd_message_len(4096, 3)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=(1 << 70) - 1))

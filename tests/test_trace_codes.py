@@ -149,6 +149,59 @@ class TestDeriveParams:
         assert (p2.d1, p2.d2) == (5, 9)
 
 
+@pytest.fixture(scope="module")
+def infeasible_trace():
+    """Formula-sized trace params whose every block inequality fails, and a
+    trace cut to their geometry."""
+    p = derive_trace_params(4096, 1, a=3, gamma=0.1)
+    cfg = ChannelConfig(L_min=p.L_min, L_over=p.L_over, e=1, seed=0)
+    return p, fragment(BitSeq.random(p.n, np.random.default_rng(0)), cfg)
+
+
+@pytest.fixture(scope="module")
+def infeasible_gamma0():
+    p = derive_gamma0_params(400, 1, L_min=30)
+    cfg = ChannelConfig(L_min=p.L_min, L_over=0, e=1, seed=0)
+    return p, fragment(BitSeq.random(p.n, np.random.default_rng(0)), cfg)
+
+
+# every entry point of a family that takes its params, called on (params, trace)
+_TRACE_ENTRIES = {
+    "trace_message_len": lambda p, tr: trace_message_len(p),
+    "trace_rs_message_len": lambda p, tr: trace_rs_message_len(p, 1),
+    "encode_trace": lambda p, tr: encode_trace(BitSeq.zeros(8), p),
+    "encode_trace_rs": lambda p, tr: encode_trace_rs(BitSeq.zeros(8), p, 1),
+    "reconstruct_trace": lambda p, tr: reconstruct_trace(tr, p),
+    "reconstruct_trace_rs": lambda p, tr: reconstruct_trace_rs(tr, p, 1),
+}
+_GAMMA0_ENTRIES = {
+    "gamma0_message_len": lambda p, tr: gamma0_message_len(p),
+    "encode_gamma0": lambda p, tr: encode_gamma0(BitSeq.zeros(8), p),
+    "reconstruct_gamma0": lambda p, tr: reconstruct_gamma0(tr, p),
+}
+
+
+class TestInfeasibleParams:
+    """Derived params carry their violations as data; every entry point
+    refuses them with an ``InfeasibleParameters`` that names them."""
+
+    def test_derive_records_every_violation(self, infeasible_trace, infeasible_gamma0):
+        assert infeasible_trace[0].violations == (
+            "payload-space", "marker-window", "matching-window", "group-coverage"
+        )
+        assert infeasible_gamma0[0].violations == ("payload-space",)
+
+    @pytest.mark.parametrize("entry", sorted(_TRACE_ENTRIES))
+    def test_trace_entry_points_refuse(self, infeasible_trace, entry):
+        with pytest.raises(InfeasibleParameters, match="payload-space.*group-coverage"):
+            _TRACE_ENTRIES[entry](*infeasible_trace)
+
+    @pytest.mark.parametrize("entry", sorted(_GAMMA0_ENTRIES))
+    def test_gamma0_entry_points_refuse(self, infeasible_gamma0, entry):
+        with pytest.raises(InfeasibleParameters, match="payload-space"):
+            _GAMMA0_ENTRIES[entry](*infeasible_gamma0)
+
+
 class TestEncode:
     def test_codeword_length(self, p1, coded1):
         _, w = coded1
