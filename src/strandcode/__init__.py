@@ -45,6 +45,7 @@ from .errors import (
     LayoutError,
     SearchExhausted,
     StrandcodeError,
+    require_feasible,
 )
 from .multistrand import (
     MultiGamma0Params,

@@ -39,7 +39,7 @@ from . import _bitops
 from .bitseq import BitSeq, majority_merge, unpack_rows
 from .channel import Trace
 from .constrained import ConstrainedCodec, auto_cyclic
-from .errors import DecodeFailure, InfeasibleParameters, LayoutError, SearchExhausted
+from .errors import DecodeFailure, LayoutError, SearchExhausted, require_feasible
 from .positioning import IndexBook, build_index_book, default_r_I, find_marker, locate_index
 
 # in-block position kinds: marker, group flag, payload, index codeword
@@ -70,11 +70,6 @@ def check_trace(tr: Trace, params, k: int) -> None:
         raise LayoutError("trace error budget exceeds the code tolerance")
     if any(len(frag.bits) < params.L_min for frag in tr.fragments):
         raise LayoutError("a read is shorter than the block length")
-
-
-def require_feasible(params, what: str = "cannot encode with violated geometry") -> None:
-    if not params.feasible:
-        raise InfeasibleParameters(f"{what}: " + ", ".join(params.violations))
 
 
 class BlockGeometry:
@@ -459,6 +454,11 @@ def indexed_geometry(L_min: int, e: int, I: int, K: int, r_I: int | None) -> dic
     )
 
 
+def indexed_message_len(params) -> int:
+    """Message bits of one strand; refuses infeasible params."""
+    return require_feasible(params).message_blocks * (params.m_prime - params.d)
+
+
 def indexed_book(params, seed: int = 0) -> IndexBook:
     return build_index_book(params.I, params.d, params.K, r_I=params.r_I, seed=seed)
 
@@ -517,13 +517,12 @@ def indexed_encode(
     zeros (a block past the message blocks carries only zeros), and the
     whole (k, n) frame is checked in one stacked marker scan.
     """
-    require_feasible(params)
+    want = indexed_message_len(params)
     book = book if book is not None else indexed_book(params)
     check_book(params, book, params.d)
     if len(messages) != params.k:
         raise ValueError(f"need {params.k} strand messages, got {len(messages)}")
     body = params.m_prime - params.d
-    want = params.message_blocks * body
     for i, m_i in enumerate(messages):
         if len(m_i) != want:
             raise ValueError(f"strand {i} message must have {want} bits, got {len(m_i)}")
@@ -593,6 +592,7 @@ def indexed_reconstruct(
     the per-strand messages, the report (offsets flattened as ``strand *
     n + offset``) and the :class:`DecodeRecord`.
     """
+    require_feasible(params)
     book = book if book is not None else indexed_book(params)
     check_trace(tr, params, params.k)
     check_book(params, book, params.d)

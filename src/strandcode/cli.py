@@ -25,7 +25,7 @@ from .channel import (
     trace_from_text,
     trace_to_text,
 )
-from .errors import SearchExhausted, StrandcodeError
+from .errors import SearchExhausted, StrandcodeError, require_feasible
 from .multistrand import (
     MultiGamma0Params,
     derive_multi_gamma0_params,
@@ -105,12 +105,12 @@ class Family:
 
     params: type
     overrides: frozenset[str]  # ``params derive`` geometry flags it accepts
-    derive: Callable  # (args, d, e, strict=..., **overrides) -> params
+    derive: Callable  # (args, d, e, **overrides) -> params
     message_len: Callable  # params -> message bits
     symbols: Callable = lambda p: p.n  # output symbols over all strands
 
 
-_OVERRIDES = ("a", "gamma", "eps", "L_min", "L_over", "I", "r_I", "K", "F", "L")
+_OVERRIDES = ("a", "gamma", "eps", "L_min", "L_over", "I", "r_I", "K", "L")
 _INDEXED_OVERRIDES = frozenset({"a", "L_min", "K", "r_I"})
 
 FAMILIES = {
@@ -203,7 +203,9 @@ def _cmd_params_derive(args) -> int:
         flags = ", ".join("--" + name.replace("_", "-") for name in sorted(bad))
         raise ValueError(f"{flags} do not apply to family {family!r}")
     kwargs = {name: getattr(args, name) for name in given}
-    p = FAMILIES[family].derive(args, d, e, strict=not args.lenient, **kwargs)
+    p = FAMILIES[family].derive(args, d, e, **kwargs)
+    if not args.lenient:
+        require_feasible(p)
     row = _params_row(family, p)
     _emit(row)
     if p.feasible:
@@ -444,7 +446,7 @@ def _verify_report(check: str, ok: bool, why: str = "", **extra) -> int:
 
 
 def _cmd_verify_sd(args) -> int:
-    p = derive_sd_params(args.n, args.d)
+    p = require_feasible(derive_sd_params(args.n, args.d))
     x = _read_bits(args.infile)
     if len(x) != args.n:
         return _verify_report(
@@ -562,7 +564,6 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--I", type=int, default=None, help="override index width")
     sp.add_argument("--r-I", type=int, default=None, help="override index redundancy")
     sp.add_argument("--K", type=int, default=None, help="override marker zero run")
-    sp.add_argument("--F", type=int, default=None, help="override index segment count")
     sp.add_argument("--L", type=int, default=None, help="override matching window")
     sp.add_argument(
         "--lenient", action="store_true", help="report violations instead of raising"

@@ -1,4 +1,4 @@
-"""Package exception hierarchy."""
+"""Package exception hierarchy, and the one feasibility verdict on params."""
 
 
 class StrandcodeError(Exception):
@@ -7,6 +7,18 @@ class StrandcodeError(Exception):
 
 class InfeasibleParameters(StrandcodeError):
     """Requested parameters fail a derive-time feasibility check."""
+
+
+def require_feasible(params):
+    """Return ``params``, or raise :class:`InfeasibleParameters` naming
+    its ``violations``.  A ``derive_*_params`` only records them; every
+    encode, decode, locate and message-length entry point raises here.
+    """
+    if params.violations:
+        raise InfeasibleParameters(
+            f"infeasible {type(params).__name__}: " + "; ".join(params.violations)
+        )
+    return params
 
 
 class LayoutError(StrandcodeError):

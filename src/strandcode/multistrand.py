@@ -36,12 +36,12 @@ from .blocks import (
     indexed_encode,
     indexed_geometry,
     indexed_locate,
+    indexed_message_len,
     indexed_reconstruct,
     load_reads,
-    require_feasible,
 )
 from .channel import ChannelConfig, Fragment, Trace, fragment
-from .errors import DecodeFailure, LayoutError
+from .errors import DecodeFailure, LayoutError, require_feasible
 from .outer import lane_decode, lane_encode, lane_message_len
 from .positioning import IndexBook
 from .trace_codes import TraceParams, encode_trace, reconstruct_trace, trace_book
@@ -194,6 +194,7 @@ def wrap_attribute(offset: int, length: int, n: int, k: int, L_over: int) -> tup
 
 
 def _check_wrap_geometry(n: int, k: int, params: TraceParams) -> None:
+    require_feasible(params)
     N = wrap_length(n, k, params.L_over)
     if params.n != N:
         raise LayoutError(
@@ -252,6 +253,7 @@ def wrap_decode(
 ) -> tuple[StrandSet, ReconReport]:
     """Recover the strand multiset and the reconstruction report, whose
     message and reliability flag are those of the pooled read set."""
+    _check_wrap_geometry(n, k, params)
     book = book if book is not None else trace_book(params)
     rep = wrap_reconstruct(mt, n, k, params, book)
     w = encode_trace(rep.message, params, book)
@@ -328,7 +330,6 @@ def derive_multi_gamma0_params(
     L_min: int | None = None,
     K: int | None = None,
     r_I: int | None = None,
-    strict: bool = True,
 ) -> MultiGamma0Params:
     """Block geometry for k strands of length n against e errors per read.
 
@@ -338,6 +339,9 @@ def derive_multi_gamma0_params(
     must not exceed the payload width ``m'``: any more and the last
     length-``L_min`` window of a strand would no longer cover a whole
     marker-index pair.
+
+    Malformed arguments raise ``ValueError``; failed inequalities are only
+    recorded in ``violations``, for :func:`require_feasible` to refuse.
     """
     if n < 1 or k < 1 or e < 0:
         raise ValueError("need n >= 1, k >= 1 and e >= 0")
@@ -357,15 +361,12 @@ def derive_multi_gamma0_params(
     if L_star > max(geometry["m_prime"], 0):
         geometry["violations"] += ("tail-window",)
 
-    params = MultiGamma0Params(n=n, k=k, e=e, L_min=L_min, I=I, K=K, **geometry)
-    if strict:
-        require_feasible(params, "infeasible block geometry")
-    return params
+    return MultiGamma0Params(n=n, k=k, e=e, L_min=L_min, I=I, K=K, **geometry)
 
 
 def multi_gamma0_message_len(params: MultiGamma0Params) -> int:
     """Total message bits over all k strands."""
-    return params.index_count * (params.m_prime - params.d)
+    return params.k * indexed_message_len(params)
 
 
 multi_gamma0_book = indexed_book
@@ -387,6 +388,7 @@ def multi_gamma0_locate(
     y: BitSeq, params: MultiGamma0Params, book: IndexBook | None = None
 ) -> tuple[int, int]:
     """Name the (strand, offset) of a single read from its leading window."""
+    require_feasible(params)
     if len(y) < params.L_min:
         raise LayoutError("a read is shorter than the block length")
     book = book if book is not None else multi_gamma0_book(params)
@@ -419,12 +421,8 @@ def multi_gamma0_decode(
 # the outer lanes (see outer.py), so any tau bad strands are recoverable.
 
 
-def _strand_payload_bits(params: MultiGamma0Params) -> int:
-    return params.n_bar * (params.m_prime - params.d)
-
-
 def multi_gamma0_rs_message_len(params: MultiGamma0Params, tau: int) -> int:
-    return lane_message_len(params.k, tau, _strand_payload_bits(params))
+    return lane_message_len(params.k, tau, indexed_message_len(params))
 
 
 def encode_multi_gamma0_rs(
@@ -436,7 +434,7 @@ def encode_multi_gamma0_rs(
     corrupted strand costs one symbol per lane and any tau strands are
     recoverable.
     """
-    messages = lane_encode(m, params.k, tau, _strand_payload_bits(params))
+    messages = lane_encode(m, params.k, tau, indexed_message_len(params))
     return multi_gamma0_encode(messages, params, book)
 
 

@@ -16,7 +16,7 @@ parameters are derived; small ``n`` can legitimately be rejected.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,7 +32,9 @@ from .constrained import (
     index_wwl_decode,
     index_wwl_len,
 )
-from .errors import DecodeFailure, InfeasibleParameters, SearchExhausted, StrandcodeError
+from .errors import (
+    DecodeFailure, InfeasibleParameters, SearchExhausted, StrandcodeError, require_feasible,
+)
 
 __all__ = [
     "SdParams",
@@ -139,14 +141,13 @@ class SdParams:
 
 
 @functools.lru_cache(maxsize=128)
-def derive_sd_params(n: int, d: int, strict: bool = True) -> SdParams:
-    """Compute all pipeline lengths for (n, d), verifying feasibility.
+def derive_sd_params(n: int, d: int) -> SdParams:
+    """Compute all pipeline lengths for (n, d) and check their feasibility.
 
     The formulas are asymptotic and desk-scale n can fail them
     legitimately, so every inequality the pipeline relies on is evaluated
-    outright.  In strict mode a violation raises
-    :class:`InfeasibleParameters` naming the failed checks; otherwise the
-    derived values are returned with the names in ``violations``.
+    outright.  Malformed arguments raise ``ValueError``; failed checks are
+    only recorded in ``violations``, for :func:`require_feasible` to refuse.
     """
     if n < 4 or d < 1:
         raise ValueError("require n >= 4 and d >= 1")
@@ -160,6 +161,7 @@ def derive_sd_params(n: int, d: int, strict: bool = True) -> SdParams:
     ell = d * ceil_log2(d) + 2 * d
     K_max = max(K1, K2)
     L = max(L1 + K2 + K_max + ell, L2 + 2 * K1 + K_max + ell)
+    p = SdParams(n, d, L1, K1, L2, K2, K_max, ell, L, n_prime=0)
 
     bad: list[str] = []
 
@@ -167,19 +169,16 @@ def derive_sd_params(n: int, d: int, strict: bool = True) -> SdParams:
         if not ok:
             bad.append(f"{name}: {detail}")
 
-    diff_len = (d - 1) * ceil_log2(L1 + 1)
-    tail_len = ceil_log2(d + 1)
-    insert_len = 4 * d + d * llog + (log_n + d) + diff_len + tail_len
     check(
-        insert_len <= L1 - 1,
+        p.insert_len <= L1 - 1,
         "replacement-shrink",
-        f"rewrite record is {insert_len} bits but must fit in L1-1={L1 - 1}",
+        f"rewrite record is {p.insert_len} bits but must fit in L1-1={L1 - 1}",
     )
     check(
-        diff_len + tail_len <= d * llog - 1,
+        p.diff_len + p.tail_len <= p.zero_len - 1,
         "marker-uniqueness",
-        f"difference and branch fields span {diff_len + tail_len} bits, "
-        f"enough to fake the {d * llog}-zero marker",
+        f"difference and branch fields span {p.diff_len + p.tail_len} bits, "
+        f"enough to fake the {p.zero_len}-zero marker",
     )
     try:
         index_wwl_len(n, d)
@@ -190,29 +189,18 @@ def derive_sd_params(n: int, d: int, strict: bool = True) -> SdParams:
         "scaffold-geometry",
         f"need ell < K2 and K2+ell < L2, got ell={ell} K2={K2} L2={L2}",
     )
-    inner = n - K2 - K_max
-    check(inner >= 1, "interior-length", f"n={n} leaves no room after K2+K_max={K2 + K_max}")
-    n_pieces = -(-n // (L2 - K2 + K_max)) + 1
     check(
-        n_pieces * (L2 - K2 + K_max) >= n,
-        "scaffold-length",
-        "scaffold shorter than n",
+        p.inner_len >= 1, "interior-length", f"n={n} leaves no room after K2+K_max={K2 + K_max}"
     )
-    if inner >= 1:
-        n_prime = ConstrainedCodec(d * llog, d, inner).msg_len
-    else:
-        n_prime = 0
+    n_prime = ConstrainedCodec(p.zero_len, d, p.inner_len).msg_len if p.inner_len >= 1 else 0
     check(n_prime >= 1, "message-capacity", "no message bits survive the constraints")
-    if strict and bad:
-        raise InfeasibleParameters("; ".join(bad))
-    params = SdParams(n, d, L1, K1, L2, K2, K_max, ell, L, n_prime, tuple(bad))
-    assert len(auto_cyclic(d)) == params.ell
-    return params
+    assert len(auto_cyclic(d)) == ell
+    return replace(p, n_prime=n_prime, violations=tuple(bad))
 
 
 def sd_message_len(n: int, d: int) -> int:
     """Number of message bits carried by one length-n encoded sequence."""
-    return derive_sd_params(n, d).n_prime
+    return require_feasible(derive_sd_params(n, d)).n_prime
 
 
 @functools.lru_cache(maxsize=128)
@@ -270,10 +258,8 @@ def eliminate_close_pairs(
     ``trace``, if given, collects one dict per replacement with keys i, j,
     branch, len_after and marker_at, serialisable as JSON.
     """
-    p = params
+    p = require_feasible(params)
     d = p.d
-    if p.violations:
-        raise InfeasibleParameters("; ".join(p.violations))
     if len(w) != p.inner_len:
         raise ValueError(f"expected input of length {p.inner_len}, got {len(w)}")
     if not is_wwl(w, p.zero_len, d):
@@ -466,9 +452,7 @@ def build_scaffold(params: SdParams, seed: int = 0, max_tries: int = 200) -> Sca
     :func:`_bitops.close_pairs` of the kept and drawn pieces' chain pairs
     all its windows within d - 1 of each other.
     """
-    p = params
-    if p.violations:
-        raise InfeasibleParameters("; ".join(p.violations))
+    p = require_feasible(params)
     rng = np.random.default_rng(np.random.SeedSequence((seed, p.n, p.d)))
     codec = ConstrainedCodec(p.K2, p.d, p.piece_len)
     cap = codec.count(p.piece_len)
@@ -551,7 +535,7 @@ def contract_from_length(what: BitSeq, params: SdParams) -> BitSeq:
 def encode_sd(m: BitSeq, n: int, d: int, *, seed: int = 0, certify: bool = False) -> BitSeq:
     """Encode n_prime message bits into a length-n sequence that is
     (2(K1+K2), d)-weight-limited and (L, d)-substring-distant."""
-    p = derive_sd_params(n, d)
+    p = require_feasible(derive_sd_params(n, d))
     if len(m) != p.n_prime:
         raise ValueError(f"message must have {p.n_prime} bits, got {len(m)}")
     w = _inner_codec(n, d).encode(m)
@@ -561,7 +545,7 @@ def encode_sd(m: BitSeq, n: int, d: int, *, seed: int = 0, certify: bool = False
 
 def decode_sd(what: BitSeq, n: int, d: int) -> BitSeq:
     """Invert :func:`encode_sd`; the scaffold seed is not needed."""
-    p = derive_sd_params(n, d)
+    p = require_feasible(derive_sd_params(n, d))
     wbar = contract_from_length(what, p)
     w = restore_close_pairs(wbar, p)
     (plain,) = _inner_codec(n, d).decode(w.to_numpy()[None])

@@ -52,17 +52,19 @@ from .blocks import (
     indexed_book,
     indexed_encode,
     indexed_geometry,
+    indexed_message_len,
     indexed_reconstruct,
     load_reads,
     make_report,
     marker_offenders,
     merge_placed,
     placed_bits,
-    require_feasible,
 )
 from .channel import Trace
 from .constrained import ConstrainedCodec, auto_cyclic
-from .errors import DecodeFailure, InfeasibleParameters, LayoutError, SearchExhausted
+from .errors import (
+    DecodeFailure, InfeasibleParameters, LayoutError, SearchExhausted, require_feasible,
+)
 from .outer import lane_decode, lane_encode, lane_message_len
 from .positioning import (
     AMBIGUOUS,
@@ -170,17 +172,17 @@ def derive_trace_params(
     I: int | None = None,
     r_I: int | None = None,
     K: int | None = None,
-    F: int | None = None,
     L: int | None = None,
-    strict: bool = True,
 ) -> TraceParams:
     """Resolve the block geometry and check every inequality decoding uses.
 
     The regime constants ``a`` and ``gamma`` size ``L_min`` and ``L_over``;
     at small ``n`` the literal formulas are often infeasible, so any of the
     geometry knobs can be pinned explicitly and only the structural checks
-    remain.  With ``strict`` a violated inequality raises; otherwise the
-    violations are recorded on the returned params.
+    remain.  ``F`` is derived: the fewest index segments of at most ``K`` bits.
+
+    Malformed arguments raise ``ValueError``; failed inequalities are only
+    recorded in ``violations``, for :func:`require_feasible` to refuse.
     """
     if n < 1 or e < 0:
         raise ValueError("need n >= 1 and e >= 0")
@@ -223,8 +225,7 @@ def derive_trace_params(
         r_I = default_r_I(I, d1)
     if K is None:
         K = math.ceil(math.sqrt(logn))
-    if F is None:
-        F = max(1, math.ceil((I + r_I) / K))
+    F = max(1, math.ceil((I + r_I) / K))
 
     r = I + r_I + K + ell + d1
     v_per_block = L_min - r
@@ -261,14 +262,11 @@ def derive_trace_params(
         if cap <= SALT_BITS:
             violations.append("block-capacity")
 
-    params = TraceParams(
+    return TraceParams(
         n=n, e=e, L_min=L_min, L_over=L_over, d1=d1, d2=d2, ell=ell,
         I=I, r_I=r_I, K=K, F=F, L=L, v_window=v_window, v_floor=v_floor,
         a=a_eff, gamma=g_eff, violations=tuple(violations),
     )
-    if strict:
-        require_feasible(params, "infeasible block geometry")
-    return params
 
 
 def _group_codec(params: TraceParams, i: int, ext: bool = False) -> ConstrainedCodec:
@@ -277,7 +275,8 @@ def _group_codec(params: TraceParams, i: int, ext: bool = False) -> ConstrainedC
 
 
 def _group_payload_len(params: TraceParams, i: int) -> int:
-    return _group_codec(params, i).msg_len - SALT_BITS
+    """Message bits of group i; refuses infeasible params."""
+    return _group_codec(require_feasible(params), i).msg_len - SALT_BITS
 
 
 def trace_message_len(params: TraceParams) -> int:
@@ -416,14 +415,13 @@ def encode_trace(m: BitSeq, params: TraceParams, book: IndexBook | None = None) 
     raises ``SearchExhausted`` only when some group runs out of its
     2^SALT_BITS salts.
     """
-    require_feasible(params)
+    want = trace_message_len(params)
     book = book if book is not None else trace_book(params)
     check_book(params, book, params.d1)
     if tuple(book.segment_widths) != tuple(
         _split_widths(params.I + params.r_I, params.F)
     ):
         raise ValueError("book segmentation does not match F")
-    want = trace_message_len(params)
     if len(m) != want:
         raise ValueError(f"message must have {want} bits, got {len(m)}")
 
@@ -578,7 +576,14 @@ def _candidate_offsets(
     groups all agree with the block table, as (read, offset) pairs in
     ascending order.  Only the blocks of one group are tried per read, so
     the cost does not grow with the number of groups: one (reads, blocks
-    per group, boundaries per read) comparison."""
+    per group, boundaries per read) comparison.
+
+    Only the flags are compared: an offset puts the reference boundary on
+    a block of its group ``g_ref``, other groups are known exactly where
+    the flags up to them are, chained one up at every flagged start, and
+    in a feasible block table (no empty group) the group steps up by one
+    exactly at each ``is_start``.  So agreeing flags imply the groups.
+    """
     blocks = _block_table(params)
     L_min = params.L_min
     b0, nb, flags, groups, _ = _chains(reads, which, pos, group, know_at, params)
@@ -596,12 +601,8 @@ def _candidate_offsets(
     t = np.arange(flags.shape[1])
     B = (off[:, :, None] + (b0[:, None] + L_min * t)[:, None, :]) // L_min
     Bc = np.clip(B, 0, blocks.total - 1)
-    flags, groups = flags[:, None, :], groups[:, None, :]
-    agree = (
-        (B < blocks.total)
-        & ((flags < 0) | ((flags == 0) == blocks.is_start[Bc]))
-        & ((groups < 0) | (blocks.group[Bc] == groups))
-    )
+    flags = flags[:, None, :]
+    agree = (B < blocks.total) & ((flags < 0) | ((flags == 0) == blocks.is_start[Bc]))
     ok &= (agree | (t >= nb[:, None])[:, None, :]).all(axis=2)
     r, c = np.nonzero(ok)
     return which[r], off[r, c]
@@ -767,6 +768,7 @@ def _reconstruct(
     """Place, merge and decode what the trace allows; return the group
     payloads (zeros where one does not decode), the report and the
     :class:`DecodeRecord`."""
+    require_feasible(params)
     book = book if book is not None else trace_book(params)
     check_trace(tr, params, 1)
     check_book(params, book, params.d1)
@@ -815,7 +817,7 @@ def reconstruct_trace(
 
 
 def _outer_payload_bits(params: TraceParams) -> int:
-    if params.n_L % params.group_count:
+    if require_feasible(params).n_L % params.group_count:
         raise InfeasibleParameters(
             "outer code needs uniform groups: 2^I must divide the block count"
         )
@@ -921,8 +923,10 @@ def derive_gamma0_params(
     L_min: int | None = None,
     K: int | None = None,
     r_I: int | None = None,
-    strict: bool = True,
 ) -> Gamma0Params:
+    """Block geometry for one strand of length n against e errors per read;
+    malformed arguments raise ``ValueError``, failed inequalities are only
+    recorded in ``violations``, for :func:`require_feasible` to refuse."""
     if n < 1 or e < 0:
         raise ValueError("need n >= 1 and e >= 0")
     logn = math.log2(n)
@@ -935,20 +939,14 @@ def derive_gamma0_params(
     I = max(1, math.ceil(math.log2(math.ceil(n / L_min))))
     if K is None:
         K = math.ceil(math.sqrt(logn))
-    params = Gamma0Params(
+    return Gamma0Params(
         n=n, e=e, L_min=L_min, I=I, K=K,
         a=a if a is not None else L_min / logn,
         **indexed_geometry(L_min, e, I, K, r_I),
     )
-    if strict:
-        require_feasible(params, "infeasible block geometry")
-    return params
 
 
-def gamma0_message_len(params: Gamma0Params) -> int:
-    return params.message_blocks * (params.m_prime - params.d)
-
-
+gamma0_message_len = indexed_message_len
 gamma0_book = indexed_book
 
 

@@ -20,7 +20,7 @@ from strandcode.channel import (
     trace_from_text,
     trace_to_text,
 )
-from strandcode.errors import DecodeFailure, InfeasibleParameters, LayoutError
+from strandcode.errors import DecodeFailure, InfeasibleParameters, LayoutError, require_feasible
 from strandcode.multistrand import (
     StrandSet,
     derive_multi_gamma0_params,
@@ -386,10 +386,10 @@ class TestMultiGamma0:
         assert gp2.index_count <= 2**gp2.I
 
     def test_oversized_tail_is_a_violation(self):
-        p = derive_multi_gamma0_params(1095, 2, 1, L_min=100, K=32, r_I=12, strict=False)
+        p = derive_multi_gamma0_params(1095, 2, 1, L_min=100, K=32, r_I=12)
         assert "tail-window" in p.violations
         with pytest.raises(InfeasibleParameters):
-            derive_multi_gamma0_params(1095, 2, 1, L_min=100, K=32, r_I=12)
+            require_feasible(p)
         with pytest.raises(InfeasibleParameters):
             multi_gamma0_encode([BitSeq.zeros(8)] * 2, p)
 

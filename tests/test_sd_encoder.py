@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from strandcode import _bitops
 from strandcode.bitseq import BitSeq, is_sd, is_wwl
 from strandcode.constrained import ConstrainedCodec, auto_cyclic
-from strandcode.errors import DecodeFailure, InfeasibleParameters, SearchExhausted, StrandcodeError
+from strandcode.errors import (
+    DecodeFailure, InfeasibleParameters, SearchExhausted, StrandcodeError, require_feasible,
+)
 from strandcode.oracle import check_p123, check_sd_exhaustive, sd_min_pair_distance
 from strandcode.sd_encoder import (
     _inner_codec,
@@ -39,11 +41,11 @@ class TestDeriveParams:
 
     def test_frozen_large(self):
         """The d=5 point fails desk-scale checks but the values must match."""
-        p = derive_sd_params(2**20, 5, strict=False)
+        p = derive_sd_params(2**20, 5)
         assert (p.L1, p.K1, p.L2, p.K2, p.K_max, p.ell, p.L) == (98, 30, 130, 33, 33, 25, 248)
         assert any(v.startswith("replacement-shrink") for v in p.violations)
         with pytest.raises(InfeasibleParameters, match="replacement-shrink"):
-            derive_sd_params(2**20, 5)
+            require_feasible(derive_sd_params(2**20, 5))
 
     def test_frozen_d3(self):
         p = derive_sd_params(65537, 3)
@@ -52,16 +54,16 @@ class TestDeriveParams:
 
     def test_d3_feasibility_boundary(self):
         with pytest.raises(InfeasibleParameters):
-            derive_sd_params(65536, 3)
+            require_feasible(derive_sd_params(65536, 3))
         assert derive_sd_params(65537, 3).feasible
 
     def test_infeasible_names_check(self):
         with pytest.raises(InfeasibleParameters, match="replacement-shrink"):
-            derive_sd_params(4096, 3)
+            require_feasible(derive_sd_params(4096, 3))
 
     @pytest.mark.parametrize("d", range(1, 17))
     def test_marker_length_matches(self, d):
-        p = derive_sd_params(1 << 20, d, strict=False)
+        p = derive_sd_params(1 << 20, d)
         assert p.ell == len(auto_cyclic(d))
 
     def test_bad_inputs(self):

@@ -363,11 +363,25 @@ def test_no_function_takes_a_lenient_flag():
     assert found == []
 
 
+def test_no_function_takes_a_strict_flag():
+    # a derive records its violations and never raises them; whether params
+    # are feasible is the one verdict require_feasible, not a mode of each
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in _flag_takers(ast.parse(path.read_text()), "strict")
+    ]
+    assert found == []
+
+
 def test_the_flag_check_sees_every_kind_of_parameter():
     tree = ast.parse(
         "def f(a, lenient): pass\n"
         "def g(*, lenient=False): pass\n"
         "h = lambda lenient: 0\n"
         "def k(a, strict=True): lenient = a\n"
+        "def m(*, strict=False): strict = 1\n"
+        "s = lambda strict: 0\n"
     )
     assert _flag_takers(tree) == [1, 2, 3]
+    assert _flag_takers(tree, "strict") == [4, 5, 6]

@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 from strandcode import blocks, trace_codes
 from strandcode.bitseq import BitSeq, is_sd, is_wwl
 from strandcode.channel import ChannelConfig, Fragment, Trace, corrupt, fragment, is_reliable
-from strandcode.errors import DecodeFailure, InfeasibleParameters, LayoutError, SearchExhausted
+from strandcode.errors import (
+    DecodeFailure, InfeasibleParameters, LayoutError, SearchExhausted, require_feasible,
+)
 from strandcode.trace_codes import (
     Gamma0Params,
     ReconReport,
@@ -126,10 +128,10 @@ class TestDeriveParams:
     def test_formula_sizing_is_infeasible_at_desk_scale(self):
         # the literal asymptotic sizing collapses at small n: the index and
         # marker overhead exceeds the block, and the matching window hits 0
-        p = derive_trace_params(2**15, 1, a=3.0, gamma=1 / 3, I=6, K=24, strict=False)
+        p = derive_trace_params(2**15, 1, a=3.0, gamma=1 / 3, I=6, K=24)
         assert p.violations == ("payload-space", "marker-window", "matching-window")
         with pytest.raises(InfeasibleParameters):
-            derive_trace_params(2**15, 1, a=3.0, gamma=1 / 3, I=6, K=24)
+            require_feasible(p)
 
     def test_regime_preconditions(self):
         with pytest.raises(ValueError):
@@ -140,7 +142,7 @@ class TestDeriveParams:
             derive_trace_params(4096, 1, a=2.0, gamma=0.25, eps=0.7)
 
     def test_infeasible_params_refuse_to_encode(self):
-        p = derive_trace_params(2**15, 1, a=3.0, gamma=1 / 3, I=6, K=24, strict=False)
+        p = derive_trace_params(2**15, 1, a=3.0, gamma=1 / 3, I=6, K=24)
         with pytest.raises(InfeasibleParameters):
             encode_trace(BitSeq.zeros(16), p)
 
