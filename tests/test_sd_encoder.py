@@ -502,6 +502,15 @@ class TestFullPipeline:
                 outcomes["decoded"] += 1
         assert min(outcomes.values()) > 10
 
+    def test_a_restored_word_of_the_wrong_length_is_a_decode_failure(self):
+        # flipping bit 124 of the all-zero message's codeword leaves the
+        # close-pair restore two bits short of the inner length, which the
+        # inner codec refused with a bare ValueError
+        n, d = 2048, 1
+        y = encode_sd(BitSeq.zeros(sd_message_len(n, d)), n, d)
+        with pytest.raises(DecodeFailure, match="length"):
+            decode_sd(y.with_bit(124, 1 - y[124]), n, d)
+
     @pytest.mark.parametrize("n,d", [(65537, 3), (4096, 1)])
     def test_all_zero_message_round_trips_quickly(self, n, d):
         # every window of the all-zero message's inner word has many close
