@@ -54,17 +54,24 @@ def codec(window: int, floor: int, n_out: int, chunk: int) -> ConstrainedCodec:
     return ConstrainedCodec(window, floor, n_out, chunk=chunk)
 
 
-def check_book(params, book: IndexBook, d: int) -> None:
+def checked_book(params, book: IndexBook | None, d: int) -> IndexBook:
+    """The book an entry point runs on, once ``params`` are feasible: the
+    seed-0 book they name at index distance ``d`` when ``book`` is None,
+    else ``book`` once it matches them."""
+    require_feasible(params)
+    if book is None:
+        return build_index_book(params.I, d, params.K, r_I=params.r_I)
     if (book.I, book.r_I, book.d, book.K_marker) != (params.I, params.r_I, d, params.K):
         raise ValueError("index book does not match the parameters")
+    return book
 
 
-def check_trace(tr: Trace, params, k: int) -> None:
-    """Reject a trace whose header does not match k strands of ``params``
-    or that holds a read shorter than one block."""
+def check_trace(tr: Trace, params, k: int, n: int) -> None:
+    """Reject a trace whose header does not match k strands of length n
+    under ``params`` or that holds a read shorter than one block."""
     if tr.k != k:
         raise LayoutError(f"trace header says k={tr.k}, expected {k}")
-    if tr.n != params.n or tr.L_min != params.L_min or tr.L_over != params.L_over:
+    if tr.n != n or tr.L_min != params.L_min or tr.L_over != params.L_over:
         raise LayoutError("trace geometry does not match the code parameters")
     if tr.e > params.e:
         raise LayoutError("trace error budget exceeds the code tolerance")
@@ -518,8 +525,7 @@ def indexed_encode(
     whole (k, n) frame is checked in one stacked marker scan.
     """
     want = indexed_message_len(params)
-    book = book if book is not None else indexed_book(params)
-    check_book(params, book, params.d)
+    book = checked_book(params, book, params.d)
     if len(messages) != params.k:
         raise ValueError(f"need {params.k} strand messages, got {len(messages)}")
     body = params.m_prime - params.d
@@ -592,10 +598,8 @@ def indexed_reconstruct(
     the per-strand messages, the report (offsets flattened as ``strand *
     n + offset``) and the :class:`DecodeRecord`.
     """
-    require_feasible(params)
-    book = book if book is not None else indexed_book(params)
-    check_trace(tr, params, params.k)
-    check_book(params, book, params.d)
+    book = checked_book(params, book, params.d)
+    check_trace(tr, params, params.k, params.n)
     reads = load_reads([f.bits for f in tr.fragments])
 
     def attempt(which: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -110,7 +110,7 @@ class Family:
     symbols: Callable = lambda p: p.n  # output symbols over all strands
 
 
-_OVERRIDES = ("a", "gamma", "eps", "L_min", "L_over", "I", "r_I", "K", "L")
+_OVERRIDES = ("a", "gamma", "eps", "L_min", "L_over", "I", "r_I", "K")
 _INDEXED_OVERRIDES = frozenset({"a", "L_min", "K", "r_I"})
 
 FAMILIES = {
@@ -564,7 +564,6 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--I", type=int, default=None, help="override index width")
     sp.add_argument("--r-I", type=int, default=None, help="override index redundancy")
     sp.add_argument("--K", type=int, default=None, help="override marker zero run")
-    sp.add_argument("--L", type=int, default=None, help="override matching window")
     sp.add_argument(
         "--lenient", action="store_true", help="report violations instead of raising"
     )

@@ -32,6 +32,8 @@ from .bitseq import BitSeq
 from .blocks import (
     BlockGeometry,
     ReconReport,
+    check_trace,
+    checked_book,
     indexed_book,
     indexed_encode,
     indexed_geometry,
@@ -42,9 +44,9 @@ from .blocks import (
 )
 from .channel import ChannelConfig, Fragment, Trace, fragment
 from .errors import DecodeFailure, LayoutError, require_feasible
-from .outer import lane_decode, lane_encode, lane_message_len
+from .outer import lane_decode, lane_encode, lane_message_len, lane_violations
 from .positioning import IndexBook
-from .trace_codes import TraceParams, encode_trace, reconstruct_trace, trace_book
+from .trace_codes import TraceParams, encode_trace, reconstruct_trace
 
 __all__ = [
     "StrandSet",
@@ -235,14 +237,9 @@ def wrap_reconstruct(
     positions; :func:`wrap_attribute` converts them back.
     """
     _check_wrap_geometry(n, k, params)
-    if mt.k != k:
-        raise LayoutError(f"trace header says k={mt.k}, expected {k}")
-    if mt.n != n or mt.L_min != params.L_min or mt.L_over != params.L_over:
-        raise LayoutError("trace geometry does not match the code parameters")
+    check_trace(mt, params, k, n)
     if mt.N is not None and mt.N != params.n:
         raise LayoutError(f"trace header says N={mt.N}, expected {params.n}")
-    if mt.e > params.e:
-        raise LayoutError("trace error budget exceeds the code tolerance")
     frags = tuple(Fragment(f.bits, None, None, None) for f in mt.fragments)
     tr = Trace(params.n, params.L_min, params.L_over, mt.e, frags)
     return reconstruct_trace(tr, params, book)
@@ -253,8 +250,7 @@ def wrap_decode(
 ) -> tuple[StrandSet, ReconReport]:
     """Recover the strand multiset and the reconstruction report, whose
     message and reliability flag are those of the pooled read set."""
-    _check_wrap_geometry(n, k, params)
-    book = book if book is not None else trace_book(params)
+    book = checked_book(params, book, params.d1)
     rep = wrap_reconstruct(mt, n, k, params, book)
     w = encode_trace(rep.message, params, book)
     return _slice_strands(w, n, k, params.L_over), rep
@@ -388,10 +384,9 @@ def multi_gamma0_locate(
     y: BitSeq, params: MultiGamma0Params, book: IndexBook | None = None
 ) -> tuple[int, int]:
     """Name the (strand, offset) of a single read from its leading window."""
-    require_feasible(params)
+    book = checked_book(params, book, params.d)
     if len(y) < params.L_min:
         raise LayoutError("a read is shorter than the block length")
-    book = book if book is not None else multi_gamma0_book(params)
     start = np.zeros(1, dtype=np.int64)
     (at,) = indexed_locate(load_reads([y]), start, start, params, book).tolist()
     if at < 0:
@@ -421,8 +416,16 @@ def multi_gamma0_decode(
 # the outer lanes (see outer.py), so any tau bad strands are recoverable.
 
 
+def _outer_payload_bits(params: MultiGamma0Params) -> int:
+    """Bits of one outer block, a strand's message; refuses params with
+    inner violations, then with :func:`lane_violations`."""
+    bits = indexed_message_len(params)
+    require_feasible(dataclasses.replace(params, violations=lane_violations(params.k, bits)))
+    return bits
+
+
 def multi_gamma0_rs_message_len(params: MultiGamma0Params, tau: int) -> int:
-    return lane_message_len(params.k, tau, indexed_message_len(params))
+    return lane_message_len(params.k, tau, _outer_payload_bits(params))
 
 
 def encode_multi_gamma0_rs(
@@ -434,7 +437,7 @@ def encode_multi_gamma0_rs(
     corrupted strand costs one symbol per lane and any tau strands are
     recoverable.
     """
-    messages = lane_encode(m, params.k, tau, indexed_message_len(params))
+    messages = lane_encode(m, params.k, tau, _outer_payload_bits(params))
     return multi_gamma0_encode(messages, params, book)
 
 
@@ -451,9 +454,7 @@ def reconstruct_multi_gamma0_rs(
     lane decode failure or by the known and corrected strands outnumbering
     tau.  Any outer correction makes the result unreliable.
     """
-    multi_gamma0_rs_message_len(params, tau)  # checks the outer geometry first
+    _outer_payload_bits(params)  # refused before the trace is read
     raw, report, record = indexed_reconstruct(mt, params, book)
     message, corrected = lane_decode(raw, tau, set(record.rejected))
-    return dataclasses.replace(
-        report, message=message, reliable=report.reliable and not corrected
-    )
+    return dataclasses.replace(report, message=message, reliable=report.reliable and not corrected)

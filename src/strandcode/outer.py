@@ -14,9 +14,9 @@ from functools import cache
 from typing import Sequence
 
 from .bitseq import BitSeq
-from .errors import DecodeFailure, InfeasibleParameters
+from .errors import DecodeFailure
 
-__all__ = ["lane_message_len", "lane_encode", "lane_decode"]
+__all__ = ["lane_violations", "lane_message_len", "lane_encode", "lane_decode"]
 
 
 # ---------------------------------------------------------------------------
@@ -146,15 +146,18 @@ def _rs_decode(word: list[int], nsym: int) -> tuple[list[int], list[int]]:
 # Lanes across payload blocks
 
 
+def lane_violations(blocks: int, payload_bits: int) -> tuple[str, ...]:
+    """The outer geometry's failed inequalities, which the families refuse as
+    params ``violations``: ``outer-field-size`` when a lane outnumbers the
+    nonzero locators of GF(256), ``outer-symbol-size`` when a block holds no byte."""
+    return ("outer-field-size",) * (blocks > 255) + ("outer-symbol-size",) * (payload_bits < 8)
+
+
 def _lane_bytes(blocks: int, tau: int, payload_bits: int) -> int:
     """Outer symbols per block for ``blocks`` payload blocks of
-    ``payload_bits`` bits, 2 * tau of them parity; checks the geometry."""
+    ``payload_bits`` bits, 2 * tau of them parity; checks tau."""
     if tau < 0 or 2 * tau >= blocks:
         raise ValueError(f"need 0 <= 2 * tau < {blocks}, the outer code length")
-    if blocks > 255:
-        raise InfeasibleParameters(f"outer code length {blocks} exceeds the field size")
-    if payload_bits < 8:
-        raise InfeasibleParameters("block payload too small for one outer symbol")
     return payload_bits // 8
 
 

@@ -32,9 +32,7 @@ from .constrained import (
     index_wwl_decode,
     index_wwl_len,
 )
-from .errors import (
-    DecodeFailure, InfeasibleParameters, SearchExhausted, StrandcodeError, require_feasible,
-)
+from .errors import DecodeFailure, SearchExhausted, StrandcodeError, require_feasible
 
 __all__ = [
     "SdParams",
@@ -352,12 +350,13 @@ def restore_close_pairs(wbar: BitSeq, params: SdParams) -> BitSeq:
     Repeatedly locates the rightmost marker, reconstructs the window the
     corresponding rewrite removed (directly from the window at i when
     disjoint, else by the shift recurrence across the overlap), splices it
-    back, and clears the branch-2 repair bit when the tag is nonzero.
+    back, and clears the branch-2 repair bit when the tag is nonzero.  A
+    word that does not come back at the stage-one length is a decode failure.
     """
     p = params
     d = p.d
     cur = wbar
-    while True:
+    while len(cur) <= p.inner_len:
         j, zero_run = _rightmost_marker(cur, d, p.zero_len)
         if j is None:
             if zero_run:
@@ -387,8 +386,6 @@ def restore_close_pairs(wbar: BitSeq, params: SdParams) -> BitSeq:
                 val |= (b ^ ((mask >> s) & 1)) << s
             x_j = BitSeq(val, p.L1)
         cur = cur.splice(j, p.insert_len, x_j)
-        if len(cur) > p.inner_len:
-            raise DecodeFailure("restored sequence exceeds the stage-one length")
         if v != 0:
             if v > d:
                 raise DecodeFailure(f"branch tag {v} out of range")
@@ -396,6 +393,8 @@ def restore_close_pairs(wbar: BitSeq, params: SdParams) -> BitSeq:
             if j_prev + d >= len(cur):
                 raise DecodeFailure("branch repair position out of range")
             cur = cur.with_bit(j_prev + d, 0)
+    if len(cur) != p.inner_len:
+        raise DecodeFailure(f"restored sequence has length {len(cur)}, not {p.inner_len}")
     return cur
 
 
@@ -505,7 +504,7 @@ def expand_to_length(
         raise ValueError("scaffold was built for different parameters")
     ext = wbar + BitSeq.zeros(p.K2) + scaffold.sbar
     if len(ext) < p.n:
-        raise InfeasibleParameters(f"scaffold-length: padded length {len(ext)} < n={p.n}")
+        raise ValueError(f"scaffold too short: padded length {len(ext)} < n={p.n}")
     out = ext.window(0, p.n)
     if certify:
         if not is_sd(out, p.L, p.d):

@@ -45,8 +45,8 @@ from .blocks import (
     Reads,
     anchor_reads,
     build_layout,
-    check_book,
     check_trace,
+    checked_book,
     codec,
     index_orders,
     indexed_book,
@@ -62,10 +62,8 @@ from .blocks import (
 )
 from .channel import Trace
 from .constrained import ConstrainedCodec, auto_cyclic
-from .errors import (
-    DecodeFailure, InfeasibleParameters, LayoutError, SearchExhausted, require_feasible,
-)
-from .outer import lane_decode, lane_encode, lane_message_len
+from .errors import DecodeFailure, LayoutError, SearchExhausted, require_feasible
+from .outer import lane_decode, lane_encode, lane_message_len, lane_violations
 from .positioning import (
     AMBIGUOUS,
     NOT_FOUND,
@@ -172,14 +170,14 @@ def derive_trace_params(
     I: int | None = None,
     r_I: int | None = None,
     K: int | None = None,
-    L: int | None = None,
 ) -> TraceParams:
     """Resolve the block geometry and check every inequality decoding uses.
 
     The regime constants ``a`` and ``gamma`` size ``L_min`` and ``L_over``;
     at small ``n`` the literal formulas are often infeasible, so any of the
     geometry knobs can be pinned explicitly and only the structural checks
-    remain.  ``F`` is derived: the fewest index segments of at most ``K`` bits.
+    remain.  ``F`` and ``L`` are derived: the fewest index segments of at most
+    ``K`` bits, and the payload window that every ``L_over`` overlap holds.
 
     Malformed arguments raise ``ValueError``; failed inequalities are only
     recorded in ``violations``, for :func:`require_feasible` to refuse.
@@ -233,12 +231,11 @@ def derive_trace_params(
         violations.append("payload-space")
     if K + ell + d1 > L_over:
         violations.append("marker-window")
-    if L is None:
-        inner = L_over - K - ell - d1 - 2 * math.ceil((I + r_I) / F)
-        if v_per_block >= 1 and inner >= 1:
-            L = math.ceil(inner * v_per_block / (v_per_block + I + r_I))
-        else:
-            L = 0
+    inner = L_over - K - ell - d1 - 2 * math.ceil((I + r_I) / F)
+    if v_per_block >= 1 and inner >= 1:
+        L = math.ceil(inner * v_per_block / (v_per_block + I + r_I))
+    else:
+        L = 0
     if not 1 <= L <= L_over:
         violations.append("matching-window")
 
@@ -416,11 +413,8 @@ def encode_trace(m: BitSeq, params: TraceParams, book: IndexBook | None = None) 
     2^SALT_BITS salts.
     """
     want = trace_message_len(params)
-    book = book if book is not None else trace_book(params)
-    check_book(params, book, params.d1)
-    if tuple(book.segment_widths) != tuple(
-        _split_widths(params.I + params.r_I, params.F)
-    ):
+    book = checked_book(params, book, params.d1)
+    if book.F != params.F:
         raise ValueError("book segmentation does not match F")
     if len(m) != want:
         raise ValueError(f"message must have {want} bits, got {len(m)}")
@@ -768,10 +762,8 @@ def _reconstruct(
     """Place, merge and decode what the trace allows; return the group
     payloads (zeros where one does not decode), the report and the
     :class:`DecodeRecord`."""
-    require_feasible(params)
-    book = book if book is not None else trace_book(params)
-    check_trace(tr, params, 1)
-    check_book(params, book, params.d1)
+    book = checked_book(params, book, params.d1)
+    check_trace(tr, params, 1, params.n)
     reads = load_reads([f.bits for f in tr.fragments])
     lead, retried, anchored = _analyze_reads(reads, params, book)
     placed, dropped, pending = _place_all(
@@ -817,11 +809,14 @@ def reconstruct_trace(
 
 
 def _outer_payload_bits(params: TraceParams) -> int:
-    if require_feasible(params).n_L % params.group_count:
-        raise InfeasibleParameters(
-            "outer code needs uniform groups: 2^I must divide the block count"
-        )
-    return _group_payload_len(params, 0)
+    """Bits of one outer block, a group's payload.  Refuses params with
+    inner violations, then with ``outer-uniform-groups`` (groups of unequal
+    block counts) or those of :func:`lane_violations`."""
+    bits = _group_payload_len(params, 0)
+    outer = ("outer-uniform-groups",) * bool(params.n_L % params.group_count)
+    outer += lane_violations(params.group_count, bits)
+    require_feasible(dataclasses.replace(params, violations=outer))
+    return bits
 
 
 def trace_rs_message_len(params: TraceParams, tau: int) -> int:
@@ -849,12 +844,10 @@ def reconstruct_trace_rs(
     corrected groups outnumbering tau.  Any outer correction makes the
     result unreliable.
     """
-    trace_rs_message_len(params, tau)  # checks the outer geometry first
+    _outer_payload_bits(params)  # refused before the trace is read
     payloads, report, record = _reconstruct(tr, params, book)
     message, corrected = lane_decode(payloads, tau, set(record.rejected))
-    return dataclasses.replace(
-        report, message=message, reliable=report.reliable and not corrected
-    )
+    return dataclasses.replace(report, message=message, reliable=report.reliable and not corrected)
 
 
 # ---------------------------------------------------------------------------

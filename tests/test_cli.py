@@ -120,6 +120,16 @@ class TestParamsDerive:
             )
         assert exc.value.code == 2
 
+    def test_the_matching_window_is_not_an_override(self):
+        # L is the payload window every L_over overlap holds; a larger one
+        # passed the derive and broke the decoder's argument
+        with pytest.raises(SystemExit) as exc:
+            run(
+                "params", "derive", "--family", "trace", "--n", 4320, "--e", 1,
+                "--L-min", 90, "--L-over", 85, "--I", 4, "--r-I", 16, "--K", 8, "--L", 40,
+            )
+        assert exc.value.code == 2
+
 
 class TestSdCli:
     def test_round_trip_and_verify(self, work):
@@ -218,6 +228,25 @@ class TestTraceRsCli:
             "--in", tracef, "--out", back,
         )[0] == 0
         assert read_bits(back) == m
+
+    def test_encode_refuses_groups_of_unequal_block_counts(self, work, capsys):
+        # 49 blocks over 16 groups: the derive finds no violation, and the
+        # outer lanes need every group to carry the same blocks
+        code, row = run(
+            "params", "derive", "--family", "trace", "--n", 4410, "--e", 1,
+            "--L-min", 90, "--L-over", 85, "--I", 4, "--r-I", 16, "--K", 8,
+        )
+        assert code == 0 and row["violations"] == []
+        params = work / "uneven_params.json"
+        params.write_text(json.dumps(row))
+        msg, codef = work / "uneven_msg.txt", work / "uneven_code.txt"
+        msg.write_text(BitSeq.zeros(8).to_text())
+        capsys.readouterr()
+        code, _ = run(
+            "trace-rs", "encode", "--params", params, "--tau", 1, "--in", msg, "--out", codef
+        )
+        assert code == 1 and not codef.exists()
+        assert "outer-uniform-groups" in capsys.readouterr().err
 
 
 class TestGamma0Cli:

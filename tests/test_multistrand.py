@@ -21,6 +21,7 @@ from strandcode.channel import (
     trace_to_text,
 )
 from strandcode.errors import DecodeFailure, InfeasibleParameters, LayoutError, require_feasible
+from strandcode.positioning import build_index_book
 from strandcode.multistrand import (
     StrandSet,
     derive_multi_gamma0_params,
@@ -100,21 +101,52 @@ def infeasible_wrap():
     return (p, *_random_strands(2050, 2, p.L_min, p.L_over))
 
 
-# every entry point of a family that takes its params, on (params, strands, trace)
+@pytest.fixture(scope="module")
+def wide_multi():
+    """300 strands: more lane symbols than GF(256) locates.  The refusal
+    comes before any read, so two strands stand in for the trace."""
+    p = derive_multi_gamma0_params(1100, 300, 1, L_min=110, K=32, r_I=18)
+    return (p, *_random_strands(p.n, 2, p.L_min, 0))
+
+
+@pytest.fixture(scope="module")
+def feasible_multi():
+    p = derive_multi_gamma0_params(1030, 2, 1, L_min=100, K=32, r_I=12)
+    return (p, *_random_strands(p.n, p.k, p.L_min, 0))
+
+
+@pytest.fixture(scope="module")
+def feasible_wrap():
+    p = derive_trace_params(wrap_length(2050, 2, 85), 1, L_min=90, L_over=85, I=4, r_I=16, K=8)
+    return (p, *_random_strands(2050, 2, p.L_min, p.L_over))
+
+
+# every entry point of a family that takes its params, on (params, strands,
+# trace) and, where it takes one, a book; an RS encoder gets a message of
+# its length when given a book, so the book is what it checks first
 _MULTI_ENTRIES = {
-    "multi_gamma0_message_len": lambda p, ss, tr: multi_gamma0_message_len(p),
-    "multi_gamma0_rs_message_len": lambda p, ss, tr: multi_gamma0_rs_message_len(p, 0),
-    "multi_gamma0_encode": lambda p, ss, tr: multi_gamma0_encode([BitSeq.zeros(8)] * 2, p),
-    "encode_multi_gamma0_rs": lambda p, ss, tr: encode_multi_gamma0_rs(BitSeq.zeros(8), p, 0),
-    "multi_gamma0_locate": lambda p, ss, tr: multi_gamma0_locate(ss.strands[0], p),
-    "multi_gamma0_decode": lambda p, ss, tr: multi_gamma0_decode(tr, p),
-    "reconstruct_multi_gamma0_rs": lambda p, ss, tr: reconstruct_multi_gamma0_rs(tr, p, 0),
+    "multi_gamma0_message_len": lambda p, ss, tr, book=None: multi_gamma0_message_len(p),
+    "multi_gamma0_rs_message_len": lambda p, ss, tr, book=None: multi_gamma0_rs_message_len(p, 0),
+    "multi_gamma0_encode": lambda p, ss, tr, book=None: multi_gamma0_encode(
+        [BitSeq.zeros(8)] * 2, p, book
+    ),
+    "encode_multi_gamma0_rs": lambda p, ss, tr, book=None: encode_multi_gamma0_rs(
+        BitSeq.zeros(multi_gamma0_rs_message_len(p, 0) if book else 8), p, 0, book
+    ),
+    "multi_gamma0_locate": lambda p, ss, tr, book=None: multi_gamma0_locate(
+        ss.strands[0], p, book
+    ),
+    "multi_gamma0_decode": lambda p, ss, tr, book=None: multi_gamma0_decode(tr, p, book),
+    "reconstruct_multi_gamma0_rs": lambda p, ss, tr, book=None: reconstruct_multi_gamma0_rs(
+        tr, p, 0, book
+    ),
 }
 _WRAP_ENTRIES = {
-    "wrap_encode": lambda p, ss, tr: wrap_encode(BitSeq.zeros(8), 2050, 2, p),
-    "wrap_reconstruct": lambda p, ss, tr: wrap_reconstruct(tr, 2050, 2, p),
-    "wrap_decode": lambda p, ss, tr: wrap_decode(tr, 2050, 2, p),
+    "wrap_encode": lambda p, ss, tr, book=None: wrap_encode(BitSeq.zeros(8), 2050, 2, p, book),
+    "wrap_reconstruct": lambda p, ss, tr, book=None: wrap_reconstruct(tr, 2050, 2, p, book),
+    "wrap_decode": lambda p, ss, tr, book=None: wrap_decode(tr, 2050, 2, p, book),
 }
+_MULTI_BOOK_TAKERS = [name for name in _MULTI_ENTRIES if not name.endswith("message_len")]
 
 
 @pytest.mark.parametrize("entry", sorted(_MULTI_ENTRIES))
@@ -128,6 +160,25 @@ def test_infeasible_multi_gamma0_params_are_refused(infeasible_multi, entry):
 def test_infeasible_wrap_params_are_refused(infeasible_wrap, entry):
     with pytest.raises(InfeasibleParameters, match="payload-space.*group-coverage"):
         _WRAP_ENTRIES[entry](*infeasible_wrap)
+
+
+@pytest.mark.parametrize("entry", sorted(name for name in _MULTI_ENTRIES if "_rs" in name))
+def test_multi_gamma0_rs_entry_points_refuse_the_outer_field_size(wide_multi, entry):
+    assert wide_multi[0].violations == ()
+    with pytest.raises(InfeasibleParameters, match="MultiGamma0Params: outer-field-size$"):
+        _MULTI_ENTRIES[entry](*wide_multi)
+
+
+@pytest.mark.parametrize("entry", _MULTI_BOOK_TAKERS)
+def test_multi_gamma0_entry_points_refuse_a_mismatched_book(feasible_multi, entry):
+    with pytest.raises(ValueError, match="index book does not match"):
+        _MULTI_ENTRIES[entry](*feasible_multi, build_index_book(1, 3, 8))
+
+
+@pytest.mark.parametrize("entry", sorted(_WRAP_ENTRIES))
+def test_wrap_entry_points_refuse_a_mismatched_book(feasible_wrap, entry):
+    with pytest.raises(ValueError, match="index book does not match"):
+        _WRAP_ENTRIES[entry](*feasible_wrap, build_index_book(1, 3, 8))
 
 
 @pytest.fixture(scope="module")
@@ -310,13 +361,14 @@ class TestWrap:
         m, ss = wcoded4
         mt = fragment_strands(ss, ChannelConfig(L_min=90, L_over=WRAP_OVER, seed=6), N=wp4.n)
         builds = []
-        build = trace_codes.build_index_book
+        build = blocks.build_index_book
 
         def counting(*args, **kwargs):
             builds.append(args)
             return build(*args, **kwargs)
 
-        monkeypatch.setattr(trace_codes, "build_index_book", counting)
+        # the book guard builds the seed-0 book a call without one runs on
+        monkeypatch.setattr(blocks, "build_index_book", counting)
         got_ss, rep = wrap_decode(mt.strip_truth(), WRAP_N, 4, wp4)
         assert (got_ss, rep.message) == (ss, m)
         assert len(builds) == 1

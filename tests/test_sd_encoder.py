@@ -18,6 +18,7 @@ from strandcode.errors import (
 )
 from strandcode.oracle import check_p123, check_sd_exhaustive, sd_min_pair_distance
 from strandcode.sd_encoder import (
+    Scaffold,
     _inner_codec,
     _rightmost_marker,
     build_scaffold,
@@ -411,6 +412,15 @@ class TestScaffold:
         assert len(out) == n
         assert check_sd_exhaustive(out, p.L, d)
         assert contract_from_length(out, p) == wbar
+
+    def test_expand_refuses_a_short_hand_built_scaffold(self):
+        # a scaffold of the right (n, d) whose sbar cannot fill the word is
+        # a malformed argument, as one built for other parameters is
+        n, d = 256, 1
+        p = derive_sd_params(n, d)
+        short = Scaffold(n, d, 0, (), BitSeq.zeros(n - p.inner_len - p.K2 - 1))
+        with pytest.raises(ValueError, match="scaffold too short"):
+            expand_to_length(BitSeq.zeros(p.inner_len), p, short)
 
     def test_contract_requires_delimiter(self):
         p = derive_sd_params(128, 1)

@@ -385,3 +385,57 @@ def test_the_flag_check_sees_every_kind_of_parameter():
     )
     assert _flag_takers(tree) == [1, 2, 3]
     assert _flag_takers(tree, "strict") == [4, 5, 6]
+
+
+def _constructions(tree: ast.AST, name: str) -> list[int]:
+    """Lines of the calls to ``name``, by bare name or attribute."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == name or getattr(node.func, "attr", None) == name)
+    ]
+
+
+def test_only_the_verdict_raises_infeasible_parameters():
+    # every failed inequality, the outer code's included, is a named
+    # violation on the params, and require_feasible is the one verdict
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "errors.py"
+        for line in _constructions(ast.parse(path.read_text()), "InfeasibleParameters")
+    ]
+    assert found == []
+    assert _constructions(ast.parse("raise e.InfeasibleParameters('x')"), "InfeasibleParameters")
+
+
+def _book_handlers(tree: ast.AST) -> set[str]:
+    """Functions that compare a ``book`` with None or read a book's
+    ``K_marker``: they pick the book a call runs on, or check it."""
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if (
+                isinstance(node, ast.Compare) and getattr(node.left, "id", None) == "book"
+                and any(getattr(c, "value", 0) is None for c in node.comparators)
+                or isinstance(node, ast.Attribute) and node.attr == "K_marker"
+            ):
+                found.add(fn.name)
+    return found
+
+
+def test_books_are_picked_and_checked_only_by_the_guard():
+    # an entry point that picked its book by hand could skip the check
+    # that a passed book matches its params
+    found = {
+        f"{path.name}:{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "positioning.py"  # where a book is built and read
+        for name in _book_handlers(ast.parse(path.read_text()))
+    }
+    assert found == {"blocks.py:checked_book"}
+    tree = ast.parse("def f(book):\n    return book if book is not None else 0\n")
+    assert _book_handlers(tree) == {"f"}

@@ -68,6 +68,7 @@ from strandcode.trace_codes import (
     _place_all,
     _trace_layout,
 )
+from strandcode.positioning import build_index_book
 from strandcode.outer import _GF_EXP, _GF_LOG, _gf_inv, _gf_mul, _poly_eval, _rs_decode, _rs_encode
 
 
@@ -167,20 +168,57 @@ def infeasible_gamma0():
     return p, fragment(BitSeq.random(p.n, np.random.default_rng(0)), cfg)
 
 
-# every entry point of a family that takes its params, called on (params, trace)
+@pytest.fixture(scope="module")
+def uneven_trace():
+    """Trace-scale geometry at 49 blocks: feasible inside, but 16 groups
+    cannot carry equal block counts, so the outer lanes do not fit."""
+    p = derive_trace_params(4410, 1, L_min=90, L_over=85, I=4, r_I=16, K=8)
+    cfg = ChannelConfig(L_min=p.L_min, L_over=p.L_over, e=1, seed=0)
+    return p, fragment(BitSeq.random(p.n, np.random.default_rng(0)), cfg)
+
+
+@pytest.fixture(scope="module")
+def wide_trace():
+    """256 groups of one block: one more lane symbol than GF(256) locates."""
+    p = derive_trace_params(23040, 1, L_min=90, L_over=85, I=8, r_I=16, K=8)
+    cfg = ChannelConfig(L_min=p.L_min, L_over=p.L_over, e=1, seed=0)
+    return p, fragment(BitSeq.random(p.n, np.random.default_rng(0)), cfg)
+
+
+@pytest.fixture(scope="module")
+def feasible_trace(p1):
+    cfg = ChannelConfig(L_min=p1.L_min, L_over=p1.L_over, e=1, seed=0)
+    return p1, fragment(BitSeq.random(p1.n, np.random.default_rng(0)), cfg)
+
+
+@pytest.fixture(scope="module")
+def feasible_gamma0():
+    p = derive_gamma0_params(1980, 1, L_min=110, K=32, r_I=18)
+    cfg = ChannelConfig(L_min=p.L_min, L_over=0, e=1, seed=0)
+    return p, fragment(BitSeq.random(p.n, np.random.default_rng(0)), cfg)
+
+
+# every entry point of a family that takes its params, called on (params,
+# trace) and, where it takes one, a book; an RS encoder gets a message of
+# its length when given a book, so the book is what it checks first
 _TRACE_ENTRIES = {
-    "trace_message_len": lambda p, tr: trace_message_len(p),
-    "trace_rs_message_len": lambda p, tr: trace_rs_message_len(p, 1),
-    "encode_trace": lambda p, tr: encode_trace(BitSeq.zeros(8), p),
-    "encode_trace_rs": lambda p, tr: encode_trace_rs(BitSeq.zeros(8), p, 1),
-    "reconstruct_trace": lambda p, tr: reconstruct_trace(tr, p),
-    "reconstruct_trace_rs": lambda p, tr: reconstruct_trace_rs(tr, p, 1),
+    "trace_message_len": lambda p, tr, book=None: trace_message_len(p),
+    "trace_rs_message_len": lambda p, tr, book=None: trace_rs_message_len(p, 1),
+    "encode_trace": lambda p, tr, book=None: encode_trace(BitSeq.zeros(8), p, book),
+    "encode_trace_rs": lambda p, tr, book=None: encode_trace_rs(
+        BitSeq.zeros(trace_rs_message_len(p, 1) if book else 8), p, 1, book
+    ),
+    "reconstruct_trace": lambda p, tr, book=None: reconstruct_trace(tr, p, book),
+    "reconstruct_trace_rs": lambda p, tr, book=None: reconstruct_trace_rs(tr, p, 1, book),
 }
 _GAMMA0_ENTRIES = {
-    "gamma0_message_len": lambda p, tr: gamma0_message_len(p),
-    "encode_gamma0": lambda p, tr: encode_gamma0(BitSeq.zeros(8), p),
-    "reconstruct_gamma0": lambda p, tr: reconstruct_gamma0(tr, p),
+    "gamma0_message_len": lambda p, tr, book=None: gamma0_message_len(p),
+    "encode_gamma0": lambda p, tr, book=None: encode_gamma0(BitSeq.zeros(8), p, book),
+    "reconstruct_gamma0": lambda p, tr, book=None: reconstruct_gamma0(tr, p, book),
 }
+_TRACE_RS_ENTRIES = sorted(name for name in _TRACE_ENTRIES if "_rs" in name)
+_BOOK_TAKERS = [name for name in _TRACE_ENTRIES if not name.endswith("message_len")]
+_GAMMA0_BOOK_TAKERS = [name for name in _GAMMA0_ENTRIES if not name.endswith("message_len")]
 
 
 class TestInfeasibleParams:
@@ -202,6 +240,27 @@ class TestInfeasibleParams:
     def test_gamma0_entry_points_refuse(self, infeasible_gamma0, entry):
         with pytest.raises(InfeasibleParameters, match="payload-space"):
             _GAMMA0_ENTRIES[entry](*infeasible_gamma0)
+
+    @pytest.mark.parametrize("entry", _TRACE_RS_ENTRIES)
+    @pytest.mark.parametrize(
+        "geometry, violation",
+        [("uneven_trace", "outer-uniform-groups"), ("wide_trace", "outer-field-size")],
+    )
+    def test_rs_entry_points_refuse_the_outer_geometry(self, request, geometry, violation, entry):
+        p, tr = request.getfixturevalue(geometry)
+        assert p.violations == ()
+        with pytest.raises(InfeasibleParameters, match=f"TraceParams: {violation}$"):
+            _TRACE_ENTRIES[entry](p, tr)
+
+    @pytest.mark.parametrize("entry", _BOOK_TAKERS)
+    def test_trace_entry_points_refuse_a_mismatched_book(self, feasible_trace, entry):
+        with pytest.raises(ValueError, match="index book does not match"):
+            _TRACE_ENTRIES[entry](*feasible_trace, build_index_book(1, 3, 8))
+
+    @pytest.mark.parametrize("entry", _GAMMA0_BOOK_TAKERS)
+    def test_gamma0_entry_points_refuse_a_mismatched_book(self, feasible_gamma0, entry):
+        with pytest.raises(ValueError, match="index book does not match"):
+            _GAMMA0_ENTRIES[entry](*feasible_gamma0, build_index_book(1, 3, 8))
 
 
 class TestEncode:
