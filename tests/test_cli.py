@@ -112,6 +112,50 @@ class TestParamsDerive:
         for name in ("payload-space", "marker-window", "matching-window", "group-coverage"):
             assert name in err
 
+    def test_encode_refuses_a_file_whose_violations_were_edited_away(self, work, capsys):
+        # an emptied violations list made trace encode run the infeasible
+        # geometry and crash inside the payload codec
+        code, row = run(
+            "params", "derive", "--family", "trace", "--n", 4096, "--e", 1,
+            "--a", 3, "--gamma", 0.1, "--lenient",
+        )
+        assert code == 1 and row["violations"]
+        row["violations"] = []
+        params = work / "edited_violations.json"
+        params.write_text(json.dumps(row))
+        msg, out = work / "edited_msg.txt", work / "edited_code.txt"
+        msg.write_text(BitSeq.zeros(8).to_text())
+        capsys.readouterr()
+        code, _ = run("trace", "encode", "--params", params, "--in", msg, "--out", out)
+        assert code == 1 and not out.exists()
+        assert "field 'violations'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, delta", [("L", 1), ("F", 1), ("d2", 2), ("v_floor", 1)])
+    def test_codecs_refuse_a_file_whose_derived_field_was_edited(
+        self, work, trace_env, capsys, field, delta
+    ):
+        row = dict(trace_env["row"], **{field: trace_env["row"][field] + delta})
+        params = work / f"edited_{field}.json"
+        params.write_text(json.dumps(row))
+        out = work / f"edited_{field}_code.txt"
+        capsys.readouterr()
+        code, _ = run(
+            "trace", "encode", "--params", params, "--in", trace_env["msg"], "--out", out
+        )
+        assert code == 1 and not out.exists()
+        assert f"field {field!r}" in capsys.readouterr().err
+
+    def test_the_regime_constants_are_not_read_back(self, work, trace_env):
+        # a and gamma only record how L_min and L_over were sized
+        row = dict(trace_env["row"], a=9.5, gamma=0.01)
+        params = work / "edited_regime.json"
+        params.write_text(json.dumps(row))
+        out = work / "edited_regime_code.txt"
+        assert run(
+            "trace", "encode", "--params", params, "--in", trace_env["msg"], "--out", out
+        )[0] == 0
+        assert out.read_text() == trace_env["codeword"].read_text()
+
     def test_the_index_segment_count_is_not_an_override(self):
         with pytest.raises(SystemExit) as exc:
             run(

@@ -319,6 +319,42 @@ def test_verify_book_cli_rejects_close_pair(planted7, tmp_path):
     assert code == 1 and row["ok"] is False
 
 
+@pytest.fixture(scope="module")
+def heavy_splice_plant():
+    """The I=7, e=2 book with its first two codewords thinned so that each
+    stays weight limited and the book substring distant, while a splice of
+    codeword 1's prefix onto codeword 0's suffix holds a light window: the
+    book breaks the piece-family splice condition (P2) and no other."""
+    b = build_index_book(I=7, d=5, K_marker=8, seed=0)
+    rows = b.rows.copy()
+    rows[1, 8:36] = 0
+    rows[0, 36:63] = 0
+    cw = tuple(BitSeq.from_numpy(r) for r in rows)
+    return IndexBook(b.I, b.r_I, b.d, b.K_marker, cw, b.marker)
+
+
+def test_certify_rejects_a_light_splice_above_i_6(heavy_splice_plant):
+    b = heavy_splice_plant
+    width = b.codeword_len
+    window = 3 * math.ceil(1.5 * math.log2(width)) + len(b.marker) - b.K_marker
+    assert (width, window) == (72, 55)
+    assert all(is_wwl(c, window, b.d) for c in b.codewords)
+    assert check_sd_exhaustive(b.concat, width, b.d)
+    assert not check_p123(b.codewords, window, b.d)
+    with pytest.raises(SearchExhausted, match="piece-family"):
+        certify_book(b)
+
+
+def test_verify_book_cli_rejects_a_light_splice(heavy_splice_plant, tmp_path):
+    path = tmp_path / "light_splice.json"
+    path.write_text(book_to_json(heavy_splice_plant))
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["verify", "book", "--in", str(path)])
+    row = json.loads(buf.getvalue().splitlines()[-1])
+    assert code == 1 and row["ok"] is False and "piece-family" in row["why"]
+
+
 @pytest.mark.parametrize("source", ["built", "json"])
 def test_rows_and_concat_match_the_codewords(book, source):
     b = book if source == "built" else book_from_json(book_to_json(book))

@@ -55,6 +55,39 @@ def test_the_oracle_imports_nothing_from_the_bit_kernels():
     assert not any("_bitops" in name for name in imported)
 
 
+def _imports_oracle(tree: ast.AST) -> bool:
+    """Whether a module imports the oracle module or a name from it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+            names.append(node.module or "")
+        else:
+            continue
+        if any(name.split(".")[-1] == "oracle" or ".oracle." in name for name in names):
+            return True
+    return False
+
+
+def test_only_the_front_ends_import_the_oracle():
+    # a production path that called an oracle would share code with the
+    # check meant to test it; the CLI's verify commands and the package's
+    # exports are the oracle's only users
+    found = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name not in ("cli.py", "__init__.py") and _imports_oracle(ast.parse(path.read_text()))
+    ]
+    assert found == []
+    for text in (
+        "from .oracle import check_p123", "from . import oracle",
+        "import strandcode.oracle", "from strandcode.oracle import bound_single",
+    ):
+        assert _imports_oracle(ast.parse(text)), text
+    assert not _imports_oracle(ast.parse("from .bitseq import BitSeq"))
+
+
 def test_pigeonhole_parts_are_cut_only_in_the_bit_kernels():
     # one part index serves every exact near-match search; a second cut of
     # the parts elsewhere could drift from its pigeonhole invariant, and
