@@ -327,6 +327,27 @@ def window_weights(bits: np.ndarray, L: int) -> np.ndarray:
     return c[L:] - c[:-L]
 
 
+def splices_wwl(cand: np.ndarray, prev: np.ndarray, K: int, d: int) -> np.ndarray:
+    """Per row of two stacked (m, Ls) 0/1 arrays, whether every splice
+    cand[:j] + prev[j:], 0 < j < Ls, is (K, d)-weight limited, as
+    ``bitseq.is_wwl`` would find each of them.
+
+    With prefix sums cc and cp of the two rows, the length-K window at a of
+    splice j weighs g[c] + cp[a + K] - cc[a], g = cc - cp, c = clip(j, a,
+    a + K), and c takes every value in [max(a, 1), min(a + K, Ls - 1)] as j
+    runs.  So the lightest window at a over all splices is a sliding minimum
+    of g over K + 1 points, with g's two ends, where no splice cuts, raised.
+    """
+    m, Ls = cand.shape
+    if Ls < max(K, 2):
+        return np.ones(m, dtype=bool)
+    cc, cp = (np.pad(np.cumsum(x, axis=1, dtype=np.int32), ((0, 0), (1, 0))) for x in (cand, prev))
+    g = cc - cp
+    g[:, [0, Ls]] = Ls  # g[c] <= c < Ls at every cut
+    lightest = np.lib.stride_tricks.sliding_window_view(g, K + 1, axis=1).min(axis=2)
+    return (lightest + cp[:, K:] - cc[:, : Ls - K + 1]).min(axis=1) >= d
+
+
 def marker_mismatches(bits: np.ndarray, marker: np.ndarray) -> np.ndarray:
     """Running mismatch counts of the marker laid at every start of ``bits``.
 

@@ -269,8 +269,9 @@ def is_wwl(x: BitSeq, L: int, d: int) -> bool:
     Takes the minimum of :func:`_bitops.window_weights`, which computes the
     weight of every window exactly from one prefix sum: O(n), about 15 µs
     of numpy overhead on short inputs.  The encoders' checks of short
-    words return before it (``n < L``), and the scaffold checks its
-    splices in one array of its own (``sd_encoder._splices_wwl``).
+    words return before it (``n < L``), and the piece families (the
+    scaffold and the index book) check their splices in one array of their
+    own (:func:`_bitops.splices_wwl`).
     """
     if L <= 0:
         raise ValueError("window length must be positive")

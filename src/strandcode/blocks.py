@@ -466,8 +466,9 @@ def indexed_message_len(params) -> int:
     return require_feasible(params).message_blocks * (params.m_prime - params.d)
 
 
-def indexed_book(params, seed: int = 0) -> IndexBook:
-    return build_index_book(params.I, params.d, params.K, r_I=params.r_I, seed=seed)
+def indexed_book(params) -> IndexBook:
+    """The seed-0 index book of feasible ``params``."""
+    return checked_book(params, None, params.d)
 
 
 @lru_cache(maxsize=None)

@@ -111,6 +111,7 @@ class Family:
 
 
 _OVERRIDES = ("a", "gamma", "eps", "L_min", "L_over", "I", "r_I", "K")
+_REGIME = frozenset({"a", "gamma"})
 _INDEXED_OVERRIDES = frozenset({"a", "L_min", "K", "r_I"})
 
 FAMILIES = {
@@ -157,21 +158,23 @@ def _params_row(family: str, p) -> dict:
 
 
 def _load_params(path: str, want: str):
-    """Parse a ``params derive`` output file back into its dataclass,
-    checking that it is of family ``want``."""
+    """Re-derive the params of a ``params derive`` output file of family
+    ``want`` from its n, e, k and geometry fields.  A file whose other
+    fields differ from the derived row is refused, as are infeasible
+    params; ``a`` and ``gamma`` only record how the geometry was sized."""
     obj = json.loads(_read_text(path))
     family = obj.get("family")
     if family not in FAMILIES:
         raise ValueError(f"params file has unknown family {family!r}")
     if family != want:
         raise ValueError(f"params file is for family {family!r}, this command needs {want!r}")
-    cls = FAMILIES[family].params
-    kwargs = {}
-    for field in dataclasses.fields(cls):
-        if field.name in obj:
-            val = obj[field.name]
-            kwargs[field.name] = tuple(val) if field.name == "violations" else val
-    return cls(**kwargs)
+    fam, e = FAMILIES[family], obj["e"]
+    geometry = {name: obj[name] for name in fam.overrides - _REGIME if name in obj}
+    p = fam.derive(argparse.Namespace(n=obj["n"], k=obj.get("k")), 2 * e + 1, e, **geometry)
+    for name, value in _params_row(family, p).items():
+        if name not in _REGIME and obj.get(name) != value:
+            raise ValueError(f"params file field {name!r} is {obj.get(name)!r}, not {value!r}")
+    return require_feasible(p)
 
 
 def _resolve_d_e(args) -> tuple[int, int]:

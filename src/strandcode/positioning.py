@@ -22,7 +22,6 @@ from . import _bitops
 from .bitseq import BitSeq, is_wwl, unpack_rows
 from .constrained import auto_cyclic
 from .errors import SearchExhausted
-from .oracle import check_p123
 
 __all__ = [
     "IndexBook",
@@ -59,17 +58,6 @@ class IndexBook:
     def e(self) -> int:
         """Error tolerance implied by the distance parameter d = 2e + 1."""
         return (self.d - 1) // 2
-
-    @property
-    def F(self) -> int:
-        """Number of segments each codeword is split into."""
-        return max(1, math.ceil(self.codeword_len / self.K_marker))
-
-    @property
-    def segment_widths(self) -> tuple[int, ...]:
-        width, F = self.codeword_len, self.F
-        base, extra = divmod(width, F)
-        return tuple(base + 1 if h < extra else base for h in range(F))
 
     @cached_property
     def rows(self) -> np.ndarray:
@@ -138,7 +126,9 @@ def build_index_book(
     When a position exhausts its tries the previous codeword is discarded
     too and the search resumes there, so hard corners get re-rolled.
     Deterministic for a given seed.  Raises when the budget runs out, which
-    at fixed I means r_I is too small.
+    at fixed I means r_I is too small.  The book is then certified by
+    :func:`certify_book`, whose splice check is the scaffold search's
+    kernel, :func:`_bitops.splices_wwl`.
     """
     if I < 0 or d < 1 or K_marker < 0:
         raise ValueError("I and K_marker must be non-negative and d positive")
@@ -192,17 +182,17 @@ def build_index_book(
     return book
 
 
-_CERTIFY_FULL_LIMIT = 6
-
-
 def certify_book(book: IndexBook) -> None:
     """Check the book invariants exactly, at every I.
 
     The marker must be 0^K_marker then ``auto_cyclic(d)``, each codeword
-    must pass its window weight check, and the concatenation must be
-    (I + r_I, d)-substring distant by the exact pigeonhole close-pair
-    search; the oracle's independent scans stay free to check this code.
-    The piece-family conditions (P1-P3) are checked only for I <= 6.
+    (W, d)-weight limited (P1) for the framing's window W, the
+    concatenation (I + r_I, d)-substring distant by the exact pigeonhole
+    close-pair search, and every splice of codeword i + 1's prefix onto
+    codeword i's suffix (W, d)-weight limited (P2), by the scaffold
+    search's :func:`_bitops.splices_wwl`.  P3, far apart same-phase
+    windows, follows from the substring distance.  Every check is a
+    package kernel; the oracle's scans stay free to check them.
 
     Raises SearchExhausted naming the violated invariant; returns None
     when all hold.  Books straight out of :func:`build_index_book` always
@@ -217,8 +207,8 @@ def certify_book(book: IndexBook) -> None:
             raise SearchExhausted("book codeword fails its window weight invariant")
     if _bitops.close_pairs(book.rows.ravel(), width, book.d - 1):
         raise SearchExhausted("book concatenation fails the SD check")
-    if book.I <= _CERTIFY_FULL_LIMIT and not check_p123(book.codewords, wwl_window, book.d):
-        raise SearchExhausted("book family fails the piece-family conditions")
+    if not _bitops.splices_wwl(book.rows[1:], book.rows[:-1], wwl_window, book.d).all():
+        raise SearchExhausted("book family fails the piece-family splice condition")
 
 
 # locate_index results for a key with no alignment within e, or several

@@ -413,27 +413,6 @@ class Scaffold:
     sbar: BitSeq
 
 
-def _splices_wwl(cand: np.ndarray, prev: np.ndarray, K: int, d: int) -> np.ndarray:
-    """Per row of two stacked (m, Ls) 0/1 arrays, whether every splice
-    cand[:j] + prev[j:], 0 < j < Ls, is (K, d)-weight limited, as
-    :func:`is_wwl` would find each of them.
-
-    With prefix sums cc and cp of the two rows, the length-K window at a of
-    splice j weighs g[c] + cp[a + K] - cc[a], g = cc - cp, c = clip(j, a,
-    a + K), and c takes every value in [max(a, 1), min(a + K, Ls - 1)] as j
-    runs.  So the lightest window at a over all splices is a sliding minimum
-    of g over K + 1 points, with g's two ends, where no splice cuts, raised.
-    """
-    m, Ls = cand.shape
-    if Ls < max(K, 2):
-        return np.ones(m, dtype=bool)
-    cc, cp = (np.pad(np.cumsum(x, axis=1, dtype=np.int32), ((0, 0), (1, 0))) for x in (cand, prev))
-    g = cc - cp
-    g[:, [0, Ls]] = Ls  # g[c] <= c < Ls at every cut
-    lightest = np.lib.stride_tricks.sliding_window_view(g, K + 1, axis=1).min(axis=2)
-    return (lightest + cp[:, K:] - cc[:, : Ls - K + 1]).min(axis=1) >= d
-
-
 def build_scaffold(params: SdParams, seed: int = 0, max_tries: int = 200) -> Scaffold:
     """Draw the scaffold piece family for params and frame it.
 
@@ -447,7 +426,9 @@ def build_scaffold(params: SdParams, seed: int = 0, max_tries: int = 200) -> Sca
     every draw before it were kept: as many as pieces are missing, within
     ``max_tries`` draws per piece in all.  The draws before the first that
     fails are kept and those after it start the next batch, so the family
-    is the one a draw-by-draw search finds.  The distance check is exact:
+    is the one a draw-by-draw search finds.  The splice check is
+    :func:`_bitops.splices_wwl`, which also certifies index books
+    (:func:`positioning.certify_book`).  The distance check is exact:
     :func:`_bitops.close_pairs` of the kept and drawn pieces' chain pairs
     all its windows within d - 1 of each other.
     """
@@ -471,7 +452,7 @@ def build_scaffold(params: SdParams, seed: int = 0, max_tries: int = 200) -> Sca
         k = len(batch)
         # each draw's predecessor; piece 0 has none, so its splice passes
         prev = np.concatenate([pieces[t - 1 : t] if t else batch[:1], batch[:-1]])
-        spliced = _splices_wwl(batch, prev, p.K2, p.d)
+        spliced = _bitops.splices_wwl(batch, prev, p.K2, p.d)
         spliced[0] |= t == 0
         kept = k if spliced.all() else int(np.argmin(spliced))
         # window q of the pieces' chain ends in piece (q + Ls - 1) // Ls; two

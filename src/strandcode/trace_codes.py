@@ -68,7 +68,6 @@ from .positioning import (
     AMBIGUOUS,
     NOT_FOUND,
     IndexBook,
-    build_index_book,
     default_r_I,
     find_marker,
     locate_index,
@@ -189,8 +188,6 @@ def derive_trace_params(
             raise ValueError("regime requires a > 1")
         if not 0 <= a * gamma <= 1:
             raise ValueError("regime requires 0 <= a * gamma <= 1")
-        if not 0 < eps < 0.5:
-            raise ValueError("regime requires 0 < eps < 0.5")
     logn = math.log2(n)
     if L_min is None:
         if a is None:
@@ -213,6 +210,8 @@ def derive_trace_params(
 
     violations: list[str] = []
     if I is None:
+        if not 0 < eps < 0.5:
+            raise ValueError("the index width needs 0 < eps < 0.5")
         lead = (1 - g_eff * a_eff) / (1 - g_eff) if g_eff < 1 else 0.0
         raw = lead * logn + logn ** (0.5 + eps)
         I = math.ceil(raw)
@@ -281,8 +280,9 @@ def trace_message_len(params: TraceParams) -> int:
     return sum(_group_payload_len(params, i) for i in range(params.group_count))
 
 
-def trace_book(params: TraceParams, seed: int = 0) -> IndexBook:
-    return build_index_book(params.I, params.d1, params.K, r_I=params.r_I, seed=seed)
+def trace_book(params: TraceParams) -> IndexBook:
+    """The seed-0 index book of feasible ``params``."""
+    return checked_book(params, None, params.d1)
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +296,7 @@ def _split_widths(total: int, parts: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _trace_layout(params: TraceParams) -> Layout:
+    """The block layout; the one place that cuts the index codeword into F segments."""
     width = params.I + params.r_I
     vw = _split_widths(params.v_per_block, params.F)
     cw = _split_widths(width, params.F)
@@ -414,8 +415,6 @@ def encode_trace(m: BitSeq, params: TraceParams, book: IndexBook | None = None) 
     """
     want = trace_message_len(params)
     book = checked_book(params, book, params.d1)
-    if book.F != params.F:
-        raise ValueError("book segmentation does not match F")
     if len(m) != want:
         raise ValueError(f"message must have {want} bits, got {len(m)}")
 

@@ -27,7 +27,6 @@ from strandcode.multistrand import (
     multi_gamma0_message_len,
 )
 from strandcode.oracle import check_sd_exhaustive, check_wwl_exhaustive, sd_min_pair_distance
-from strandcode.sd_encoder import _splices_wwl
 from strandcode.trace_codes import (
     derive_gamma0_params,
     derive_trace_params,
@@ -590,9 +589,9 @@ def test_splice_check_matches_one_is_wwl_per_splice(Ls, K, d):
         cand, prev = ((rng.random(Ls) < density).astype(np.uint8) for _ in "ab")
         spliced = [BitSeq.from_numpy(np.concatenate([cand[:j], prev[j:]])) for j in range(1, Ls)]
         want = all(is_wwl(x, K, d) and check_wwl_exhaustive(x, K, d) for x in spliced)
-        assert _splices_wwl(cand[None], prev[None], K, d).tolist() == [want]
+        assert _bitops.splices_wwl(cand[None], prev[None], K, d).tolist() == [want]
         answers.append(want)
         rows.append((cand, prev))
     assert set(answers) == {True, False} or Ls < max(K, 2)
     cand, prev = (np.array(r) for r in zip(*rows))
-    assert _splices_wwl(cand, prev, K, d).tolist() == answers
+    assert _bitops.splices_wwl(cand, prev, K, d).tolist() == answers

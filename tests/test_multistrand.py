@@ -126,6 +126,7 @@ def feasible_wrap():
 # its length when given a book, so the book is what it checks first
 _MULTI_ENTRIES = {
     "multi_gamma0_message_len": lambda p, ss, tr, book=None: multi_gamma0_message_len(p),
+    "multi_gamma0_book": lambda p, ss, tr, book=None: multi_gamma0_book(p),
     "multi_gamma0_rs_message_len": lambda p, ss, tr, book=None: multi_gamma0_rs_message_len(p, 0),
     "multi_gamma0_encode": lambda p, ss, tr, book=None: multi_gamma0_encode(
         [BitSeq.zeros(8)] * 2, p, book
@@ -146,7 +147,9 @@ _WRAP_ENTRIES = {
     "wrap_reconstruct": lambda p, ss, tr, book=None: wrap_reconstruct(tr, 2050, 2, p, book),
     "wrap_decode": lambda p, ss, tr, book=None: wrap_decode(tr, 2050, 2, p, book),
 }
-_MULTI_BOOK_TAKERS = [name for name in _MULTI_ENTRIES if not name.endswith("message_len")]
+_MULTI_BOOK_TAKERS = [
+    name for name in _MULTI_ENTRIES if not name.endswith(("message_len", "_book"))
+]
 
 
 @pytest.mark.parametrize("entry", sorted(_MULTI_ENTRIES))

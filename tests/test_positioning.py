@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from strandcode import _bitops, positioning
-from strandcode.bitseq import BitSeq
+from strandcode.bitseq import BitSeq, is_wwl
+from strandcode.blocks import C
 from strandcode.cli import main
 from strandcode.errors import DecodeFailure, SearchExhausted
 from strandcode.oracle import check_p123, check_sd_exhaustive
@@ -23,6 +24,7 @@ from strandcode.positioning import (
     find_marker,
     locate_index,
 )
+from strandcode.trace_codes import _trace_layout, derive_trace_params
 
 
 @pytest.fixture(scope="module")
@@ -43,8 +45,13 @@ def test_book_shape(book):
     assert len(book.codewords) == 16
     assert book.codeword_len == 20
     assert book.e == 1
-    assert sum(book.segment_widths) == 20
-    assert all(w <= book.K_marker + 1 for w in book.segment_widths)
+    # a trace block carries the codeword in F segments, cut by its layout
+    p = derive_trace_params(4320, 1, L_min=90, L_over=85, I=4, r_I=16, K=book.K_marker)
+    edges = np.diff(np.r_[0, _trace_layout(p).kind == C, 0].astype(int))
+    widths = np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1)
+    assert len(widths) == p.F
+    assert sum(widths) == 20
+    assert all(w <= book.K_marker + 1 for w in widths)
     assert len(book.marker) == book.K_marker + 12
 
 
@@ -303,7 +310,7 @@ def planted7(book7):
 
 def test_certify_rejects_close_pair_above_exhaustive_limit(planted7, book):
     # a sampled pair check can miss the one close pair; the exact search
-    # must find it at every I, above and below the piece-family limit
+    # must find it at every I, here at I=4 and I=7
     for planted in (_planted(book), planted7):
         with pytest.raises(SearchExhausted):
             certify_book(planted)
@@ -320,7 +327,7 @@ def test_verify_book_cli_rejects_close_pair(planted7, tmp_path):
 
 
 @pytest.fixture(scope="module")
-def heavy_splice_plant():
+def light_splice_book():
     """The I=7, e=2 book with its first two codewords thinned so that each
     stays weight limited and the book substring distant, while a splice of
     codeword 1's prefix onto codeword 0's suffix holds a light window: the
@@ -333,8 +340,8 @@ def heavy_splice_plant():
     return IndexBook(b.I, b.r_I, b.d, b.K_marker, cw, b.marker)
 
 
-def test_certify_rejects_a_light_splice_above_i_6(heavy_splice_plant):
-    b = heavy_splice_plant
+def test_certify_rejects_a_light_splice_above_i_6(light_splice_book):
+    b = light_splice_book
     width = b.codeword_len
     window = 3 * math.ceil(1.5 * math.log2(width)) + len(b.marker) - b.K_marker
     assert (width, window) == (72, 55)
@@ -345,9 +352,9 @@ def test_certify_rejects_a_light_splice_above_i_6(heavy_splice_plant):
         certify_book(b)
 
 
-def test_verify_book_cli_rejects_a_light_splice(heavy_splice_plant, tmp_path):
+def test_verify_book_cli_rejects_a_light_splice(light_splice_book, tmp_path):
     path = tmp_path / "light_splice.json"
-    path.write_text(book_to_json(heavy_splice_plant))
+    path.write_text(book_to_json(light_splice_book))
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(["verify", "book", "--in", str(path)])

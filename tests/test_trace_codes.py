@@ -142,6 +142,15 @@ class TestDeriveParams:
         with pytest.raises(ValueError):
             derive_trace_params(4096, 1, a=2.0, gamma=0.25, eps=0.7)
 
+    @pytest.mark.parametrize("eps", [5.0, 0.5, 0.0, -0.1])
+    def test_a_derived_index_width_needs_eps_below_one_half(self, eps):
+        # without a and gamma the slack exponent went unchecked, and
+        # eps=5.0 derived I=891455
+        with pytest.raises(ValueError, match="eps"):
+            derive_trace_params(4320, 1, L_min=90, L_over=85, K=8, eps=eps)
+        p = derive_trace_params(4320, 1, L_min=90, L_over=85, I=4, K=8, eps=eps)
+        assert p.I == 4
+
     def test_infeasible_params_refuse_to_encode(self):
         p = derive_trace_params(2**15, 1, a=3.0, gamma=1 / 3, I=6, K=24)
         with pytest.raises(InfeasibleParameters):
@@ -203,6 +212,7 @@ def feasible_gamma0():
 # its length when given a book, so the book is what it checks first
 _TRACE_ENTRIES = {
     "trace_message_len": lambda p, tr, book=None: trace_message_len(p),
+    "trace_book": lambda p, tr, book=None: trace_book(p),
     "trace_rs_message_len": lambda p, tr, book=None: trace_rs_message_len(p, 1),
     "encode_trace": lambda p, tr, book=None: encode_trace(BitSeq.zeros(8), p, book),
     "encode_trace_rs": lambda p, tr, book=None: encode_trace_rs(
@@ -213,12 +223,15 @@ _TRACE_ENTRIES = {
 }
 _GAMMA0_ENTRIES = {
     "gamma0_message_len": lambda p, tr, book=None: gamma0_message_len(p),
+    "gamma0_book": lambda p, tr, book=None: gamma0_book(p),
     "encode_gamma0": lambda p, tr, book=None: encode_gamma0(BitSeq.zeros(8), p, book),
     "reconstruct_gamma0": lambda p, tr, book=None: reconstruct_gamma0(tr, p, book),
 }
 _TRACE_RS_ENTRIES = sorted(name for name in _TRACE_ENTRIES if "_rs" in name)
-_BOOK_TAKERS = [name for name in _TRACE_ENTRIES if not name.endswith("message_len")]
-_GAMMA0_BOOK_TAKERS = [name for name in _GAMMA0_ENTRIES if not name.endswith("message_len")]
+_BOOK_TAKERS = [name for name in _TRACE_ENTRIES if not name.endswith(("message_len", "_book"))]
+_GAMMA0_BOOK_TAKERS = [
+    name for name in _GAMMA0_ENTRIES if not name.endswith(("message_len", "_book"))
+]
 
 
 class TestInfeasibleParams:
