@@ -65,7 +65,7 @@ def _imports_oracle(tree: ast.AST) -> bool:
             names.append(node.module or "")
         else:
             continue
-        if any(name.split(".")[-1] == "oracle" or ".oracle." in name for name in names):
+        if any(name.split(".")[-1] == "oracle" for name in names):
             return True
     return False
 
