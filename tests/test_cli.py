@@ -145,6 +145,25 @@ class TestParamsDerive:
         assert code == 1 and not out.exists()
         assert f"field {field!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value", [("e", "1"), ("e", True), ("n", 4320.0), ("K", "8"), ("r_I", None)]
+    )
+    def test_codecs_refuse_a_file_field_of_the_wrong_json_type(
+        self, work, trace_env, capsys, field, value
+    ):
+        # "e": "1" ended trace encode in a TypeError traceback, and true
+        # passed as the integer 1
+        row = dict(trace_env["row"], **{field: value})
+        params = work / f"typed_{field}.json"
+        params.write_text(json.dumps(row))
+        out = work / f"typed_{field}_code.txt"
+        capsys.readouterr()
+        code, _ = run(
+            "trace", "encode", "--params", params, "--in", trace_env["msg"], "--out", out
+        )
+        assert code == 1 and not out.exists()
+        assert f"error: params file field {field!r}" in capsys.readouterr().err
+
     def test_the_regime_constants_are_not_read_back(self, work, trace_env):
         # a and gamma only record how L_min and L_over were sized
         row = dict(trace_env["row"], a=9.5, gamma=0.01)
