@@ -161,15 +161,19 @@ def _load_params(path: str, want: str):
     """Re-derive the params of a ``params derive`` output file of family
     ``want`` from its n, e, k and geometry fields.  A file whose other
     fields differ from the derived row is refused, as are infeasible
-    params; ``a`` and ``gamma`` only record how the geometry was sized."""
+    params; ``a`` and ``gamma`` only record how the geometry was sized.
+    Every integer field read back must be a JSON integer."""
     obj = json.loads(_read_text(path))
-    family = obj.get("family")
+    family = obj.get("family") if isinstance(obj, dict) else None
     if family not in FAMILIES:
         raise ValueError(f"params file has unknown family {family!r}")
     if family != want:
         raise ValueError(f"params file is for family {family!r}, this command needs {want!r}")
     fam, e = FAMILIES[family], obj["e"]
     geometry = {name: obj[name] for name in fam.overrides - _REGIME if name in obj}
+    for name in ("n", "e", "k", *geometry):
+        if name in obj and name != "eps" and type(obj[name]) is not int:
+            raise ValueError(f"params file field {name!r} is {obj[name]!r}, not an integer")
     p = fam.derive(argparse.Namespace(n=obj["n"], k=obj.get("k")), 2 * e + 1, e, **geometry)
     for name, value in _params_row(family, p).items():
         if name not in _REGIME and obj.get(name) != value:
@@ -380,7 +384,6 @@ def _channel_cfg(args, L_min: int, L_over: int) -> ChannelConfig:
         L_min=L_min,
         L_over=L_over,
         e=args.e,
-        strategy=getattr(args, "strategy", "random"),
         error_mode=args.error_mode,
         seed=args.seed,
         max_len=getattr(args, "max_len", None),
@@ -524,7 +527,6 @@ def _add_channel_flags(sp, *, geometry: bool) -> None:
     if geometry:
         sp.add_argument("--L-min", type=int, required=True, help="minimum read length")
         sp.add_argument("--L-over", type=int, default=0, help="minimum adjacent overlap")
-        sp.add_argument("--strategy", choices=("random", "fixed-cuts"), default="random")
         sp.add_argument("--max-len", type=int, default=None, help="cap on read lengths")
         sp.add_argument("--N", type=int, default=None, help="superstring length to record")
     sp.add_argument("--e", type=int, default=0, help="per-read substitution budget")
@@ -578,7 +580,7 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("encode")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=0, help="salt for the repair search")
+    sp.add_argument("--seed", type=int, default=0, help="scaffold draw seed; decode needs none")
     sp.add_argument("--certify", action="store_true", help="verify the output exhaustively")
     _io_flags(sp, "codeword text file")
     sp.set_defaults(func=_cmd_sd_encode)

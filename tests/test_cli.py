@@ -390,6 +390,15 @@ class TestMultiCli:
 
 
 class TestChannelCli:
+    def test_fragment_takes_no_strategy(self, work, trace_env):
+        # no flag carries fixed cuts, so random is the one strategy that runs
+        with pytest.raises(SystemExit) as exc:
+            run(
+                "channel", "fragment", "--in", trace_env["codeword"], "--out",
+                work / "ch_strategy.txt", "--L-min", 90, "--strategy", "fixed-cuts",
+            )
+        assert exc.value.code == 2
+
     def test_truth_annotations_power_the_legality_check(self, work, trace_env):
         withtruth = work / "ch_truth.txt"
         assert run(
