@@ -35,9 +35,6 @@ from .constrained import (
     index_wwl,
     index_wwl_decode,
     index_wwl_len,
-    wwl_capacity,
-    wwl_decode,
-    wwl_encode,
 )
 from .errors import (
     DecodeFailure,

@@ -11,8 +11,7 @@ Shared by the trace code and the indexed families: the layout builder,
 the split of an aligned window's index bits at its block boundary, the
 marker uniqueness scan every encoder runs, the read location batch, the
 majority merge of placed reads, the :class:`DecodeRecord` and
-:class:`ReconReport` every decoder returns, and the codec cache and
-parameter checks.
+:class:`ReconReport` every decoder returns, and the parameter checks.
 
 The indexed core below serves both γ=0 families.  Every length-``L_min``
 period of a strand carries the marker, the absolute index of its block and
@@ -38,7 +37,7 @@ import numpy as np
 from . import _bitops
 from .bitseq import BitSeq, majority_merge, unpack_rows
 from .channel import Trace
-from .constrained import ConstrainedCodec, auto_cyclic
+from .constrained import auto_cyclic, codec
 from .errors import DecodeFailure, LayoutError, SearchExhausted, require_feasible
 from .positioning import IndexBook, build_index_book, default_r_I, find_marker, locate_index
 
@@ -47,11 +46,6 @@ MARK, FLAG, V, C = 0, 1, 2, 3
 _SCAN_CELLS = 1 << 19  # marker-scan table cells per slice of strands, 1 or 2 bytes each
 # the one way an indexed read's window fails, as a DecodeRecord failure code
 _LOCATE_FAILURES = (None, (DecodeFailure, "read {} cannot be located"))
-
-
-@lru_cache(maxsize=None)
-def codec(window: int, floor: int, n_out: int, chunk: int) -> ConstrainedCodec:
-    return ConstrainedCodec(window, floor, n_out, chunk=chunk)
 
 
 def checked_book(params, book: IndexBook | None, d: int) -> IndexBook:
@@ -452,7 +446,7 @@ def indexed_geometry(L_min: int, e: int, I: int, K: int, r_I: int | None) -> dic
         violations.append("weight-window")
         w_window, w_floor = max(K, 1), 1
     if m_prime >= d + 1:
-        cap = codec(w_window, w_floor, m_prime, 512).msg_len
+        cap = codec(w_window, w_floor, m_prime).msg_len
         if cap < m_prime - d:
             violations.append("payload-capacity")
     return dict(
@@ -496,7 +490,7 @@ def _tail(params) -> BitSeq:
     size = params.n - params.strand_blocks * params.L_min
     if size <= 0:
         return BitSeq.zeros(0)
-    tail_codec = codec(params.w_window, params.w_floor, size, 512)
+    tail_codec = codec(params.w_window, params.w_floor, size)
     return tail_codec.encode(BitSeq.zeros(tail_codec.msg_len))
 
 
@@ -533,7 +527,7 @@ def indexed_encode(
     for i, m_i in enumerate(messages):
         if len(m_i) != want:
             raise ValueError(f"strand {i} message must have {want} bits, got {len(m_i)}")
-    payload_codec = codec(params.w_window, params.w_floor, params.m_prime, 512)
+    payload_codec = codec(params.w_window, params.w_floor, params.m_prime)
     blocks = params.strand_blocks
     plain = np.zeros((params.k, blocks, payload_codec.msg_len), dtype=np.uint8)
     plain[:, : params.message_blocks, :body] = unpack_rows(messages, want).reshape(
@@ -613,7 +607,7 @@ def indexed_reconstruct(
     pos, bits = placed_bits(reads, placed)
     merged, tie_pos, uncovered = merge_placed(pos, bits, params.k * params.n)
 
-    payload_codec = codec(params.w_window, params.w_floor, params.m_prime, 512)
+    payload_codec = codec(params.w_window, params.w_floor, params.m_prime)
     body = params.m_prime - params.d
     v_at = _period_offsets(params)[2]
     starts = np.arange(params.k)[:, None] * params.n

@@ -20,6 +20,10 @@ of continuations, read in one object-array gather from the count table.
 The state dies exactly where some window ends with fewer than ``d`` ones,
 which the gaps between every ``d``-th one show.  A batch of equal-length
 words is ranked in one pass.
+
+:func:`codec`, one cache, is the only constructor of a codec: the trace and
+γ=0 payloads and tails, the SD inner word, its index fields and the
+scaffold pieces all come from it.
 """
 
 from __future__ import annotations
@@ -38,9 +42,7 @@ __all__ = [
     "enc_dist",
     "apply_dist",
     "ConstrainedCodec",
-    "wwl_encode",
-    "wwl_decode",
-    "wwl_capacity",
+    "codec",
     "index_wwl",
     "index_wwl_decode",
     "index_wwl_len",
@@ -526,45 +528,29 @@ class ConstrainedCodec:
         return BitSeq(val, length), state
 
 
-def wwl_capacity(n_out: int, K: int, d: int, chunk: int = 512) -> int:
-    """Message bits carried by :func:`wwl_encode` at these parameters."""
-    return ConstrainedCodec(K, d, n_out, chunk).msg_len
-
-
-def wwl_encode(msg: BitSeq, K: int, d: int, n_out: int, chunk: int = 512) -> BitSeq:
-    """Encode ``msg`` into a length-``n_out`` string whose every length-``K``
-    window has weight at least ``d``.
-
-    ``msg`` must have exactly ``wwl_capacity(n_out, K, d)`` bits.  The map is
-    a bijection onto an initial segment of the constrained strings, so it is
-    invertible for every input including all-zeros.
-    """
-    return ConstrainedCodec(K, d, n_out, chunk).encode(msg)
-
-
-def wwl_decode(x: BitSeq, K: int, d: int, chunk: int = 512) -> BitSeq:
-    return ConstrainedCodec(K, d, len(x), chunk).decode(x)
+@lru_cache(maxsize=None)
+def codec(window: int, floor: int, n_out: int, chunk: int = 512) -> ConstrainedCodec:
+    """The package's one :class:`ConstrainedCodec` at these parameters,
+    built once and shared by every code that asks for it."""
+    return ConstrainedCodec(window, floor, n_out, chunk)
 
 
 # ----------------------------------------------------------------------
 # weight-limited index fields
 
 
-@lru_cache(maxsize=64)
 def _index_codec(n: int, d: int) -> tuple[int, ConstrainedCodec]:
     """Field length and codec carrying ``n`` distinct weight-limited indices."""
     c = ceil_log2(n)
-    llog = ceil_log2(c)
-    window = d * llog
-    length = c + d
-    codec = ConstrainedCodec(window, d, length)
-    count = codec.count(length)
+    window, length = d * ceil_log2(c), c + d
+    field = codec(window, d, length)
+    count = field.count(length)
     if count < n:
         raise ValueError(
             f"cannot embed {n} indices in weight-limited fields of {length} bits "
             f"(only {count} satisfy the ({window}, {d}) window constraint)"
         )
-    return length, codec
+    return length, field
 
 
 def index_wwl_len(n: int, d: int) -> int:
@@ -581,15 +567,15 @@ def index_wwl(i: int, n: int, d: int) -> BitSeq:
     """
     if not 0 <= i < n:
         raise ValueError(f"index {i} outside [0, {n})")
-    length, codec = _index_codec(n, d)
-    return codec.unrank_from_start(i, length)
+    length, coder = _index_codec(n, d)
+    return coder.unrank_from_start(i, length)
 
 
 def index_wwl_decode(field: BitSeq, n: int, d: int) -> int:
-    length, codec = _index_codec(n, d)
+    length, coder = _index_codec(n, d)
     if len(field) != length:
         raise ValueError(f"index field must have {length} bits")
-    index = codec.rank_from_start(field)
+    index = coder.rank_from_start(field)
     if index >= n:
         raise ValueError(f"decoded index {index} outside [0, {n})")
     return index

@@ -23,10 +23,10 @@ import numpy as np
 from . import _bitops
 from .bitseq import BitSeq, is_sd, is_wwl
 from .constrained import (
-    ConstrainedCodec,
     apply_dist,
     auto_cyclic,
     ceil_log2,
+    codec,
     enc_dist,
     index_wwl,
     index_wwl_decode,
@@ -190,7 +190,7 @@ def derive_sd_params(n: int, d: int) -> SdParams:
     check(
         p.inner_len >= 1, "interior-length", f"n={n} leaves no room after K2+K_max={K2 + K_max}"
     )
-    n_prime = ConstrainedCodec(p.zero_len, d, p.inner_len).msg_len if p.inner_len >= 1 else 0
+    n_prime = codec(p.zero_len, d, p.inner_len).msg_len if p.inner_len >= 1 else 0
     check(n_prime >= 1, "message-capacity", "no message bits survive the constraints")
     assert len(auto_cyclic(d)) == ell
     return replace(p, n_prime=n_prime, violations=tuple(bad))
@@ -199,12 +199,6 @@ def derive_sd_params(n: int, d: int) -> SdParams:
 def sd_message_len(n: int, d: int) -> int:
     """Number of message bits carried by one length-n encoded sequence."""
     return require_feasible(derive_sd_params(n, d)).n_prime
-
-
-@functools.lru_cache(maxsize=128)
-def _inner_codec(n: int, d: int) -> ConstrainedCodec:
-    p = derive_sd_params(n, d)
-    return ConstrainedCodec(d * p.llog, d, p.inner_len)
 
 
 # ----------------------------------------------------------------------
@@ -434,8 +428,8 @@ def build_scaffold(params: SdParams, seed: int = 0, max_tries: int = 200) -> Sca
     """
     p = require_feasible(params)
     rng = np.random.default_rng(np.random.SeedSequence((seed, p.n, p.d)))
-    codec = ConstrainedCodec(p.K2, p.d, p.piece_len)
-    cap = codec.count(p.piece_len)
+    pieces_codec = codec(p.K2, p.d, p.piece_len)
+    cap = pieces_codec.count(p.piece_len)
     Ls, budget = p.piece_len, max_tries * p.n_pieces
     pieces = np.empty((p.n_pieces, Ls), dtype=np.uint8)
     drawn: list[np.ndarray] = []
@@ -445,7 +439,7 @@ def build_scaffold(params: SdParams, seed: int = 0, max_tries: int = 200) -> Sca
         if k > 0:  # one call draws the bytes of k calls of 16 bytes each
             raw, taken = rng.bytes(16 * k), taken + k
             idx = [int.from_bytes(raw[i : i + 16], "little") % cap for i in range(0, 16 * k, 16)]
-            drawn += list(codec.unrank_from_start(idx, Ls))
+            drawn += list(pieces_codec.unrank_from_start(idx, Ls))
         if not drawn:
             raise SearchExhausted(f"no scaffold family of {p.n_pieces} pieces found in {budget} draws")
         batch = np.array(drawn)
@@ -518,7 +512,7 @@ def encode_sd(m: BitSeq, n: int, d: int, *, seed: int = 0, certify: bool = False
     p = require_feasible(derive_sd_params(n, d))
     if len(m) != p.n_prime:
         raise ValueError(f"message must have {p.n_prime} bits, got {len(m)}")
-    w = _inner_codec(n, d).encode(m)
+    w = codec(p.zero_len, d, p.inner_len).encode(m)
     wbar = eliminate_close_pairs(w, p, certify=certify)
     return expand_to_length(wbar, p, scaffold_for(n, d, seed), certify=certify)
 
@@ -528,7 +522,7 @@ def decode_sd(what: BitSeq, n: int, d: int) -> BitSeq:
     p = require_feasible(derive_sd_params(n, d))
     wbar = contract_from_length(what, p)
     w = restore_close_pairs(wbar, p)
-    (plain,) = _inner_codec(n, d).decode(w.to_numpy()[None])
+    (plain,) = codec(p.zero_len, d, p.inner_len).decode(w.to_numpy()[None])
     if isinstance(plain, ValueError):
         raise DecodeFailure(f"inner code rejects the word: {plain}") from plain
     return plain

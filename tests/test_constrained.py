@@ -21,9 +21,6 @@ from strandcode.constrained import (
     index_wwl,
     index_wwl_decode,
     index_wwl_len,
-    wwl_capacity,
-    wwl_decode,
-    wwl_encode,
 )
 
 
@@ -100,28 +97,28 @@ def test_enc_dist_roundtrip(data):
 @pytest.mark.parametrize("K,d", [(4, 1), (15, 3), (10, 2), (64, 3), (21, 1)])
 @pytest.mark.parametrize("n_out", [37, 200, 515])
 def test_wwl_roundtrip_and_constraint(K, d, n_out):
-    cap = wwl_capacity(n_out, K, d)
+    cap = ConstrainedCodec(K, d, n_out).msg_len
     rng = np.random.default_rng(K * 1000 + d * 10 + n_out)
     for _ in range(10):
         msg = BitSeq.random(cap, rng)
-        x = wwl_encode(msg, K, d, n_out)
+        x = ConstrainedCodec(K, d, n_out).encode(msg)
         assert len(x) == n_out
         assert is_wwl(x, K, d)
-        assert wwl_decode(x, K, d) == msg
+        assert ConstrainedCodec(K, d, len(x)).decode(x) == msg
 
 
 @pytest.mark.parametrize("K,d", [(4, 1), (15, 3)])
 def test_wwl_all_zero_message(K, d):
     """The worst-case message still produces a legal constrained string."""
-    cap = wwl_capacity(300, K, d)
-    x = wwl_encode(BitSeq.zeros(cap), K, d, 300)
+    cap = ConstrainedCodec(K, d, 300).msg_len
+    x = ConstrainedCodec(K, d, 300).encode(BitSeq.zeros(cap))
     assert is_wwl(x, K, d)
-    assert wwl_decode(x, K, d) == BitSeq.zeros(cap)
+    assert ConstrainedCodec(K, d, len(x)).decode(x) == BitSeq.zeros(cap)
 
 
 def test_wwl_redundancy_is_modest():
     # run-length fallback on a wide window costs only a few bits
-    assert 1000 - wwl_capacity(1000, 64, 3) <= 8
+    assert 1000 - ConstrainedCodec(64, 3, 1000).msg_len <= 8
 
 
 def test_codec_rejects_bad_lengths():
@@ -485,7 +482,7 @@ def test_decode_rejects_rows_of_the_wrong_length():
     with pytest.raises(ValueError, match="expected rows of 100 symbols"):
         codec.decode(np.ones((2, 99), dtype=np.uint8))
     assert codec.decode(np.ones((0, 100), dtype=np.uint8)) == []
-    assert wwl_decode(BitSeq.zeros(0), 15, 3) == BitSeq.zeros(0)
+    assert ConstrainedCodec(15, 3, 0).decode(BitSeq.zeros(0)) == BitSeq.zeros(0)
 
 
 # ------------------------------------------------------------ index fields

@@ -12,14 +12,13 @@ from hypothesis import strategies as st
 
 from strandcode import _bitops
 from strandcode.bitseq import BitSeq, is_sd, is_wwl
-from strandcode.constrained import ConstrainedCodec, auto_cyclic
+from strandcode.constrained import ConstrainedCodec, auto_cyclic, codec
 from strandcode.errors import (
     DecodeFailure, InfeasibleParameters, SearchExhausted, StrandcodeError, require_feasible,
 )
 from strandcode.oracle import check_p123, check_sd_exhaustive, sd_min_pair_distance
 from strandcode.sd_encoder import (
     Scaffold,
-    _inner_codec,
     _rightmost_marker,
     build_scaffold,
     contract_from_length,
@@ -80,10 +79,10 @@ class TestDeriveParams:
 
 
 def _random_inner(n, d, rng):
-    codec = _inner_codec(n, d)
     p = derive_sd_params(n, d)
-    idx = int.from_bytes(rng.bytes(32), "little") % codec.count(p.inner_len)
-    return codec.unrank_from_start(idx, p.inner_len)
+    inner = codec(p.zero_len, d, p.inner_len)
+    idx = int.from_bytes(rng.bytes(32), "little") % inner.count(p.inner_len)
+    return inner.unrank_from_start(idx, p.inner_len)
 
 
 def _planted_branch2(seed=24):
@@ -98,9 +97,9 @@ def _planted_branch2(seed=24):
     n, d = 128, 1
     p = derive_sd_params(n, d)
     rng = np.random.default_rng(seed)
-    codec = _inner_codec(n, d)
-    idx = int.from_bytes(rng.bytes(16), "little") % codec.count(p.inner_len)
-    base = codec.unrank_from_start(idx, p.inner_len)
+    inner = codec(p.zero_len, d, p.inner_len)
+    idx = int.from_bytes(rng.bytes(16), "little") % inner.count(p.inner_len)
+    base = inner.unrank_from_start(idx, p.inner_len)
     T = BitSeq.random(p.L1, rng).with_bit(0, 0)
     w = base.splice(20, p.L1, T).splice(56, p.L1, T)
     V = w.window(40, 16) + BitSeq.from_text("1")

@@ -354,7 +354,7 @@ def test_the_sd_rewrite_loop_packs_the_word_once(monkeypatch):
     # on a repetitive word
     n, d = 2048, 1
     p = sc.derive_sd_params(n, d)
-    w = sd_encoder._inner_codec(n, d).encode(sc.BitSeq.zeros(p.n_prime))
+    w = constrained.codec(p.zero_len, d, p.inner_len).encode(sc.BitSeq.zeros(p.n_prime))
     packed, real = [], _bitops.packed_windows
 
     def packing(bits, L):
@@ -472,3 +472,44 @@ def test_books_are_picked_and_checked_only_by_the_guard():
     assert found == {"blocks.py:checked_book"}
     tree = ast.parse("def f(book):\n    return book if book is not None else 0\n")
     assert _book_handlers(tree) == {"f"}
+
+
+def _callers(tree: ast.AST, name: str) -> set[str]:
+    """Innermost functions around the calls to ``name``, by bare name or
+    attribute, with ``<module>`` for a call outside every function."""
+    found = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call) and name in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        ):
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_the_cached_constructor_builds_a_codec():
+    # every weight-limited string in the package comes from one cache, so
+    # the benchmark's timed-loop miss check on it covers every codec
+    found = {
+        f"{path.name}:{owner}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for owner in _callers(ast.parse(path.read_text()), "ConstrainedCodec")
+    }
+    assert found == {"constrained.py:codec"}
+    tree = ast.parse(
+        "c = m.ConstrainedCodec(1, 1, 1)\n"
+        "def f():\n"
+        "    def g():\n"
+        "        return ConstrainedCodec(2, 1, 2)\n"
+    )
+    assert _callers(tree, "ConstrainedCodec") == {"<module>", "g"}
+    assert importlib.import_module("strandcode.trace_codes")._codec is constrained.codec
+    for gone in ("wwl_capacity", "wwl_encode", "wwl_decode"):
+        assert not hasattr(constrained, gone) and not hasattr(sc, gone)
+    assert not hasattr(sd_encoder, "_inner_codec")
