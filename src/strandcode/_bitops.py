@@ -321,10 +321,12 @@ def close_pairs(bits: np.ndarray, L: int, rho: int) -> list[tuple[int, int, int]
 
 
 def window_weights(bits: np.ndarray, L: int) -> np.ndarray:
-    """Weight of every length-L window (length n-L+1 vector), as int32."""
-    c = np.zeros(bits.size + 1, dtype=np.int32)
-    np.cumsum(bits, dtype=np.int32, out=c[1:])
-    return c[L:] - c[:-L]
+    """Weight of every length-L window along the last axis, as int32: a row
+    of n bits gives n - L + 1 weights (none when n < L), a stack of rows a
+    stack of them, from one prefix sum."""
+    c = np.zeros(bits.shape[:-1] + (bits.shape[-1] + 1,), dtype=np.int32)
+    np.cumsum(bits, axis=-1, dtype=np.int32, out=c[..., 1:])
+    return c[..., L:] - c[..., :-L]
 
 
 def splices_wwl(cand: np.ndarray, prev: np.ndarray, K: int, d: int) -> np.ndarray:

@@ -52,6 +52,7 @@ _ROLE_PRE = 3
 
 # Enumerating every legal cut set is exponential; keep it to toy lengths.
 _EXHAUSTIVE_MAX_N = 64
+_RELIABLE_TRIES = 500  # draws before the reliable-preserving mode gives up
 
 
 @dataclass(frozen=True)
@@ -289,33 +290,22 @@ def _flip_local(f: Fragment, positions: Sequence[int]) -> Fragment:
     return dataclasses.replace(f, bits=bits, errors=injected)
 
 
-def _coverage(tr: Trace, strand: int) -> np.ndarray:
-    cov = np.zeros(tr.n, dtype=np.int64)
-    for f in tr.fragments:
-        if f.strand == strand:
-            cov[f.start : f.end] += 1
-    return cov
-
-
 def _strand_ids(tr: Trace) -> list[int]:
     return sorted({f.strand for f in tr.fragments})
 
 
-def _reassemble(tr: Trace, strand: int) -> BitSeq:
-    """Rebuild the source strand from an error-free read set."""
-    vals = np.full(tr.n, -1, dtype=np.int64)
-    for f in tr.fragments:
-        if f.strand != strand:
-            continue
-        arr = f.bits.to_numpy().astype(np.int64)
-        seg = vals[f.start : f.end]
-        known = seg >= 0
-        if np.any(arr[known] != seg[known]):
-            raise LayoutError("reads disagree; input trace is already corrupted")
-        vals[f.start : f.end] = arr
-    if np.any(vals < 0):
+def _tallies(tr: Trace) -> dict[int, np.ndarray]:
+    """Each strand's :func:`trace_votes`; a row sum is a position's coverage."""
+    return {s: trace_votes(tr.for_strand(s), tr.n) for s in _strand_ids(tr)}
+
+
+def _reassemble(votes: np.ndarray) -> BitSeq:
+    """Rebuild a source strand from the tally of its error-free reads."""
+    if np.any(votes.min(axis=1) > 0):
+        raise LayoutError("reads disagree; input trace is already corrupted")
+    if np.any(votes.max(axis=1) == 0):
         raise LayoutError("reads do not cover the strand")
-    return BitSeq.from_numpy(vals.astype(np.uint8))
+    return BitSeq.from_numpy((votes[:, 1] > 0).astype(np.uint8))
 
 
 def _corrupt_random(tr: Trace, cfg: ChannelConfig) -> tuple[Fragment, ...]:
@@ -331,7 +321,7 @@ def _corrupt_random(tr: Trace, cfg: ChannelConfig) -> tuple[Fragment, ...]:
 def _corrupt_overlap(tr: Trace, cfg: ChannelConfig) -> tuple[Fragment, ...]:
     # Spend the whole budget inside multiply-covered positions, the worst
     # place for a majority vote.  Reads with no such positions stay clean.
-    cov = {s: _coverage(tr, s) for s in _strand_ids(tr)}
+    cov = {s: votes.sum(axis=1) for s, votes in _tallies(tr).items()}
     out = []
     for idx, f in enumerate(tr.fragments):
         zone = np.flatnonzero(cov[f.strand][f.start : f.end] >= 2)
@@ -345,22 +335,22 @@ def _corrupt_overlap(tr: Trace, cfg: ChannelConfig) -> tuple[Fragment, ...]:
     return tuple(out)
 
 
-def _corrupt_reliable(tr: Trace, cfg: ChannelConfig, max_tries: int = 500) -> tuple[Fragment, ...]:
+def _corrupt_reliable(tr: Trace, cfg: ChannelConfig) -> tuple[Fragment, ...]:
     # Every read takes between 1 and e flips, redrawn until the strict
     # per-position majority survives.  A flip is survivable only at a
     # position covered at least three times (once the flipper is wrong,
     # two correct votes must remain), so a read all of whose positions
     # have coverage below three makes the mode impossible.
-    truth = {s: _reassemble(tr, s) for s in _strand_ids(tr)}
-    cov = {s: _coverage(tr, s) for s in _strand_ids(tr)}
+    tallies = _tallies(tr)
+    truth = {s: _reassemble(votes) for s, votes in tallies.items()}
     for idx, f in enumerate(tr.fragments):
-        if not np.any(cov[f.strand][f.start : f.end] >= 3):
+        if not np.any(tallies[f.strand][f.start : f.end].sum(axis=1) >= 3):
             raise LayoutError(
                 "reliable-preserving corruption impossible: fragment at offset "
                 f"{f.start} has no position with coverage >= 3"
             )
     rngs = [_stream(cfg.seed, f.strand or 0, idx, _ROLE_FLIPS) for idx, f in enumerate(tr.fragments)]
-    for _ in range(max_tries):
+    for _ in range(_RELIABLE_TRIES):
         cand = []
         for f, rng in zip(tr.fragments, rngs):
             t = int(rng.integers(1, cfg.e + 1))
@@ -369,7 +359,7 @@ def _corrupt_reliable(tr: Trace, cfg: ChannelConfig, max_tries: int = 500) -> tu
         candidate = dataclasses.replace(tr, fragments=tuple(cand))
         if all(is_reliable(candidate.for_strand(s), truth[s]) for s in truth):
             return tuple(cand)
-    raise SearchExhausted(f"no reliable corruption found in {max_tries} draws")
+    raise SearchExhausted(f"no reliable corruption found in {_RELIABLE_TRIES} draws")
 
 
 def _corrupt_presequencing(tr: Trace, cfg: ChannelConfig) -> tuple[Fragment, ...]:

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _bitops
-from .bitseq import BitSeq, is_wwl, unpack_rows
+from .bitseq import BitSeq, unpack_rows
 from .constrained import auto_cyclic
 from .errors import SearchExhausted
 
@@ -186,7 +186,8 @@ def certify_book(book: IndexBook) -> None:
     """Check the book invariants exactly, at every I.
 
     The marker must be 0^K_marker then ``auto_cyclic(d)``, each codeword
-    (W, d)-weight limited (P1) for the framing's window W, the
+    (W, d)-weight limited (P1) for the framing's window W, by one
+    :func:`_bitops.window_weights` of all the book's rows, the
     concatenation (I + r_I, d)-substring distant by the exact pigeonhole
     close-pair search, and every splice of codeword i + 1's prefix onto
     codeword i's suffix (W, d)-weight limited (P2), by the scaffold
@@ -202,9 +203,8 @@ def certify_book(book: IndexBook) -> None:
         raise SearchExhausted("book marker is not 0^K_marker then the auto-cyclic sequence")
     width = book.codeword_len
     wwl_window = 3 * math.ceil(1.5 * math.log2(width)) + len(book.marker) - book.K_marker
-    for c in book.codewords:
-        if not is_wwl(c, wwl_window, book.d):
-            raise SearchExhausted("book codeword fails its window weight invariant")
+    if _bitops.window_weights(book.rows, wwl_window).min(initial=book.d) < book.d:
+        raise SearchExhausted("book codeword fails its window weight invariant")
     if _bitops.close_pairs(book.rows.ravel(), width, book.d - 1):
         raise SearchExhausted("book concatenation fails the SD check")
     if not _bitops.splices_wwl(book.rows[1:], book.rows[:-1], wwl_window, book.d).all():
