@@ -164,6 +164,17 @@ class TestParamsDerive:
         assert code == 1 and not out.exists()
         assert f"error: params file field {field!r}" in capsys.readouterr().err
 
+    def test_codecs_refuse_a_params_file_that_is_not_an_object(self, work, trace_env, capsys):
+        params = work / "list_params.json"
+        params.write_text(json.dumps([trace_env["row"]]))
+        capsys.readouterr()
+        code, _ = run(
+            "trace", "encode", "--params", params, "--in", trace_env["msg"],
+            "--out", work / "list_code.txt",
+        )
+        assert code == 1
+        assert "error: params file has unknown family None" in capsys.readouterr().err
+
     def test_the_regime_constants_are_not_read_back(self, work, trace_env):
         # a and gamma only record how L_min and L_over were sized
         row = dict(trace_env["row"], a=9.5, gamma=0.01)
