@@ -17,6 +17,7 @@ import pytest
 from strandcode import trace_codes
 from strandcode.bitseq import BitSeq
 from strandcode.channel import ChannelConfig, Trace, corrupt, fragment
+from strandcode.constrained import codec
 from strandcode.multistrand import (
     derive_multi_gamma0_params,
     encode_multi_gamma0_rs,
@@ -29,7 +30,7 @@ from strandcode.multistrand import (
     wrap_encode,
     wrap_length,
 )
-from strandcode.sd_encoder import encode_sd, scaffold_for, sd_message_len
+from strandcode.sd_encoder import derive_sd_params, encode_sd, scaffold_for, sd_message_len
 from strandcode.trace_codes import (
     derive_gamma0_params,
     derive_trace_params,
@@ -152,6 +153,24 @@ def sd_65537():
     return encode_sd(m, 65537, 3).to_text()
 
 
+def sd_131073_inner():
+    # the SD inner word alone: 256 chained chunks of 512 symbols
+    p = derive_sd_params(131073, 3)
+    m = BitSeq.random(p.n_prime, np.random.default_rng(7))
+    return codec(p.zero_len, 3, p.inner_len).encode(m).to_text()
+
+
+def unrank_past_span():
+    # scalar unranks longer than the codec's longest chunk read a longer
+    # table: an exact (15, 3) codec and the (10, 1) fallback of a (30, 3) one
+    words = []
+    for c, length in ((codec(15, 3, 300, 64), 200), (codec(30, 3, 600), 700)):
+        count = c.count(length)
+        for i in (0, 1, count // 3, count // 2, count - 1):
+            words.append(c.unrank_from_start(i, length).to_text())
+    return ",".join(words)
+
+
 def sd_2048_zeros():
     # 94 close-pair rewrites, so the window index field is written
     return encode_sd(BitSeq.zeros(sd_message_len(2048, 1)), 2048, 1).to_text()
@@ -178,6 +197,8 @@ PINNED = {
     gamma0_report: "eb2ffd7fe11d3c5591ffc3a3ce4f00d4c8716aee8790295ca9a719ec9a5d2046",
     multi_rs_missing_strand_report: "a30780c4e4e2ae671762eb1d798aefb209df553a5f144918a8dfaa4ad33af0f5",
     sd_65537: "4910c994e6d10b651fe6cce111067fa34e9683f5db533a28b720692749fce7e0",
+    sd_131073_inner: "b8ed7a0b0f069f6d600093fec077bb9b88b3252ce82b33948683667bfbd12649",
+    unrank_past_span: "88b6fbf6e554ca98abc6d142f1071fbfcbb012a6898309fe5806e0d88a11b899",
     sd_2048_zeros: "6c510a0dff3980888eafcb90ea2aeaeb4a61590d066f199f8e039f976c88f46d",
     scaffold_65537: "5206f2a8b6e47055fa97301c15b94dd3f139239808e4be11c2e394ab209abb41",
     scaffold_65537_d2: "afa8a1b474dd782a951946eec40e320a3a09b98a5316b910165d34c52dbf4e29",
