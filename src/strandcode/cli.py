@@ -410,7 +410,6 @@ def _cmd_channel_fragment(args) -> int:
             "reads": len(tr.fragments),
             "L_min": cfg.L_min,
             "L_over": cfg.L_over,
-            "strategy": cfg.strategy,
             "seed": cfg.seed,
         }
     )

@@ -292,9 +292,12 @@ PINNED = {
         0,
         "d0a73e6dce087e8420904aa269300fd5fababc29bec73ccf9f46c63e1249d7ef",
     ),
+    # the channel fragment steps were re-pinned when the row dropped its
+    # "strategy" field, which could only read "random"; the reads they
+    # write are unchanged
     "trace-fragment": (
         0,
-        "d733e2fc8a319399e18a0c011aea27e6c1d33d51fd4707c4c018d80fbf9daf02",
+        "45cdcdd8fc82ab00826aa018131768bc7b9c0a2edbd5b6570124b038c4767b04",
     ),
     "trace-corrupt": (
         0,
@@ -310,7 +313,7 @@ PINNED = {
     ),
     "trace-rs-fragment": (
         0,
-        "f5e838c585a17d24659aaed9d2ec96b4ebc53e981591c09a9d5063565b522bd5",
+        "b131a18c475b8e5411043ea61f9d519fc3a7ab6826bc76b922650528d2074da3",
     ),
     "trace-rs-decode": (
         0,
@@ -322,7 +325,7 @@ PINNED = {
     ),
     "gamma0-fragment": (
         0,
-        "1f3f12972f0444e6cd38c453b9ba3ad8778c768b7b080e874e3369de6c5a704d",
+        "5f27924063c8bc898887fec9e66edbcaffe7e97b04351107d7225faedcd1689c",
     ),
     "gamma0-decode": (
         0,
@@ -334,7 +337,7 @@ PINNED = {
     ),
     "multi-wrap-fragment": (
         0,
-        "9cdbb0d0c55c86b83315fcff510c1b7ac97f1781f18162b67ed0006d8d455d92",
+        "21f82e42e43f4fe7e4f9f509500b11f93c4d2ac2080064d9ce3b25791569c043",
     ),
     # re-pinned when wrap_decode began returning its report: the row now
     # carries the reliable flag and the placement counts of the decode
@@ -348,7 +351,7 @@ PINNED = {
     ),
     "multi-gamma0-fragment": (
         0,
-        "a6913f8dbb8bfab07a95976700b0c09c1472fb578be27abecd2abb88d0ca36be",
+        "819de2f40c0e2cf0f79bc30b235958afbfdb91def84fb4b7a8a120b997b0181a",
     ),
     "multi-gamma0-decode": (
         0,
