@@ -248,9 +248,21 @@ def _count_words(window: int, floor: int, length: int) -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def _count_table(window: int, floor: int, length: int) -> list[list[int]]:
-    """counts[s][r] of :func:`_count_array`, as lists for the one-word
-    symbol walk of unranking; the lists hold the array's own integers."""
+    """counts[s][r] of :func:`_count_array`, as lists that hold the array's
+    own integers: the counts :class:`ConstrainedCodec` reads one at a time
+    (its capacities and ``count``) and the rows of :func:`_zero_rows`."""
     return _count_array(window, floor, length)[:, :-1].T.tolist()
+
+
+@lru_cache(maxsize=128)
+def _zero_rows(window: int, floor: int, length: int) -> list[list[int]]:
+    """rows[s] = the :func:`_count_table` row of the state a 0 leads s to,
+    or a row of zeros where that step dies: the one table the one-word
+    walk reads, one lookup per symbol.  The rows are the table's own
+    lists, so they cost one list of pointers per state."""
+    table = _count_table(window, floor, length)
+    dead = [0] * (length + 1)
+    return [table[t] if t >= 0 else dead for t in _automaton(window, floor).t0]
 
 
 _STATE_BUDGET = 4000
@@ -320,7 +332,11 @@ class ConstrainedCodec:
         return max(length, min(self.chunk, self.n_out))
 
     def _table(self, length: int) -> list[list[int]]:
-        return _count_table(self._cw, self._cf, self._span(length))
+        # the word walk's rows are cut here too, so the set-up that reads a
+        # count builds them and a timed encode does not
+        key = (self._cw, self._cf, self._span(length))
+        _zero_rows(*key)
+        return _count_table(*key)
 
     @cached_property
     def _caps(self) -> tuple[int, ...]:
@@ -345,11 +361,12 @@ class ConstrainedCodec:
         """Map an integer below ``count(length)`` to a valid string, or a
         sequence of m such integers to the rows of an (m, length) array."""
         init = _automaton(self._cw, self._cf).init_id
-        if np.ndim(index) == 0:
-            return self._unrank(index, length, init)[0]
+        scalar = np.ndim(index) == 0
         count = self.count(length)
-        if not all(0 <= i < count for i in index):
+        if not all(0 <= i < count for i in ([index] if scalar else index)):
             raise ValueError("message index exceeds the constrained count")
+        if scalar:
+            return self._unrank([(index, length)], init)[0]
         out = np.empty((len(index), length), dtype=np.uint8)
         dtype = _count_words(self._cw, self._cf, self._span(length)).dtype
         self._walk(np.array(index, dtype=dtype), np.full(len(index), init), out)
@@ -376,11 +393,11 @@ class ConstrainedCodec:
         if isinstance(msg, BitSeq):
             if len(msg) != self.msg_len:
                 raise ValueError(f"message must have {self.msg_len} bits, got {len(msg)}")
-            out, state, pos = BitSeq.zeros(0), init, 0
+            pieces, pos = [], 0
             for B, cap in chunks:
-                piece, state = self._unrank(msg.window_int(pos, cap), B, state)
-                out, pos = out + piece, pos + cap
-            return out
+                pieces.append((msg.window_int(pos, cap), B))
+                pos += cap
+            return self._unrank(pieces, init)[0]
         if msg.ndim != 2 or msg.shape[1] != self.msg_len:
             raise ValueError(f"expected rows of {self.msg_len} bits, got shape {msg.shape}")
         words = np.empty((len(msg), self.n_out), dtype=np.uint8)
@@ -509,23 +526,38 @@ class ConstrainedCodec:
             out[:, t] = one
         return state
 
-    def _unrank(self, index: int, length: int, state: int) -> tuple[BitSeq, int]:
+    def _unrank(self, pieces: list[tuple[int, int]], state: int) -> tuple[BitSeq, int]:
+        """Unrank each ``(index, length)`` of ``pieces`` from the state the
+        piece before left (the first from ``state``) into one word, and
+        return the word and the state after it.
+
+        A symbol is one lookup in :func:`_zero_rows`, the count of
+        continuations after a 0, and one comparison; a 1 also subtracts
+        that count.  ``rest`` counts a piece's symbols left down.  The 1s
+        go into one bytearray holding the word's text last symbol first,
+        where ``after`` is the number of the word's symbols after the
+        piece, so the word's integer is one ``int(buf, 2)``.
+        """
         auto = _automaton(self._cw, self._cf)
-        table = self._table(length)
-        val = 0
-        for t in range(length):
-            rest = length - t - 1
-            s0 = auto.t0[state]
-            zero_count = table[s0][rest] if s0 >= 0 else 0
-            if index < zero_count:
-                state = s0
-            else:
-                index -= zero_count
-                val |= 1 << t
-                state = auto.t1[state]
-        if index:
-            raise ValueError("message index exceeds the constrained count")
-        return BitSeq(val, length), state
+        t0, t1 = auto.t0, auto.t1
+        lengths = [length for _, length in pieces]
+        n = sum(lengths)
+        rows = _zero_rows(self._cw, self._cf, self._span(max(lengths, default=0)))
+        buf = bytearray(b"0") * n
+        after = n
+        for index, length in pieces:
+            after -= length
+            for rest in range(length - 1, -1, -1):
+                zero = rows[state][rest]
+                if index < zero:
+                    state = t0[state]
+                else:
+                    index -= zero
+                    buf[after + rest] = 49  # ord("1")
+                    state = t1[state]
+            if index:
+                raise ValueError("message index exceeds the constrained count")
+        return BitSeq(int(buf, 2) if n else 0, n), state
 
 
 @lru_cache(maxsize=None)

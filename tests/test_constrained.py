@@ -14,6 +14,7 @@ from strandcode.constrained import (
     _count_table,
     _count_words,
     _pick_constraint,
+    _zero_rows,
     _zero_step,
     apply_dist,
     auto_cyclic,
@@ -206,8 +207,11 @@ def test_codec_builds_one_table_at_its_longest_chunk():
     msg = BitSeq.random(codec.msg_len, np.random.default_rng(0))
     _count_table.cache_clear()
     _count_array.cache_clear()
+    _zero_rows.cache_clear()
     assert codec.decode(codec.encode(msg)) == msg
     assert _count_table.cache_info().currsize == 1
+    # the walk's rows are cut from those lists
+    assert _zero_rows.cache_info().currsize == 1
     # the rank gathers from the array the lists were cut from
     assert _count_array.cache_info().currsize == 1
     assert codec.count(453) == _count_table(15, 3, 512)[_automaton(15, 3).init_id][453]
@@ -298,7 +302,7 @@ def _faulty_word(codec, where):
             _, state = _rank_by_symbols(codec, head.window(pos, codec.chunk), state)
         top = codec._table(B)[state][B] - 1
         assert top >> codec._caps[-1]
-        arr[n - B :] = codec._unrank(top, B, state)[0].to_numpy()
+        arr[n - B :] = codec._unrank([(top, B)], state)[0].to_numpy()
         return arr, "constrained string outside the message range"
     return arr, f"window weight constraint violated at symbol {t % codec.chunk}"
 
@@ -461,6 +465,52 @@ def test_batch_unrank_from_start_matches_the_symbol_walk(codec):
                 codec.unrank_from_start(over, length)
             with pytest.raises(ValueError, match="^message index exceeds the constrained count$"):
                 codec.unrank_from_start([0, over], length)
+
+
+# The exact (15, 3) constraint at the SD inner codec's 512-symbol chunk and
+# at a short one, and the (10, 1) run-length fallback of a (30, 3) demand.
+_KERNEL_CODECS = [
+    ConstrainedCodec(15, 3, 1100),
+    ConstrainedCodec(15, 3, 300, chunk=64),
+    ConstrainedCodec(30, 3, 600, chunk=90),
+]
+
+
+def _walk_row(codec, index, state, length):
+    """The batch walk of one index from one state: its word and end state."""
+    out = np.empty((1, length), dtype=np.uint8)
+    dtype = _count_words(codec._cw, codec._cf, codec._span(length)).dtype
+    (end,) = codec._walk(np.array([index], dtype=dtype), np.array([state]), out)
+    return out[0], int(end)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_the_word_walk_matches_the_batch_walk_from_any_state(data):
+    codec = data.draw(st.sampled_from(_KERNEL_CODECS), label="codec")
+    auto = _automaton(codec._cw, codec._cf)
+    start = state = data.draw(st.integers(0, auto.n_states - 1), label="state")
+    lengths = data.draw(
+        st.lists(st.integers(0, 2 * codec.chunk), min_size=1, max_size=2), label="lengths"
+    )
+    pieces, rows = [], []
+    for length in lengths:
+        table = _count_table(codec._cw, codec._cf, codec._span(length))
+        index = data.draw(st.integers(0, table[state][length] - 1), label="index")
+        row, state = _walk_row(codec, index, state, length)
+        pieces.append((index, length))
+        rows.append(row)
+    word, end = codec._unrank(pieces, start)
+    assert np.array_equal(word.to_numpy(), np.concatenate(rows))
+    assert end == state
+    # an index at its state's count leaves the code, in any piece
+    at = data.draw(st.integers(0, len(pieces) - 1), label="over")
+    piece_start = start if at == 0 else codec._unrank(pieces[:at], start)[1]
+    length = pieces[at][1]
+    over = _count_table(codec._cw, codec._cf, codec._span(length))[piece_start][length]
+    bad = pieces[:at] + [(over, length)] + pieces[at + 1 :]
+    with pytest.raises(ValueError, match="^message index exceeds the constrained count$"):
+        codec._unrank(bad, start)
 
 
 @pytest.mark.parametrize("window, floor", [(15, 3), (8, 3), (10, 1), (5, 5), (10, 2), (4, 1)])

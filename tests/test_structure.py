@@ -375,6 +375,35 @@ def test_the_sd_rewrite_loop_packs_the_word_once(monkeypatch):
     assert max(packed[1:]) < 3 * p.L1
 
 
+def test_the_word_unrank_builds_its_word_once(monkeypatch):
+    # one word is one buffer: a walk that joins a BitSeq per chunk copies
+    # the word so far at every chunk boundary
+    p = sc.derive_sd_params(65537, 3)
+    codecs = [
+        constrained.codec(15, 3, 300),
+        constrained.codec(8, 3, 160, 47),
+        constrained.codec(p.zero_len, 3, p.inner_len),
+    ]
+    assert [len(c.chunk_lengths) for c in codecs] == [1, 4, 128]
+    rng = np.random.default_rng(6)
+    msgs = [sc.BitSeq.random(c.msg_len, rng) for c in codecs]
+    built, real = [], sc.BitSeq.__init__
+
+    def building(self, value, length):
+        built.append(length)
+        real(self, value, length)
+
+    def joining(self, other):
+        raise AssertionError("the word unrank joined two BitSeqs")
+
+    monkeypatch.setattr(sc.BitSeq, "__init__", building)
+    monkeypatch.setattr(sc.BitSeq, "__add__", joining)
+    for c, msg in zip(codecs, msgs):
+        built.clear()
+        c.encode(msg)
+        assert built == [c.n_out]
+
+
 def _flag_takers(tree: ast.AST, flag: str = "lenient") -> list[int]:
     """Lines of the functions and lambdas with a parameter named ``flag``."""
     return [
