@@ -11,7 +11,6 @@ from .bitseq import (
     is_sd,
     is_wwl,
     majority_merge,
-    multispectrum,
 )
 from .channel import (
     ChannelConfig,
@@ -19,8 +18,6 @@ from .channel import (
     Trace,
     check_trace_legal,
     corrupt,
-    count_fragmentations,
-    enumerate_fragmentations,
     fragment,
     is_reliable,
     trace_from_text,

@@ -18,7 +18,6 @@ on every window or pair, so the answer never depends on the route.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -30,7 +29,6 @@ __all__ = [
     "hamming",
     "is_wwl",
     "is_sd",
-    "multispectrum",
     "majority_merge",
     "unpack_rows",
 ]
@@ -327,22 +325,6 @@ def is_sd(x: BitSeq, L: int, d: int) -> bool:
         if np.count_nonzero(dist < d) > len(dist):
             return False
     return True
-
-
-def multispectrum(x: BitSeq, L: int) -> Counter:
-    """Multiset of all length-``L`` windows of ``x``.
-
-    Returns a Counter keyed by :class:`BitSeq` windows; multiplicities count
-    repeated windows.
-    """
-    if L <= 0 or L > len(x):
-        raise ValueError(f"window length {L} invalid for sequence of length {len(x)}")
-    out: Counter = Counter()
-    mask = (1 << L) - 1
-    v = x.value
-    for i in range(len(x) - L + 1):
-        out[BitSeq((v >> i) & mask, L)] += 1
-    return out
 
 
 def majority_merge(votes: Sequence[tuple[int, int]] | np.ndarray) -> tuple[BitSeq, BitSeq]:

@@ -3,10 +3,12 @@
 A trace of a strand x is a multiset of substrings (reads) whose hidden
 start positions begin at 0, end exactly at the last position of x, are
 each at least ``L_min`` long, and overlap their successor in at least
-``L_over`` positions.  The channel here produces such traces under several
-cut strategies, injects at most ``e`` substitution errors per read under
-several error models, and audits whether every position of x still holds
-a strict majority of correct votes across the reads that cover it.
+``L_over`` positions.  The channel here cuts such traces under one of three
+strategies (random read lengths and starts, minimum-length reads at maximum
+stride, or caller-given cuts), injects at most ``e`` substitution errors per
+read under several error models, and audits whether every position of x
+still holds a strict majority of correct votes across the reads that cover
+it.
 
 Reads are emitted in shuffled order.  Each carries truth annotations
 (source strand, start offset, injected-flip count) that decoders must not
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,13 +37,11 @@ __all__ = [
     "is_reliable",
     "trace_votes",
     "check_trace_legal",
-    "count_fragmentations",
-    "enumerate_fragmentations",
     "trace_to_text",
     "trace_from_text",
 ]
 
-FRAGMENT_STRATEGIES = ("random", "adversarial-min", "exhaustive", "fixed-cuts")
+FRAGMENT_STRATEGIES = ("random", "adversarial-min", "fixed-cuts")
 ERROR_MODES = ("random", "overlap-concentrated", "reliable-preserving", "pre-sequencing")
 
 # Role components of the derived-stream keys.
@@ -50,8 +50,6 @@ _ROLE_SHUFFLE = 1
 _ROLE_FLIPS = 2
 _ROLE_PRE = 3
 
-# Enumerating every legal cut set is exponential; keep it to toy lengths.
-_EXHAUSTIVE_MAX_N = 64
 _RELIABLE_TRIES = 500  # draws before the reliable-preserving mode gives up
 
 
@@ -59,10 +57,13 @@ _RELIABLE_TRIES = 500  # draws before the reliable-preserving mode gives up
 class ChannelConfig:
     """Channel parameters: read geometry, error budget, strategy, seed.
 
-    ``max_len`` caps random read lengths (default ``2 * L_min``).  ``tau``
-    is the global flip budget of the pre-sequencing error mode.  ``cuts``
-    supplies explicit ``(start, length)`` pairs for the fixed-cuts
-    strategy and is ignored otherwise.
+    ``strategy`` is ``random`` (read lengths drawn up to ``max_len``, starts
+    drawn within the overlap), ``adversarial-min`` (``L_min`` reads at
+    stride ``L_min - L_over``) or ``fixed-cuts``.  ``max_len`` caps random
+    read lengths (default ``2 * L_min``).  ``tau`` is the global flip budget
+    of the pre-sequencing error mode.  ``cuts`` supplies explicit
+    ``(start, length)`` pairs for the fixed-cuts strategy and is ignored
+    otherwise.
     """
 
     L_min: int
@@ -192,58 +193,6 @@ def _adversarial_cuts(n: int, cfg: ChannelConfig) -> list[tuple[int, int]]:
     return [(i, cfg.L_min) for i in starts]
 
 
-def enumerate_fragmentations(n: int, L_min: int, L_over: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Yield every legal cut set for a strand of length ``n``.
-
-    Exponential in ``n``; intended for tiny instances where the full set
-    can be compared against :func:`count_fragmentations`.
-    """
-    if n > _EXHAUSTIVE_MAX_N:
-        raise ValueError(f"exhaustive enumeration limited to n <= {_EXHAUSTIVE_MAX_N}")
-
-    def extend(prefix: list[tuple[int, int]], i: int) -> Iterator[tuple[tuple[int, int], ...]]:
-        for L in range(L_min, n - i + 1):
-            prefix.append((i, L))
-            if i + L == n:
-                yield tuple(prefix)
-            # Only the final read must end at n, so a read that reaches n
-            # may still be followed by further reads.
-            for nxt in range(i + 1, i + L - L_over + 1):
-                if nxt + L_min <= n:
-                    yield from extend(prefix, nxt)
-            prefix.pop()
-
-    yield from extend([], 0)
-
-
-def count_fragmentations(n: int, L_min: int, L_over: int) -> int:
-    """Count legal cut sets by dynamic programming over the first start.
-
-    Written as a recurrence on paper rather than by filtering the
-    enumerator, so the two can cross-check each other.
-    """
-    if L_over < 0 or L_min <= L_over:
-        raise ValueError("need 0 <= L_over < L_min")
-    memo: dict[int, int] = {}
-
-    def ways(i: int) -> int:
-        # Completions whose next read starts at i.
-        if i + L_min > n:
-            return 0
-        if i in memo:
-            return memo[i]
-        total = 0
-        for L in range(L_min, n - i + 1):
-            if i + L == n:
-                total += 1
-            for nxt in range(i + 1, i + L - L_over + 1):
-                total += ways(nxt)
-        memo[i] = total
-        return total
-
-    return ways(0)
-
-
 def fragment(x: BitSeq, cfg: ChannelConfig, *, strand: int = 0) -> Trace:
     """Cut ``x`` into an overlapping read set under ``cfg.strategy``.
 
@@ -259,10 +208,6 @@ def fragment(x: BitSeq, cfg: ChannelConfig, *, strand: int = 0) -> Trace:
         cuts = _random_cuts(n, cfg, _stream(cfg.seed, strand, 0, _ROLE_CUTS))
     elif cfg.strategy == "adversarial-min":
         cuts = _adversarial_cuts(n, cfg)
-    elif cfg.strategy == "exhaustive":
-        rng = _stream(cfg.seed, strand, 0, _ROLE_CUTS)
-        all_cuts = list(enumerate_fragmentations(n, cfg.L_min, cfg.L_over))
-        cuts = list(all_cuts[int(rng.integers(0, len(all_cuts)))])
     elif cfg.strategy == "fixed-cuts":
         cuts = [(int(i), int(L)) for i, L in cfg.cuts]
         for i, L in cuts:

@@ -18,6 +18,7 @@ from collections.abc import Callable
 
 from .bitseq import BitSeq
 from .channel import (
+    ERROR_MODES,
     ChannelConfig,
     check_trace_legal,
     corrupt,
@@ -531,7 +532,7 @@ def _add_channel_flags(sp, *, geometry: bool) -> None:
     sp.add_argument("--e", type=int, default=0, help="per-read substitution budget")
     sp.add_argument(
         "--error-mode",
-        choices=("random", "overlap-concentrated", "reliable-preserving", "pre-sequencing"),
+        choices=ERROR_MODES,
         default="random",
     )
     sp.add_argument("--seed", type=int, default=0)

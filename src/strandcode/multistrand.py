@@ -12,15 +12,15 @@ strand an absolute index from one shared book, so a single read names its
 buys back wholly corrupted or missing strands.  This module holds the strand
 sets, the wrapped family and the interleaved family's params and entry
 points; the interleaved family runs on the indexed core of
-:mod:`strandcode.blocks`, shared with the single-strand γ=0 code, and its
-outer layer on the lanes of :mod:`strandcode.outer`.
+:mod:`strandcode.blocks`, shared with the single-strand γ=0 code; its
+outer layer's lanes across the strand messages, refusal and decode policy
+are :func:`strandcode.outer.lanes`.
 
 Strand sets are multisets: order never matters, duplicates are counted.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -44,7 +44,7 @@ from .blocks import (
 )
 from .channel import ChannelConfig, Fragment, Trace, fragment
 from .errors import DecodeFailure, LayoutError, require_feasible
-from .outer import lane_decode, lane_encode, lane_message_len, lane_violations
+from .outer import Lanes, lanes
 from .positioning import IndexBook
 from .trace_codes import TraceParams, encode_trace, reconstruct_trace
 
@@ -416,16 +416,14 @@ def multi_gamma0_decode(
 # the outer lanes (see outer.py), so any tau bad strands are recoverable.
 
 
-def _outer_payload_bits(params: MultiGamma0Params) -> int:
-    """Bits of one outer block, a strand's message; refuses params with
-    inner violations, then with :func:`lane_violations`."""
-    bits = indexed_message_len(params)
-    require_feasible(dataclasses.replace(params, violations=lane_violations(params.k, bits)))
-    return bits
+def _outer(params: MultiGamma0Params, tau: int) -> Lanes:
+    """The lanes across the strand messages.  Refuses params with inner
+    violations, then with those of :func:`~strandcode.outer.lanes`."""
+    return lanes(params, params.k, tau, indexed_message_len(params))
 
 
 def multi_gamma0_rs_message_len(params: MultiGamma0Params, tau: int) -> int:
-    return lane_message_len(params.k, tau, _outer_payload_bits(params))
+    return _outer(params, tau).message_len
 
 
 def encode_multi_gamma0_rs(
@@ -437,7 +435,7 @@ def encode_multi_gamma0_rs(
     corrupted strand costs one symbol per lane and any tau strands are
     recoverable.
     """
-    messages = lane_encode(m, params.k, tau, _outer_payload_bits(params))
+    messages = _outer(params, tau).encode(m)
     return multi_gamma0_encode(messages, params, book)
 
 
@@ -452,9 +450,8 @@ def reconstruct_multi_gamma0_rs(
     payload block is known bad, one whose marker, index or tail bits are
     off is not.  More than tau bad strands raise ``DecodeFailure``, by
     lane decode failure or by the known and corrected strands outnumbering
-    tau.  Any outer correction makes the result unreliable.
+    tau.  Any outer correction makes the result unreliable.  Bad params
+    and a bad tau are refused before the trace is read.
     """
-    _outer_payload_bits(params)  # refused before the trace is read
-    raw, report, record = indexed_reconstruct(mt, params, book)
-    message, corrected = lane_decode(raw, tau, set(record.rejected))
-    return dataclasses.replace(report, message=message, reliable=report.reliable and not corrected)
+    code = _outer(params, tau)
+    return code.decode(*indexed_reconstruct(mt, params, book))

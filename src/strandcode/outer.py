@@ -5,18 +5,22 @@ codeword, or the strands of a multi-strand set.  Byte s of every block forms
 one Reed-Solomon lane with 2 * tau parity symbols, so a wholly corrupted
 block costs each lane at most one symbol, any tau bad blocks are
 recoverable, and the union of corrected positions over the lanes names the
-bad blocks.
+bad blocks.  Both families reach the lanes through :func:`lanes`, which
+holds the outer geometry's refusal and the outer decode's policy.
 """
 
 from __future__ import annotations
 
+import dataclasses
+from dataclasses import dataclass
 from functools import cache
 from typing import Sequence
 
 from .bitseq import BitSeq
-from .errors import DecodeFailure
+from .blocks import DecodeRecord, ReconReport
+from .errors import DecodeFailure, require_feasible
 
-__all__ = ["lane_violations", "lane_message_len", "lane_encode", "lane_decode"]
+__all__ = ["Lanes", "lanes"]
 
 
 # ---------------------------------------------------------------------------
@@ -146,63 +150,72 @@ def _rs_decode(word: list[int], nsym: int) -> tuple[list[int], list[int]]:
 # Lanes across payload blocks
 
 
-def lane_violations(blocks: int, payload_bits: int) -> tuple[str, ...]:
-    """The outer geometry's failed inequalities, which the families refuse as
-    params ``violations``: ``outer-field-size`` when a lane outnumbers the
-    nonzero locators of GF(256), ``outer-symbol-size`` when a block holds no byte."""
-    return ("outer-field-size",) * (blocks > 255) + ("outer-symbol-size",) * (payload_bits < 8)
+def lanes(params, blocks: int, tau: int, payload_bits: int, extra: tuple[str, ...] = ()) -> Lanes:
+    """The outer code of ``blocks`` payload blocks of ``payload_bits`` bits,
+    2 * tau of them parity, over feasible inner ``params``.
 
-
-def _lane_bytes(blocks: int, tau: int, payload_bits: int) -> int:
-    """Outer symbols per block for ``blocks`` payload blocks of
-    ``payload_bits`` bits, 2 * tau of them parity; checks tau."""
+    The outer geometry is refused as ``params`` violations: the family's
+    ``extra`` ones, then ``outer-field-size`` when a lane outnumbers the
+    nonzero locators of GF(256) and ``outer-symbol-size`` when a block holds
+    no byte.  A tau outside ``0 <= 2 * tau < blocks`` raises ``ValueError``.
+    A decode that builds its lanes first refuses both before reading a trace.
+    """
+    lane = ("outer-field-size",) * (blocks > 255) + ("outer-symbol-size",) * (payload_bits < 8)
+    require_feasible(dataclasses.replace(params, violations=tuple(extra) + lane))
     if tau < 0 or 2 * tau >= blocks:
         raise ValueError(f"need 0 <= 2 * tau < {blocks}, the outer code length")
-    return payload_bits // 8
+    return Lanes(blocks, tau, payload_bits)
 
 
-def lane_message_len(blocks: int, tau: int, payload_bits: int) -> int:
-    """Message bits carried by the blocks - 2 * tau data blocks."""
-    return (blocks - 2 * tau) * 8 * _lane_bytes(blocks, tau, payload_bits)
+@dataclass(frozen=True)
+class Lanes:
+    """Byte s of every block, bits 8s..8s+7, is one lane's symbol; bits past
+    the last whole byte are zero."""
 
+    blocks: int
+    tau: int
+    payload_bits: int
 
-def lane_encode(m: BitSeq, blocks: int, tau: int, payload_bits: int) -> list[BitSeq]:
-    """The data blocks of ``m`` followed by 2 * tau parity blocks, each zero
-    padded to ``payload_bits``.  Byte s of a block is its bits 8s..8s+7."""
-    nb = _lane_bytes(blocks, tau, payload_bits)
-    want = lane_message_len(blocks, tau, payload_bits)
-    if len(m) != want:
-        raise ValueError(f"message must have {want} bits, got {len(m)}")
-    data = range(blocks - 2 * tau)
-    rows = [m.window_int(8 * nb * i, 8 * nb).to_bytes(nb, "little") for i in data]
-    lanes = [_rs_encode([row[s] for row in rows], 2 * tau) for s in range(nb)]
-    return [
-        BitSeq(int.from_bytes(bytes(lane[i] for lane in lanes), "little"), payload_bits)
-        for i in range(blocks)
-    ]
+    @property
+    def message_len(self) -> int:
+        """Message bits carried by the blocks - 2 * tau data blocks."""
+        return (self.blocks - 2 * self.tau) * 8 * (self.payload_bits // 8)
 
+    def encode(self, m: BitSeq) -> list[BitSeq]:
+        """The data blocks of ``m`` followed by 2 * tau parity blocks."""
+        if len(m) != self.message_len:
+            raise ValueError(f"message must have {self.message_len} bits, got {len(m)}")
+        nb = self.payload_bits // 8
+        data = range(self.blocks - 2 * self.tau)
+        rows = [m.window_int(8 * nb * i, 8 * nb).to_bytes(nb, "little") for i in data]
+        words = [_rs_encode([row[s] for row in rows], 2 * self.tau) for s in range(nb)]
+        return [
+            BitSeq(int.from_bytes(bytes(word[i] for word in words), "little"), self.payload_bits)
+            for i in range(self.blocks)
+        ]
 
-def lane_decode(
-    payloads: Sequence[BitSeq], tau: int, damaged: set[int]
-) -> tuple[BitSeq, set[int]]:
-    """Correct every lane; return the data bits and the corrected blocks.
+    def decode(
+        self, payloads: Sequence[BitSeq], report: ReconReport, record: DecodeRecord
+    ) -> ReconReport:
+        """``report`` with the corrected data bits as its message.
 
-    ``damaged`` holds blocks already known to be bad.  More than tau bad
-    blocks in all, known or corrected, raise DecodeFailure, as does a lane
-    with more errors than its parity can locate.
-    """
-    blocks = len(payloads)
-    nb = _lane_bytes(blocks, tau, len(payloads[0]))
-    rows = [p.window_int(0, 8 * nb).to_bytes(nb, "little") for p in payloads]
-    data = [bytearray(nb) for _ in range(blocks - 2 * tau)]
-    corrected: set[int] = set()
-    for s in range(nb):
-        word, positions = _rs_decode([row[s] for row in rows], 2 * tau)
-        corrected.update(positions)
-        for i, row in enumerate(data):
-            row[s] = word[i]
-    bad = damaged | corrected
-    if len(bad) > tau:
-        raise DecodeFailure(f"{len(bad)} corrupted blocks exceed the outer budget {tau}")
-    joined = b"".join(data)
-    return BitSeq(int.from_bytes(joined, "little"), 8 * len(joined)), corrected
+        The blocks ``record`` rejected are known bad.  More than tau bad
+        blocks in all, known or corrected, raise DecodeFailure, as does a
+        lane with more errors than its parity can locate.  Any correction
+        makes the result unreliable.
+        """
+        nb = self.payload_bits // 8
+        rows = [p.window_int(0, 8 * nb).to_bytes(nb, "little") for p in payloads]
+        data = [bytearray(nb) for _ in range(self.blocks - 2 * self.tau)]
+        corrected: set[int] = set()
+        for s in range(nb):
+            word, positions = _rs_decode([row[s] for row in rows], 2 * self.tau)
+            corrected.update(positions)
+            for i, row in enumerate(data):
+                row[s] = word[i]
+        bad = set(record.rejected) | corrected
+        if len(bad) > self.tau:
+            raise DecodeFailure(f"{len(bad)} corrupted blocks exceed the outer budget {self.tau}")
+        joined = b"".join(data)
+        message = BitSeq(int.from_bytes(joined, "little"), 8 * len(joined))
+        return dataclasses.replace(report, message=message, reliable=report.reliable and not corrected)

@@ -11,8 +11,9 @@ the payload strings are substring distant, so a wrong alignment disagrees on
 many positions while the right one disagrees on few.  The positionwise
 majority over the placed fragments is then inverted back to the message.
 
-Also here: the outer Reed-Solomon hardening across groups that survives
-whole-group corruption (lanes in :mod:`strandcode.outer`), and the params
+Also here: the outer Reed-Solomon hardening that survives whole-group
+corruption, whose lanes across the group payloads, refusal and decode
+policy are :func:`strandcode.outer.lanes`, and the params
 and entry points of the non-overlapping family whose blocks carry absolute
 indices.  That family runs on the indexed core of
 :mod:`strandcode.blocks`, shared with the interleaved multi-strand family;
@@ -22,7 +23,6 @@ the layout, index split, marker scan, majority merge and
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import math
 from bisect import bisect_left, bisect_right
@@ -62,7 +62,7 @@ from .blocks import (
 from .channel import Trace
 from .constrained import ConstrainedCodec, auto_cyclic, codec
 from .errors import DecodeFailure, LayoutError, SearchExhausted, require_feasible
-from .outer import lane_decode, lane_encode, lane_message_len, lane_violations
+from .outer import Lanes, lanes
 from .positioning import (
     AMBIGUOUS,
     NOT_FOUND,
@@ -253,6 +253,10 @@ def derive_trace_params(
         n_min = (n_L // (1 << I)) * v_per_block
         if n_min < L:
             violations.append("sd-window")
+        # windows of L < d2 bits differ in at most L places, so a payload
+        # holding two of them is never substring distant
+        if 1 <= L < d2 and n_min > L:
+            violations.append("sd-distance")
         cap = codec(v_window, v_floor, n_min, v_per_block).msg_len
         if cap <= SALT_BITS:
             violations.append("block-capacity")
@@ -806,26 +810,23 @@ def reconstruct_trace(
 # lanes (see outer.py), so tau wholly corrupted groups are recoverable.
 
 
-def _outer_payload_bits(params: TraceParams) -> int:
-    """Bits of one outer block, a group's payload.  Refuses params with
-    inner violations, then with ``outer-uniform-groups`` (groups of unequal
-    block counts) or those of :func:`lane_violations`."""
-    bits = _group_payload_len(params, 0)
-    outer = ("outer-uniform-groups",) * bool(params.n_L % params.group_count)
-    outer += lane_violations(params.group_count, bits)
-    require_feasible(dataclasses.replace(params, violations=outer))
-    return bits
+def _outer(params: TraceParams, tau: int) -> Lanes:
+    """The lanes across the group payloads.  Refuses params with inner
+    violations, then with ``outer-uniform-groups`` (groups of unequal block
+    counts) or those of :func:`~strandcode.outer.lanes`."""
+    uneven = ("outer-uniform-groups",) * bool(params.n_L % params.group_count)
+    return lanes(params, params.group_count, tau, _group_payload_len(params, 0), uneven)
 
 
 def trace_rs_message_len(params: TraceParams, tau: int) -> int:
-    return lane_message_len(params.group_count, tau, _outer_payload_bits(params))
+    return _outer(params, tau).message_len
 
 
 def encode_trace_rs(
     m: BitSeq, params: TraceParams, tau: int, book: IndexBook | None = None
 ) -> BitSeq:
     """Encode with 2 * tau parity groups protecting against block corruption."""
-    blocks = lane_encode(m, params.group_count, tau, _outer_payload_bits(params))
+    blocks = _outer(params, tau).encode(m)
     return encode_trace(sum(blocks, BitSeq.zeros(0)), params, book)
 
 
@@ -840,12 +841,11 @@ def reconstruct_trace_rs(
     code, the undecodable ones as known bad.  More than tau bad groups
     raise ``DecodeFailure``, by lane decode failure or by the known and
     corrected groups outnumbering tau.  Any outer correction makes the
-    result unreliable.
+    result unreliable.  Bad params and a bad tau are refused before the
+    trace is read.
     """
-    _outer_payload_bits(params)  # refused before the trace is read
-    payloads, report, record = _reconstruct(tr, params, book)
-    message, corrected = lane_decode(payloads, tau, set(record.rejected))
-    return dataclasses.replace(report, message=message, reliable=report.reliable and not corrected)
+    code = _outer(params, tau)
+    return code.decode(*_reconstruct(tr, params, book))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from strandcode.bitseq import (
     is_sd,
     is_wwl,
     majority_merge,
-    multispectrum,
 )
 
 bitstrings = st.text(alphabet="01", min_size=0, max_size=200)
@@ -112,14 +111,6 @@ def test_is_sd_matches_definition(s, L, d):
         for j in range(i + 1, len(wins))
     )
     assert is_sd(x, L, d) == naive
-
-
-def test_multispectrum_counts_windows():
-    x = BitSeq.from_text("10101")
-    spec = multispectrum(x, 2)
-    assert spec[BitSeq.from_text("10")] == 2
-    assert spec[BitSeq.from_text("01")] == 2
-    assert sum(spec.values()) == 4
 
 
 def test_majority_merge_votes():

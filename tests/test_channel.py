@@ -14,8 +14,6 @@ from strandcode.channel import (
     Trace,
     check_trace_legal,
     corrupt,
-    count_fragmentations,
-    enumerate_fragmentations,
     fragment,
     is_reliable,
     trace_from_text,
@@ -135,21 +133,6 @@ class TestFragment:
         with pytest.raises(ValueError):
             fragment(_strand(7), ChannelConfig(L_min=8, L_over=5))
 
-    def test_exhaustive_draws_legal_member(self):
-        x = _strand(12)
-        seen = set()
-        for seed in range(30):
-            cfg = ChannelConfig(L_min=6, L_over=3, strategy="exhaustive", seed=seed)
-            tr = fragment(x, cfg)
-            check_trace_legal(tr)
-            seen.add(tuple(_truth_cuts(tr)))
-        assert len(seen) > 5
-
-    def test_exhaustive_rejects_large_n(self):
-        cfg = ChannelConfig(L_min=6, L_over=3, strategy="exhaustive")
-        with pytest.raises(ValueError):
-            fragment(_strand(100), cfg)
-
     @settings(max_examples=60, deadline=None)
     @given(st.integers(12, 80), st.integers(5, 10), st.data())
     def test_random_invariants_property(self, n, L_min, data):
@@ -198,30 +181,6 @@ class TestLegalityChecker:
         tr = self._mk(12, 6, 3, [(0, 12)]).strip_truth()
         with pytest.raises(LayoutError, match="truth"):
             check_trace_legal(tr)
-
-
-class TestExhaustiveVsDp:
-    def test_hand_counted_instances(self):
-        # Single full-length read only.
-        assert count_fragmentations(6, 6, 0) == 1
-        # (0,7); (0,6)(1,6); (0,7)(1,6).
-        assert count_fragmentations(7, 6, 3) == 3
-        got = set(enumerate_fragmentations(7, 6, 3))
-        assert got == {((0, 7),), ((0, 6), (1, 6)), ((0, 7), (1, 6))}
-
-    @pytest.mark.parametrize("n,L_min,L_over", [(10, 5, 2), (12, 6, 3), (9, 4, 1)])
-    def test_enumeration_matches_dp(self, n, L_min, L_over):
-        cut_sets = list(enumerate_fragmentations(n, L_min, L_over))
-        assert len(cut_sets) == len(set(cut_sets))
-        assert len(cut_sets) == count_fragmentations(n, L_min, L_over)
-        x = _strand(n, seed=9)
-        for cuts in cut_sets[:200]:
-            frags = tuple(Fragment(x.window(i, L), 0, i, 0) for i, L in cuts)
-            check_trace_legal(Trace(n, L_min, L_over, 0, frags))
-
-    def test_enumeration_rejects_large_n(self):
-        with pytest.raises(ValueError):
-            next(enumerate_fragmentations(100, 10, 5))
 
 
 class TestCorrupt:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from strandcode import blocks, multistrand, trace_codes
+from strandcode import blocks, multistrand, outer, trace_codes
 from strandcode.bitseq import BitSeq
 from strandcode.blocks import _period_offsets, indexed_reconstruct
 from strandcode.channel import (
@@ -170,6 +170,19 @@ def test_multi_gamma0_rs_entry_points_refuse_the_outer_field_size(wide_multi, en
     assert wide_multi[0].violations == ()
     with pytest.raises(InfeasibleParameters, match="MultiGamma0Params: outer-field-size$"):
         _MULTI_ENTRIES[entry](*wide_multi)
+
+
+@pytest.mark.parametrize("tau", [-1, 1])
+def test_multi_gamma0_rs_decode_refuses_a_bad_tau_before_the_trace(feasible_multi, tau, monkeypatch):
+    # two strands leave no room for 2 * tau >= 2 parity strands
+    p, _, tr = feasible_multi
+
+    def unread(*args):
+        raise AssertionError("the trace was decoded")
+
+    monkeypatch.setattr(multistrand, "indexed_reconstruct", unread)
+    with pytest.raises(ValueError, match=r"need 0 <= 2 \* tau < 2,"):
+        reconstruct_multi_gamma0_rs(tr, p, tau)
 
 
 @pytest.mark.parametrize("entry", _MULTI_BOOK_TAKERS)
@@ -635,10 +648,11 @@ class TestCodewordCheck:
         broken = list(ss.strands)
         broken[1] = broken[1].with_bit(at, not broken[1][at])
         seen = []
-        lane_decode = multistrand.lane_decode
+        decode = outer.Lanes.decode
         monkeypatch.setattr(
-            multistrand, "lane_decode",
-            lambda raw, tau, damaged: seen.append(set(damaged)) or lane_decode(raw, tau, damaged),
+            outer.Lanes, "decode",
+            lambda self, raw, report, record: seen.append(set(record.rejected))
+            or decode(self, raw, report, record),
         )
         for strands, reliable in ((ss.strands, True), (broken, False)):
             mt = fragment_strands(StrandSet(gp4.n, tuple(strands)), gamma_cfg(gp4, 8))

@@ -542,3 +542,31 @@ def test_only_the_cached_constructor_builds_a_codec():
     for gone in ("wwl_capacity", "wwl_encode", "wwl_decode"):
         assert not hasattr(constrained, gone) and not hasattr(sc, gone)
     assert not hasattr(sd_encoder, "_inner_codec")
+
+
+def _outer_policy_reads(tree: ast.AST) -> list[int]:
+    """Lines that reach a ``lane_*`` name or read a record's ``rejected``
+    blocks: a family doing either decides the outer decode itself."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and (node.attr == "rejected" or node.attr.startswith("lane_"))
+        or isinstance(node, ast.Name) and node.id.startswith("lane_")
+        or isinstance(node, ast.ImportFrom) and any(a.name.startswith("lane_") for a in node.names)
+    )
+
+
+def test_the_rs_families_reach_the_outer_code_only_through_lanes():
+    # outer.lanes is the one place that refuses the outer geometry and tau
+    # and holds the decode policy: the rejected blocks are known bad and
+    # any correction makes the result unreliable
+    for name in ("trace_codes.py", "multistrand.py"):
+        tree = ast.parse((PACKAGE / name).read_text())
+        assert _outer_policy_reads(tree) == [], name
+        assert len(_callers(tree, "lanes")) == 1, name
+    tree = ast.parse(
+        "from .outer import lane_decode\n"
+        "m, fixed = outer.lane_decode(raw, tau, set(record.rejected))\n"
+        "n = lane_message_len(4, 1, 8)\n"
+    )
+    assert _outer_policy_reads(tree) == [1, 2, 2, 3]

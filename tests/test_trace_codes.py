@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strandcode import blocks, trace_codes
+from strandcode import blocks, outer, trace_codes
 from strandcode.bitseq import BitSeq, is_sd, is_wwl
 from strandcode.channel import ChannelConfig, Fragment, Trace, corrupt, fragment, is_reliable
 from strandcode.errors import (
@@ -133,6 +133,16 @@ class TestDeriveParams:
         assert p.violations == ("payload-space", "marker-window", "matching-window")
         with pytest.raises(InfeasibleParameters):
             require_feasible(p)
+
+    def test_a_matching_window_shorter_than_d2_is_refused(self):
+        # two 2-bit windows differ in at most 2 < d2 = 5 places, so no salt
+        # made a group payload substring distant and every message raised
+        # SearchExhausted
+        p = derive_trace_params(2601, 1, L_min=61, L_over=40, I=2, K=8)
+        assert (p.L, p.d2) == (2, 5)
+        assert p.violations == ("sd-distance",)
+        with pytest.raises(InfeasibleParameters, match="TraceParams: sd-distance$"):
+            encode_trace(BitSeq.zeros(8), p)
 
     def test_regime_preconditions(self):
         with pytest.raises(ValueError):
@@ -264,6 +274,18 @@ class TestInfeasibleParams:
         assert p.violations == ()
         with pytest.raises(InfeasibleParameters, match=f"TraceParams: {violation}$"):
             _TRACE_ENTRIES[entry](p, tr)
+
+    @pytest.mark.parametrize("tau", [-1, 8])
+    def test_rs_decode_refuses_a_bad_tau_before_the_trace(self, feasible_trace, tau, monkeypatch):
+        # 16 groups leave no room for 2 * tau >= 16 parity groups
+        p, tr = feasible_trace
+
+        def unread(*args):
+            raise AssertionError("the trace was decoded")
+
+        monkeypatch.setattr(trace_codes, "_reconstruct", unread)
+        with pytest.raises(ValueError, match=r"need 0 <= 2 \* tau < 16,"):
+            reconstruct_trace_rs(tr, p, tau)
 
     @pytest.mark.parametrize("entry", _BOOK_TAKERS)
     def test_trace_entry_points_refuse_a_mismatched_book(self, feasible_trace, entry):
@@ -718,22 +740,22 @@ class TestOuterCode:
         # would recover the message.
         book, tau = coded8[0], 3
         seen = {}
-        lane_encode, lane_decode = trace_codes.lane_encode, trace_codes.lane_decode
+        encode, decode = outer.Lanes.encode, outer.Lanes.decode
 
-        def encode_spy(*args):
-            seen["sent"] = lane_encode(*args)
+        def encode_spy(self, m):
+            seen["sent"] = encode(self, m)
             return seen["sent"]
 
-        def decode_spy(payloads, t, damaged):
-            seen["received"], seen["damaged"] = list(payloads), set(damaged)
-            return lane_decode(payloads, t, damaged)
+        def decode_spy(self, payloads, report, record):
+            seen["received"], seen["damaged"] = list(payloads), set(record.rejected)
+            return decode(self, payloads, report, record)
 
-        monkeypatch.setattr(trace_codes, "lane_encode", encode_spy)
+        monkeypatch.setattr(outer.Lanes, "encode", encode_spy)
         rng = np.random.default_rng([10, 8640, 12])
         m = BitSeq.random(trace_rs_message_len(p8, tau), rng)
         w = encode_trace_rs(m, p8, tau, book)
         tr = _damaged_trace(p8, w, int(rng.integers(2**31)), rng)
-        monkeypatch.setattr(trace_codes, "lane_decode", decode_spy)
+        monkeypatch.setattr(outer.Lanes, "decode", decode_spy)
         with pytest.raises(DecodeFailure):
             reconstruct_trace_rs(tr.strip_truth(), p8, tau, book)
         wrong = [g for g, (a, b) in enumerate(zip(seen["received"], seen["sent"])) if a != b]
