@@ -10,7 +10,12 @@ windows fall back to an equivalent automaton over a stronger run-length
 constraint (no ``floor(w/d)`` consecutive zeros) to keep the state space
 small; the output then still satisfies the requested window constraint.
 
-Unranking walks the automaton one symbol at a time.  Ranking is a gather:
+Every reader works on one count table per (window, floor, length), built
+once by :func:`_counts`: the number of valid continuations of each length
+from each state, held as an object array, with the batch walk's int64
+copy where the counts fit and the one-word walk's per-state rows of the
+array's own integers beside it.  Unranking walks the automaton one symbol
+at a time on it.  Ranking is a gather:
 the state before a symbol is the tuple of ages of the ``d`` most recent
 ones, so with ``d`` ones standing before each word for the initial state,
 the state before every 1 follows from the positions of the ``d`` ones
@@ -169,6 +174,21 @@ class _WwlAutomaton:
             for b, table in ((0, self.t0), (1, self.t1)):
                 t = self._step(s, b)
                 table[sid] = -1 if t is None else states[t]
+        # The steps as arrays: a dead step goes to ``n_states``, the zero
+        # column of every count table.  A 1 never kills a state.
+        self.step0 = np.array([self.n_states if t < 0 else t for t in self.t0])
+        self.step1 = np.array(self.t1)
+        # The rank keys.  The ages ``a_0 < ... < a_(d-1)`` of a state are a
+        # ``d``-subset of ``range(w)``, so ``sum(binom[i, a_i])`` with
+        # ``binom[i, a] = C(a, i + 1)`` numbers it densely below ``C(w, d)``
+        # (the combinatorial number system), and ``after0[key]`` is the
+        # step on a 0 from the state with that key.  Every such subset is a
+        # reachable state.
+        self.binom = np.array(
+            [[comb(a, i + 1) for a in range(window)] for i in range(floor)], dtype=np.int32
+        )
+        self.after0 = np.full(comb(window, floor), self.n_states, dtype=np.int32)
+        self.after0[[sum(comb(a, i + 1) for i, a in enumerate(s)) for s in states]] = self.step0
 
     def _step(self, s: tuple, b: int):
         w, d = self.window, self.floor
@@ -185,86 +205,46 @@ def _automaton(window: int, floor: int) -> _WwlAutomaton:
     return _WwlAutomaton(window, floor)
 
 
-@lru_cache(maxsize=64)
-def _zero_step(window: int, floor: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tables that send a state, given by its ages, where a 0 leads.
+@dataclass(frozen=True)
+class _Counts:
+    """One automaton's counts of valid continuations up to one length, in
+    the three views their readers take.
 
-    The ages ``a_0 < ... < a_(d-1)`` of a state are a ``d``-subset of
-    ``range(w)``, so ``sum(binom[i, a_i])`` with ``binom[i, a] = C(a,
-    i + 1)`` numbers it densely below ``C(w, d)`` (the combinatorial number
-    system).  ``after0[key]`` is the id of the state a 0 leads to, or
-    ``n_states`` where that step dies.  Every such subset is a reachable
-    state.  (A cache here rather than on the automaton keeps the
-    automaton's attribute layout fixed, which its per-symbol walk reads.)
+    ``array[r, s]`` is the number of valid length-r continuations from
+    state s: a read-only object array, with a zero column ``n_states`` for
+    a dead step, that the rank gathers from and the capacities read.
+    ``words`` is that array in int64 when every count fits, else the array
+    itself: the table of the batch walk.  ``zero_rows[s]`` is the array's
+    column of the state a 0 leads s to, as a list holding the array's own
+    integers: the table the one-word walk reads, one list lookup per
+    symbol: 131,072 random lookups took 20 ms from the lists against
+    36–60 ms from the array.
     """
-    auto = _automaton(window, floor)
-    binom = np.array(
-        [[comb(a, i + 1) for a in range(window)] for i in range(floor)], dtype=np.int32
-    )
-    after0 = np.full(comb(window, floor), auto.n_states, dtype=np.int32)
-    for s, sid in auto.states.items():
-        if auto.t0[sid] >= 0:
-            after0[sum(comb(a, i + 1) for i, a in enumerate(s))] = auto.t0[sid]
-    return binom, after0
 
-
-@lru_cache(maxsize=64)
-def _moves(window: int, floor: int) -> tuple[np.ndarray, np.ndarray]:
-    """The steps on a 0 and on a 1 as arrays; a dead step goes to ``n_states``."""
-    auto = _automaton(window, floor)
-    t0, t1 = (np.array(t) for t in (auto.t0, auto.t1))
-    t0[t0 < 0] = auto.n_states
-    return t0, t1
+    array: np.ndarray
+    words: np.ndarray
+    zero_rows: list[list[int]]
 
 
 @lru_cache(maxsize=128)
-def _count_array(window: int, floor: int, length: int) -> np.ndarray:
-    """counts[r, s] = number of valid length-r continuations from state s,
-    as a read-only object array with a zero column ``n_states`` for death.
+def _counts(window: int, floor: int, length: int) -> _Counts:
+    """The count table of the (window, floor) automaton up to ``length``.
 
-    Each row is one object-array step, row[t0] + row[t1].  No row depends
-    on ``length``, so a shorter table is a prefix of a longer one.
+    Each row is one object-array step, row[step0] + row[step1].  No row
+    depends on ``length``, so a shorter table is a prefix of a longer one.
+    A 1 never kills a state, so no count falls as the length grows and the
+    last row holds the largest.
     """
-    t0, t1 = _moves(window, floor)
-    dead = len(t0)
-    counts = np.zeros((length + 1, dead + 1), dtype=object)
-    counts[0, :dead] = 1
+    auto = _automaton(window, floor)
+    t0, t1 = auto.step0, auto.step1
+    array = np.zeros((length + 1, auto.n_states + 1), dtype=object)
+    array[0, :-1] = 1
     for r in range(length):
-        counts[r + 1, :dead] = counts[r][t0] + counts[r][t1]
-    counts.flags.writeable = False
-    return counts
-
-
-@lru_cache(maxsize=128)
-def _count_words(window: int, floor: int, length: int) -> np.ndarray:
-    """:func:`_count_array` in int64 when every count fits, else the object
-    array itself: the table of the batch walk.  A 1 never kills a state, so
-    no count falls as the length grows and the last row holds the largest."""
-    counts = _count_array(window, floor, length)
-    words = counts if max(counts[-1]) >> 63 else counts.astype(np.int64)
-    words.flags.writeable = False
-    return words
-
-
-@lru_cache(maxsize=128)
-def _count_table(window: int, floor: int, length: int) -> list[list[int]]:
-    """counts[s][r] of :func:`_count_array`, as lists that hold the array's
-    own integers: the counts :class:`ConstrainedCodec` reads one at a time
-    (its capacities and ``count``) and the rows of :func:`_zero_rows`,
-    which the one-word walk reads at about 210 ns a symbol on the
-    (15, 3) 512-symbol table."""
-    return _count_array(window, floor, length)[:, :-1].T.tolist()
-
-
-@lru_cache(maxsize=128)
-def _zero_rows(window: int, floor: int, length: int) -> list[list[int]]:
-    """rows[s] = the :func:`_count_table` row of the state a 0 leads s to,
-    or a row of zeros where that step dies: the one table the one-word
-    walk reads, one lookup per symbol.  The rows are the table's own
-    lists, so they cost one list of pointers per state."""
-    table = _count_table(window, floor, length)
-    dead = [0] * (length + 1)
-    return [table[t] if t >= 0 else dead for t in _automaton(window, floor).t0]
+        array[r + 1, :-1] = array[r][t0] + array[r][t1]
+    words = array if max(array[-1]) >> 63 else array.astype(np.int64)
+    array.flags.writeable = words.flags.writeable = False
+    columns = array.T.tolist()
+    return _Counts(array, words, [columns[t] for t in t0.tolist()])
 
 
 _STATE_BUDGET = 4000
@@ -298,23 +278,24 @@ class ConstrainedCodec:
     threading the automaton state across chunk boundaries.  ``msg_len`` is
     the exact number of message bits; the redundancy ``n_out - msg_len`` is
     a deterministic function of the parameters.  Every chunk reads a prefix
-    of one count table, built at the longest chunk.
+    of one count table, a :class:`_Counts` built at the longest chunk, and
+    each reader takes the view it needs.
 
     Encoding unranks a batch of messages in one numpy step per symbol, each
-    row from its own state, in int64 when the table's counts fit (as for
-    the γ=0 payloads and the scaffold pieces).  One :class:`BitSeq`, as the
-    SD inner codec's 256 chained chunks or a trace group, is walked symbol
-    by symbol in Python (:meth:`_unrank`), which is faster for one row:
-    every chunk into one bytearray, one count lookup per symbol in the
-    per-state rows of :func:`_zero_rows`, and one :class:`BitSeq` at the
+    row from its own state, on the table's ``words``, in int64 when its
+    counts fit (as for the γ=0 payloads and the scaffold pieces).  One
+    :class:`BitSeq`, as the SD inner codec's 256 chained chunks or a trace
+    group, is walked symbol by symbol in Python (:meth:`_unrank`), which is
+    faster for one row: every chunk into one bytearray, one count lookup
+    per symbol in the table's ``zero_rows``, and one :class:`BitSeq` at the
     end.  On a 2-core x86-64 host (Python 3.11) that is about 210 ns a
     symbol on the (15, 3) 512-symbol table and 125 ns on an n=8640 trace
     group, against 320 and 225 ns for a walk that built and joined one
     :class:`BitSeq` per chunk.
     Decoding ranks a whole batch of words at once: the state before each 1
     is read off the positions of the ``d`` ones before it, and a chunk's
-    index is the sum of its 1s' counts, gathered from the same count table
-    in one object-array step.
+    index is the sum of its 1s' counts, gathered from the table's
+    ``array`` in one object-array step.
     """
 
     window: int
@@ -335,24 +316,17 @@ class ConstrainedCodec:
             out.append(rem)
         return out
 
-    def _span(self, length: int) -> int:
+    def _counts_at(self, length: int) -> _Counts:
         # the codec's one table, at its longest chunk, covers shorter lengths
-        return max(length, min(self.chunk, self.n_out))
-
-    def _table(self, length: int) -> list[list[int]]:
-        # the word walk's rows are cut here too, so the set-up that reads a
-        # count builds them and a timed encode does not
-        key = (self._cw, self._cf, self._span(length))
-        _zero_rows(*key)
-        return _count_table(*key)
+        return _counts(self._cw, self._cf, max(length, min(self.chunk, self.n_out)))
 
     @cached_property
     def _caps(self) -> tuple[int, ...]:
         # the first chunk starts in the initial state, a later one in any
-        table, lengths = self._table(0), self.chunk_lengths
-        worst = {B: min(row[B] for row in table) for B in set(lengths[1:])}
+        array, lengths = self._counts_at(0).array, self.chunk_lengths
+        worst = {B: array[B, :-1].min() for B in set(lengths[1:])}
         init = _automaton(self._cw, self._cf).init_id
-        counts = [table[init][B] if k == 0 else worst[B] for k, B in enumerate(lengths)]
+        counts = [array[B, init] if k == 0 else worst[B] for k, B in enumerate(lengths)]
         return tuple(max(0, c.bit_length() - 1) for c in counts)
 
     @property
@@ -363,7 +337,7 @@ class ConstrainedCodec:
         """Number of valid strings of ``length`` symbols under the enforced
         constraint (the run-length weakening when the window is wide)."""
         auto = _automaton(self._cw, self._cf)
-        return self._table(length)[auto.init_id][length]
+        return self._counts_at(length).array[length, auto.init_id]
 
     def unrank_from_start(self, index, length: int) -> BitSeq | np.ndarray:
         """Map an integer below ``count(length)`` to a valid string, or a
@@ -376,7 +350,7 @@ class ConstrainedCodec:
         if scalar:
             return self._unrank([(index, length)], init)[0]
         out = np.empty((len(index), length), dtype=np.uint8)
-        dtype = _count_words(self._cw, self._cf, self._span(length)).dtype
+        dtype = self._counts_at(length).words.dtype
         self._walk(np.array(index, dtype=dtype), np.full(len(index), init), out)
         return out
 
@@ -401,16 +375,19 @@ class ConstrainedCodec:
         if isinstance(msg, BitSeq):
             if len(msg) != self.msg_len:
                 raise ValueError(f"message must have {self.msg_len} bits, got {len(msg)}")
-            pieces, pos = [], 0
+            # every index from its own byte slice of one copy of the message,
+            # so cutting them all is linear in the message length
+            raw, pieces, pos = msg.value.to_bytes(-(-len(msg) // 8), "little"), [], 0
             for B, cap in chunks:
-                pieces.append((msg.window_int(pos, cap), B))
+                window = int.from_bytes(raw[pos >> 3 : (pos + cap + 7) >> 3], "little")
+                pieces.append(((window >> (pos & 7)) & ((1 << cap) - 1), B))
                 pos += cap
             return self._unrank(pieces, init)[0]
         if msg.ndim != 2 or msg.shape[1] != self.msg_len:
             raise ValueError(f"expected rows of {self.msg_len} bits, got shape {msg.shape}")
         words = np.empty((len(msg), self.n_out), dtype=np.uint8)
         state, pos, at = np.full(len(msg), init), 0, 0
-        dtype = _count_words(self._cw, self._cf, self._span(0)).dtype
+        dtype = self._counts_at(0).words.dtype
         for B, cap in chunks:  # 2^cap is at most a count, so fits the table's dtype
             weights = np.array([1 << j for j in range(cap)], dtype=dtype)
             index = msg[:, pos : pos + cap].astype(dtype) @ weights
@@ -473,8 +450,9 @@ class ConstrainedCodec:
         w, d = self._cw, self._cf
         m, n = rows.shape
         n_chunks = -(-n // chunk)
-        counts = _count_array(w, d, self._span(min(chunk, n)))
-        binom, after0 = _zero_step(w, d)
+        counts = self._counts_at(min(chunk, n)).array
+        auto = _automaton(w, d)
+        binom, after0 = auto.binom, auto.after0
         # The rows laid end to end, each behind d ones that stand for the
         # initial state, and one more 1 behind the last: the d ones before
         # any symbol lie in its own row, so the rows never mix.
@@ -522,9 +500,10 @@ class ConstrainedCodec:
         """Unrank ``index[i]`` from ``state[i]`` into row i of ``out``, every
         row in one numpy step per symbol, and return the states after.
         Each index must be below its state's count of ``out``'s width."""
-        t0, t1 = _moves(self._cw, self._cf)
+        auto = _automaton(self._cw, self._cf)
+        t0, t1 = auto.step0, auto.step1
         length = out.shape[1]
-        counts = _count_words(self._cw, self._cf, self._span(length))
+        counts = self._counts_at(length).words
         for t in range(length):
             s0 = t0[state]
             zero = counts[length - 1 - t].take(s0)  # a dead step has no continuations
@@ -539,7 +518,7 @@ class ConstrainedCodec:
         piece before left (the first from ``state``) into one word, and
         return the word and the state after it.
 
-        A symbol is one lookup in :func:`_zero_rows`, the count of
+        A symbol is one lookup in the table's ``zero_rows``, the count of
         continuations after a 0, and one comparison; a 1 also subtracts
         that count.  ``rest`` counts a piece's symbols left down.  The 1s
         go into one bytearray holding the word's text last symbol first,
@@ -550,7 +529,7 @@ class ConstrainedCodec:
         t0, t1 = auto.t0, auto.t1
         lengths = [length for _, length in pieces]
         n = sum(lengths)
-        rows = _zero_rows(self._cw, self._cf, self._span(max(lengths, default=0)))
+        rows = self._counts_at(max(lengths, default=0)).zero_rows
         buf = bytearray(b"0") * n
         after = n
         for index, length in pieces:

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -486,6 +487,26 @@ class TestBoundsCli:
         )
         assert code == 0
         assert row["lower"] == row["upper"] == "14/15"
+
+    @pytest.mark.parametrize(
+        "argv, lower, upper",
+        [
+            (
+                ("multi", "--a", 2, "--gamma", 0.25, "--kappa", 0.5, "--lstar-frac", 0.2),
+                "1", "17/15",
+            ),
+            (("multi", "--a", 3, "--gamma", 0.2, "--kappa", 0.25), "17/18", "17/18"),
+            (("multi-gamma0", "--a", 4, "--lstar-frac", 0.5), "7/8", "7/8"),
+            (("multi-gamma0", "--a", 3, "--kappa", 0.25), "8/9", "8/9"),
+        ],
+    )
+    def test_rows_print_the_exact_bound_fractions(self, argv, lower, upper):
+        # the hand-computed points of tests/test_oracle.py
+        code, row = run("bounds", "--regime", *argv)
+        assert code == 0
+        assert (row["lower"], row["upper"]) == (lower, upper)
+        assert row["lower_float"] == float(Fraction(lower))
+        assert row["upper_float"] == float(Fraction(upper))
 
     def test_short_fragments_drive_the_rate_to_zero(self):
         code, row = run("bounds", "--regime", "multi", "--a", 0.9, "--kappa", 0.5)

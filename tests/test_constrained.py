@@ -10,12 +10,8 @@ from strandcode.bitseq import BitSeq, hamming, is_wwl
 from strandcode.constrained import (
     ConstrainedCodec,
     _automaton,
-    _count_array,
-    _count_table,
-    _count_words,
+    _counts,
     _pick_constraint,
-    _zero_rows,
-    _zero_step,
     apply_dist,
     auto_cyclic,
     enc_dist,
@@ -187,34 +183,40 @@ def _count_table_by_rows(window, floor, length):
     ],
 )
 def test_count_table_matches_the_row_by_row_reference(window, floor, length):
-    assert _count_table(window, floor, length) == _count_table_by_rows(window, floor, length)
+    table = _counts(window, floor, length)
+    assert table.array[:, :-1].T.tolist() == _count_table_by_rows(window, floor, length)
+    # a dead step reads the zero column, and every view holds the same counts
+    assert not table.array[:, -1].any()
+    assert np.array_equal(table.words, table.array)
+    auto = _automaton(window, floor)
+    assert table.zero_rows == [table.array[:, t].tolist() for t in auto.step0]
 
 
 def test_run_length_fallback_and_full_floor_tables():
     # the cases above reach both corners of the automaton
     assert _pick_constraint(30, 3) == (10, 1)
-    assert _count_table(5, 5, 20)[_automaton(5, 5).init_id] == [1] * 21
+    assert _counts(5, 5, 20).array[:, _automaton(5, 5).init_id].tolist() == [1] * 21
 
 
 def test_shorter_table_is_a_prefix_of_the_longer():
-    long = _count_table(15, 3, 512)
-    assert _count_table(15, 3, 453) == [row[:454] for row in long]
+    long = _counts(15, 3, 512)
+    short = _counts(15, 3, 453)
+    assert np.array_equal(short.array, long.array[:454])
+    assert short.zero_rows == [row[:454] for row in long.zero_rows]
 
 
 def test_codec_builds_one_table_at_its_longest_chunk():
     codec = ConstrainedCodec(15, 3, 2 * 512 + 453)
     assert codec.chunk_lengths == [512, 512, 453]
     msg = BitSeq.random(codec.msg_len, np.random.default_rng(0))
-    _count_table.cache_clear()
-    _count_array.cache_clear()
-    _zero_rows.cache_clear()
+    _counts.cache_clear()
     assert codec.decode(codec.encode(msg)) == msg
-    assert _count_table.cache_info().currsize == 1
-    # the walk's rows are cut from those lists
-    assert _zero_rows.cache_info().currsize == 1
-    # the rank gathers from the array the lists were cut from
-    assert _count_array.cache_info().currsize == 1
-    assert codec.count(453) == _count_table(15, 3, 512)[_automaton(15, 3).init_id][453]
+    # the walk's rows, the rank's array and the capacities are one table
+    assert _counts.cache_info().currsize == 1
+    table = _counts(15, 3, 512)
+    assert codec.count(453) == table.array[453, _automaton(15, 3).init_id]
+    # the walk's rows hold the array's own integers
+    assert table.zero_rows[0][453] is table.array[453, _automaton(15, 3).step0[0]]
 
 
 def _rank_by_symbols(codec, piece, state):
@@ -223,7 +225,7 @@ def _rank_by_symbols(codec, piece, state):
     first symbol whose step leaves the automaton."""
     auto = _automaton(codec._cw, codec._cf)
     length = len(piece)
-    table = _count_table(codec._cw, codec._cf, max(length, min(codec.chunk, codec.n_out)))
+    table = _counts(codec._cw, codec._cf, max(length, min(codec.chunk, codec.n_out))).array
     index = 0
     bits = piece.value
     for t in range(length):
@@ -231,7 +233,7 @@ def _rank_by_symbols(codec, piece, state):
         s0 = auto.t0[state]
         if (bits >> t) & 1:
             if s0 >= 0:
-                index += table[s0][rest]
+                index += table[rest, s0]
             state = auto.t1[state]
         else:
             state = s0
@@ -300,7 +302,7 @@ def _faulty_word(codec, where):
         state = _automaton(w, d).init_id
         for pos in range(0, n - B, codec.chunk):
             _, state = _rank_by_symbols(codec, head.window(pos, codec.chunk), state)
-        top = codec._table(B)[state][B] - 1
+        top = codec._counts_at(B).array[B, state] - 1
         assert top >> codec._caps[-1]
         arr[n - B :] = codec._unrank([(top, B)], state)[0].to_numpy()
         return arr, "constrained string outside the message range"
@@ -419,7 +421,7 @@ _WALK_CODECS = _RANK_CODECS + [ConstrainedCodec(8, 3, 39)]
 
 
 def _walk_table(codec):
-    return _count_words(codec._cw, codec._cf, codec._span(0)).dtype
+    return codec._counts_at(0).words.dtype
 
 
 def test_the_walk_codecs_take_both_tables():
@@ -429,6 +431,13 @@ def test_the_walk_codecs_take_both_tables():
     # and rows of many chunks, each after the first from the state the
     # one before left
     assert max(len(c.chunk_lengths) for c in _WALK_CODECS) >= 5
+    # and words of three or more chunks whose later indices start inside a
+    # byte of the message, which the one-word encode cuts from byte slices
+    unaligned = [
+        c for c in _WALK_CODECS
+        if len(c._caps) >= 3 and all(sum(c._caps[:k]) % 8 for k in range(1, len(c._caps)))
+    ]
+    assert ConstrainedCodec(15, 3, 1100) in unaligned and len(unaligned) >= 2
 
 
 @pytest.mark.parametrize("codec", _WALK_CODECS, ids=_codec_id)
@@ -479,7 +488,7 @@ _KERNEL_CODECS = [
 def _walk_row(codec, index, state, length):
     """The batch walk of one index from one state: its word and end state."""
     out = np.empty((1, length), dtype=np.uint8)
-    dtype = _count_words(codec._cw, codec._cf, codec._span(length)).dtype
+    dtype = codec._counts_at(length).words.dtype
     (end,) = codec._walk(np.array([index], dtype=dtype), np.array([state]), out)
     return out[0], int(end)
 
@@ -495,8 +504,8 @@ def test_the_word_walk_matches_the_batch_walk_from_any_state(data):
     )
     pieces, rows = [], []
     for length in lengths:
-        table = _count_table(codec._cw, codec._cf, codec._span(length))
-        index = data.draw(st.integers(0, table[state][length] - 1), label="index")
+        table = codec._counts_at(length).array
+        index = data.draw(st.integers(0, table[length, state] - 1), label="index")
         row, state = _walk_row(codec, index, state, length)
         pieces.append((index, length))
         rows.append(row)
@@ -507,7 +516,7 @@ def test_the_word_walk_matches_the_batch_walk_from_any_state(data):
     at = data.draw(st.integers(0, len(pieces) - 1), label="over")
     piece_start = start if at == 0 else codec._unrank(pieces[:at], start)[1]
     length = pieces[at][1]
-    over = _count_table(codec._cw, codec._cf, codec._span(length))[piece_start][length]
+    over = codec._counts_at(length).array[length, piece_start]
     bad = pieces[:at] + [(over, length)] + pieces[at + 1 :]
     with pytest.raises(ValueError, match="^message index exceeds the constrained count$"):
         codec._unrank(bad, start)
@@ -518,7 +527,7 @@ def test_every_age_set_is_a_state(window, floor):
     # the rank keys a state by its ages; no key may miss a state
     auto = _automaton(window, floor)
     assert auto.n_states == math.comb(window, floor)
-    binom, after0 = _zero_step(window, floor)
+    binom, after0 = auto.binom, auto.after0
     assert len(after0) == auto.n_states
     for s, sid in auto.states.items():
         key = sum(int(binom[i, a]) for i, a in enumerate(s))

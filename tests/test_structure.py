@@ -544,6 +544,39 @@ def test_only_the_cached_constructor_builds_a_codec():
     assert not hasattr(sd_encoder, "_inner_codec")
 
 
+def _lru_caches(tree: ast.AST) -> set[str]:
+    """Functions decorated with ``lru_cache``, called or bare, by name or
+    as ``functools.lru_cache``."""
+    return {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for dec in node.decorator_list
+        if "lru_cache" in (
+            getattr(getattr(dec, "func", dec), "id", None),
+            getattr(getattr(dec, "func", dec), "attr", None),
+        )
+    }
+
+
+def test_the_constrained_codec_holds_one_count_table_per_constraint():
+    # one cache builds every view of an automaton's counts, so no reader
+    # grows its own copy of the table and no set-up hook has to warm one
+    tree = ast.parse((PACKAGE / "constrained.py").read_text())
+    assert _lru_caches(tree) == {"_automaton", "_counts", "codec"}
+    tree = ast.parse(
+        "@lru_cache(maxsize=4)\ndef a(): pass\n"
+        "@functools.lru_cache\ndef b(): pass\n"
+        "@cached_property\ndef c(self): pass\n"
+        "class K:\n    @lru_cache\n    def d(self): pass\n"
+    )
+    assert _lru_caches(tree) == {"a", "b", "d"}
+    gone = ("_count_array", "_count_words", "_count_table", "_zero_rows", "_moves", "_zero_step")
+    for name in gone:
+        assert not hasattr(constrained, name), name
+    assert not hasattr(constrained.ConstrainedCodec, "_table")
+
+
 def _outer_policy_reads(tree: ast.AST) -> list[int]:
     """Lines that reach a ``lane_*`` name or read a record's ``rejected``
     blocks: a family doing either decides the outer decode itself."""
