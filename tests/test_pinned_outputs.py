@@ -13,12 +13,15 @@ import hashlib
 
 import numpy as np
 import pytest
+from test_trace_codes import _damaged_trace
 
-from strandcode import trace_codes
+from strandcode import outer, trace_codes
 from strandcode.bitseq import BitSeq
 from strandcode.channel import ChannelConfig, Trace, corrupt, fragment
 from strandcode.constrained import codec
+from strandcode.errors import DecodeFailure
 from strandcode.multistrand import (
+    StrandSet,
     derive_multi_gamma0_params,
     encode_multi_gamma0_rs,
     fragment_strands,
@@ -40,6 +43,7 @@ from strandcode.trace_codes import (
     gamma0_book,
     gamma0_message_len,
     reconstruct_gamma0,
+    reconstruct_trace_rs,
     trace_book,
     trace_message_len,
     trace_rs_message_len,
@@ -148,6 +152,44 @@ def multi_rs_missing_strand_report():
     return repr(reconstruct_multi_gamma0_rs(short, p, 1, book))
 
 
+def multi_rs_flipped_strand_report():
+    # every bit of strand 1 complemented: its reads find no index, so the
+    # outer code repairs a whole strand
+    p = _gp4()
+    book = _gp4_book()
+    m = BitSeq.random(multi_gamma0_rs_message_len(p, 1), np.random.default_rng(43))
+    ss = encode_multi_gamma0_rs(m, p, 1, book)
+    flipped = ss.strands[1].xor(BitSeq.ones(len(ss.strands[1])))
+    broken = StrandSet(ss.n, ss.strands[:1] + (flipped,) + ss.strands[2:])
+    mt = fragment_strands(broken, ChannelConfig(L_min=p.L_min, L_over=0, seed=14))
+    return repr(reconstruct_multi_gamma0_rs(mt, p, 1, book))
+
+
+@functools.cache
+def _trace_rs_geometry(n):
+    # the trace-damaged benchmark geometry
+    p = derive_trace_params(n, 1, L_min=90, L_over=85, I=4, r_I=16, K=8)
+    return p, trace_book(p)
+
+
+def _damaged_rs_decode(n, trial, seed=0, tau=3):
+    """The trace-damaged benchmark trial ``default_rng([seed, n, trial])``,
+    replayed in its draw order: message, encode, channel, decode."""
+    p, book = _trace_rs_geometry(n)
+    rng = np.random.default_rng([seed, n, trial])
+    m = BitSeq.random(trace_rs_message_len(p, tau), rng)
+    w = encode_trace_rs(m, p, tau, book)
+    tr = _damaged_trace(p, w, int(rng.integers(2**31)), rng)
+    return reconstruct_trace_rs(tr.strip_truth(), p, tau, book)
+
+
+DAMAGED_TRIALS = [(n, trial) for n in (4320, 8640) for trial in range(3)]
+
+
+def trace_rs_damaged_reports():
+    return "".join(repr(_damaged_rs_decode(n, trial)) for n, trial in DAMAGED_TRIALS)
+
+
 def sd_65537():
     m = BitSeq.random(sd_message_len(65537, 3), np.random.default_rng(7))
     return encode_sd(m, 65537, 3).to_text()
@@ -196,6 +238,8 @@ PINNED = {
     multi_rs_gp4: "bf4934955560098b29e0454e43ceb0223e9ababa80d0e05475c394cc25b69e09",
     gamma0_report: "eb2ffd7fe11d3c5591ffc3a3ce4f00d4c8716aee8790295ca9a719ec9a5d2046",
     multi_rs_missing_strand_report: "a30780c4e4e2ae671762eb1d798aefb209df553a5f144918a8dfaa4ad33af0f5",
+    multi_rs_flipped_strand_report: "1ccff6f00560de1cd9116fbca6f56b788dfee5af8d8b7aa7ceac418e75515ba4",
+    trace_rs_damaged_reports: "939938b3e636ed61876199e7b7167e2559341cc07ac07f9de2479d53d162ce99",
     sd_65537: "4910c994e6d10b651fe6cce111067fa34e9683f5db533a28b720692749fce7e0",
     sd_131073_inner: "b8ed7a0b0f069f6d600093fec077bb9b88b3252ce82b33948683667bfbd12649",
     unrank_past_span: "88b6fbf6e554ca98abc6d142f1071fbfcbb012a6898309fe5806e0d88a11b899",
@@ -208,6 +252,33 @@ PINNED = {
 @pytest.mark.parametrize("case", list(PINNED), ids=lambda f: f.__name__)
 def test_output_is_pinned(case):
     assert hashlib.sha256(case().encode()).hexdigest() == PINNED[case]
+
+
+def test_the_damaged_rs_pins_correct_symbols(monkeypatch):
+    # every pinned damaged-trace decode repairs blocks through the lanes
+    sent, received = [], []
+    encode, decode = outer.Lanes.encode, outer.Lanes.decode
+
+    def encode_spy(self, m):
+        sent.append(encode(self, m))
+        return sent[-1]
+
+    def decode_spy(self, payloads, report, record):
+        received.append(list(payloads))
+        return decode(self, payloads, report, record)
+
+    monkeypatch.setattr(outer.Lanes, "encode", encode_spy)
+    monkeypatch.setattr(outer.Lanes, "decode", decode_spy)
+    trace_rs_damaged_reports()
+    assert len(sent) == len(received) == len(DAMAGED_TRIALS)
+    assert all(a != b for a, b in zip(sent, received))
+
+
+def test_the_four_bad_group_failure_is_pinned():
+    # groups 0, 4, 5 and 12 are wrong: one past tau = 3 in every lane
+    with pytest.raises(DecodeFailure) as exc:
+        _damaged_rs_decode(8640, 12, seed=10)
+    assert str(exc.value) == "outer code locator roots do not match its degree"
 
 
 @functools.cache
