@@ -7,6 +7,14 @@ block costs each lane at most one symbol, any tau bad blocks are
 recoverable, and the union of corrected positions over the lanes names the
 bad blocks.  Both families reach the lanes through :func:`lanes`, which
 holds the outer geometry's refusal and the outer decode's policy.
+
+The lanes are the columns of one uint8 array, one row per block, coded all
+at once over GF(256) tables built at import (antilogs, logs, products and
+inverses): one systematic division over the data rows encodes them, and a
+decode takes every syndrome as sums of logs, then Berlekamp-Massey, the
+roots at the word's positions, Forney and the syndrome recheck on the lanes
+whose syndrome is nonzero.  No temporary outgrows 2^16 symbols or one per
+lane and block, so 255 blocks at tau = 127 stay small.
 """
 
 from __future__ import annotations
@@ -16,6 +24,8 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Sequence
 
+import numpy as np
+
 from .bitseq import BitSeq
 from .blocks import DecodeRecord, ReconReport
 from .errors import DecodeFailure, require_feasible
@@ -24,126 +34,125 @@ __all__ = ["Lanes", "lanes"]
 
 
 # ---------------------------------------------------------------------------
-# GF(256) arithmetic and the Reed-Solomon lane codec
-
-_GF_EXP = [0] * 512
-_GF_LOG = [0] * 256
+# GF(256) tables and the lane-set Reed-Solomon codec
 
 
-def _gf_init() -> None:
+def _gf_tables() -> tuple[np.ndarray, ...]:
+    """GF(256) over the primitive polynomial 0x11D: antilogs (alpha^i at i
+    mod 255 below 510, zero from 510 on), logs (zero's is 510), products
+    and inverses (zero's reads zero)."""
+    exp = np.zeros(1024, dtype=np.uint8)
     x = 1
     for i in range(255):
-        _GF_EXP[i] = x
-        _GF_LOG[x] = i
-        x <<= 1
-        if x & 0x100:
-            x ^= 0x11D
-    for i in range(255, 512):
-        _GF_EXP[i] = _GF_EXP[i - 255]
+        exp[i] = x
+        x = (x << 1) ^ (0x11D if x & 0x80 else 0)
+    exp[255:510] = exp[:255]
+    log = np.full(256, 510, dtype=np.intp)
+    log[exp[:255]] = np.arange(255)
+    inv = exp[255 - log] * (log < 510)
+    return exp, log, exp[log[:, None] + log[None, :]], inv
 
 
-_gf_init()
+_EXP, _LOG, _MUL, _INV = _gf_tables()
 
 
-def _gf_mul(a: int, b: int) -> int:
-    if a == 0 or b == 0:
-        return 0
-    return _GF_EXP[_GF_LOG[a] + _GF_LOG[b]]
+def _evaluate(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """``out[p, s]``: the polynomial in column s of ``coeffs``, highest
+    degree first, at the nonzero ``xs[p]``.
 
-
-def _gf_inv(a: int) -> int:
-    if a == 0:
-        raise ZeroDivisionError("no inverse of zero")
-    return _GF_EXP[255 - _GF_LOG[a]]
-
-
-def _poly_eval(coeffs: list[int], x: int) -> int:
-    """Evaluate sum(coeffs[i] * x^i)."""
-    acc = 0
-    xp = 1
-    for c in coeffs:
-        acc ^= _gf_mul(c, xp)
-        xp = _gf_mul(xp, x)
-    return acc
+    Sums of logs, a block of rows at a time, so a temporary holds at most
+    2^16 symbols or one row of them per point."""
+    deg, width = len(coeffs) - 1, coeffs.shape[1]
+    out = np.zeros((len(xs), width), dtype=np.uint8)
+    logs = _LOG[coeffs][:, None, :]
+    powers = ((deg - np.arange(deg + 1))[:, None] * _LOG[xs] % 255)[:, :, None]
+    step = max(1, 2**16 // max(1, len(xs) * width))
+    for lo in range(0, deg + 1, step):
+        out ^= np.bitwise_xor.reduce(_EXP[logs[lo : lo + step] + powers[lo : lo + step]], axis=0)
+    return out
 
 
 @cache
-def _rs_generator(nsym: int) -> tuple[int, ...]:
-    """Coefficients, highest degree first, of prod (x - alpha^i), i < nsym."""
+def _rs_generator(nsym: int) -> np.ndarray:
+    """Coefficients after the leading 1, highest degree first, of the monic
+    prod (x - alpha^i), i < nsym, as a column."""
     gen = [1]
     for i in range(nsym):
-        nxt = gen + [0]
-        for j, g in enumerate(gen):
-            nxt[j + 1] ^= _gf_mul(g, _GF_EXP[i])
-        gen = nxt
-    return tuple(gen)
+        gen = [a ^ int(_MUL[b, _EXP[i]]) for a, b in zip(gen + [0], [0] + gen)]
+    return np.array(gen[1:], dtype=np.uint8)[:, None]
 
 
-def _rs_encode(data: list[int], nsym: int) -> list[int]:
-    """Systematic encoding: return data followed by nsym parity symbols."""
-    gen = _rs_generator(nsym)
+def _lane_encode(data: np.ndarray, nsym: int) -> np.ndarray:
+    """Systematic encoding of every lane: column s of ``data`` (one row per
+    data block) followed by its nsym parity symbols."""
+    word = np.concatenate([data, np.zeros((nsym, data.shape[1]), dtype=np.uint8)])
     # long division of data * x^nsym by the monic generator leaves the parity
-    word = list(data) + [0] * nsym
-    for i in range(len(data)):
-        factor = word[i]
-        if factor:
-            for j in range(1, nsym + 1):
-                word[i + j] ^= _gf_mul(gen[j], factor)
-    return list(data) + word[len(data) :]
+    gen = _rs_generator(nsym)
+    for i in range(len(data) if nsym else 0):
+        word[i + 1 : i + 1 + nsym] ^= _MUL[gen, word[i]]
+    word[: len(data)] = data
+    return word
 
 
-def _rs_syndromes(word: list[int], nsym: int) -> list[int]:
-    # word[j] is the coefficient of x^(n-1-j)
-    return [_poly_eval(word[::-1], _GF_EXP[i]) for i in range(nsym)]
+_FAILURES = (
+    "too many symbol errors for the outer code",
+    "outer code locator roots do not match its degree",
+    "outer code correction leaves a nonzero syndrome",
+)
 
 
-def _rs_decode(word: list[int], nsym: int) -> tuple[list[int], list[int]]:
-    """Correct up to nsym // 2 symbol errors; return (fixed, error positions).
+def _lane_decode(words: np.ndarray, nsym: int) -> tuple[np.ndarray, np.ndarray]:
+    """Correct up to nsym // 2 symbol errors in every lane, column s of
+    ``words``; return the fixed words and the mask of corrected symbols.
 
-    Locator from Berlekamp-Massey, roots tried at the word's own positions,
-    magnitudes by Forney, and the corrected word must have zero syndromes.
+    Only lanes with a nonzero syndrome are decoded: Berlekamp-Massey for the
+    locator, roots tried at the word's own positions, magnitudes by Forney,
+    and the corrected word must have zero syndromes.  The lowest lane that
+    fails raises its DecodeFailure.
     """
-    n = len(word)
-    synd = _rs_syndromes(word, nsym)
-    if not any(synd):
-        return list(word), []
-    # Berlekamp-Massey for the error locator (lowest degree first)
-    lam, prev, l_count, m, b = [1], [1], 0, 1, 1
+    n = len(words)
+    fixed, located = words.copy(), np.zeros(words.shape, dtype=bool)
+    synd = _evaluate(words, _EXP[:nsym])
+    dirty = np.flatnonzero(synd.any(axis=0))
+    if not len(dirty):
+        return fixed, located
+    synd, width = synd[:, dirty], len(dirty)
+    # Berlekamp-Massey for every lane's locator, lowest degree first, with
+    # step = x^m * prev / b; degrees stay within l_count <= nsym, so nsym + 1
+    # rows hold both
+    top = np.zeros((1, width), dtype=np.uint8)
+    lam = np.concatenate([top + 1, np.zeros((nsym, width), dtype=np.uint8)])
+    step = np.concatenate([top, lam[:-1]])
+    l_count = np.zeros(width, dtype=int)
     for i in range(nsym):
-        delta = synd[i]
-        for j, c in enumerate(lam[1 : l_count + 1], 1):
-            delta ^= _gf_mul(c, synd[i - j])
-        if delta:
-            scale = _gf_mul(delta, _gf_inv(b))
-            nxt = lam + [0] * (m + len(prev) - len(lam))
-            for j, c in enumerate(prev):
-                nxt[m + j] ^= _gf_mul(scale, c)
-            if 2 * l_count <= i:
-                l_count, prev, b, m = i + 1 - l_count, lam, delta, 0
-            lam = nxt
-        m += 1
-    if l_count * 2 > nsym:
-        raise DecodeFailure("too many symbol errors for the outer code")
-    # position p has location X = alpha^(n-1-p); its error makes X^-1 a root
-    inv_x = [_GF_EXP[255 - (n - 1 - p)] for p in range(n)]
-    positions = [p for p in range(n) if _poly_eval(lam, inv_x[p]) == 0]
-    if len(positions) != l_count:
-        raise DecodeFailure("outer code locator roots do not match its degree")
-    # Forney: Omega = S * Lambda mod x^nsym, e = X * Omega(X^-1) / Lambda'(X^-1).
-    # In characteristic 2, Lambda' is the odd terms of Lambda lowered one
-    # degree; the roots are simple, so it does not vanish there.
-    omega = [0] * nsym
-    for i, s in enumerate(synd):
-        for j, c in enumerate(lam[: nsym - i]):
-            omega[i + j] ^= _gf_mul(s, c)
-    dlam = [c if j % 2 else 0 for j, c in enumerate(lam)][1:]
-    fixed = list(word)
-    for p in positions:
-        num = _gf_mul(_GF_EXP[n - 1 - p], _poly_eval(omega, inv_x[p]))
-        fixed[p] ^= _gf_mul(num, _gf_inv(_poly_eval(dlam, inv_x[p])))
-    if any(_rs_syndromes(fixed, nsym)):
-        raise DecodeFailure("outer code correction leaves a nonzero syndrome")
-    return fixed, positions
+        delta = np.bitwise_xor.reduce(_MUL[lam[: i + 1], synd[i::-1]], axis=0)
+        grow = (delta > 0) & (l_count <= i // 2)
+        lam, step = lam ^ _MUL[delta, step], np.where(grow, _MUL[lam, _INV[delta]], step)
+        l_count = np.where(grow, i + 1 - l_count, l_count)
+        step = np.concatenate([top, step[:-1]])
+    # position p has location X = alpha^(n-1-p); its error makes X^-1 a root.
+    # Forney: Omega = S * Lambda mod x^nsym, e = X * Omega(X^-1) / Lambda'(X^-1);
+    # in characteristic 2, x * Lambda'(x) is the odd part of Lambda, so
+    # e = Omega(X^-1) / odd(X^-1).  The roots are simple, so it does not vanish.
+    omega = np.zeros((nsym + 1, width), dtype=np.uint8)
+    for j in range(nsym):
+        omega[j:nsym] ^= _MUL[lam[j], synd[: nsym - j]]
+    odd_rows = (np.arange(nsym + 1) % 2 == 1)[:, None]
+    parts = np.concatenate([lam * ~odd_rows, lam * odd_rows, omega], axis=1)
+    even, odd, at = np.split(_evaluate(parts[::-1], _EXP[255 - (n - 1 - np.arange(n))]), 3, axis=1)
+    roots = even == odd
+    lane_fixed = words[:, dirty] ^ np.where(roots, _MUL[at, _INV[odd]], 0)
+    fails = np.stack([
+        2 * l_count > nsym,
+        roots.sum(axis=0) != l_count,
+        _evaluate(lane_fixed, _EXP[:nsym]).any(axis=0),
+    ])
+    failed = fails.any(axis=0)
+    if failed.any():
+        first = int(np.argmax(failed))
+        raise DecodeFailure(_FAILURES[int(np.argmax(fails[:, first]))])
+    fixed[:, dirty], located[:, dirty] = lane_fixed, roots
+    return fixed, located
 
 
 # ---------------------------------------------------------------------------
@@ -185,14 +194,9 @@ class Lanes:
         """The data blocks of ``m`` followed by 2 * tau parity blocks."""
         if len(m) != self.message_len:
             raise ValueError(f"message must have {self.message_len} bits, got {len(m)}")
-        nb = self.payload_bits // 8
-        data = range(self.blocks - 2 * self.tau)
-        rows = [m.window_int(8 * nb * i, 8 * nb).to_bytes(nb, "little") for i in data]
-        words = [_rs_encode([row[s] for row in rows], 2 * self.tau) for s in range(nb)]
-        return [
-            BitSeq(int.from_bytes(bytes(word[i] for word in words), "little"), self.payload_bits)
-            for i in range(self.blocks)
-        ]
+        data = np.frombuffer(m.value.to_bytes(len(m) // 8, "little"), dtype=np.uint8)
+        words = _lane_encode(data.reshape(self.blocks - 2 * self.tau, -1), 2 * self.tau)
+        return [BitSeq(int.from_bytes(row.tobytes(), "little"), self.payload_bits) for row in words]
 
     def decode(
         self, payloads: Sequence[BitSeq], report: ReconReport, record: DecodeRecord
@@ -205,17 +209,13 @@ class Lanes:
         makes the result unreliable.
         """
         nb = self.payload_bits // 8
-        rows = [p.window_int(0, 8 * nb).to_bytes(nb, "little") for p in payloads]
-        data = [bytearray(nb) for _ in range(self.blocks - 2 * self.tau)]
-        corrected: set[int] = set()
-        for s in range(nb):
-            word, positions = _rs_decode([row[s] for row in rows], 2 * self.tau)
-            corrected.update(positions)
-            for i, row in enumerate(data):
-                row[s] = word[i]
+        rows = b"".join(p.window_int(0, 8 * nb).to_bytes(nb, "little") for p in payloads)
+        words = np.frombuffer(rows, dtype=np.uint8).reshape(len(payloads), nb)
+        fixed, located = _lane_decode(words, 2 * self.tau)
+        corrected = set(np.flatnonzero(located.any(axis=1)).tolist())
         bad = set(record.rejected) | corrected
         if len(bad) > self.tau:
             raise DecodeFailure(f"{len(bad)} corrupted blocks exceed the outer budget {self.tau}")
-        joined = b"".join(data)
+        joined = fixed[: self.blocks - 2 * self.tau].tobytes()
         message = BitSeq(int.from_bytes(joined, "little"), 8 * len(joined))
         return dataclasses.replace(report, message=message, reliable=report.reliable and not corrected)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 import strandcode as sc
-from strandcode import _bitops, blocks, constrained, positioning, sd_encoder
+from strandcode import _bitops, blocks, constrained, outer, positioning, sd_encoder
 
 PACKAGE = Path(sc.__file__).parent
 
@@ -603,3 +603,22 @@ def test_the_rs_families_reach_the_outer_code_only_through_lanes():
         "n = lane_message_len(4, 1, 8)\n"
     )
     assert _outer_policy_reads(tree) == [1, 2, 2, 3]
+
+
+def test_one_lane_codec_call_covers_every_lane(monkeypatch):
+    # the lanes of a block set are array columns: one Lanes.encode or
+    # Lanes.decode is one lane-codec call, with no scalar field arithmetic
+    assert not hasattr(outer, "_gf_mul") and not hasattr(outer, "_poly_eval")
+    calls = []
+    for name in ("_lane_encode", "_lane_decode"):
+        real = getattr(outer, name)
+        monkeypatch.setattr(outer, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    lanes = outer.Lanes(16, 3, 240)
+    m = sc.BitSeq.random(lanes.message_len, np.random.default_rng(3))
+    received = lanes.encode(m)
+    assert calls == ["_lane_encode"]
+    received[4] = sc.BitSeq.zeros(240)
+    report = sc.ReconReport(sc.BitSeq.zeros(0), (), (), True)
+    record = blocks.DecodeRecord((), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    assert lanes.decode(received, report, record).message == m
+    assert calls == ["_lane_encode", "_lane_decode"]

@@ -69,7 +69,7 @@ from strandcode.trace_codes import (
     _trace_layout,
 )
 from strandcode.positioning import build_index_book
-from strandcode.outer import _GF_EXP, _GF_LOG, _gf_inv, _gf_mul, _poly_eval, _rs_decode, _rs_encode
+from strandcode.outer import _MUL, _lane_decode, _lane_encode
 
 
 @pytest.fixture(scope="module")
@@ -543,6 +543,73 @@ def _flip_group_payload(arr, p, g, rng, density=0.5):
     arr[flips] ^= 1
 
 
+def _gf_reference_tables():
+    """Antilogs and logs of GF(256) over 0x11D, built by shifting alpha = x
+    and reducing, apart from the tables of the code under test."""
+    exp, log = [0] * 510, [0] * 256
+    x = 1
+    for i in range(255):
+        exp[i] = exp[i + 255] = x
+        log[x] = i
+        x <<= 1
+        if x & 0x100:
+            x ^= 0x11D
+    return exp, log
+
+
+_GF_EXP, _GF_LOG = _gf_reference_tables()
+
+
+def _gf_mul(a, b):
+    if a == 0 or b == 0:
+        return 0
+    return _GF_EXP[_GF_LOG[a] + _GF_LOG[b]]
+
+
+def _gf_inv(a):
+    if a == 0:
+        raise ZeroDivisionError("no inverse of zero")
+    return _GF_EXP[255 - _GF_LOG[a]]
+
+
+def _poly_eval(coeffs, x):
+    """sum(coeffs[i] * x^i)."""
+    acc, xp = 0, 1
+    for c in coeffs:
+        acc ^= _gf_mul(c, xp)
+        xp = _gf_mul(xp, x)
+    return acc
+
+
+def test_the_reference_field_is_gf256_over_0x11d():
+    assert _GF_EXP[8] == 0x1D
+    assert _gf_mul(_GF_EXP[254], 2) == 1
+    assert sorted(_GF_EXP[:255]) == list(range(1, 256))
+
+
+def test_the_product_table_matches_the_reference_field():
+    want = [[_gf_mul(a, b) for b in range(256)] for a in range(256)]
+    assert _MUL.tolist() == want
+
+
+def _one_lane_encode(data, nsym):
+    return _lane_encode(np.array(data, dtype=np.uint8)[:, None], nsym)[:, 0].tolist()
+
+
+def _one_lane_decode(word, nsym):
+    """The lane codec on a one-lane set: (fixed word, corrected positions)."""
+    fixed, located = _lane_decode(np.array(word, dtype=np.uint8)[:, None], nsym)
+    return fixed[:, 0].tolist(), np.flatnonzero(located[:, 0]).tolist()
+
+
+def _failure_text(words, nsym):
+    try:
+        _lane_decode(words, nsym)
+    except DecodeFailure as exc:
+        return str(exc)
+    return None
+
+
 def _rs_encode_by_rebuild(data, nsym):
     """Reference systematic encoder: builds the generator on every call and
     divides lowest degree first."""
@@ -686,29 +753,29 @@ class TestOuterCode:
         rng = np.random.default_rng(5)
         data = [int(x) for x in rng.integers(0, 256, size=12)]
         for nsym in (0, 2, 4, 6):
-            word = _rs_encode(data, nsym)
+            word = _one_lane_encode(data, nsym)
             assert word[:12] == data
             bad = list(word)
             pos = rng.choice(len(word), size=nsym // 2, replace=False)
             for q in pos:
                 bad[q] ^= int(rng.integers(1, 256))
-            fixed, found = _rs_decode(bad, nsym)
+            fixed, found = _one_lane_decode(bad, nsym)
             assert fixed == word
             assert found == sorted(int(q) for q in pos)
 
     def test_lane_codec_rejects_overload(self):
         data = list(range(10))
-        word = _rs_encode(data, 4)
+        word = _one_lane_encode(data, 4)
         bad = list(word)
         for q in (0, 3, 7):
             bad[q] ^= 0x55
         with pytest.raises(DecodeFailure):
-            _rs_decode(bad, 4)
+            _one_lane_decode(bad, 4)
 
     def test_zero_parity_leaves_the_word_alone(self):
         data = [7, 0, 255, 1]
-        assert _rs_encode(data, 0) == data
-        assert _rs_decode(data, 0) == (data, [])
+        assert _one_lane_encode(data, 0) == data
+        assert _one_lane_decode(data, 0) == (data, [])
 
     def test_lane_codec_matches_the_solving_decoder(self):
         # random words with up to 2 * tau + 3 symbol errors, past what the
@@ -719,16 +786,104 @@ class TestOuterCode:
             n = int(rng.choice([4, 8, 16, 32, 64, 128, 255]))
             nsym = 2 * int(rng.integers(0, min(6, (n - 1) // 2) + 1))
             data = [int(x) for x in rng.integers(0, 256, size=n - nsym)]
-            word = _rs_encode(data, nsym)
+            word = _one_lane_encode(data, nsym)
             assert word == _rs_encode_by_rebuild(data, nsym)
             bad = list(word)
             errors = int(rng.integers(0, min(n, nsym + 3) + 1))
             for q in rng.choice(n, size=errors, replace=False):
                 bad[q] ^= int(rng.integers(1, 256))
             want = _outcome(_rs_decode_by_solve, bad, nsym)
-            assert _outcome(_rs_decode, bad, nsym) == want, (n, nsym, bad)
+            assert _outcome(_one_lane_decode, bad, nsym) == want, (n, nsym, bad)
             outcomes["failed" if want is DecodeFailure else "decoded"] += 1
         assert min(outcomes.values()) > 1000
+
+    def test_lane_sets_match_the_solving_decoder(self):
+        # every lane of a random lane set decodes alone as the reference
+        # does; the set decodes to those lanes, or raises the text of its
+        # lowest failing lane
+        rng = np.random.default_rng(29)
+        outcomes = Counter()
+        for _ in range(150):
+            n = int(rng.integers(3, 256))
+            nsym = 2 * int(rng.integers(0, min(6, (n - 1) // 2) + 1))
+            width = int(rng.integers(1, 41))
+            words = _lane_encode(rng.integers(0, 256, (n - nsym, width), dtype=np.uint8), nsym)
+            for s in range(width):
+                errors = int(rng.integers(0, min(n, nsym + 3) + 1))
+                rows = rng.choice(n, size=errors, replace=False)
+                words[rows, s] ^= rng.integers(1, 256, errors, dtype=np.uint8)
+            alone = []
+            for s in range(width):
+                want = _outcome(_rs_decode_by_solve, words[:, s].tolist(), nsym)
+                assert _outcome(_one_lane_decode, words[:, s].tolist(), nsym) == want, (n, nsym, s)
+                alone.append(want)
+            failing = [s for s, got in enumerate(alone) if got is DecodeFailure]
+            if failing:
+                texts = {_failure_text(words[:, [s]], nsym) for s in failing}
+                outcomes["mixed texts" if len(texts) > 1 else "one text"] += 1
+                assert _failure_text(words, nsym) == _failure_text(words[:, [failing[0]]], nsym)
+            else:
+                fixed, located = _lane_decode(words, nsym)
+                assert [(fixed[:, s].tolist(), np.flatnonzero(located[:, s]).tolist()) for s in range(width)] == alone
+                outcomes["decoded"] += 1
+        assert min(outcomes["decoded"], outcomes["one text"]) > 20 and outcomes["mixed texts"]
+
+    def test_the_lowest_failing_lane_names_the_failure(self):
+        # tau = 1: equal magnitudes at two positions leave S0 = 0, so the
+        # locator outgrows the parity; unequal ones leave a degree-1 locator
+        # with no root at a position
+        word = _one_lane_encode(list(range(1, 9)), 2)
+        same, other = list(word), list(word)
+        for q, (a, b) in zip((2, 6), ((0x35, 0x35), (0x35, 0x01))):
+            same[q] ^= a
+            other[q] ^= b
+        texts = {"too many symbol errors for the outer code": same,
+                 "outer code locator roots do not match its degree": other}
+        for text, lane in texts.items():
+            assert _outcome(_rs_decode_by_solve, lane, 2) is DecodeFailure
+            assert _failure_text(np.array([lane], dtype=np.uint8).T, 2) == text
+        for first, second in (list(texts.items()), list(texts.items())[::-1]):
+            words = np.array([word, first[1], word, second[1]], dtype=np.uint8).T
+            assert _failure_text(words, 2) == first[0]
+
+    def test_zero_parity_lane_sets_are_left_alone(self):
+        data = np.random.default_rng(4).integers(0, 256, (5, 7), dtype=np.uint8)
+        assert (_lane_encode(data, 0) == data).all()
+        fixed, located = _lane_decode(data, 0)
+        assert (fixed == data).all() and not located.any()
+
+    def test_255_blocks_at_tau_127(self):
+        # one data block: every lane holds up to 127 symbol errors
+        rng = np.random.default_rng(8)
+        data = rng.integers(0, 256, (1, 3), dtype=np.uint8)
+        words = _lane_encode(data, 254)
+        assert words.shape == (255, 3)
+        assert [_one_lane_encode(data[:, s].tolist(), 254) for s in range(3)] == words.T.tolist()
+        bad, sets = words.copy(), []
+        for s, errors in enumerate((127, 64, 0)):
+            rows = np.sort(rng.choice(255, size=errors, replace=False))
+            bad[rows, s] ^= rng.integers(1, 256, errors, dtype=np.uint8)
+            sets.append(rows.tolist())
+        fixed, located = _lane_decode(bad, 254)
+        assert (fixed == words).all()
+        assert [np.flatnonzero(located[:, s]).tolist() for s in range(3)] == sets
+        bad[0, 2] ^= 1
+        bad[rng.choice(np.flatnonzero(bad[:, 0] == words[:, 0])), 0] ^= 1
+        with pytest.raises(DecodeFailure):
+            _lane_decode(bad, 254)
+
+    def test_bits_past_the_last_whole_byte_stay_zero(self):
+        # 21-bit blocks carry two lanes; the decoder ignores the top 5 bits
+        lanes = outer.Lanes(6, 1, 21)
+        m = BitSeq.random(lanes.message_len, np.random.default_rng(2))
+        sent = lanes.encode(m)
+        assert [len(b) for b in sent] == [21] * 6
+        assert all(b.value >> 16 == 0 for b in sent)
+        received = [b.xor(BitSeq(0b10110 << 16, 21)) for b in sent]
+        report = ReconReport(BitSeq.zeros(0), (), (), True)
+        record = DecodeRecord((), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        got = lanes.decode(received, report, record)
+        assert got.message == m and got.reliable
 
     def test_four_bad_groups_past_tau_three_fail(self, p8, coded8, monkeypatch):
         # the trace-damaged benchmark trial seeded [10, 8640, 12], replayed in
