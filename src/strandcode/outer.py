@@ -73,13 +73,12 @@ def _evaluate(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 
 @cache
-def _rs_generator(nsym: int) -> np.ndarray:
-    """Coefficients after the leading 1, highest degree first, of the monic
-    prod (x - alpha^i), i < nsym, as a column."""
+def _rs_generator(nsym: int) -> tuple[int, ...]:
+    """Coefficients, highest degree first, of prod (x - alpha^i), i < nsym."""
     gen = [1]
     for i in range(nsym):
         gen = [a ^ int(_MUL[b, _EXP[i]]) for a, b in zip(gen + [0], [0] + gen)]
-    return np.array(gen[1:], dtype=np.uint8)[:, None]
+    return tuple(gen)
 
 
 def _lane_encode(data: np.ndarray, nsym: int) -> np.ndarray:
@@ -87,7 +86,7 @@ def _lane_encode(data: np.ndarray, nsym: int) -> np.ndarray:
     data block) followed by its nsym parity symbols."""
     word = np.concatenate([data, np.zeros((nsym, data.shape[1]), dtype=np.uint8)])
     # long division of data * x^nsym by the monic generator leaves the parity
-    gen = _rs_generator(nsym)
+    gen = np.array(_rs_generator(nsym)[1:], dtype=np.uint8)[:, None]
     for i in range(len(data) if nsym else 0):
         word[i + 1 : i + 1 + nsym] ^= _MUL[gen, word[i]]
     word[: len(data)] = data
