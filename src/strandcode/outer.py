@@ -13,7 +13,7 @@ at once over GF(256) tables built at import (antilogs, logs, products and
 inverses): one systematic division over the data rows encodes them, and a
 decode takes every syndrome as sums of logs, then Berlekamp-Massey, the
 roots at the word's positions, Forney and the syndrome recheck on the lanes
-whose syndrome is nonzero.  No temporary outgrows 2^16 symbols or one per
+whose syndrome is nonzero.  No temporary outgrows 2^14 symbols or one per
 lane and block, so 255 blocks at tau = 127 stay small.
 """
 
@@ -50,7 +50,8 @@ def _gf_tables() -> tuple[np.ndarray, ...]:
     log = np.full(256, 510, dtype=np.intp)
     log[exp[:255]] = np.arange(255)
     inv = exp[255 - log] * (log < 510)
-    return exp, log, exp[log[:, None] + log[None, :]], inv
+    # row by row: one 512 KB index array would raise the process's mmap threshold
+    return exp, log, np.stack([exp[log[a] + log] for a in range(256)]), inv
 
 
 _EXP, _LOG, _MUL, _INV = _gf_tables()
@@ -61,12 +62,12 @@ def _evaluate(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
     degree first, at the nonzero ``xs[p]``.
 
     Sums of logs, a block of rows at a time, so a temporary holds at most
-    2^16 symbols or one row of them per point."""
+    2^14 symbols or one row of them per point."""
     deg, width = len(coeffs) - 1, coeffs.shape[1]
     out = np.zeros((len(xs), width), dtype=np.uint8)
     logs = _LOG[coeffs][:, None, :]
     powers = ((deg - np.arange(deg + 1))[:, None] * _LOG[xs] % 255)[:, :, None]
-    step = max(1, 2**16 // max(1, len(xs) * width))
+    step = max(1, 2**14 // max(1, len(xs) * width))
     for lo in range(0, deg + 1, step):
         out ^= np.bitwise_xor.reduce(_EXP[logs[lo : lo + step] + powers[lo : lo + step]], axis=0)
     return out
