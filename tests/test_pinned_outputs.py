@@ -1,5 +1,5 @@
-"""Pinned codewords and decode reports of the indexed, RS-hardened, trace
-and SD codes.
+"""Pinned codewords, decode reports and decode records of the indexed,
+RS-hardened, trace and SD codes.
 
 Each case encodes (or decodes) fixed-seed inputs and hashes the result, so
 any change to a codeword bit, a decoded message or a placement shows up as
@@ -17,6 +17,7 @@ from test_trace_codes import _damaged_trace
 
 from strandcode import outer, trace_codes
 from strandcode.bitseq import BitSeq
+from strandcode.blocks import _period_offsets, indexed_reconstruct
 from strandcode.channel import ChannelConfig, Trace, corrupt, fragment
 from strandcode.constrained import codec
 from strandcode.errors import DecodeFailure
@@ -141,28 +142,34 @@ def gamma0_report():
     return repr(reconstruct_gamma0(tr, p, gamma0_book(p)))
 
 
-def multi_rs_missing_strand_report():
+def _multi_rs_strand_set():
     p = _gp4()
-    book = _gp4_book()
     m = BitSeq.random(multi_gamma0_rs_message_len(p, 1), np.random.default_rng(43))
-    ss = encode_multi_gamma0_rs(m, p, 1, book)
-    mt = fragment_strands(ss, ChannelConfig(L_min=p.L_min, L_over=0, seed=14))
+    return encode_multi_gamma0_rs(m, p, 1, _gp4_book())
+
+
+def _missing_strand_trace():
+    ss = _multi_rs_strand_set()
+    mt = fragment_strands(ss, ChannelConfig(L_min=_gp4().L_min, L_over=0, seed=14))
     kept = tuple(f for f in mt.fragments if f.strand != 1)
-    short = Trace(mt.n, mt.L_min, 0, 0, kept, k=mt.k)
-    return repr(reconstruct_multi_gamma0_rs(short, p, 1, book))
+    return Trace(mt.n, mt.L_min, 0, 0, kept, k=mt.k)
+
+
+def _flipped_strand_trace():
+    # every bit of strand 1 complemented: its reads find no index, so the
+    # outer code repairs a whole strand
+    ss = _multi_rs_strand_set()
+    flipped = ss.strands[1].xor(BitSeq.ones(len(ss.strands[1])))
+    broken = StrandSet(ss.n, ss.strands[:1] + (flipped,) + ss.strands[2:])
+    return fragment_strands(broken, ChannelConfig(L_min=_gp4().L_min, L_over=0, seed=14))
+
+
+def multi_rs_missing_strand_report():
+    return repr(reconstruct_multi_gamma0_rs(_missing_strand_trace(), _gp4(), 1, _gp4_book()))
 
 
 def multi_rs_flipped_strand_report():
-    # every bit of strand 1 complemented: its reads find no index, so the
-    # outer code repairs a whole strand
-    p = _gp4()
-    book = _gp4_book()
-    m = BitSeq.random(multi_gamma0_rs_message_len(p, 1), np.random.default_rng(43))
-    ss = encode_multi_gamma0_rs(m, p, 1, book)
-    flipped = ss.strands[1].xor(BitSeq.ones(len(ss.strands[1])))
-    broken = StrandSet(ss.n, ss.strands[:1] + (flipped,) + ss.strands[2:])
-    mt = fragment_strands(broken, ChannelConfig(L_min=p.L_min, L_over=0, seed=14))
-    return repr(reconstruct_multi_gamma0_rs(mt, p, 1, book))
+    return repr(reconstruct_multi_gamma0_rs(_flipped_strand_trace(), _gp4(), 1, _gp4_book()))
 
 
 @functools.cache
@@ -172,15 +179,19 @@ def _trace_rs_geometry(n):
     return p, trace_book(p)
 
 
-def _damaged_rs_decode(n, trial, seed=0, tau=3):
+def _damaged_rs_trace(n, trial, seed=0, tau=3):
     """The trace-damaged benchmark trial ``default_rng([seed, n, trial])``,
-    replayed in its draw order: message, encode, channel, decode."""
+    replayed in its draw order: message, encode, channel."""
     p, book = _trace_rs_geometry(n)
     rng = np.random.default_rng([seed, n, trial])
     m = BitSeq.random(trace_rs_message_len(p, tau), rng)
     w = encode_trace_rs(m, p, tau, book)
-    tr = _damaged_trace(p, w, int(rng.integers(2**31)), rng)
-    return reconstruct_trace_rs(tr.strip_truth(), p, tau, book)
+    return p, book, _damaged_trace(p, w, int(rng.integers(2**31)), rng).strip_truth()
+
+
+def _damaged_rs_decode(n, trial, seed=0, tau=3):
+    p, book, tr = _damaged_rs_trace(n, trial, seed, tau)
+    return reconstruct_trace_rs(tr, p, tau, book)
 
 
 DAMAGED_TRIALS = [(n, trial) for n in (4320, 8640) for trial in range(3)]
@@ -188,6 +199,67 @@ DAMAGED_TRIALS = [(n, trial) for n in (4320, 8640) for trial in range(3)]
 
 def trace_rs_damaged_reports():
     return "".join(repr(_damaged_rs_decode(n, trial)) for n, trial in DAMAGED_TRIALS)
+
+
+def _record_text(record):
+    """Every field a decode pass fills in a DecodeRecord, as text."""
+    return repr((
+        record.lead.tolist(),
+        record.retried.tolist(),
+        [(int(idx), why) for idx, why in record.dropped],
+        [int(idx) for idx in record.pending],
+        record.uncovered.tolist(),
+        [(int(at), str(error)) for at, error in sorted(record.rejected.items())],
+        [int(at) for at in record.stray],
+    ))
+
+
+def trace_rs_damaged_records():
+    return "".join(
+        _record_text(trace_codes._reconstruct(tr, p, book)[2])
+        for p, book, tr in (_damaged_rs_trace(n, trial) for n, trial in DAMAGED_TRIALS)
+    )
+
+
+def trace_clean_record():
+    # one trace-scale round trip at n=8640 under the benchmark's channel
+    p, book = _trace_8640()
+    m = BitSeq.random(trace_message_len(p), np.random.default_rng(53))
+    cfg = ChannelConfig(
+        L_min=p.L_min, L_over=p.L_over, e=p.e, error_mode="reliable-preserving",
+        seed=59, max_len=p.L_min + 30,
+    )
+    tr = corrupt(fragment(encode_trace(m, p, book), cfg), cfg).strip_truth()
+    return _record_text(trace_codes._reconstruct(tr, p, book)[2])
+
+
+def multi_rs_missing_strand_record():
+    return _record_text(indexed_reconstruct(_missing_strand_trace(), _gp4(), _gp4_book())[2])
+
+
+def multi_rs_flipped_strand_record():
+    return _record_text(indexed_reconstruct(_flipped_strand_trace(), _gp4(), _gp4_book())[2])
+
+
+def _rejected_and_stray_trace():
+    """A gp4 set whose strand 1 has two undecodable payload blocks, each
+    failing at its own symbol, and whose strand 3 has one tail bit off."""
+    p = _gp4()
+    ss = _multi_word(p.n, p.k, 47, L_min=100, K=32, r_I=12)
+    v_at = _period_offsets(p)[2]
+    strands = [s.to_numpy().copy() for s in ss.strands]
+    strands[1][2 * p.L_min + v_at[20:]] = 0
+    strands[1][5 * p.L_min + v_at] = 0
+    strands[3][p.n - 10] ^= 1
+    broken = StrandSet(p.n, tuple(BitSeq.from_numpy(a) for a in strands))
+    return fragment_strands(broken, ChannelConfig(L_min=p.L_min, L_over=0, seed=16))
+
+
+def multi_rejected_and_stray_record():
+    record = indexed_reconstruct(_rejected_and_stray_trace(), _gp4(), _gp4_book())[2]
+    # a strand keeps the error of its first undecodable block
+    assert list(record.rejected) == [1] and record.stray == (3,)
+    return _record_text(record)
 
 
 def sd_65537():
@@ -240,6 +312,11 @@ PINNED = {
     multi_rs_missing_strand_report: "a30780c4e4e2ae671762eb1d798aefb209df553a5f144918a8dfaa4ad33af0f5",
     multi_rs_flipped_strand_report: "1ccff6f00560de1cd9116fbca6f56b788dfee5af8d8b7aa7ceac418e75515ba4",
     trace_rs_damaged_reports: "939938b3e636ed61876199e7b7167e2559341cc07ac07f9de2479d53d162ce99",
+    trace_rs_damaged_records: "ce20171e91739a5e98f2e37e9bc27c3e42f41a8ef7cb5e5719681a8f77234be2",
+    trace_clean_record: "db37db8a8687678776b834d2e90e771948a463670162d38eb75436f9d34e03b9",
+    multi_rs_missing_strand_record: "c986a3f678507177463ba57c04d6fb9fdb14026b61b3b0fdde739483bfcefab3",
+    multi_rs_flipped_strand_record: "4b0c0c8eec57a39d31c559506b96a2ca8172658f289bb83fe73501d2869bd139",
+    multi_rejected_and_stray_record: "af15f7b0a26924de66aea08c52694fb33219f5eea167e5ae260fca6621275109",
     sd_65537: "4910c994e6d10b651fe6cce111067fa34e9683f5db533a28b720692749fce7e0",
     sd_131073_inner: "b8ed7a0b0f069f6d600093fec077bb9b88b3252ce82b33948683667bfbd12649",
     unrank_past_span: "88b6fbf6e554ca98abc6d142f1071fbfcbb012a6898309fe5806e0d88a11b899",
