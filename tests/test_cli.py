@@ -427,6 +427,21 @@ class TestChannelCli:
         code, row = run("verify", "trace-legal", "--in", blind)
         assert code == 1 and not row["ok"]
 
+    @pytest.mark.parametrize("field, value", [("n", 4320.5), ("n", "4320"), ("k", True)])
+    def test_fragment_refuses_a_strand_set_field_of_the_wrong_json_type(
+        self, work, trace_env, capsys, field, value
+    ):
+        # "n": 4320.5 was read as 4320 and "k": true as 1, and both cut reads
+        strand = read_bits(trace_env["codeword"]).to_text()
+        obj = dict({"n": 4320, "k": 1, "strands": [strand]}, **{field: value})
+        strands = work / f"ch_typed_{field}.json"
+        strands.write_text(json.dumps(obj))
+        out = work / f"ch_typed_{field}_reads.txt"
+        capsys.readouterr()
+        code, _ = run("channel", "fragment", "--in", strands, "--out", out, "--L-min", 90)
+        assert code == 1 and not out.exists()
+        assert f"error: strand set field {field!r}" in capsys.readouterr().err
+
     def test_corrupt_without_truth_is_rejected_for_geometry_modes(self, work, trace_env):
         blind = work / "ch_blind2.txt"
         assert run(
@@ -463,6 +478,23 @@ class TestVerifyCli:
         badf.write_text(json.dumps(obj))
         code, row = run("verify", "book", "--in", badf)
         assert code == 1 and not row["ok"]
+
+
+    @pytest.mark.parametrize(
+        "field, value", [("I", 4.0), ("d", "3"), ("d", True), ("r_I", None), ("K_marker", 8.0)]
+    )
+    def test_book_refuses_a_field_of_the_wrong_json_type(self, work, capsys, field, value):
+        # each of these ended verify book in a TypeError traceback or was
+        # read as the integer it looks like
+        from strandcode.positioning import book_to_json, build_index_book
+
+        obj = dict(json.loads(book_to_json(build_index_book(4, 3, 8, r_I=16))), **{field: value})
+        bookf = work / f"book_typed_{field}.json"
+        bookf.write_text(json.dumps(obj))
+        capsys.readouterr()
+        code, _ = run("verify", "book", "--in", bookf)
+        assert code == 1
+        assert f"error: index book field {field!r}" in capsys.readouterr().err
 
 
 class TestBoundsCli:

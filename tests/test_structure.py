@@ -622,3 +622,23 @@ def test_one_lane_codec_call_covers_every_lane(monkeypatch):
     record = blocks.DecodeRecord((), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
     assert lanes.decode(received, report, record).message == m
     assert calls == ["_lane_encode", "_lane_decode"]
+
+
+def _definitions(tree: ast.AST) -> set[str]:
+    """Names of the functions and classes a module defines, at any depth."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {node.name for node in ast.walk(tree) if isinstance(node, kinds)}
+
+
+def test_one_decode_pass_merges_the_reads_and_builds_the_record():
+    # the trace and γ=0 families only place reads and decode payloads;
+    # the merge, the record and the report are built in one pass, and the
+    # outer code edits a report with dataclasses.replace
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    for cls in ("DecodeRecord", "ReconReport"):
+        found = {f"{name}:{owner}" for name, tree in trees.items() for owner in _callers(tree, cls)}
+        assert found == {"blocks.py:decode_reads"}, cls
+    gone = {"placed_bits", "merge_placed", "make_report"}
+    defined = {name: gone & _definitions(tree) for name, tree in trees.items()}
+    assert {name: names for name, names in defined.items() if names} == {}
+    assert _definitions(ast.parse("class A:\n    def merge_placed(self): pass\n")) == {"A", "merge_placed"}
