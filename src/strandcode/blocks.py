@@ -10,8 +10,13 @@ and one payload slice per block; a decoder reads them back with one gather.
 Shared by the trace code and the indexed families: the layout builder,
 the split of an aligned window's index bits at its block boundary, the
 marker uniqueness scan every encoder runs, the read location batch, the
-majority merge of placed reads, the :class:`DecodeRecord` and
-:class:`ReconReport` every decoder returns, and the parameter checks.
+parameter checks and the one decode pass, :func:`decode_reads`.  That
+pass checks the book and the trace, loads the reads once, merges the
+placed reads by majority and builds the :class:`DecodeRecord` and the
+:class:`ReconReport` every decoder returns.  A family gives it two
+stages: ``place`` locates the reads (the trace code by overlap matching,
+the indexed core from each read's own window) and ``payloads`` inverts
+the payload code of the merged string.
 
 The indexed core below serves both γ=0 families.  Every length-``L_min``
 period of a strand carries the marker, the absolute index of its block and
@@ -280,7 +285,7 @@ def anchor_reads(reads: Reads, L_min: int, attempt) -> tuple[np.ndarray, np.ndar
 
 
 # ---------------------------------------------------------------------------
-# Decode record, majority merge and report
+# The decode pass: record, majority merge and report
 
 @dataclass(frozen=True, eq=False)
 class DecodeRecord:
@@ -370,56 +375,51 @@ class ReconReport:
         )
 
 
-def placed_bits(reads: Reads, placed: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The positions and the bits of the placed reads, concatenated in the
-    order of ``placed``.  A decode cuts them once, for both
-    :func:`merge_placed` and :func:`make_report`."""
+def decode_reads(
+    tr: Trace, params, book: IndexBook | None, d: int, k: int, place, payloads
+) -> tuple[Sequence[BitSeq], ReconReport, DecodeRecord]:
+    """The one decode pass of the block families: place, merge, invert.
+
+    Checks the book at index distance ``d`` and the trace of ``k`` strands,
+    loads the reads once and calls the family's ``place(reads, book)``:
+    read -> offset (flattened as ``strand * n + offset``) and the
+    :class:`DecodeRecord` fields placement decides.  The merge is the
+    positionwise majority of one ``bincount`` of 2 * position + bit over
+    every placed bit; ties resolve toward zero and uncovered positions are
+    zero filled.  ``payloads(merged, book)`` returns the payload blocks,
+    whose concatenation is the message, the rejected blocks and the stray
+    strands.  The report gives each read its (offset, disagreement with the
+    merged string), or (None, None) when unplaced.  Reliable is a
+    consistency audit: the record is intact (:attr:`DecodeRecord.intact`),
+    no majority tie, and every disagreement within e.  Returns the payload
+    blocks, the report and the record.
+    """
+    book = checked_book(params, book, d)
+    check_trace(tr, params, k, params.n)
+    reads = load_reads([f.bits for f in tr.fragments])
+    placed, found = place(reads, book)
     which = np.fromiter(placed, dtype=np.int64, count=len(placed))
     offs = np.fromiter(placed.values(), dtype=np.int64, count=len(placed))
     cols = np.arange(reads.rows.shape[1])
     inside = cols < reads.lens[which, None]
-    return (offs[:, None] + cols)[inside], reads.rows[which][inside]
-
-
-def merge_placed(
-    pos: np.ndarray, bits: np.ndarray, n: int
-) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
-    """Positionwise majority over ``n`` positions of the placed bits
-    ``bits`` at ``pos``, as :func:`placed_bits` gives them.
-
-    Returns the merged bits, the tie positions (resolved toward zero) and
-    the uncovered positions, which are filled with zeros.  The votes are
-    one ``bincount`` of 2 * position + bit over every placed bit.
-    """
-    votes = np.bincount(2 * pos + bits, minlength=2 * n).reshape(n, 2)
+    pos, bits = (offs[:, None] + cols)[inside], reads.rows[which][inside]
+    votes = np.bincount(2 * pos + bits, minlength=2 * k * params.n).reshape(-1, 2)
     uncovered = np.flatnonzero(votes.sum(axis=1) == 0)
     votes[uncovered, 0] = 1
-    merged, ties = majority_merge(votes)
-    return merged.to_numpy(), tuple(np.flatnonzero(ties.to_numpy()).tolist()), uncovered
-
-
-def make_report(
-    message: BitSeq, reads: Reads, placed: dict[int, int], pos: np.ndarray, bits: np.ndarray,
-    merged: np.ndarray, tie_pos: tuple[int, ...], intact: bool, e: int,
-) -> ReconReport:
-    """Report each read's (offset, disagreement with the merged string), or
-    (None, None) when unplaced; ``pos`` and ``bits`` are the placed bits as
-    :func:`placed_bits` gives them.  Reliable is a consistency audit: the
-    decode was ``intact`` (:attr:`DecodeRecord.intact`), no majority tie,
-    and every disagreement within e."""
+    merged, ties = (seq.to_numpy() for seq in majority_merge(votes))
+    blocks, rejected, stray = payloads(merged, book)
+    record = DecodeRecord(**found, uncovered=uncovered, rejected=rejected, stray=stray)
     located: list[tuple[int | None, int | None]] = [(None, None)] * len(reads.lens)
-    max_err = 0
+    errs = []
     if placed:
-        lens = reads.lens[list(placed)]
-        starts = np.cumsum(lens) - lens
+        starts = np.cumsum(reads.lens[which]) - reads.lens[which]
         errs = np.add.reduceat(bits != merged[pos], starts, dtype=np.int64).tolist()
         for (idx, off), err in zip(placed.items(), errs):
             located[idx] = (off, err)
-        max_err = max(errs)
-    reliable = intact and not tie_pos and max_err <= e
-    return ReconReport(
-        message=message, located=tuple(located), tie_positions=tie_pos, reliable=reliable
-    )
+    tie_pos = tuple(np.flatnonzero(ties).tolist())
+    reliable = record.intact and not tie_pos and max(errs, default=0) <= params.e
+    report = ReconReport(sum(blocks, BitSeq.zeros(0)), tuple(located), tie_pos, reliable)
+    return blocks, report, record
 
 
 # ---------------------------------------------------------------------------
@@ -585,59 +585,43 @@ def _stray_strands(merged: np.ndarray, params, book: IndexBook, payload_codec) -
 def indexed_reconstruct(
     tr: Trace, params, book: IndexBook | None
 ) -> tuple[tuple[BitSeq, ...], ReconReport, DecodeRecord]:
-    """Place every read independently, merge by majority, decode the blocks.
+    """The γ=0 stages of :func:`decode_reads`: place every read from its
+    own window, then decode every message block.
 
     Reads are located by :func:`anchor_reads`; one that no window locates
-    is dropped, and uncovered positions are zero filled.  A payload block
-    that does not decode reads as zeros and rejects its strand.  Returns
-    the per-strand messages, the report (offsets flattened as ``strand *
-    n + offset``) and the :class:`DecodeRecord`.
+    is dropped.  A payload block that does not decode reads as zeros and
+    rejects its strand with the error of its first such block.  Returns
+    the per-strand messages, the report and the :class:`DecodeRecord`.
     """
-    book = checked_book(params, book, params.d)
-    check_trace(tr, params, params.k, params.n)
-    reads = load_reads([f.bits for f in tr.fragments])
 
-    def attempt(which: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        off = indexed_locate(reads, which, s, params, book)
-        return (off < 0).astype(np.int64), off
+    def place(reads: Reads, book: IndexBook) -> tuple[dict[int, int], dict]:
+        def attempt(which: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            off = indexed_locate(reads, which, s, params, book)
+            return (off < 0).astype(np.int64), off
 
-    lead, retried, (at,) = anchor_reads(reads, params.L_min, attempt)
-    placed = {idx: off for idx, off in enumerate(at.tolist()) if off >= 0}
+        lead, retried, (at,) = anchor_reads(reads, params.L_min, attempt)
+        placed = {idx: off for idx, off in enumerate(at.tolist()) if off >= 0}
+        return placed, dict(failures=_LOCATE_FAILURES, lead=lead, retried=retried)
 
-    pos, bits = placed_bits(reads, placed)
-    merged, tie_pos, uncovered = merge_placed(pos, bits, params.k * params.n)
-
-    payload_codec = codec(params.w_window, params.w_floor, params.m_prime)
-    body = params.m_prime - params.d
-    v_at = _period_offsets(params)[2]
-    starts = np.arange(params.k)[:, None] * params.n
-    starts = starts + np.arange(params.message_blocks) * params.L_min
-    plains = iter(payload_codec.decode(merged[starts.reshape(-1, 1) + v_at]))
-    messages: list[BitSeq] = []
-    rejected: dict[int, ValueError] = {}
-    stray = _stray_strands(merged, params, book, payload_codec)
-    for i in range(params.k):
-        m_i = BitSeq.zeros(0)
-        for _ in range(params.message_blocks):
-            plain = next(plains)
+    def payloads(merged: np.ndarray, book: IndexBook) -> tuple[tuple[BitSeq, ...], dict, tuple]:
+        payload_codec = codec(params.w_window, params.w_floor, params.m_prime)
+        starts = np.arange(params.k)[:, None] * params.n
+        starts = starts + np.arange(params.message_blocks) * params.L_min
+        plains = payload_codec.decode(merged[starts.reshape(-1, 1) + _period_offsets(params)[2]])
+        rejected: dict[int, ValueError] = {}
+        for t, plain in enumerate(plains):
             if isinstance(plain, ValueError):
                 # a corrupted or missing span leaves the constrained code;
                 # the block's location is still known, so report zeros and
                 # let the outer layer or the reliability audit deal with it
-                rejected.setdefault(i, plain)
-                plain = BitSeq.zeros(payload_codec.msg_len)
-            elif plain.value >> body:
-                stray.add(i)  # the encoder pads every block with zeros
-            m_i = m_i + plain.window(0, body)
-        messages.append(m_i)
+                rejected.setdefault(t // params.message_blocks, plain)
+                plains[t] = BitSeq.zeros(payload_codec.msg_len)
+        rows = unpack_rows(plains, payload_codec.msg_len)
+        body = params.m_prime - params.d
+        # the encoder pads every block with zeros
+        padded = np.flatnonzero(rows[:, body:].any(axis=1)) // params.message_blocks
+        stray = _stray_strands(merged, params, book, payload_codec) | set(padded.tolist())
+        messages = tuple(map(BitSeq.from_numpy, rows[:, :body].reshape(params.k, -1)))
+        return messages, rejected, tuple(sorted(stray))
 
-    record = DecodeRecord(
-        _LOCATE_FAILURES, lead, retried, uncovered=uncovered, rejected=rejected,
-        stray=tuple(sorted(stray)),
-    )
-    report = make_report(
-        sum(messages, BitSeq.zeros(0)), reads, placed, pos, bits, merged,
-        tie_pos, record.intact, params.e,
-    )
-    return tuple(messages), report, record
-
+    return decode_reads(tr, params, book, params.d, params.k, place, payloads)

@@ -17,8 +17,8 @@ policy are :func:`strandcode.outer.lanes`, and the params
 and entry points of the non-overlapping family whose blocks carry absolute
 indices.  That family runs on the indexed core of
 :mod:`strandcode.blocks`, shared with the interleaved multi-strand family;
-the layout, index split, marker scan, majority merge and
-:class:`ReconReport` come from there too.
+the layout, index split, marker scan and the one decode pass
+(:func:`~strandcode.blocks.decode_reads`) come from there too.
 """
 
 from __future__ import annotations
@@ -45,19 +45,15 @@ from .blocks import (
     Reads,
     anchor_reads,
     build_layout,
-    check_trace,
     checked_book,
+    decode_reads,
     index_orders,
     indexed_book,
     indexed_encode,
     indexed_geometry,
     indexed_message_len,
     indexed_reconstruct,
-    load_reads,
-    make_report,
     marker_offenders,
-    merge_placed,
-    placed_bits,
 )
 from .channel import Trace
 from .constrained import ConstrainedCodec, auto_cyclic, codec
@@ -727,62 +723,47 @@ def _place_all(
 
 
 # ---------------------------------------------------------------------------
-# Payload extraction and report
-
-
-def _extract_group_payloads(
-    merged: np.ndarray, params: TraceParams
-) -> tuple[list[BitSeq], dict[int, ValueError]]:
-    """Every group's payload, or zeros where it does not decode, and the
-    groups that do not, each with its error."""
-    lay = _trace_layout(params)
-    groups = np.arange(params.group_count)
-    cnt = np.array([params.cnt(g) for g in groups])
-    plains: dict[int, BitSeq | ValueError] = {}
-    # groups of one size share a codec and are ranked in one batch
-    for c in np.unique(cnt).tolist():
-        same = groups[cnt == c]
-        blocks = np.array([params.cum_blocks(g) for g in same])[:, None] + np.arange(c)
-        at = (blocks * params.L_min)[:, :, None] + lay.v_offsets
-        rows = merged[at.reshape(len(same), -1)]
-        plains.update(zip(same.tolist(), _group_codec(params, int(same[0])).decode(rows)))
-    payloads: list[BitSeq] = []
-    rejected: dict[int, ValueError] = {}
-    for g in groups.tolist():
-        plain = plains[g]
-        if isinstance(plain, ValueError):
-            rejected[g] = plain
-            payloads.append(BitSeq.zeros(_group_payload_len(params, g)))
-        else:
-            payloads.append(_unmask_group(plain, g, params))
-    return payloads, rejected
+# The trace stages of the decode pass
 
 
 def _reconstruct(
     tr: Trace, params: TraceParams, book: IndexBook | None
 ) -> tuple[list[BitSeq], ReconReport, DecodeRecord]:
-    """Place, merge and decode what the trace allows; return the group
-    payloads (zeros where one does not decode), the report and the
-    :class:`DecodeRecord`."""
-    book = checked_book(params, book, params.d1)
-    check_trace(tr, params, 1, params.n)
-    reads = load_reads([f.bits for f in tr.fragments])
-    lead, retried, anchored = _analyze_reads(reads, params, book)
-    placed, dropped, pending = _place_all(
-        reads, anchored[0], *_candidate_offsets(reads, *anchored, params), params
-    )
-    pos, bits = placed_bits(reads, placed)
-    merged, tie_pos, uncovered = merge_placed(pos, bits, params.n)
-    payloads, rejected = _extract_group_payloads(merged, params)
-    record = DecodeRecord(
-        _FAILURES, lead, retried, dropped, pending, uncovered, rejected,
-        payload_error="group {} payload is not a valid constrained string: {}",
-    )
-    report = make_report(
-        sum(payloads, BitSeq.zeros(0)), reads, placed, pos, bits, merged, tie_pos,
-        record.intact, params.e,
-    )
-    return payloads, report, record
+    """The trace stages of :func:`decode_reads`: anchor every read and place
+    it by overlap matching, then decode every group's payload, reading
+    zeros and rejecting the group where one does not decode.  Returns the
+    group payloads, the report and the :class:`DecodeRecord`."""
+
+    def place(reads: Reads, book: IndexBook) -> tuple[dict[int, int], dict]:
+        lead, retried, anchored = _analyze_reads(reads, params, book)
+        placed, dropped, pending = _place_all(
+            reads, anchored[0], *_candidate_offsets(reads, *anchored, params), params
+        )
+        return placed, dict(
+            failures=_FAILURES, lead=lead, retried=retried, dropped=dropped, pending=pending,
+            payload_error="group {} payload is not a valid constrained string: {}",
+        )
+
+    def payloads(merged: np.ndarray, book: IndexBook) -> tuple[list[BitSeq], dict, tuple]:
+        lay = _trace_layout(params)
+        groups = np.arange(params.group_count)
+        cnt = np.array([params.cnt(g) for g in groups])
+        plains: dict[int, BitSeq | ValueError] = {}
+        # groups of one size share a codec and are ranked in one batch
+        for c in np.unique(cnt).tolist():
+            same = groups[cnt == c]
+            blocks = np.array([params.cum_blocks(g) for g in same])[:, None] + np.arange(c)
+            at = (blocks * params.L_min)[:, :, None] + lay.v_offsets
+            rows = merged[at.reshape(len(same), -1)]
+            plains.update(zip(same.tolist(), _group_codec(params, int(same[0])).decode(rows)))
+        rejected = {g: plains[g] for g in sorted(plains) if isinstance(plains[g], ValueError)}
+        return [
+            BitSeq.zeros(_group_payload_len(params, g)) if g in rejected
+            else _unmask_group(plains[g], g, params)
+            for g in groups.tolist()
+        ], rejected, ()
+
+    return decode_reads(tr, params, book, params.d1, 1, place, payloads)
 
 
 def reconstruct_trace(
