@@ -133,20 +133,17 @@ def index_orders(lay: Layout, width: int) -> tuple[np.ndarray, np.ndarray, np.nd
     gather cuts either key from a batch of windows.
     """
     L_min = len(lay.kind)
-    mu = np.empty(L_min, dtype=np.int64)
-    sp = np.empty((L_min, width), dtype=np.int64)
-    ps = np.empty((L_min, width), dtype=np.int64)
-    for q in range(L_min):
-        offs = (np.arange(L_min) - q) % L_min
-        sel = lay.kind[offs] == C
-        tpos = np.flatnonzero(sel)
-        subs = lay.csub[offs[sel]]
-        at = tpos >= q
-        mu[q] = at.sum()
-        assert np.array_equal(np.sort(subs[at]), np.arange(mu[q]))
-        assert np.array_equal(np.sort(subs[~at]), np.arange(mu[q], width))
-        S, P = tpos[~at][np.argsort(subs[~at])], tpos[at][np.argsort(subs[at])]
-        sp[q], ps[q] = np.concatenate([S, P]), np.concatenate([P, S])
+    # in-block position of every codeword bit, in codeword order, and its
+    # window position from each phase q: past the boundary (in P) unless
+    # it wraps
+    at = lay.c_offsets[np.argsort(lay.csub[lay.c_offsets])] + np.arange(L_min)[:, None]
+    in_p = at < L_min
+    mu = in_p.sum(axis=1)
+    first = np.arange(width) < mu[:, None]
+    assert np.array_equal(in_p & first, first), "P is not the codeword's first mu bits"
+    assert np.array_equal(in_p | first, first), "S is not the codeword's last bits"
+    ps = at % L_min
+    sp = np.take_along_axis(ps, (np.arange(width) + mu[:, None]) % width, axis=1)
     return mu, sp, ps
 
 
