@@ -338,6 +338,17 @@ def _parse_record(cur: BitSeq, j: int, p: SdParams):
     return i, diff, v
 
 
+def _unroll_overlap(seed: int, mask: int, shift: int, L1: int) -> int:
+    """The L1 bits x with x[s] = seed[s] ^ mask[s] for s < shift and
+    x[s - shift] ^ mask[s] after: (seed ^ mask) times 1 + z^shift +
+    z^(2 shift) + ... over GF(2), the sum built by doubling."""
+    x = seed ^ mask
+    while shift < L1:
+        x ^= x << shift
+        shift *= 2
+    return x & ((1 << L1) - 1)
+
+
 def restore_close_pairs(wbar: BitSeq, params: SdParams) -> BitSeq:
     """Invert :func:`eliminate_close_pairs`.
 
@@ -369,16 +380,7 @@ def restore_close_pairs(wbar: BitSeq, params: SdParams) -> BitSeq:
             # overlapping pair: the two windows shared their overlap, so the
             # removed window satisfies x_j[s] = x_j[s - (j - i)] ^ e[s] once
             # the first j - i bits are seeded from the untouched prefix
-            shift = j - i
-            known = cur.window_int(i, shift)
-            val = 0
-            for s in range(p.L1):
-                if s < shift:
-                    b = (known >> s) & 1
-                else:
-                    b = (val >> (s - shift)) & 1
-                val |= (b ^ ((mask >> s) & 1)) << s
-            x_j = BitSeq(val, p.L1)
+            x_j = BitSeq(_unroll_overlap(cur.window_int(i, j - i), mask, j - i, p.L1), p.L1)
         cur = cur.splice(j, p.insert_len, x_j)
         if v != 0:
             if v > d:

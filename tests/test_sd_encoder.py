@@ -20,6 +20,7 @@ from strandcode.oracle import check_p123, check_sd_exhaustive, sd_min_pair_dista
 from strandcode.sd_encoder import (
     Scaffold,
     _rightmost_marker,
+    _unroll_overlap,
     build_scaffold,
     contract_from_length,
     decode_sd,
@@ -213,6 +214,15 @@ class TestRewriteLoop:
             assert restore_close_pairs(wbar, p) == w
         assert rewrites > 0  # the sample must actually exercise the loop
 
+    def test_overlap_unroll_matches_the_per_bit_recurrence(self):
+        rng = np.random.default_rng(41)
+        for _ in range(20000):
+            L1 = int(rng.integers(1, 81))
+            shift = int(rng.integers(1, L1 + 1))
+            seed, mask = BitSeq.random(shift, rng).value, BitSeq.random(L1, rng).value
+            want = _unroll_overlap_by_bits(seed, mask, shift, L1)
+            assert _unroll_overlap(seed, mask, shift, L1) == want
+
     def test_restore_rejects_corrupt_record(self):
         w, p = _planted_branch2()
         wbar = eliminate_close_pairs(w, p)
@@ -332,6 +342,20 @@ def _scaffold_by_single_draws(p, seed, max_tries=200):
             store[:, t] = new
         pieces.append(cand)
     return tuple(pieces), rejected
+
+
+def _unroll_overlap_by_bits(seed, mask, shift, L1):
+    """The overlapping-pair recurrence of the SD decoder bit by bit: the
+    first ``shift`` bits are seeded, each later one repeats the bit
+    ``shift`` before it, and every bit is flipped by ``mask``."""
+    val = 0
+    for s in range(L1):
+        if s < shift:
+            b = (seed >> s) & 1
+        else:
+            b = (val >> (s - shift)) & 1
+        val |= (b ^ ((mask >> s) & 1)) << s
+    return val
 
 
 class TestScaffold:
