@@ -26,7 +26,7 @@ from .channel import (
     trace_from_text,
     trace_to_text,
 )
-from .errors import SearchExhausted, StrandcodeError, require_feasible
+from .errors import SearchExhausted, StrandcodeError, json_int, require_feasible
 from .multistrand import (
     MultiGamma0Params,
     derive_multi_gamma0_params,
@@ -173,8 +173,8 @@ def _load_params(path: str, want: str):
     fam, e = FAMILIES[family], obj["e"]
     geometry = {name: obj[name] for name in fam.overrides - _REGIME if name in obj}
     for name in ("n", "e", "k", *geometry):
-        if name in obj and name != "eps" and type(obj[name]) is not int:
-            raise ValueError(f"params file field {name!r} is {obj[name]!r}, not an integer")
+        if name in obj and name != "eps":
+            json_int(obj, name, "params file")
     p = fam.derive(argparse.Namespace(n=obj["n"], k=obj.get("k")), 2 * e + 1, e, **geometry)
     for name, value in _params_row(family, p).items():
         if name not in _REGIME and obj.get(name) != value:

@@ -1,4 +1,5 @@
-"""Package exception hierarchy, and the one feasibility verdict on params."""
+"""Package exception hierarchy, the one feasibility verdict on params, and
+the integer check of the JSON readers."""
 
 
 class StrandcodeError(Exception):
@@ -19,6 +20,15 @@ def require_feasible(params):
             f"infeasible {type(params).__name__}: " + "; ".join(params.violations)
         )
     return params
+
+
+def json_int(obj: dict, name: str, what: str) -> int:
+    """Field ``name`` of ``obj``, parsed from a ``what``; a ValueError
+    naming it unless it is a JSON integer (a bool is not)."""
+    value = obj[name]
+    if type(value) is not int:
+        raise ValueError(f"{what} field {name!r} is {value!r}, not an integer")
+    return value
 
 
 class LayoutError(StrandcodeError):

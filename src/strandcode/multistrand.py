@@ -43,7 +43,7 @@ from .blocks import (
     load_reads,
 )
 from .channel import ChannelConfig, Fragment, Trace, fragment
-from .errors import DecodeFailure, LayoutError, require_feasible
+from .errors import DecodeFailure, LayoutError, json_int, require_feasible
 from .outer import Lanes, lanes
 from .positioning import IndexBook
 from .trace_codes import TraceParams, encode_trace, reconstruct_trace
@@ -123,10 +123,12 @@ def strandset_to_json(ss: StrandSet) -> str:
 
 
 def strandset_from_json(text: str) -> StrandSet:
+    """The set of :func:`strandset_to_json`; n and k must be JSON integers."""
     obj = json.loads(text)
-    ss = StrandSet(int(obj["n"]), tuple(BitSeq.from_text(t) for t in obj["strands"]))
-    if ss.k != int(obj["k"]):
-        raise LayoutError(f"header says k={obj['k']} but {ss.k} strands follow")
+    n, k = (json_int(obj, name, "strand set") for name in ("n", "k"))
+    ss = StrandSet(n, tuple(BitSeq.from_text(t) for t in obj["strands"]))
+    if ss.k != k:
+        raise LayoutError(f"header says k={k} but {ss.k} strands follow")
     return ss
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import _bitops
 from .bitseq import BitSeq, unpack_rows
 from .constrained import auto_cyclic
-from .errors import SearchExhausted
+from .errors import SearchExhausted, json_int
 
 __all__ = [
     "IndexBook",
@@ -288,12 +288,10 @@ def book_to_json(book: IndexBook) -> str:
 
 
 def book_from_json(text: str) -> IndexBook:
+    """The book of :func:`book_to_json`; its sizes must be JSON integers."""
     obj = json.loads(text)
     return IndexBook(
-        I=obj["I"],
-        r_I=obj["r_I"],
-        d=obj["d"],
-        K_marker=obj["K_marker"],
+        **{name: json_int(obj, name, "index book") for name in ("I", "r_I", "d", "K_marker")},
         codewords=tuple(BitSeq.from_text(c) for c in obj["codewords"]),
         marker=BitSeq.from_text(obj["marker"]),
     )
