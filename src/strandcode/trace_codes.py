@@ -757,11 +757,12 @@ def _reconstruct(
             rows = merged[at.reshape(len(same), -1)]
             plains.update(zip(same.tolist(), _group_codec(params, int(same[0])).decode(rows)))
         rejected = {g: plains[g] for g in sorted(plains) if isinstance(plains[g], ValueError)}
-        return [
+        decoded = [
             BitSeq.zeros(_group_payload_len(params, g)) if g in rejected
             else _unmask_group(plains[g], g, params)
             for g in groups.tolist()
-        ], rejected, ()
+        ]
+        return decoded, rejected, ()
 
     return decode_reads(tr, params, book, params.d1, 1, place, payloads)
 
