@@ -479,7 +479,6 @@ class TestVerifyCli:
         code, row = run("verify", "book", "--in", badf)
         assert code == 1 and not row["ok"]
 
-
     @pytest.mark.parametrize(
         "field, value", [("I", 4.0), ("d", "3"), ("d", True), ("r_I", None), ("K_marker", 8.0)]
     )
@@ -495,6 +494,15 @@ class TestVerifyCli:
         code, _ = run("verify", "book", "--in", bookf)
         assert code == 1
         assert f"error: index book field {field!r}" in capsys.readouterr().err
+
+    def test_book_refuses_a_file_that_is_not_an_object(self, work, capsys):
+        # a JSON list ended verify book in a TypeError traceback
+        bookf = work / "book_list.json"
+        bookf.write_text(json.dumps([4, 16, 3, 8]))
+        capsys.readouterr()
+        code, _ = run("verify", "book", "--in", bookf)
+        assert code == 1
+        assert "error: index book is not a JSON object" in capsys.readouterr().err
 
 
 class TestBoundsCli:

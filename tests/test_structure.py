@@ -641,4 +641,5 @@ def test_one_decode_pass_merges_the_reads_and_builds_the_record():
     gone = {"placed_bits", "merge_placed", "make_report"}
     defined = {name: gone & _definitions(tree) for name, tree in trees.items()}
     assert {name: names for name, names in defined.items() if names} == {}
-    assert _definitions(ast.parse("class A:\n    def merge_placed(self): pass\n")) == {"A", "merge_placed"}
+    tree = ast.parse("class A:\n    def merge_placed(self): pass\n")
+    assert _definitions(tree) == {"A", "merge_placed"}
