@@ -24,7 +24,10 @@ def require_feasible(params):
 
 def json_int(obj: dict, name: str, what: str) -> int:
     """Field ``name`` of ``obj``, parsed from a ``what``; a ValueError
-    naming it unless it is a JSON integer (a bool is not)."""
+    unless ``obj`` is a JSON object and the field a JSON integer (a bool
+    is not)."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} is not a JSON object")
     value = obj[name]
     if type(value) is not int:
         raise ValueError(f"{what} field {name!r} is {value!r}, not an integer")
