@@ -133,9 +133,8 @@ def index_orders(lay: Layout, width: int) -> tuple[np.ndarray, np.ndarray, np.nd
     gather cuts either key from a batch of windows.
     """
     L_min = len(lay.kind)
-    # in-block position of every codeword bit, in codeword order, and its
-    # window position from each phase q: past the boundary (in P) unless
-    # it wraps
+    # the window position of every codeword bit, in codeword order, from
+    # each phase q: past the boundary (in P) unless it wraps
     at = lay.c_offsets[np.argsort(lay.csub[lay.c_offsets])] + np.arange(L_min)[:, None]
     in_p = at < L_min
     mu = in_p.sum(axis=1)
@@ -375,21 +374,20 @@ class ReconReport:
 def decode_reads(
     tr: Trace, params, book: IndexBook | None, d: int, k: int, place, payloads
 ) -> tuple[Sequence[BitSeq], ReconReport, DecodeRecord]:
-    """The one decode pass of the block families: place, merge, invert.
+    """The one decode pass of the block families; returns the payload
+    blocks, the report and the record.
 
     Checks the book at index distance ``d`` and the trace of ``k`` strands,
     loads the reads once and calls the family's ``place(reads, book)``:
-    read -> offset (flattened as ``strand * n + offset``) and the
+    read -> offset (as ``strand * n + offset``) and the
     :class:`DecodeRecord` fields placement decides.  The merge is the
     positionwise majority of one ``bincount`` of 2 * position + bit over
-    every placed bit; ties resolve toward zero and uncovered positions are
-    zero filled.  ``payloads(merged, book)`` returns the payload blocks,
-    whose concatenation is the message, the rejected blocks and the stray
+    every placed bit, ties toward zero and uncovered positions zero filled.
+    ``payloads(merged, book)`` returns the payload blocks, whose
+    concatenation is the message, the rejected blocks and the stray
     strands.  The report gives each read its (offset, disagreement with the
-    merged string), or (None, None) when unplaced.  Reliable is a
-    consistency audit: the record is intact (:attr:`DecodeRecord.intact`),
-    no majority tie, and every disagreement within e.  Returns the payload
-    blocks, the report and the record.
+    merged string), or (None, None) when unplaced; reliable means an intact
+    record (:attr:`DecodeRecord.intact`), no tie and no disagreement over e.
     """
     book = checked_book(params, book, d)
     check_trace(tr, params, k, params.n)
@@ -407,12 +405,10 @@ def decode_reads(
     blocks, rejected, stray = payloads(merged, book)
     record = DecodeRecord(**found, uncovered=uncovered, rejected=rejected, stray=stray)
     located: list[tuple[int | None, int | None]] = [(None, None)] * len(reads.lens)
-    errs = []
-    if placed:
-        starts = np.cumsum(reads.lens[which]) - reads.lens[which]
-        errs = np.add.reduceat(bits != merged[pos], starts, dtype=np.int64).tolist()
-        for (idx, off), err in zip(placed.items(), errs):
-            located[idx] = (off, err)
+    starts = np.cumsum(reads.lens[which]) - reads.lens[which]
+    errs = np.add.reduceat(bits != merged[pos], starts, dtype=np.int64).tolist()
+    for (idx, off), err in zip(placed.items(), errs):
+        located[idx] = (off, err)
     tie_pos = tuple(np.flatnonzero(ties).tolist())
     reliable = record.intact and not tie_pos and max(errs, default=0) <= params.e
     report = ReconReport(sum(blocks, BitSeq.zeros(0)), tuple(located), tie_pos, reliable)

@@ -24,8 +24,7 @@ def require_feasible(params):
 
 def json_int(obj: dict, name: str, what: str) -> int:
     """Field ``name`` of ``obj``, parsed from a ``what``; a ValueError
-    unless ``obj`` is a JSON object and the field a JSON integer (a bool
-    is not)."""
+    unless ``obj`` is a JSON object and the field a JSON integer."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what} is not a JSON object")
     value = obj[name]
