@@ -392,7 +392,7 @@ def decode_reads(
     book = checked_book(params, book, d)
     check_trace(tr, params, k, params.n)
     reads = load_reads([f.bits for f in tr.fragments])
-    placed, found = place(reads, book)
+    placed, fields = place(reads, book)
     which = np.fromiter(placed, dtype=np.int64, count=len(placed))
     offs = np.fromiter(placed.values(), dtype=np.int64, count=len(placed))
     cols = np.arange(reads.rows.shape[1])
@@ -403,7 +403,7 @@ def decode_reads(
     votes[uncovered, 0] = 1
     merged, ties = (seq.to_numpy() for seq in majority_merge(votes))
     blocks, rejected, stray = payloads(merged, book)
-    record = DecodeRecord(**found, uncovered=uncovered, rejected=rejected, stray=stray)
+    record = DecodeRecord(**fields, uncovered=uncovered, rejected=rejected, stray=stray)
     located: list[tuple[int | None, int | None]] = [(None, None)] * len(reads.lens)
     starts = np.cumsum(reads.lens[which]) - reads.lens[which]
     errs = np.add.reduceat(bits != merged[pos], starts, dtype=np.int64).tolist()
